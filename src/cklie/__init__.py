@@ -7,7 +7,7 @@ cohomology exactly, and cross-validates the result against a closed-form
 classification of the extension coefficients.
 """
 
-from .scalars import Hypercomplex, Kind, hyper_conj, hyper_mul, parse_rational, rat_normalize, unit
+from .scalars import Hypercomplex, Kind, parse_rational, unit
 from .ck_matrix import (
     B,
     E,
@@ -23,14 +23,11 @@ from .ck_matrix import (
     XI_LABEL,
     build_generator,
     build_metric,
-    canonical_signs,
-    decompose_in_basis,
     family_dimension,
     is_metric_antihermitian,
     is_traceless,
     labels_for_family,
     mat_commutator,
-    omega_product,
 )
 from .lie_core import (
     ExtendedAlgebra,
@@ -53,12 +50,8 @@ from .cohomology import (
     OneCochain,
     TwoCochain,
     coboundary,
-    coboundary_space,
-    cocycle_equations,
-    cocycle_space,
     exact_rank,
     h2,
-    is_trivial,
 )
 from .classify import (
     CatalogEntry,

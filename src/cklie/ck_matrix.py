@@ -6,9 +6,10 @@ consecutive coefficients build the diagonal metric, and the generators are
 the metric-antihermitian elementary combinations over the matching scalar
 kind (real, complex or quaternionic).
 
-Matrices are stored densely; at desk scale (N+1 <= ~8) sparsity buys
-nothing here, and the generator matrices have at most a couple of nonzero
-entries anyway, which the multiplication loop skips cheaply.
+Matrices are stored sparsely as {(row, col): value} with no zero entries.
+Every generator except the central phase I has at most two nonzero entries,
+so commutators and the metric checks loop over those entries only; the full
+(N+1) x (N+1) grid is rendered only for output.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import Hypercomplex, Kind, parse_rational
+from .scalars import Hypercomplex, Kind, _frac
 
 __all__ = [
     "FAMILIES",
     "FAMILY_KIND",
     "OmegaVector",
-    "omega_product",
-    "canonical_signs",
     "MetricMatrix",
     "build_metric",
     "GeneratorLabel",
@@ -43,7 +42,6 @@ __all__ = [
     "is_metric_antihermitian",
     "is_traceless",
     "mat_commutator",
-    "decompose_in_basis",
     "BasisDecomposer",
     "NotInSpanError",
 ]
@@ -73,10 +71,7 @@ class OmegaVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        vals = tuple(
-            c if type(c) is Fraction else (parse_rational(c) if isinstance(c, str) else Fraction(c))
-            for c in coeffs
-        )
+        vals = tuple(_frac(c) for c in coeffs)
         if not vals:
             raise ValueError("omega must have at least one coefficient")
         object.__setattr__(self, "coeffs", vals)
@@ -96,7 +91,7 @@ class OmegaVector:
     def parse(cls, text: str) -> "OmegaVector":
         """Parse a comma-separated list of rationals, e.g. "1,0,-1/2"."""
         items = [part.strip() for part in text.split(",")]
-        return cls(parse_rational(item) for item in items)
+        return cls(items)
 
     @property
     def n(self) -> int:
@@ -157,16 +152,6 @@ class OmegaVector:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
-
-
-def omega_product(omega, a: int, b: int) -> Fraction:
-    """Two-index product of contraction coefficients (module-level form)."""
-    return OmegaVector.coerce(omega).product(a, b)
-
-
-def canonical_signs(omega) -> tuple[int, ...]:
-    """Reduce each coefficient to its sign in {-1, 0, +1}."""
-    return OmegaVector.coerce(omega).signs()
 
 
 @dataclass(frozen=True)
@@ -303,130 +288,61 @@ def family_dimension(family: str, n: int) -> int:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _accumulate(cells: dict, ij: tuple[int, int], value: Hypercomplex):
+    cells[ij] = cells[ij] + value if ij in cells else value
+
+
 class MatrixOverK:
-    """Dense (dim x dim) matrix of Hypercomplex entries sharing one kind."""
+    """Sparse (dim x dim) matrix over one scalar kind: {(row, col): value}.
 
-    __slots__ = ("dim", "kind", "rows")
+    Zero entries are never stored, so equality of the cell maps is equality
+    of matrices and an empty map is the zero matrix.
+    """
 
-    def __init__(self, dim: int, kind: Kind, rows=None):
+    __slots__ = ("dim", "kind", "cells")
+
+    def __init__(self, dim: int, kind: Kind, cells=None):
         self.dim = dim
         self.kind = kind
-        if rows is None:
-            z = Hypercomplex.zero(kind)
-            rows = [[z] * dim for _ in range(dim)]
-        self.rows = rows
-
-    @classmethod
-    def zero(cls, dim: int, kind: Kind) -> "MatrixOverK":
-        return cls(dim, kind)
-
-    @classmethod
-    def elementary(cls, dim: int, a: int, b: int, value: Hypercomplex) -> "MatrixOverK":
-        """Matrix with the single entry `value` in row a, column b."""
-        out = cls(dim, value.kind)
-        out.rows[a][b] = value
-        return out
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Hypercomplex], kind: Kind) -> "MatrixOverK":
-        out = cls(len(values), kind)
-        for i, v in enumerate(values):
-            out.rows[i][i] = v.promote(kind) if v.kind < kind else v
-        return out
-
-    def _check_compat(self, other: "MatrixOverK"):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.kind != other.kind:
-            raise ValueError(f"kind mismatch: {self.kind.name} vs {other.kind.name}")
+        self.cells = {ij: v for ij, v in cells.items() if v} if cells else {}
 
     def __add__(self, other: "MatrixOverK") -> "MatrixOverK":
-        self._check_compat(other)
-        rows = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ]
-        return MatrixOverK(self.dim, self.kind, rows)
-
-    def __sub__(self, other: "MatrixOverK") -> "MatrixOverK":
-        self._check_compat(other)
-        rows = [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ]
-        return MatrixOverK(self.dim, self.kind, rows)
+        cells = dict(self.cells)
+        for ij, v in other.cells.items():
+            _accumulate(cells, ij, v)
+        return MatrixOverK(self.dim, max(self.kind, other.kind), cells)
 
     def __neg__(self) -> "MatrixOverK":
-        rows = [[-a for a in ra] for ra in self.rows]
-        return MatrixOverK(self.dim, self.kind, rows)
+        return MatrixOverK(self.dim, self.kind, {ij: -v for ij, v in self.cells.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            rows = [[a * other for a in ra] for ra in self.rows]
-            return MatrixOverK(self.dim, self.kind, rows)
-        if not isinstance(other, MatrixOverK):
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        self._check_compat(other)
-        d = self.dim
-        z = Hypercomplex.zero(self.kind)
-        out = [[z] * d for _ in range(d)]
-        for i in range(d):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(d):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = other.rows[k]
-                for j in range(d):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return MatrixOverK(d, self.kind, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def conj_transpose(self) -> "MatrixOverK":
-        d = self.dim
-        rows = [[self.rows[j][i].conjugate() for j in range(d)] for i in range(d)]
-        return MatrixOverK(d, self.kind, rows)
-
-    def trace(self) -> Hypercomplex:
-        t = Hypercomplex.zero(self.kind)
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
+        return MatrixOverK(self.dim, self.kind, {ij: v * scalar for ij, v in self.cells.items()})
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        return not self.cells
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixOverK):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self.cells == other.cells
 
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.rows))
-
-    def entries(self):
-        """Yield (row, col, value) for nonzero entries in row-major order."""
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    yield i, j, v
+    def _grid(self) -> list[list[Hypercomplex]]:
+        zero = Hypercomplex.zero(self.kind)
+        return [
+            [self.cells.get((i, j), zero) for j in range(self.dim)] for i in range(self.dim)
+        ]
 
     def to_component_lists(self) -> list[list[list[str]]]:
         """JSON form: nested arrays of (w, x, y, z) component quadruples."""
-        return [
-            [[str(c) for c in v.components()] for v in row] for row in self.rows
-        ]
+        return [[[str(c) for c in v.components()] for v in line] for line in self._grid()]
 
     def __str__(self) -> str:
-        cells = [[str(v) for v in row] for row in self.rows]
-        width = max((len(c) for row in cells for c in row), default=1)
+        text = [[str(v) for v in line] for line in self._grid()]
+        width = max((len(c) for line in text for c in line), default=1)
         return "\n".join(
-            "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
+            "[ " + "  ".join(c.rjust(width) for c in line) + " ]" for line in text
         )
 
     def __repr__(self) -> str:
@@ -457,67 +373,65 @@ def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     if label.variant not in _FAMILY_VARIANTS[family]:
         raise ValueError(f"label {label} is not a {family} generator")
     n = om.n
-    d = n + 1
+    if label.indices and label.indices[-1] > n:
+        raise ValueError(f"label {label} out of range for n={n}")
     kind = FAMILY_KIND[family]
-    out = MatrixOverK(d, kind)
     v = label.variant
     if v == "J":
         a, b = label.indices
-        if b > n:
-            raise ValueError(f"label {label} out of range for n={n}")
-        out.rows[a][b] = Hypercomplex.real(-om.product(a, b), kind)
-        out.rows[b][a] = Hypercomplex.real(_F1, kind)
-        return out
-    if v == "M":
-        a, b = label.indices
-        if b > n:
-            raise ValueError(f"label {label} out of range for n={n}")
-        out.rows[a][b] = Hypercomplex.imag_unit_multiple(1, om.product(a, b), kind)
-        out.rows[b][a] = Hypercomplex.imag_unit_multiple(1, _F1, kind)
-        return out
-    if v == "B":
+        cells = {
+            (a, b): Hypercomplex.real(-om.product(a, b), kind),
+            (b, a): Hypercomplex.real(_F1, kind),
+        }
+    elif v == "B":
         (l,) = label.indices
-        if l > n:
-            raise ValueError(f"label {label} out of range for n={n}")
-        out.rows[l - 1][l - 1] = Hypercomplex.imag_unit_multiple(1, _F1, kind)
-        out.rows[l][l] = Hypercomplex.imag_unit_multiple(1, -_F1, kind)
-        return out
-    if v == "I":
-        for a in range(d):
-            out.rows[a][a] = Hypercomplex.imag_unit_multiple(1, _F1, kind)
-        return out
-    if v == "Mq":
-        alpha, a, b = label.indices
-        if b > n:
-            raise ValueError(f"label {label} out of range for n={n}")
-        out.rows[a][b] = Hypercomplex.imag_unit_multiple(alpha, om.product(a, b), kind)
-        out.rows[b][a] = Hypercomplex.imag_unit_multiple(alpha, _F1, kind)
-        return out
-    if v == "E":
+        cells = {
+            (l - 1, l - 1): Hypercomplex.imag_unit_multiple(1, _F1, kind),
+            (l, l): Hypercomplex.imag_unit_multiple(1, -_F1, kind),
+        }
+    elif v == "I":
+        cells = {(a, a): Hypercomplex.imag_unit_multiple(1, _F1, kind) for a in range(n + 1)}
+    elif v == "E":
         alpha, a = label.indices
-        if a > n:
-            raise ValueError(f"label {label} out of range for n={n}")
-        out.rows[a][a] = Hypercomplex.imag_unit_multiple(alpha, _F1, kind)
-        return out
-    raise ValueError(f"label {label} is not a generator label")
+        cells = {(a, a): Hypercomplex.imag_unit_multiple(alpha, _F1, kind)}
+    else:  # M(a,b) is Mq with the complex unit i = i_1
+        alpha, a, b = (1, *label.indices) if v == "M" else label.indices
+        cells = {
+            (a, b): Hypercomplex.imag_unit_multiple(alpha, om.product(a, b), kind),
+            (b, a): Hypercomplex.imag_unit_multiple(alpha, _F1, kind),
+        }
+    return MatrixOverK(n + 1, kind, cells)
 
 
 def is_metric_antihermitian(X: MatrixOverK, g: MetricMatrix) -> bool:
-    """Exact test of conj-transpose(X) * G + G * X == 0 for diagonal metric G."""
+    """Exact test of conj-transpose(X) * G + G * X == 0 for diagonal metric G.
+
+    Entry (i, j) of that sum is g_j conj(X_ji) + g_i X_ij.  The sum is
+    hermitian, so checking it where X_ij is nonzero covers every entry.
+    """
     if X.dim != g.dim:
         raise ValueError(f"dimension mismatch: matrix {X.dim} vs metric {g.dim}")
-    G = MatrixOverK.diagonal(
-        [Hypercomplex.real(d, X.kind) for d in g.diag], X.kind
+    zero = Hypercomplex.zero(X.kind)
+    return not any(
+        X.cells.get((j, i), zero).conjugate() * g.diag[j] + v * g.diag[i]
+        for (i, j), v in X.cells.items()
     )
-    return (X.conj_transpose() * G + G * X).is_zero()
 
 
 def is_traceless(X: MatrixOverK) -> bool:
-    return X.trace().is_zero()
+    return not sum((v for (i, j), v in X.cells.items() if i == j), Hypercomplex.zero(X.kind))
 
 
 def mat_commutator(X: MatrixOverK, Y: MatrixOverK) -> MatrixOverK:
-    return X * Y - Y * X
+    """XY - YX, summed over the pairs of nonzero cells that meet."""
+    acc: dict[tuple[int, int], Hypercomplex] = {}
+    for (i, k), a in X.cells.items():
+        for (l, j), b in Y.cells.items():
+            if k == l:
+                _accumulate(acc, (i, j), a * b)
+            if j == i:
+                _accumulate(acc, (l, k), -(b * a))
+    return MatrixOverK(X.dim, max(X.kind, Y.kind), acc)
 
 
 class NotInSpanError(ValueError):
@@ -528,7 +442,7 @@ def _flatten(mat: MatrixOverK) -> dict[int, Fraction]:
     """Row-major entries, then (w, x, y, z) per entry, as a sparse vector."""
     d = mat.dim
     out = {}
-    for i, j, v in mat.entries():
+    for (i, j), v in mat.cells.items():
         base = (i * d + j) * 4
         w, x, y, z = v.components()
         if w:
@@ -610,8 +524,3 @@ class BasisDecomposer:
                 else:
                     acc.pop(k, None)
         return [acc.get(k, _F0) for k in range(self.size)]
-
-
-def decompose_in_basis(X: MatrixOverK, basis: Sequence[MatrixOverK]) -> list[Fraction]:
-    """One-shot decomposition; build a BasisDecomposer for repeated use."""
-    return BasisDecomposer(basis).coefficients(X)

@@ -430,7 +430,7 @@ def crosscheck(family: str, omega, solver: CohomologySolver | None = None) -> Cr
     for entry in catalog.entries:
         xi = coefficient_cocycle(family, om, entry.name)
         cocycle_ok = solver.is_cocycle(xi)
-        trivial = solver._reduces_to_zero_mod_b2(xi) if cocycle_ok else None
+        trivial = solver.is_coboundary(xi) if cocycle_ok else None
         note = ""
         if entry.active:
             ok = cocycle_ok and trivial is False

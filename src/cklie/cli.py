@@ -13,10 +13,8 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from multiprocessing import Pool
 
@@ -72,7 +70,6 @@ class RunConfig:
     jobs: int
     stretch: bool
     corrupt: bool = False
-    seed: int = 0
 
 
 def _parse_omega(text: str) -> OmegaVector:
@@ -111,7 +108,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         jobs=jobs,
         stretch=stretch,
         corrupt=bool(getattr(args, "corrupt", False)),
-        seed=int(getattr(args, "seed", 0)),
     )
     if cfg.family == "sq" and cfg.n >= 3 and cfg.command in ("h2", "sweep", "verify"):
         if not cfg.stretch:
@@ -337,11 +333,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-def verify_case(family: str, omega: OmegaVector, seed: int = 0, n_random_mu: int = 100) -> dict:
+def verify_case(family: str, omega: OmegaVector) -> dict:
     """Full invariant suite for one algebra; values 'pass'/'fail'/'skipped'."""
     checks: dict[str, str] = {}
     labels = labels_for_family(family, omega.n)
@@ -364,14 +356,13 @@ def verify_case(family: str, omega: OmegaVector, seed: int = 0, n_random_mu: int
         "pass" if from_matrices(family, omega).same_constants(L) else "fail"
     )
     checks["jacobi"] = "pass" if verify_jacobi(L) else "fail"
+    # Coboundaries are linear in mu, so testing each basis vector e_k proves
+    # that every coboundary is a cocycle.
     solver = CohomologySolver(L)
-    rng = random.Random(seed or f"{family}:{omega.text()}")
-    ok = True
-    for _ in range(n_random_mu):
-        mu = OneCochain([_random_fraction(rng) for _ in range(L.dim)])
-        if not solver.is_cocycle(coboundary(mu, L)):
-            ok = False
-            break
+    ok = all(
+        solver.is_cocycle(coboundary(OneCochain.basis_vector(L.dim, k), L))
+        for k in range(L.dim)
+    )
     checks["coboundaries_are_cocycles"] = "pass" if ok else "fail"
     removal = _pseudoextension_removal_status(family, omega, L)
     checks["pseudoextension_removal"] = removal
@@ -408,7 +399,7 @@ def _pseudoextension_removal_status(family: str, omega: OmegaVector, L) -> str:
 
 def cmd_verify(cfg: RunConfig) -> int:
     _require_format(cfg, ("json", "text"))
-    checks = verify_case(cfg.family, cfg.omega, seed=cfg.seed)
+    checks = verify_case(cfg.family, cfg.omega)
     failed = [name for name, status in checks.items() if status == "fail"]
     payload = {
         "family": cfg.family,
@@ -478,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="full invariant suite for one case")
     common(p_verify, need_omega=True)
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for random checks")
 
     return parser
 
@@ -499,9 +489,6 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -25,18 +25,16 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .scalars import _frac
+
 __all__ = [
     "TwoCochain",
     "OneCochain",
     "CohomologyResult",
     "CocycleSystem",
     "CohomologySolver",
-    "cocycle_equations",
     "coboundary",
-    "cocycle_space",
-    "coboundary_space",
     "h2",
-    "is_trivial",
     "exact_rank",
 ]
 
@@ -61,7 +59,7 @@ class TwoCochain:
                     raise ValueError(f"cochain entry at equal indices ({i}, {j})")
                 if not (0 <= i < dim and 0 <= j < dim):
                     raise ValueError(f"cochain index ({i}, {j}) out of range")
-                v = value if type(value) is Fraction else Fraction(value)
+                v = _frac(value)
                 if i > j:
                     i, j = j, i
                     v = -v
@@ -127,7 +125,7 @@ class TwoCochain:
         return res
 
     def __mul__(self, scalar) -> "TwoCochain":
-        f = scalar if type(scalar) is Fraction else Fraction(scalar)
+        f = _frac(scalar)
         res = TwoCochain.__new__(TwoCochain)
         object.__setattr__(res, "dim", self.dim)
         if f:
@@ -160,11 +158,7 @@ class OneCochain:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable):
-        object.__setattr__(
-            self,
-            "values",
-            tuple(v if type(v) is Fraction else Fraction(v) for v in values),
-        )
+        object.__setattr__(self, "values", tuple(_frac(v) for v in values))
 
     def __setattr__(self, name, value):
         raise AttributeError("OneCochain is immutable")
@@ -176,7 +170,7 @@ class OneCochain:
     @classmethod
     def basis_vector(cls, dim: int, k: int, value=_F1) -> "OneCochain":
         vals = [_F0] * dim
-        vals[k] = Fraction(value)
+        vals[k] = _frac(value)
         return cls(vals)
 
     @property
@@ -330,7 +324,7 @@ def exact_rank(matrix: Sequence[Sequence]) -> tuple[int, list[list[Fraction]]]:
     for raw in matrix:
         if len(raw) != ncols:
             raise ValueError("ragged matrix")
-        rows.append({c: Fraction(v) for c, v in enumerate(raw) if v})
+        rows.append({c: v for c, v in enumerate(map(_frac, raw)) if v})
     rank, null = _rank_and_nullspace(rows, ncols)
     dense = [[vec.get(c, _F0) for c in range(ncols)] for vec in null]
     return rank, dense
@@ -492,7 +486,9 @@ class CohomologySolver:
                 return False
         return True
 
-    def _reduces_to_zero_mod_b2(self, xi: TwoCochain) -> bool:
+    def is_coboundary(self, xi: TwoCochain) -> bool:
+        """True iff xi lies in the span of B2.  Does not test the cocycle
+        equations; see :meth:`is_trivial` for the checked form."""
         vec = dict(self.cochain_vector(xi))
         b_pivots, b_rows = self._b2_data()
         for p, row in zip(b_pivots, b_rows):
@@ -512,7 +508,7 @@ class CohomologySolver:
         fails the cocycle equations is not an extension at all."""
         if not self.is_cocycle(xi):
             raise ValueError("cochain is not a cocycle")
-        return self._reduces_to_zero_mod_b2(xi)
+        return self.is_coboundary(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +516,10 @@ class CohomologySolver:
 # ---------------------------------------------------------------------------
 
 
-def cocycle_equations(L) -> CocycleSystem:
-    """Assemble the cocycle conditions of L as an exact sparse linear system."""
-    return CohomologySolver(L).system()
-
-
 def coboundary(mu, L) -> TwoCochain:
     """The 2-coboundary of mu: xi_ij = sum_k C_ij^k mu_k."""
     algebra = getattr(L, "algebra", L)
-    values = mu.values if isinstance(mu, OneCochain) else tuple(Fraction(v) for v in mu)
+    values = mu.values if isinstance(mu, OneCochain) else OneCochain(mu).values
     if len(values) != algebra.dim:
         raise ValueError("mu dimension does not match the algebra")
     entries: dict[tuple[int, int], Fraction] = {}
@@ -543,22 +534,6 @@ def coboundary(mu, L) -> TwoCochain:
     return TwoCochain(algebra.dim, entries)
 
 
-def cocycle_space(L) -> list[TwoCochain]:
-    """Canonical (reduced echelon) basis of the space of 2-cocycles."""
-    return list(CohomologySolver(L).result().z2_basis)
-
-
-def coboundary_space(L) -> list[TwoCochain]:
-    """Canonical (reduced echelon) basis of the space of 2-coboundaries."""
-    return list(CohomologySolver(L).result().b2_basis)
-
-
 def h2(L) -> CohomologyResult:
     """Dimensions of Z2, B2 and H2 plus canonical representative cocycles."""
     return CohomologySolver(L).result()
-
-
-def is_trivial(xi: TwoCochain, L) -> bool:
-    """True iff the cocycle xi is a coboundary (removable by generator
-    shifts); raises if xi is not a cocycle."""
-    return CohomologySolver(L).is_trivial(xi)

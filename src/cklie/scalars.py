@@ -20,10 +20,7 @@ from fractions import Fraction
 __all__ = [
     "Kind",
     "Hypercomplex",
-    "rat_normalize",
     "parse_rational",
-    "hyper_mul",
-    "hyper_conj",
     "unit",
     "ONE",
     "I1",
@@ -46,33 +43,33 @@ class Kind(IntEnum):
     QUATERNION = 2
 
 
-def rat_normalize(num: int, den: int) -> Fraction:
-    """Reduced rational num/den with positive denominator.
-
-    Zero denominators are rejected up front instead of surfacing as a
-    ZeroDivisionError deep inside a computation.
-    """
-    if den == 0:
-        raise ValueError("rational denominator must be nonzero")
-    return Fraction(num, den)
-
-
 def parse_rational(text: str) -> Fraction:
-    """Parse the textual rational format "p", "-p" or "p/q" (q > 0)."""
+    """Parse the textual rational format "p", "-p" or "p/q" (q > 0).
+
+    A zero denominator is rejected here as a ValueError instead of surfacing
+    as a ZeroDivisionError deep inside a computation.
+    """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational: {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return rat_normalize(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    if den and not int(den):
+        raise ValueError("rational denominator must be nonzero")
+    return Fraction(int(num), int(den or 1))
 
 
 def _frac(value) -> Fraction:
+    """Exact rational from a Fraction, an int or a rational string.
+
+    Floats are rejected because their binary value is rarely the rational the
+    caller meant (0.1 is not 1/10), and bools because they are not numbers.
+    """
     if type(value) is Fraction:
         return value
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
     return Fraction(value)
 
 
@@ -223,11 +220,6 @@ class Hypercomplex:
         """w^2 + x^2 + y^2 + z^2; equals self * conj(self), always real."""
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
-    def promote(self, kind: Kind) -> "Hypercomplex":
-        if kind < self.kind:
-            raise ValueError(f"cannot demote {self.kind.name} value to {kind.name}")
-        return Hypercomplex._make(self.w, self.x, self.y, self.z, kind)
-
     def __str__(self) -> str:
         parts = []
         for value, sym in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
@@ -266,13 +258,3 @@ def unit(alpha: int) -> Hypercomplex:
     if alpha == 3:
         return I3
     raise ValueError(f"quaternionic unit index must be 1, 2 or 3, got {alpha}")
-
-
-def hyper_mul(a: Hypercomplex, b: Hypercomplex) -> Hypercomplex:
-    """Product in the scalar tower; result kind is the larger input kind."""
-    return a * b
-
-
-def hyper_conj(a: Hypercomplex) -> Hypercomplex:
-    """Conjugation; an anti-involution: conj(a*b) == conj(b)*conj(a)."""
-    return a.conjugate()

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from cklie.ck_matrix import NotInSpanError
 from cklie.cli import main
 
 
@@ -39,6 +41,28 @@ class TestGenerators:
         assert code == 0
         assert "J(0,1):" in out
 
+    # sha256 of the output recorded from the dense matrix store (commit
+    # a07d196); pins the full grid rendering, zeros included, of the sparse one.
+    @pytest.mark.parametrize(
+        "family,fmt,digest",
+        [
+            ("so", "json", "57f01e83a5da49d992abf13895125e73bbef8bda67051a5c605915cf57e83fbe"),
+            ("so", "text", "e020217ce63c2ac08bd1e4101439065f4be5c63e2f4e29c80bc0082138ebb4b9"),
+            ("su", "json", "55e3f2aeb7305a02bcfc5e528d3fb6e128316fdb3175397f17bbdca865f3ec85"),
+            ("su", "text", "85b13024cba58f0897b8faa7e08ca7d83ac7902fa35890d69955a92c846cc8f1"),
+            ("u", "json", "67cebedc4b7d7cbcc36ff92c3235a9113f83089f7856de56736adee3e1f8666e"),
+            ("u", "text", "0715a89d3deb41f4e72a6ae587d28a28c236e57c3b2df216f53cb97fe6b1748b"),
+            ("sq", "json", "19765371b3e7ef5fa1a079f371a84cfa9cbd660daf857b687ea8cc11c37ce90c"),
+            ("sq", "text", "dc22ae39ff3c4a61af0b92c1fe0304f63461a63866b86fb502e2cd84e7473b41"),
+        ],
+    )
+    def test_output_digest(self, capsys, family, fmt, digest):
+        code, out, _ = run(
+            capsys, "generators", "--family", family, "--omega", "1,0,-1/2", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_csv_not_supported_here(self, capsys):
         code, _, err = run(
             capsys, "generators", "--family", "so", "--omega", "1", "--format", "csv"
@@ -68,6 +92,16 @@ class TestStructure:
         )
         assert code == 1
         assert json.loads(out)["matrix_match"] is False
+
+    def test_program_fault_is_not_an_input_error(self, capsys, monkeypatch):
+        # A decomposition failure is a broken invariant, not bad input: it
+        # must surface as a traceback, never as exit code 2.
+        def broken(family, omega):
+            raise NotInSpanError("matrix is not in the span of the basis")
+
+        monkeypatch.setattr("cklie.cli.from_matrices", broken)
+        with pytest.raises(NotInSpanError):
+            main(["structure", "--family", "so", "--omega", "1,1"])
 
     def test_omega_length_check(self, capsys):
         code, _, err = run(
