@@ -68,7 +68,6 @@ class RunConfig:
     fmt: str
     out: str | None
     jobs: int
-    stretch: bool
     corrupt: bool = False
 
 
@@ -97,8 +96,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise InputError("--jobs must be >= 1")
-    stretch = bool(getattr(args, "stretch", False))
-    cfg = RunConfig(
+    return RunConfig(
         command=args.command,
         family=family,
         n=n,
@@ -106,15 +104,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=args.format,
         out=getattr(args, "out", None),
         jobs=jobs,
-        stretch=stretch,
         corrupt=bool(getattr(args, "corrupt", False)),
     )
-    if cfg.family == "sq" and cfg.n >= 3 and cfg.command in ("h2", "sweep", "verify"):
-        if not cfg.stretch:
-            raise InputError(
-                "sq with n >= 3 is expensive; pass --stretch to enable it"
-            )
-    return cfg
 
 
 def _write_output(cfg: RunConfig, text: str):
@@ -448,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers (sweep)")
-        p.add_argument("--stretch", action="store_true", help="allow sq with n >= 3")
 
     p_gen = sub.add_parser("generators", help="print the basis matrices")
     common(p_gen, need_omega=True)

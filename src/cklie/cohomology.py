@@ -12,9 +12,12 @@ B2 is spanned by the maps mu |-> (xi_ij = sum_k C_ij^k mu_k); dim H2 =
 dim Z2 - dim B2 counts inequivalent nontrivial central extensions.
 
 Rank/nullspace computations clear denominators and run a fraction-free
-integer elimination (cross-multiplication with gcd row normalization,
-deterministic first-nonzero pivoting); a wrong rank here would be a wrong
-theorem, so no floating point is allowed anywhere near this module.
+integer elimination: each row is reduced by cross-multiplication and gcd
+normalization against the pivot row stored for its leading column.  The
+reduced row echelon form of a row space is unique, so ranks, bases and
+representatives do not depend on the order in which rows meet their pivots.
+A wrong rank here would be a wrong theorem, so no floating point is allowed
+anywhere near this module.
 """
 
 from __future__ import annotations
@@ -224,49 +227,38 @@ def _to_int_row(row: dict[int, Fraction]) -> dict[int, int]:
     )
 
 
-def _echelon_int(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Fraction-free forward elimination; first nonzero in column order pivots.
+def _echelon_int(rows: Iterable[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """Fraction-free forward elimination keyed by leading column.
 
-    Mutates/consumes `rows`.  Returns (pivot columns, echelon rows), one row
-    per pivot, ordered by pivot column.
+    Each row is cross-multiplied against the stored pivot row of its smallest
+    column until it vanishes or leads a column that has no pivot yet.  Returns
+    (pivot columns, echelon rows), one row per pivot, ordered by pivot column.
     """
-    work = [r for r in rows if r]
-    pivots: list[int] = []
-    pos = 0
-    for col in range(ncols):
-        piv_at = None
-        for t in range(pos, len(work)):
-            if col in work[t]:
-                piv_at = t
+    by_lead: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            piv = by_lead.get(lead)
+            if piv is None:
+                by_lead[lead] = row
                 break
-        if piv_at is None:
-            continue
-        work[pos], work[piv_at] = work[piv_at], work[pos]
-        piv = work[pos]
-        pv = piv[col]
-        for t in range(pos + 1, len(work)):
-            rt = work[t]
-            v = rt.get(col)
-            if v is None:
-                continue
-            new = {c: pv * val for c, val in rt.items()}
+            pv, v = piv[lead], row[lead]
+            new = {c: pv * val for c, val in row.items()}
             for c, val in piv.items():
                 nv = new.get(c, 0) - v * val
                 if nv:
                     new[c] = nv
                 else:
                     new.pop(c, None)
-            work[t] = _normalize_int_row(new)
-        pivots.append(col)
-        pos += 1
-    return pivots, work[:pos]
+            row = _normalize_int_row(new)
+    pivots = sorted(by_lead)
+    return pivots, [by_lead[p] for p in pivots]
 
 
-def _rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[int], list[dict[int, Fraction]]]:
+def _rref(rows: Iterable[dict[int, Fraction]]) -> tuple[list[int], list[dict[int, Fraction]]]:
     """Reduced row echelon form over the rationals (pivots scaled to 1,
     eliminated above), computed through the integer kernel."""
-    int_rows = [_to_int_row(r) for r in rows]
-    pivots, ech = _echelon_int(int_rows, ncols)
+    pivots, ech = _echelon_int(_to_int_row(r) for r in rows)
     frac_rows: list[dict[int, Fraction]] = []
     for p, row in zip(pivots, ech):
         pv = row[p]
@@ -307,7 +299,7 @@ def _nullspace_from_rref(
 
 
 def _rank_and_nullspace(rows, ncols) -> tuple[int, list[dict[int, Fraction]]]:
-    pivots, rref_rows = _rref(rows, ncols)
+    pivots, rref_rows = _rref(rows)
     return len(pivots), _nullspace_from_rref(pivots, rref_rows, ncols)
 
 
@@ -432,7 +424,7 @@ class CohomologySolver:
         if self._z2 is None:
             sys_ = self.system()
             _, null = _rank_and_nullspace(list(sys_.rows), sys_.n_unknowns)
-            self._z2 = _rref(null, sys_.n_unknowns)
+            self._z2 = _rref(null)
         return self._z2
 
     def _b2_data(self):
@@ -447,7 +439,7 @@ class CohomologySolver:
                         row[self.pair_index[(i, j)]] = c
                 if row:
                     rows.append(row)
-            self._b2 = _rref(rows, self.n_unknowns)
+            self._b2 = _rref(rows)
         return self._b2
 
     def result(self) -> CohomologyResult:

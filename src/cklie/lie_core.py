@@ -196,8 +196,13 @@ def _torus_coefficient(a: int, b: int, l: int) -> int:
     return (a == l - 1) - (b == l - 1) + (b == l) - (a == l)
 
 
-def _fill_su(bld: _Builder, om: OmegaVector):
+def _build_unitary(family: str, omega) -> LieAlgebra:
+    """The su bracket table on the basis of `family` ("su", or "u" whose
+    extra phase generator I is central and so takes part in no bracket)."""
+    om = OmegaVector.coerce(omega)
     n = om.n
+    labels = labels_for_family(family, n)
+    bld = _Builder(labels)
     for a, b, c in combinations(range(n + 1), 3):
         w_ab = om.product(a, b)
         w_bc = om.product(b, c)
@@ -225,25 +230,18 @@ def _fill_su(bld: _Builder, om: OmegaVector):
                 bld.put(
                     J(a, b), M(a, b), {B(s): -_F2 * w_ab for s in range(a + 1, b + 1)}
                 )
+    return LieAlgebra(family, om, labels, bld.constants)
 
 
 def build_su(omega) -> LieAlgebra:
     """Special unitary family on the basis {J, M, B}; torus rows carry the
     Kronecker coefficient (d_{a,l-1} - d_{b,l-1} + d_{b,l} - d_{a,l})."""
-    om = OmegaVector.coerce(omega)
-    labels = labels_for_family("su", om.n)
-    bld = _Builder(labels)
-    _fill_su(bld, om)
-    return LieAlgebra("su", om, labels, bld.constants)
+    return _build_unitary("su", omega)
 
 
 def build_u(omega) -> LieAlgebra:
     """Unitary family: the su basis plus the central phase generator I."""
-    om = OmegaVector.coerce(omega)
-    labels = labels_for_family("u", om.n)
-    bld = _Builder(labels)
-    _fill_su(bld, om)
-    return LieAlgebra("u", om, labels, bld.constants)
+    return _build_unitary("u", omega)
 
 
 def build_sq(omega) -> LieAlgebra:

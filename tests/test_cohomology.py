@@ -31,6 +31,18 @@ def random_cochain(rng, dim, density=0.4, span=4):
     return TwoCochain(dim, entries)
 
 
+@st.composite
+def rational_matrices(draw):
+    """Up to 10 x 5, integer and Fraction entries, zeros common."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    )
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=1, max_size=10))
+
+
 def random_mu(rng, dim, span=6):
     return OneCochain([Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(dim)])
 
@@ -84,23 +96,20 @@ class TestExactRank:
         v = null[0]
         assert Fraction(1, 2) * v[0] + Fraction(1, 3) * v[1] == 0
 
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
-            min_size=1,
-            max_size=6,
-        )
-    )
+    @given(rational_matrices(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
-    def test_against_dense_oracle(self, matrix):
+    def test_against_dense_oracle(self, matrix, rnd):
         rank, null = exact_rank(matrix)
         assert rank == dense_rank(matrix)
-        oracle_null = dense_nullspace(matrix, 4)
-        assert len(null) == len(oracle_null)
+        assert null == dense_nullspace(matrix, len(matrix[0]))
         # The produced vectors must actually solve the system.
         for vec in null:
             for row in matrix:
                 assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+        # The RREF is unique, so the order rows arrive in cannot matter.
+        shuffled = list(matrix)
+        rnd.shuffle(shuffled)
+        assert exact_rank(matrix[::-1]) == exact_rank(shuffled) == (rank, null)
 
 
 class TestCocycleSystem:
@@ -153,13 +162,12 @@ class TestCoboundary:
         "family,signs",
         [("so", (0, 1)), ("so", (1, 1, 1)), ("su", (0, 0)), ("u", (0,)), ("sq", (1,))],
     )
-    def test_coboundaries_are_cocycles_random(self, family, signs):
+    def test_coboundaries_are_cocycles(self, family, signs):
+        # coboundary is linear, so the basis vectors cover every mu.
         L = build_algebra(family, signs)
         solver = CohomologySolver(L)
-        rng = random.Random(f"{family}{signs}")
-        for _ in range(100):
-            xi = coboundary(random_mu(rng, L.dim), L)
-            assert solver.is_cocycle(xi)
+        for k in range(L.dim):
+            assert solver.is_cocycle(coboundary(OneCochain.basis_vector(L.dim, k), L))
 
 
 class TestSpacesAndDims:
@@ -212,10 +220,8 @@ class TestIsTrivial:
     def test_coboundaries_trivial(self):
         L = build_so([0, 1])
         solver = CohomologySolver(L)
-        rng = random.Random(3)
-        for _ in range(20):
-            xi = coboundary(random_mu(rng, L.dim), L)
-            assert solver.is_trivial(xi)
+        for k in range(L.dim):
+            assert solver.is_trivial(coboundary(OneCochain.basis_vector(L.dim, k), L))
 
     def test_nontrivial_representative(self):
         L = build_so([0, 1])
