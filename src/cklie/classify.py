@@ -260,13 +260,15 @@ def coefficient_cocycle(family: str, omega, name: str, value=_F1) -> TwoCochain:
       gamma[k]       (u):    xi(B(k), I) = value
     """
     om = OmegaVector.coerce(omega)
+    if name not in predict(family, om).names():
+        raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={om.n}")
+    return _cochain(family, om, name, Fraction(value), _index_map(family, om.n))
+
+
+def _cochain(family: str, om: OmegaVector, name: str, value: Fraction, index: dict) -> TwoCochain:
+    """`coefficient_cocycle` for a catalog name, with the basis index map given."""
     n = om.n
-    catalog = predict(family, om)
-    if name not in catalog.names():
-        raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={n}")
-    value = Fraction(value)
     kind, idx = _parse_name(name)
-    index = _index_map(family, n)
     entries: dict[tuple[int, int], Fraction] = {}
     if family == "so":
         if kind == "alphaF":
@@ -425,10 +427,11 @@ def crosscheck(family: str, omega, solver: CohomologySolver | None = None) -> Cr
     if solver is None:
         solver = CohomologySolver(build_algebra(family, om))
     res = solver.result()
+    index = _index_map(family, om.n)
     verdicts: list[CoefficientVerdict] = []
     all_ok = True
     for entry in catalog.entries:
-        xi = coefficient_cocycle(family, om, entry.name)
+        xi = _cochain(family, om, entry.name, _F1, index)
         cocycle_ok = solver.is_cocycle(xi)
         trivial = solver.is_coboundary(xi) if cocycle_ok else None
         note = ""

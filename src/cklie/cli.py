@@ -36,7 +36,7 @@ from .classify import (
     pair_mu,
     removal_mu,
 )
-from .lie_core import build_algebra, from_matrices, verify_jacobi
+from .lie_core import LieAlgebra, build_algebra, from_matrices, verify_jacobi
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -171,9 +171,9 @@ def cmd_structure(cfg: RunConfig) -> int:
             raise InputError("algebra is abelian; nothing to corrupt")
         pair = rows[0]
         terms = dict(L.constants[pair])
-        k = sorted(terms)[0]
+        k = min(terms)
         terms[k] = -terms[k]
-        L.constants[pair] = terms
+        L = LieAlgebra(L.family, L.omega, L.basis, {**L.constants, pair: terms})
     jacobi_ok = verify_jacobi(L)
     matrix_match = from_matrices(cfg.family, cfg.omega).same_constants(L)
     payload = L.to_json_obj()

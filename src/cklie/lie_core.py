@@ -6,6 +6,11 @@ generators and decomposing in the basis, which cross-validates both routes
 constant by constant.  Jacobi verification, contraction (zeroing omega
 entries), basis permutation and centrally extended algebras live here too.
 
+`verify_jacobi` is exact but runs in Python integers: it clears the
+denominators of all constants once (the Jacobiator is quadratic, so scaling
+by d scales it by d**2 and zero stays zero) and visits, pair by pair, only
+the index triples that a nonzero bracket composition can reach.
+
 Index conventions throughout: whenever three indices a, b, c appear they
 satisfy a < b < c; four indices a < b, d < e are pairwise distinct; there is
 no implied summation.
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from .ck_matrix import (
@@ -50,7 +56,6 @@ __all__ = [
     "build_extended",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 _F2 = Fraction(2)
 
@@ -328,26 +333,60 @@ def build_algebra(family: str, omega) -> LieAlgebra:
 
 
 def verify_jacobi(algebra) -> bool:
-    """Exact Jacobi check over every index triple i < j < l.
+    """Exact Jacobi check: is [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j]
+    zero for every index triple i < j < l?
+
+    The constants are scaled once by the lcm d of their denominators, so the
+    check runs in Python integers.  The Jacobiator is quadratic in the
+    constants, so scaling scales it by d**2 and a nonzero entry stays nonzero.
+
+    Each pair i < j is visited once, and its triples i < j < l are taken only
+    from the l that can give a nonzero term: those bracketing nontrivially
+    with X_j, with X_i or with some X_k in the support of [X_i, X_j].  Every
+    term of a triple's Jacobiator is summed under that triple's pair (i, j),
+    and the accumulator is dropped after each pair.
 
     Accepts a LieAlgebra or anything exposing `.algebra` (e.g. an
     ExtendedAlgebra).
     """
     L = getattr(algebra, "algebra", algebra)
-    r = L.dim
-    for i, j, l in combinations(range(r), 3):
-        acc: dict[int, Fraction] = {}
-        for pair, third in (((i, j), l), ((j, l), i), ((l, i), j)):
-            terms = L.bracket(*pair)
-            for k, c in terms.items():
-                for m, c2 in L.bracket(k, third).items():
-                    nv = acc.get(m, _F0) + c * c2
-                    if nv:
-                        acc[m] = nv
-                    else:
-                        acc.pop(m, None)
-        if acc:
-            return False
+    d = 1
+    for terms in L.constants.values():
+        for c in terms.values():
+            d = lcm(d, c.denominator)
+    # adj[i][j]: the terms of d*[X_i, X_j] for both index orders.
+    adj: list[dict[int, dict[int, int]]] = [{} for _ in range(L.dim)]
+    for (i, j), terms in L.constants.items():
+        row = {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+        adj[i][j] = row
+        adj[j][i] = {k: -v for k, v in row.items()}
+    empty: dict[int, int] = {}
+    for i, adj_i in enumerate(adj):
+        for j in range(i + 1, L.dim):
+            adj_j = adj[j]
+            # acc[l][m]: coefficient of X_m in the Jacobiator of (i, j, l).
+            acc: dict[int, dict[int, int]] = {}
+            for k, c in adj_i.get(j, empty).items():  # [[X_i, X_j], X_l]
+                for l, kl in adj[k].items():
+                    if l > j:
+                        out = acc.setdefault(l, {})
+                        for m, c2 in kl.items():
+                            out[m] = out.get(m, 0) + c * c2
+            for l, jl in adj_j.items():  # [[X_j, X_l], X_i]
+                if l > j:
+                    out = acc.setdefault(l, {})
+                    for k, c in jl.items():
+                        for m, c2 in adj[k].get(i, empty).items():
+                            out[m] = out.get(m, 0) + c * c2
+            for l in adj_i:  # [[X_l, X_i], X_j]
+                if l > j:
+                    out = acc.setdefault(l, {})
+                    for k, c in adj[l][i].items():
+                        for m, c2 in adj[k].get(j, empty).items():
+                            out[m] = out.get(m, 0) + c * c2
+            for out in acc.values():
+                if any(out.values()):
+                    return False
     return True
 
 

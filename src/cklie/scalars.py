@@ -31,6 +31,16 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
+# Unit products on the components (0, 1, 2, 3) = (1, i, j, k):
+# _UNIT_PRODUCT[p][q] = (r, positive) means e_p * e_q = +-e_r, e.g. i*j = k,
+# j*i = -k and i*i = -1.
+_UNIT_PRODUCT = (
+    ((0, True), (1, True), (2, True), (3, True)),
+    ((1, True), (0, False), (3, True), (2, False)),
+    ((2, True), (3, False), (0, False), (1, True)),
+    ((3, True), (2, True), (1, False), (0, False)),
+)
+
 # "p", "-p" or "p/q" with q a positive integer.
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -196,13 +206,18 @@ class Hypercomplex:
             return Hypercomplex._make(aw * bw, _F0, _F0, _F0, k)
         if k == Kind.COMPLEX:
             return Hypercomplex._make(aw * bw - ax * bx, aw * bx + ax * bw, _F0, _F0, k)
-        return Hypercomplex._make(
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-            k,
-        )
+        # Quaternion entries are mostly single-unit multiples, so only the
+        # products of nonzero components are formed.
+        out = [_F0, _F0, _F0, _F0]
+        b_terms = [(q, v) for q, v in enumerate((bw, bx, by, bz)) if v]
+        for p, u in enumerate((aw, ax, ay, az)):
+            if not u:
+                continue
+            row = _UNIT_PRODUCT[p]
+            for q, v in b_terms:
+                r, positive = row[q]
+                out[r] += u * v if positive else -u * v
+        return Hypercomplex._make(out[0], out[1], out[2], out[3], k)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

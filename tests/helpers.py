@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: dense Fraction Gauss-Jordan with no
 shared code, integer tricks or sparsity, so it can arbitrate the package's
-elimination kernel and cohomology dimensions.
+elimination kernel and cohomology dimensions; the Jacobi check walks every
+index triple in Fractions, and the quaternion product is the full 16-term
+formula.
 """
 
 from fractions import Fraction
@@ -100,3 +102,32 @@ def oracle_h2_dims(L):
         cob.append(row)
     dim_b2 = dense_rank(cob) if cob else 0
     return dim_z2, dim_b2, dim_z2 - dim_b2
+
+
+def oracle_jacobi(algebra):
+    """Jacobi identity over every index triple i < j < l, in Fractions.
+
+    Accepts a LieAlgebra or anything exposing `.algebra` (an ExtendedAlgebra).
+    """
+    L = getattr(algebra, "algebra", algebra)
+    for i, j, l in combinations(range(L.dim), 3):
+        acc = {}
+        for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
+            for k, c in L.bracket(u, v).items():
+                for m, c2 in L.bracket(k, third).items():
+                    acc[m] = acc.get(m, Fraction(0)) + c * c2
+        if any(acc.values()):
+            return False
+    return True
+
+
+def oracle_quaternion_product(a, b):
+    """Components (w, x, y, z) of the quaternion product a * b, all 16 terms."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )

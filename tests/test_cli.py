@@ -93,6 +93,15 @@ class TestStructure:
         assert code == 1
         assert json.loads(out)["matrix_match"] is False
 
+    def test_corrupt_breaks_jacobi(self, capsys):
+        # so N=2 has dim 3, where no sign flip can break Jacobi; N=3 is the
+        # smallest case where the corrupted copy fails the Jacobi check.
+        code, out, _ = run(
+            capsys, "structure", "--family", "so", "--omega", "1,1,1", "--corrupt"
+        )
+        assert code == 1
+        assert json.loads(out)["jacobi_ok"] is False
+
     def test_program_fault_is_not_an_input_error(self, capsys, monkeypatch):
         # A decomposition failure is a broken invariant, not bad input: it
         # must surface as a traceback, never as exit code 2.

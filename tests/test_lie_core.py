@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import oracle_jacobi
 from cklie.ck_matrix import B, E, J, M, Mq, OmegaVector, XI_LABEL, family_dimension
 from cklie.cohomology import CohomologySolver, TwoCochain
 from cklie.lie_core import (
@@ -188,6 +189,31 @@ class TestJacobi:
     def test_jacobi_sq_contracted(self):
         assert verify_jacobi(build_sq([0, 1]))
 
+    @pytest.mark.parametrize("family,nmax", [("so", 4), ("su", 3), ("u", 3), ("sq", 2)])
+    def test_agrees_with_oracle(self, family, nmax):
+        # Every sign pattern with seeded non-unit magnitudes, each algebra also
+        # with every single constant scaled by 3/2 and, separately, negated.
+        magnitudes = [Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(5, 4), Fraction(7, 5)]
+        rng = random.Random(family)
+        verdicts = set()
+        for n in range(1, nmax + 1):
+            for signs in sign_patterns(n):
+                L = build_algebra(family, [s * rng.choice(magnitudes) for s in signs])
+                variants = [L]
+                for pair in sorted(L.constants):
+                    for k in sorted(L.constants[pair]):
+                        for factor in (Fraction(3, 2), -1):
+                            terms = dict(L.constants[pair])
+                            terms[k] *= factor
+                            variants.append(
+                                LieAlgebra(family, L.omega, L.basis, {**L.constants, pair: terms})
+                            )
+                for V in variants:
+                    verdict = verify_jacobi(V)
+                    assert verdict == oracle_jacobi(V), (family, V.omega)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
 
 class TestFromMatrices:
     @pytest.mark.parametrize("family,nmax", [("so", 3), ("su", 2), ("u", 2), ("sq", 1)])
@@ -281,6 +307,13 @@ class TestExtendedAlgebra:
                 found_non_cocycle += 1
                 assert not verify_jacobi(build_extended(L, xi))
         assert found_non_cocycle > 0
+
+    def test_agrees_with_oracle_on_non_cocycle(self):
+        L = build_so([1, Fraction(-2, 3), Fraction(5, 2)])
+        xi = TwoCochain(L.dim, {(0, 1): Fraction(1, 3), (1, 2): Fraction(-7, 4)})
+        assert not CohomologySolver(L).is_cocycle(xi)
+        ext = build_extended(L, xi)
+        assert verify_jacobi(ext) is oracle_jacobi(ext) is False
 
     def test_galilei_beta_extension_satisfies_jacobi(self):
         from cklie.classify import coefficient_cocycle

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import oracle_quaternion_product
 from cklie.ck_matrix import OmegaVector
 from cklie.cohomology import OneCochain, TwoCochain, exact_rank
 from cklie.scalars import (
@@ -155,6 +156,24 @@ class TestHypercomplex:
     def test_distributivity(self, a, b):
         c = hc(1, 2, 3, 4)
         assert (a + b) * c == a * c + b * c
+
+    @given(
+        st.lists(rationals, min_size=8, max_size=8),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_full_formula(self, parts, keep):
+        # zero masks exercise every sparsity pattern the skipping product sees
+        comps = [c if k else Fraction(0) for c, k in zip(parts, keep)]
+        a = Hypercomplex(*comps[:4], kind=Kind.QUATERNION)
+        b = Hypercomplex(*comps[4:])
+        for x, y in ((a, b), (b, a)):
+            prod = x * y
+            assert prod.components() == oracle_quaternion_product(
+                x.components(), y.components()
+            )
+            assert all(type(v) is Fraction for v in prod.components())
+            assert prod.kind == Kind.QUATERNION
 
     def test_scalar_multiplication(self):
         assert 2 * I1 == I1 + I1
