@@ -11,13 +11,20 @@ cocycle space Z2 is the exact nullspace of that system; the coboundary space
 B2 is spanned by the maps mu |-> (xi_ij = sum_k C_ij^k mu_k); dim H2 =
 dim Z2 - dim B2 counts inequivalent nontrivial central extensions.
 
-Rank/nullspace computations clear denominators and run a fraction-free
-integer elimination: each row is reduced by cross-multiplication and gcd
-normalization against the pivot row stored for its leading column.  The
-reduced row echelon form of a row space is unique, so ranks, bases and
-representatives do not depend on the order in which rows meet their pivots.
-A wrong rank here would be a wrong theorem, so no floating point is allowed
-anywhere near this module.
+The pipeline runs in Python integers from assembly to the last reduction.
+The constants are scaled once by d, the lcm of their denominators; the
+equations and the coboundary rows are linear in the constants, so Z2 and B2
+do not change.  Forward elimination reduces each row fraction-free (integer
+cross-multiplication and gcd normalization) against the pivot row stored for
+its leading column; back-substitution clears each row against the reduced
+rows of just the pivot columns it holds; the nullspace is read off in
+integers.  Fractions appear only in the output: each reduced row is divided
+by its pivot once.  The reduced row echelon form of a row space is unique,
+so ranks, bases and representatives do not depend on row order or on the
+order in which rows meet their pivots.  The cocycle test evaluates only the
+equations that hold a nonzero column of the cochain.  A wrong rank here
+would be a wrong theorem, so no floating point is allowed anywhere near this
+module.
 """
 
 from __future__ import annotations
@@ -81,6 +88,15 @@ class TwoCochain:
     def zero(cls, dim: int) -> "TwoCochain":
         return cls(dim)
 
+    @classmethod
+    def _wrap(cls, dim: int, entries: dict[tuple[int, int], Fraction]) -> "TwoCochain":
+        """A cochain that takes over entries already keyed i < j, in range,
+        with nonzero Fraction values."""
+        res = cls.__new__(cls)
+        object.__setattr__(res, "dim", dim)
+        object.__setattr__(res, "entries", entries)
+        return res
+
     def value(self, i: int, j: int) -> Fraction:
         """xi_ij for any index order (antisymmetric, zero on the diagonal)."""
         if i == j:
@@ -113,29 +129,17 @@ class TwoCochain:
                 out[key] = nv
             else:
                 out.pop(key, None)
-        res = TwoCochain.__new__(TwoCochain)
-        object.__setattr__(res, "dim", self.dim)
-        object.__setattr__(res, "entries", out)
-        return res
+        return TwoCochain._wrap(self.dim, out)
 
     def __sub__(self, other: "TwoCochain") -> "TwoCochain":
         return self + (-other)
 
     def __neg__(self) -> "TwoCochain":
-        res = TwoCochain.__new__(TwoCochain)
-        object.__setattr__(res, "dim", self.dim)
-        object.__setattr__(res, "entries", {k: -v for k, v in self.entries.items()})
-        return res
+        return TwoCochain._wrap(self.dim, {k: -v for k, v in self.entries.items()})
 
     def __mul__(self, scalar) -> "TwoCochain":
         f = _frac(scalar)
-        res = TwoCochain.__new__(TwoCochain)
-        object.__setattr__(res, "dim", self.dim)
-        if f:
-            object.__setattr__(res, "entries", {k: v * f for k, v in self.entries.items()})
-        else:
-            object.__setattr__(res, "entries", {})
-        return res
+        return TwoCochain._wrap(self.dim, {k: v * f for k, v in self.entries.items()} if f else {})
 
     __rmul__ = __mul__
 
@@ -216,23 +220,15 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _to_int_row(row: dict[int, Fraction]) -> dict[int, int]:
-    if not row:
-        return {}
-    denom = 1
-    for v in row.values():
-        denom = lcm(denom, v.denominator)
-    return _normalize_int_row(
-        {c: int(v * denom) for c, v in row.items() if v}
-    )
-
-
 def _echelon_int(rows: Iterable[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
     """Fraction-free forward elimination keyed by leading column.
 
-    Each row is cross-multiplied against the stored pivot row of its smallest
-    column until it vanishes or leads a column that has no pivot yet.  Returns
-    (pivot columns, echelon rows), one row per pivot, ordered by pivot column.
+    Each row is reduced against the stored pivot row of its smallest column
+    until it vanishes or leads a column that has no pivot yet: an integer
+    multiple of the pivot row is subtracted when the pivot entry divides the
+    row's, else the two are cross-multiplied and the result gcd-normalized.
+    Stored pivot rows are gcd-normalized.  Returns (pivot columns, echelon
+    rows), one row per pivot, ordered by pivot column.
     """
     by_lead: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -240,67 +236,77 @@ def _echelon_int(rows: Iterable[dict[int, int]]) -> tuple[list[int], list[dict[i
             lead = min(row)
             piv = by_lead.get(lead)
             if piv is None:
-                by_lead[lead] = row
+                by_lead[lead] = _normalize_int_row(row)
                 break
             pv, v = piv[lead], row[lead]
-            new = {c: pv * val for c, val in row.items()}
+            q, rem = divmod(v, pv)
+            if rem:
+                new = {c: pv * val for c, val in row.items()}
+                q = v
+            else:
+                new = dict(row)
             for c, val in piv.items():
-                nv = new.get(c, 0) - v * val
+                nv = new.get(c, 0) - q * val
                 if nv:
                     new[c] = nv
                 else:
-                    new.pop(c, None)
-            row = _normalize_int_row(new)
+                    del new[c]
+            row = _normalize_int_row(new) if rem else new
     pivots = sorted(by_lead)
     return pivots, [by_lead[p] for p in pivots]
 
 
-def _rref(rows: Iterable[dict[int, Fraction]]) -> tuple[list[int], list[dict[int, Fraction]]]:
-    """Reduced row echelon form over the rationals (pivots scaled to 1,
-    eliminated above), computed through the integer kernel."""
-    pivots, ech = _echelon_int(_to_int_row(r) for r in rows)
-    frac_rows: list[dict[int, Fraction]] = []
-    for p, row in zip(pivots, ech):
-        pv = row[p]
-        frac_rows.append({c: Fraction(v, pv) for c, v in row.items()})
-    for s in range(len(pivots) - 1, -1, -1):
-        ps = pivots[s]
-        src = frac_rows[s]
-        for t in range(s):
-            f = frac_rows[t].get(ps)
-            if f is None:
-                continue
-            tgt = dict(frac_rows[t])
-            for c, v in src.items():
-                nv = tgt.get(c, _F0) - f * v
-                if nv:
-                    tgt[c] = nv
-                else:
-                    tgt.pop(c, None)
-            frac_rows[t] = tgt
-    return pivots, frac_rows
+def _rref(rows: Iterable[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """Integer reduced row echelon form: row s leads column pivots[s] and is
+    zero in every other pivot column; dividing it by its leading entry gives
+    the rational RREF row.
+
+    Back-substitution runs from the last pivot to the first.  Each row is
+    cleared, in one fraction-free combination, against the already-reduced
+    rows of just the pivot columns it holds.
+    """
+    pivots, ech = _echelon_int(rows)
+    done: dict[int, dict[int, int]] = {}
+    for p, row in zip(reversed(pivots), reversed(ech)):
+        hits = [c for c in row if c in done]
+        if hits:
+            m = lcm(*(done[c][c] for c in hits))
+            new = {c: m * v for c, v in row.items()}
+            for c in hits:
+                f = row[c] * (m // done[c][c])
+                for c2, v in done[c].items():
+                    new[c2] = new.get(c2, 0) - f * v
+            row = _normalize_int_row({c: v for c, v in new.items() if v})
+        done[p] = row
+    return pivots, [done[p] for p in pivots]
 
 
-def _nullspace_from_rref(
-    pivots: list[int], rows: list[dict[int, Fraction]], ncols: int
-) -> list[dict[int, Fraction]]:
+def _nullspace(pivots: list[int], rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Integer nullspace basis of an integer RREF, one vector per free column
+    f in column order, scaled by the lcm of the pivot entries that meet f."""
+    meets: dict[int, list[tuple[int, int, int]]] = {}
+    for p, row in zip(pivots, rows):
+        a = row[p]
+        for c, v in row.items():
+            if c != p:
+                meets.setdefault(c, []).append((p, v, a))
     piv_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in piv_set:
             continue
-        vec = {free: _F1}
-        for p, row in zip(pivots, rows):
-            v = row.get(free)
-            if v:
-                vec[p] = -v
+        hits = meets.get(free, ())
+        m = lcm(*(a for _, _, a in hits))
+        vec = {free: m}
+        for p, v, a in hits:
+            vec[p] = -v * (m // a)
         basis.append(vec)
     return basis
 
 
-def _rank_and_nullspace(rows, ncols) -> tuple[int, list[dict[int, Fraction]]]:
-    pivots, rref_rows = _rref(rows)
-    return len(pivots), _nullspace_from_rref(pivots, rref_rows, ncols)
+def _rational_rows(pivots: list[int], rows: list[dict[int, int]]) -> list[dict[int, Fraction]]:
+    """The rational RREF rows (leading entry 1) of an integer RREF."""
+    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, rows)]
 
 
 def exact_rank(matrix: Sequence[Sequence]) -> tuple[int, list[list[Fraction]]]:
@@ -316,10 +322,15 @@ def exact_rank(matrix: Sequence[Sequence]) -> tuple[int, list[list[Fraction]]]:
     for raw in matrix:
         if len(raw) != ncols:
             raise ValueError("ragged matrix")
-        rows.append({c: v for c, v in enumerate(map(_frac, raw)) if v})
-    rank, null = _rank_and_nullspace(rows, ncols)
-    dense = [[vec.get(c, _F0) for c in range(ncols)] for vec in null]
-    return rank, dense
+        vals = [_frac(v) for v in raw]
+        d = lcm(*(v.denominator for v in vals))
+        rows.append({c: v.numerator * (d // v.denominator) for c, v in enumerate(vals) if v})
+    pivots, red = _rref(rows)
+    null = _nullspace(pivots, red, ncols)
+    piv_set = set(pivots)
+    free = [c for c in range(ncols) if c not in piv_set]
+    dense = [[Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] for f, vec in zip(free, null)]
+    return len(pivots), dense
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +340,15 @@ def exact_rank(matrix: Sequence[Sequence]) -> tuple[int, list[list[Fraction]]]:
 
 @dataclass(frozen=True)
 class CocycleSystem:
-    """The assembled linear system: sparse rows over pair-indexed unknowns."""
+    """The assembled linear system: sparse integer rows over pair-indexed
+    unknowns, one per index triple whose equation is not identically zero.
+    The rows are those of the constants scaled by the lcm of their
+    denominators; the equations are linear in the constants, so the scaling
+    leaves the solution space unchanged."""
 
     n_unknowns: int
     pairs: tuple[tuple[int, int], ...]
-    rows: tuple[dict[int, Fraction], ...]
+    rows: tuple[dict[int, int], ...]
 
     @property
     def n_equations(self) -> int:
@@ -361,8 +376,9 @@ class CohomologyResult:
 
 
 class CohomologySolver:
-    """Caches the assembled system, Z2/B2 bases and triviality reducer for
-    one algebra, so repeated cochain queries stay cheap."""
+    """Caches the assembled system, the result, the B2 reducer and the
+    column index of the cocycle test for one algebra, so repeated cochain
+    queries stay cheap."""
 
     def __init__(self, algebra):
         self.algebra = getattr(algebra, "algebra", algebra)
@@ -371,38 +387,37 @@ class CohomologySolver:
         self.pair_index = {pair: t for t, pair in enumerate(self.pairs)}
         self.n_unknowns = len(self.pairs)
         self._system: CocycleSystem | None = None
-        self._z2: tuple[list[int], list[dict[int, Fraction]]] | None = None
+        self._result: CohomologyResult | None = None
         self._b2: tuple[list[int], list[dict[int, Fraction]]] | None = None
+        self._by_column: list[list[int]] | None = None
 
     # -- assembly -----------------------------------------------------------
 
-    def _unknown(self, k: int, l: int) -> tuple[int, int] | None:
-        """(column, sign) of xi_kl, or None on the diagonal."""
-        if k == l:
-            return None
-        if k < l:
-            return self.pair_index[(k, l)], 1
-        return self.pair_index[(l, k)], -1
-
     def system(self) -> CocycleSystem:
         if self._system is None:
-            L = self.algebra
+            r = self.algebra.dim
+            # brk[i][j]: the terms of d*[X_i, X_j] for i < j, else None;
+            # col[t][k]: the column of xi_kt, whichever of k, t is smaller.
+            brk: list[list[dict[int, int] | None]] = [[None] * r for _ in range(r)]
+            for (i, j), terms in self.algebra.integer_constants().items():
+                brk[i][j] = terms
+            col = [[0] * r for _ in range(r)]
+            for x, (i, j) in enumerate(self.pairs):
+                col[i][j] = col[j][i] = x
             rows = []
-            for i, j, l in combinations(range(L.dim), 3):
-                acc: dict[int, Fraction] = {}
-                for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
-                    for k, c in L.bracket(u, v).items():
-                        hit = self._unknown(k, third)
-                        if hit is None:
-                            continue
-                        col, sign = hit
-                        nv = acc.get(col, _F0) + (c if sign > 0 else -c)
-                        if nv:
-                            acc[col] = nv
-                        else:
-                            acc.pop(col, None)
-                if acc:
-                    rows.append(acc)
+            for i, j, l in combinations(range(r), 3):
+                acc: dict[int, int] = {}
+                # [X_l, X_i] = -[X_i, X_l]; xi_kt = -xi_tk when k > t.
+                for terms, t, sign in ((brk[i][j], l, 1), (brk[j][l], i, 1), (brk[i][l], j, -1)):
+                    if terms:
+                        col_t = col[t]
+                        for k, c in terms.items():
+                            if k != t:
+                                x = col_t[k]
+                                acc[x] = acc.get(x, 0) + (c * sign if k < t else -c * sign)
+                row = {x: c for x, c in acc.items() if c}
+                if row:
+                    rows.append(row)
             self._system = CocycleSystem(self.n_unknowns, self.pairs, tuple(rows))
         return self._system
 
@@ -414,67 +429,66 @@ class CohomologySolver:
         return {self.pair_index[pair]: v for pair, v in xi.entries.items()}
 
     def vector_cochain(self, vec: dict[int, Fraction]) -> TwoCochain:
-        return TwoCochain(
-            self.algebra.dim, {self.pairs[col]: v for col, v in vec.items()}
+        """The cochain of a column vector with Fraction values."""
+        return TwoCochain._wrap(
+            self.algebra.dim, {self.pairs[col]: v for col, v in vec.items() if v}
         )
 
     # -- spaces ----------------------------------------------------------------
 
-    def _z2_data(self):
-        if self._z2 is None:
-            sys_ = self.system()
-            _, null = _rank_and_nullspace(list(sys_.rows), sys_.n_unknowns)
-            self._z2 = _rref(null)
-        return self._z2
-
     def _b2_data(self):
         if self._b2 is None:
-            L = self.algebra
-            rows = []
-            for k in range(L.dim):
-                row: dict[int, Fraction] = {}
-                for (i, j), terms in L.constants.items():
-                    c = terms.get(k)
-                    if c:
-                        row[self.pair_index[(i, j)]] = c
-                if row:
-                    rows.append(row)
-            self._b2 = _rref(rows)
+            rows: list[dict[int, int]] = [{} for _ in range(self.algebra.dim)]
+            for pair, terms in self.algebra.integer_constants().items():
+                col = self.pair_index[pair]
+                for k, c in terms.items():
+                    rows[k][col] = c
+            pivots, red = _rref(row for row in rows if row)
+            self._b2 = pivots, _rational_rows(pivots, red)
         return self._b2
 
     def result(self) -> CohomologyResult:
-        z_pivots, z_rows = self._z2_data()
-        b_pivots, b_rows = self._b2_data()
-        b_set = set(b_pivots)
-        reps = [
-            self.vector_cochain(row)
-            for p, row in zip(z_pivots, z_rows)
-            if p not in b_set
-        ]
-        dim_z2 = len(z_pivots)
-        dim_b2 = len(b_pivots)
-        return CohomologyResult(
-            dim_z2=dim_z2,
-            dim_b2=dim_b2,
-            dim_h2=dim_z2 - dim_b2,
-            z2_basis=tuple(self.vector_cochain(row) for row in z_rows),
-            b2_basis=tuple(self.vector_cochain(row) for row in b_rows),
-            h2_representatives=tuple(reps),
-        )
+        """Z2 as the RREF of the integer nullspace of the system, B2 and the
+        Z2 rows whose pivots B2 lacks as H2 representatives; memoized."""
+        if self._result is None:
+            sys_ = self.system()
+            z_pivots, z_red = _rref(_nullspace(*_rref(sys_.rows), sys_.n_unknowns))
+            z2 = tuple(self.vector_cochain(row) for row in _rational_rows(z_pivots, z_red))
+            b_pivots, b_rows = self._b2_data()
+            b_set = set(b_pivots)
+            self._result = CohomologyResult(
+                dim_z2=len(z_pivots),
+                dim_b2=len(b_pivots),
+                dim_h2=len(z_pivots) - len(b_pivots),
+                z2_basis=z2,
+                b2_basis=tuple(self.vector_cochain(row) for row in b_rows),
+                h2_representatives=tuple(
+                    xi for p, xi in zip(z_pivots, z2) if p not in b_set
+                ),
+            )
+        return self._result
 
     # -- cochain queries ---------------------------------------------------------
 
     def is_cocycle(self, xi: TwoCochain) -> bool:
+        """Exact: only the equations that hold a nonzero column of xi are
+        evaluated, and every other equation sums to zero on xi."""
         vec = self.cochain_vector(xi)
         if not vec:
             return True
-        for row in self.system().rows:
-            s = _F0
-            for col, c in row.items():
-                v = vec.get(col)
-                if v:
-                    s += c * v
-            if s:
+        d = lcm(*(v.denominator for v in vec.values()))
+        ivec = {c: v.numerator * (d // v.denominator) for c, v in vec.items()}
+        rows = self.system().rows
+        if self._by_column is None:
+            self._by_column = [[] for _ in range(self.n_unknowns)]
+            for t, row in enumerate(rows):
+                for c in row:
+                    self._by_column[c].append(t)
+        touched = set()
+        for c in ivec:
+            touched.update(self._by_column[c])
+        for t in touched:
+            if sum(v * ivec.get(c, 0) for c, v in rows[t].items()):
                 return False
         return True
 

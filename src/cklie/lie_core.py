@@ -128,6 +128,21 @@ class LieAlgebra:
             for k in sorted(terms):
                 yield i, j, k, terms[k]
 
+    def integer_constants(self) -> dict[tuple[int, int], dict[int, int]]:
+        """The constants scaled by d, the lcm of their denominators, as ints.
+
+        Every exact check here is homogeneous in the constants, so it gives
+        the same verdict, rank or space on d*C as on C.
+        """
+        d = 1
+        for terms in self.constants.values():
+            for c in terms.values():
+                d = lcm(d, c.denominator)
+        return {
+            pair: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+            for pair, terms in self.constants.items()
+        }
+
     def same_constants(self, other: "LieAlgebra") -> bool:
         if self.dim != other.dim:
             return False
@@ -350,14 +365,9 @@ def verify_jacobi(algebra) -> bool:
     ExtendedAlgebra).
     """
     L = getattr(algebra, "algebra", algebra)
-    d = 1
-    for terms in L.constants.values():
-        for c in terms.values():
-            d = lcm(d, c.denominator)
     # adj[i][j]: the terms of d*[X_i, X_j] for both index orders.
     adj: list[dict[int, dict[int, int]]] = [{} for _ in range(L.dim)]
-    for (i, j), terms in L.constants.items():
-        row = {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+    for (i, j), row in L.integer_constants().items():
         adj[i][j] = row
         adj[j][i] = {k: -v for k, v in row.items()}
     empty: dict[int, int] = {}

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: dense Fraction Gauss-Jordan with no
 shared code, integer tricks or sparsity, so it can arbitrate the package's
-elimination kernel and cohomology dimensions; the Jacobi check walks every
-index triple in Fractions, and the quaternion product is the full 16-term
-formula.
+elimination kernel, cohomology dimensions and bases; the cocycle test and
+the Jacobi check walk every index triple in Fractions, and the quaternion
+product is the full 16-term formula.
 """
 
 from fractions import Fraction
@@ -62,12 +62,12 @@ def dense_nullspace(matrix, ncols):
     return basis
 
 
-def oracle_h2_dims(L):
-    """Cohomology dimensions straight from the definitions, densely.
+def oracle_cocycle_system(L):
+    """The cohomology equations straight from the definitions, densely.
 
     Unknowns are xi_ij over pairs i < j; one equation per triple from the
-    bracket table; the coboundary matrix columns are the images of the
-    basis shifts.
+    bracket table, in Fractions; the coboundary matrix rows are the images
+    of the basis shifts.  Returns (pairs, equations, coboundary rows).
     """
     r = L.dim
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
@@ -91,7 +91,6 @@ def oracle_h2_dims(L):
                     col, sign = hit
                     row[col] += c if sign > 0 else -c
         equations.append(row)
-    dim_z2 = m - dense_rank(equations) if equations else m
     cob = []
     for k in range(r):
         row = [Fraction(0)] * m
@@ -100,8 +99,42 @@ def oracle_h2_dims(L):
             if c:
                 row[pair_pos[(i, j)]] = c
         cob.append(row)
+    return pairs, equations, cob
+
+
+def oracle_h2_dims(L):
+    """dim Z2, dim B2 and dim H2 by dense ranks of the oracle system."""
+    pairs, equations, cob = oracle_cocycle_system(L)
+    m = len(pairs)
+    dim_z2 = m - dense_rank(equations) if equations else m
     dim_b2 = dense_rank(cob) if cob else 0
     return dim_z2, dim_b2, dim_z2 - dim_b2
+
+
+def oracle_h2_bases(L):
+    """The RREF bases of Z2 (of the dense nullspace) and of B2, each vector
+    as its nonzero entries {(i, j): Fraction}."""
+    pairs, equations, cob = oracle_cocycle_system(L)
+    _, z2 = dense_rref(dense_nullspace(equations, len(pairs)))
+    _, b2 = dense_rref(cob)
+    return (
+        [{pairs[c]: v for c, v in enumerate(row) if v} for row in z2],
+        [{pairs[c]: v for c, v in enumerate(row) if v} for row in b2],
+    )
+
+
+def oracle_is_cocycle(L, xi):
+    """xi([X_i,X_j],X_l) + xi([X_j,X_l],X_i) + xi([X_l,X_i],X_j) == 0 for
+    every index triple, evaluated from `LieAlgebra.bracket` and
+    `TwoCochain.value`."""
+    for i, j, l in combinations(range(L.dim), 3):
+        total = Fraction(0)
+        for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
+            for k, c in L.bracket(u, v).items():
+                total += c * xi.value(k, third)
+        if total:
+            return False
+    return True
 
 
 def oracle_jacobi(algebra):

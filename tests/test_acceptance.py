@@ -251,7 +251,8 @@ def test_c10_pseudoextension_removal():
 
 def test_c11_property_suite(so_sweep, su_sweep, u_sweep, sq_sweep):
     """Jacobi everywhere, B2 inside Z2, dim identity, permutation invariance,
-    and zero-set monotonicity of dim H2 across each family's sweep."""
+    sign-class invariance of the dims and zero-set monotonicity of dim H2
+    across each family's sweep."""
     all_records = {
         "so": so_sweep,
         "su": su_sweep,
@@ -269,6 +270,13 @@ def test_c11_property_suite(so_sweep, su_sweep, u_sweep, sq_sweep):
                 bad.append((family, signs, "dims_identity"))
             if rec["perm_dims"] != rec["dims"]:
                 bad.append((family, signs, "permutation"))
+        # (dim Z2, dim B2, dim H2) depends only on the zero set of omega: sign
+        # flips give real forms of one complex algebra
+        by_zero_set = {}
+        for signs, rec in records.items():
+            zeros = tuple(s == 0 for s in signs)
+            if by_zero_set.setdefault(zeros, rec["dims"]) != rec["dims"]:
+                bad.append((family, signs, "sign-class"))
         # zeroing one more coefficient never lowers dim H2
         for signs, rec in records.items():
             for k, s in enumerate(signs):

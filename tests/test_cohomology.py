@@ -5,7 +5,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_nullspace, dense_rank, oracle_h2_dims
+from helpers import (
+    dense_nullspace,
+    dense_rank,
+    oracle_cocycle_system,
+    oracle_h2_bases,
+    oracle_h2_dims,
+    oracle_is_cocycle,
+)
 
 from cklie.cohomology import (
     CohomologySolver,
@@ -15,6 +22,7 @@ from cklie.cohomology import (
     exact_rank,
     h2,
 )
+from cklie.classify import coefficient_cocycle, predict
 from cklie.lie_core import build_algebra, build_so, build_sq, build_su, build_u
 
 
@@ -41,6 +49,24 @@ def rational_matrices(draw):
     )
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     return draw(st.lists(row, min_size=1, max_size=10))
+
+
+def rational_omega(*entries):
+    return tuple(Fraction(e) for e in entries)
+
+
+# Non-unit rational omegas: the constants' denominators have lcm d > 1, so the
+# solver's scaling by d is exercised.
+RATIONAL_CASES = [
+    ("so", rational_omega("-3/4", "5/2", "2/3")),
+    ("so", rational_omega("-3/4", 0, "5/2", "2/3")),
+    ("so", rational_omega(0, "2/3", 0)),
+    ("su", rational_omega("5/2", "-3/4")),
+    ("su", rational_omega("2/3", 0, "-3/4")),
+    ("u", rational_omega("-3/4", "5/2")),
+    ("u", rational_omega(0, "2/3")),
+    ("sq", rational_omega("5/2")),
+]
 
 
 def random_mu(rng, dim, span=6):
@@ -191,6 +217,18 @@ class TestSpacesAndDims:
                 res = h2(L)
                 assert (res.dim_z2, res.dim_b2, res.dim_h2) == oracle_h2_dims(L)
 
+    @pytest.mark.parametrize("family,omega", RATIONAL_CASES)
+    def test_bases_match_dense_oracle_on_rationals(self, family, omega):
+        L = build_algebra(family, omega)
+        res = h2(L)
+        z2, b2 = oracle_h2_bases(L)
+        assert [xi.entries for xi in res.z2_basis] == z2
+        assert [xi.entries for xi in res.b2_basis] == b2
+
+    def test_result_is_memoized(self):
+        solver = CohomologySolver(build_so((0, 1, 1)))
+        assert solver.result() is solver.result()
+
     def test_result_invariants(self):
         for signs in [(0, 1), (0, 0, 1), (1, 0, 1)]:
             L = build_so(signs)
@@ -214,6 +252,68 @@ class TestSpacesAndDims:
         assert h2(build_sq([0, 0])).dim_h2 == 0
         assert h2(build_su([0, 0])).dim_h2 == 3
         assert h2(build_u([0, 0])).dim_h2 == 5
+
+
+class TestIsCocycle:
+    """`is_cocycle` evaluates only the equations a cochain's columns reach;
+    `oracle_is_cocycle` evaluates every triple from the brackets."""
+
+    CASES = [("so", (1, 1, 1)), ("so", (0, 0, 0)), ("su", (0, 1))] + RATIONAL_CASES
+
+    @pytest.mark.parametrize("family,omega", CASES)
+    def test_agrees_with_full_evaluation(self, family, omega):
+        L = build_algebra(family, omega)
+        solver = CohomologySolver(L)
+        rng = random.Random(f"{family}:{omega}")
+        pairs = solver.pairs
+        units = [TwoCochain(L.dim, {pair: 1}) for pair in pairs]
+        cochains = list(units)
+        for density in (0.05, 0.2):
+            cochains += [random_cochain(rng, L.dim, density) for _ in range(8)]
+        names = [entry.name for entry in predict(family, omega).entries]
+        for xi in list(solver.result().b2_basis) + [
+            coefficient_cocycle(family, omega, name) for name in names
+        ]:
+            bump = TwoCochain(L.dim, {rng.choice(pairs): Fraction(rng.choice((1, -2, 3)), 5)})
+            cochains += [xi, xi + bump]
+        # Columns that no equation touches: every cochain on them is a cocycle.
+        untouched = [xi for xi in units if oracle_is_cocycle(L, xi)]
+        for _ in range(5):
+            picked = [xi for xi in untouched if rng.random() < 0.5]
+            cochains.append(sum(picked, TwoCochain.zero(L.dim)) * Fraction(-7, 3))
+        verdicts = [solver.is_cocycle(xi) for xi in cochains]
+        assert verdicts == [oracle_is_cocycle(L, xi) for xi in cochains]
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize(
+        "family,omega",
+        [
+            ("so", (0, 0, 0)),
+            ("so", (0, 0, 1)),
+            ("so", rational_omega("-3/4", 0, "5/2")),
+            ("so", rational_omega(0, "2/3", 0)),
+            ("so", rational_omega("5/2", "-3/4", 0)),
+            ("su", rational_omega("5/2", 0)),
+            ("u", rational_omega("2/3")),
+        ],
+    )
+    def test_every_independent_equation_is_evaluated(self, family, omega):
+        # For each equation the others do not imply, a cochain that fails it
+        # and satisfies every other equation.
+        L = build_algebra(family, omega)
+        solver = CohomologySolver(L)
+        pairs, equations, _ = oracle_cocycle_system(L)
+        found = 0
+        for t, eq in enumerate(equations):
+            others = equations[:t] + equations[t + 1:]
+            for vec in dense_nullspace(others, len(pairs)):
+                if sum(a * b for a, b in zip(eq, vec)):
+                    xi = TwoCochain(L.dim, dict(zip(pairs, vec)))
+                    assert not oracle_is_cocycle(L, xi)
+                    assert not solver.is_cocycle(xi)
+                    found += 1
+                    break
+        assert found
 
 
 class TestIsTrivial:
