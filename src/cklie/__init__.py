@@ -7,7 +7,7 @@ cohomology exactly, and cross-validates the result against a closed-form
 classification of the extension coefficients.
 """
 
-from .scalars import Hypercomplex, Kind, parse_rational, unit
+from .scalars import Hypercomplex, Kind, parse_rational
 from .ck_matrix import (
     B,
     E,
@@ -38,7 +38,6 @@ from .lie_core import (
     build_sq,
     build_su,
     build_u,
-    contract,
     epsilon,
     from_matrices,
     permute_basis,
@@ -57,7 +56,6 @@ from .classify import (
     CatalogEntry,
     CrosscheckReport,
     ExtensionCatalog,
-    ZeroPattern,
     coefficient_cocycle,
     crosscheck,
     pair_combination,

@@ -477,7 +477,6 @@ class BasisDecomposer:
     def __init__(self, basis: Sequence[MatrixOverK]):
         if not basis:
             raise ValueError("basis must be nonempty")
-        self.size = len(basis)
         self._pivot_slot: dict[int, int] = {}
         self._rows: list[dict[int, Fraction]] = []
         self._combos: list[dict[int, Fraction]] = []
@@ -506,8 +505,9 @@ class BasisDecomposer:
             if combo is not None:
                 _sub_scaled(combo, self._combos[slot], f)
 
-    def coefficients(self, mat: MatrixOverK) -> list[Fraction]:
-        """Coordinates c with mat == sum(c_k * basis_k); NotInSpanError otherwise."""
+    def coefficients(self, mat: MatrixOverK) -> dict[int, Fraction]:
+        """The nonzero coordinates {k: c_k} with mat == sum(c_k * basis_k);
+        NotInSpanError if mat is outside the span."""
         row = _flatten(mat)
         acc: dict[int, Fraction] = {}
         while row:
@@ -523,4 +523,4 @@ class BasisDecomposer:
                     acc[k] = nv
                 else:
                     acc.pop(k, None)
-        return [acc.get(k, _F0) for k in range(self.size)]
+        return acc

@@ -48,7 +48,6 @@ from .lie_core import build_algebra
 __all__ = [
     "CatalogEntry",
     "ExtensionCatalog",
-    "ZeroPattern",
     "predict_so",
     "predict_su",
     "predict_u",
@@ -66,19 +65,6 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _F2 = Fraction(2)
-
-
-@dataclass(frozen=True)
-class ZeroPattern:
-    """Count and 1-based positions of the vanishing contraction coefficients."""
-
-    n: int
-    zero_set: frozenset[int]
-
-    @classmethod
-    def from_omega(cls, omega) -> "ZeroPattern":
-        zs = OmegaVector.coerce(omega).zero_set()
-        return cls(n=len(zs), zero_set=zs)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import Pool
 
 from .ck_matrix import (
     FAMILIES,
@@ -120,20 +119,12 @@ def _emit_json(cfg: RunConfig, payload) -> None:
     _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _require_format(cfg: RunConfig, allowed: tuple[str, ...]):
-    if cfg.fmt not in allowed:
-        raise InputError(
-            f"--format {cfg.fmt} is not supported by {cfg.command}; use one of {allowed}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
 
 def cmd_generators(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json", "text"))
     labels = labels_for_family(cfg.family, cfg.n)
     mats = [(lab, build_generator(cfg.family, lab, cfg.omega)) for lab in labels]
     if cfg.fmt == "json":
@@ -163,7 +154,6 @@ def cmd_generators(cfg: RunConfig) -> int:
 
 
 def cmd_structure(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json", "text"))
     L = build_algebra(cfg.family, cfg.omega)
     if cfg.corrupt:
         rows = sorted(L.constants)
@@ -218,7 +208,6 @@ def _h2_payload(family: str, omega: OmegaVector) -> dict:
 
 
 def cmd_h2(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json", "text"))
     payload = _h2_payload(cfg.family, cfg.omega)
     if cfg.fmt == "json":
         _emit_json(cfg, payload)
@@ -267,6 +256,9 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
     """All 3^n sign patterns, rows sorted by omega lexicographic order."""
     tasks = [(family, signs) for signs in product((-1, 0, 1), repeat=n)]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: only a parallel sweep pays for loading multiprocessing.
+        from multiprocessing import Pool
+
         with Pool(processes=jobs) as pool:
             rows = pool.map(_sweep_worker, tasks)
     else:
@@ -276,7 +268,6 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json", "csv", "text"))
     rows = sweep_rows(cfg.family, cfg.n, jobs=cfg.jobs)
     mismatches = sum(1 for row in rows if not row["match"])
     if cfg.fmt == "json":
@@ -389,7 +380,6 @@ def _pseudoextension_removal_status(family: str, omega: OmegaVector, L) -> str:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    _require_format(cfg, ("json", "text"))
     checks = verify_case(cfg.family, cfg.omega)
     failed = [name for name, status in checks.items() if status == "fail"]
     payload = {
@@ -425,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, need_omega: bool):
+    def common(p: argparse.ArgumentParser, need_omega: bool, formats=("json", "text")):
         p.add_argument("--family", required=True, choices=FAMILIES)
         if need_omega:
             p.add_argument(
@@ -436,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=None, help="optional length check")
         else:
             p.add_argument("--n", type=int, required=True, help="number of coefficients")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers (sweep)")
 
     p_gen = sub.add_parser("generators", help="print the basis matrices")
     common(p_gen, need_omega=True)
@@ -455,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_h2, need_omega=True)
 
     p_sweep = sub.add_parser("sweep", help="all 3^n sign patterns")
-    common(p_sweep, need_omega=False)
+    common(p_sweep, need_omega=False, formats=("json", "csv", "text"))
+    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel workers")
 
     p_verify = sub.add_parser("verify", help="full invariant suite for one case")
     common(p_verify, need_omega=True)

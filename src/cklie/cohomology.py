@@ -85,10 +85,6 @@ class TwoCochain:
         raise AttributeError("TwoCochain is immutable")
 
     @classmethod
-    def zero(cls, dim: int) -> "TwoCochain":
-        return cls(dim)
-
-    @classmethod
     def _wrap(cls, dim: int, entries: dict[tuple[int, int], Fraction]) -> "TwoCochain":
         """A cochain that takes over entries already keyed i < j, in range,
         with nonzero Fraction values."""
@@ -169,10 +165,6 @@ class OneCochain:
 
     def __setattr__(self, name, value):
         raise AttributeError("OneCochain is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> "OneCochain":
-        return cls([_F0] * dim)
 
     @classmethod
     def basis_vector(cls, dim: int, k: int, value=_F1) -> "OneCochain":

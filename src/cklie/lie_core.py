@@ -1,10 +1,15 @@
 """Structure-constant core for the four generator families.
 
-Closed-form builders fill sparse bracket tables directly from the family
-rules; `from_matrices` rebuilds the same constants by commuting the matrix
+`build_algebra` fills the sparse bracket table of every family from one
+closed-form rule set, as the families are the antihermitian matrices over
+R (so), C (su, u) and H (sq): the J rows are shared by all, nine partner rows
+repeat for each imaginary unit of the scalar kind (none over R, one over C,
+three over H), and only the rows of the diagonal generators (the torus of
+su/u; the units E and the mixed-unit rows of sq) are family-specific.
+`from_matrices` rebuilds the same constants by commuting the matrix
 generators and decomposing in the basis, which cross-validates both routes
-constant by constant.  Jacobi verification, contraction (zeroing omega
-entries), basis permutation and centrally extended algebras live here too.
+constant by constant.  Jacobi verification, basis permutation and centrally
+extended algebras live here too.
 
 `verify_jacobi` is exact but runs in Python integers: it clears the
 denominators of all constants once (the Jacobiator is quadratic, so scaling
@@ -20,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, permutations
 from math import lcm
 from typing import Iterable
 
 from .ck_matrix import (
-    FAMILIES,
+    FAMILY_KIND,
     B,
     E,
     GeneratorLabel,
@@ -39,6 +45,7 @@ from .ck_matrix import (
     mat_commutator,
     BasisDecomposer,
 )
+from .scalars import Kind
 
 __all__ = [
     "LieAlgebra",
@@ -49,7 +56,6 @@ __all__ = [
     "build_algebra",
     "verify_jacobi",
     "from_matrices",
-    "contract",
     "permute_basis",
     "epsilon",
     "ExtendedAlgebra",
@@ -68,12 +74,6 @@ def epsilon(a: int, b: int, c: int) -> int:
     if a == b or b == c or a == c:
         return 0
     return 1 if (b - a) % 3 == 1 else -1
-
-
-def _eps_pair(alpha: int, beta: int) -> tuple[int, int]:
-    """For distinct alpha, beta return (gamma, epsilon(alpha, beta, gamma))."""
-    gamma = 6 - alpha - beta
-    return gamma, epsilon(alpha, beta, gamma)
 
 
 class LieAlgebra:
@@ -198,153 +198,109 @@ class _Builder:
             self.constants[(i, j)] = filtered
 
 
-def build_so(omega) -> LieAlgebra:
-    """Orthogonal family: [J_ab, J_ac] = w_ab J_bc, [J_ab, J_bc] = -J_ac,
-    [J_ac, J_bc] = w_bc J_ab; brackets of disjoint index pairs vanish."""
-    om = OmegaVector.coerce(omega)
-    labels = labels_for_family("so", om.n)
-    bld = _Builder(labels)
-    for a, b, c in combinations(range(om.n + 1), 3):
-        bld.put(J(a, b), J(a, c), {J(b, c): om.product(a, b)})
-        bld.put(J(a, b), J(b, c), {J(a, c): -_F1})
-        bld.put(J(a, c), J(b, c), {J(a, b): om.product(b, c)})
-    return LieAlgebra("so", om, labels, bld.constants)
+def _put_torus_rows(bld: _Builder, n: int, w: dict[tuple[int, int], Fraction]):
+    """The su/u rows of the torus generators B(l)."""
+    for (a, b), w_ab in w.items():
+        for l in range(1, n + 1):
+            kappa = (a == l - 1) - (b == l - 1) + (b == l) - (a == l)
+            if kappa:
+                bld.put(J(a, b), B(l), {M(a, b): Fraction(kappa)})
+                bld.put(M(a, b), B(l), {J(a, b): Fraction(-kappa)})
+        bld.put(J(a, b), M(a, b), {B(s): -_F2 * w_ab for s in range(a + 1, b + 1)})
 
 
-def _torus_coefficient(a: int, b: int, l: int) -> int:
-    # delta_{a,l-1} - delta_{b,l-1} + delta_{b,l} - delta_{a,l}
-    return (a == l - 1) - (b == l - 1) + (b == l) - (a == l)
-
-
-def _build_unitary(family: str, omega) -> LieAlgebra:
-    """The su bracket table on the basis of `family` ("su", or "u" whose
-    extra phase generator I is central and so takes part in no bracket)."""
-    om = OmegaVector.coerce(omega)
-    n = om.n
-    labels = labels_for_family(family, n)
-    bld = _Builder(labels)
-    for a, b, c in combinations(range(n + 1), 3):
-        w_ab = om.product(a, b)
-        w_bc = om.product(b, c)
-        bld.put(J(a, b), J(a, c), {J(b, c): w_ab})
-        bld.put(J(a, b), J(b, c), {J(a, c): -_F1})
-        bld.put(J(a, c), J(b, c), {J(a, b): w_bc})
-        bld.put(M(a, b), M(a, c), {J(b, c): w_ab})
-        bld.put(M(a, b), M(b, c), {J(a, c): _F1})
-        bld.put(M(a, c), M(b, c), {J(a, b): w_bc})
-        bld.put(J(a, b), M(a, c), {M(b, c): w_ab})
-        bld.put(J(a, b), M(b, c), {M(a, c): -_F1})
-        bld.put(J(a, c), M(b, c), {M(a, b): -w_bc})
-        bld.put(M(a, b), J(a, c), {M(b, c): -w_ab})
-        bld.put(M(a, b), J(b, c), {M(a, c): -_F1})
-        bld.put(M(a, c), J(b, c), {M(a, b): w_bc})
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            for l in range(1, n + 1):
-                kappa = _torus_coefficient(a, b, l)
-                if kappa:
-                    bld.put(J(a, b), B(l), {M(a, b): Fraction(kappa)})
-                    bld.put(M(a, b), B(l), {J(a, b): Fraction(-kappa)})
-            w_ab = om.product(a, b)
-            if w_ab:
-                bld.put(
-                    J(a, b), M(a, b), {B(s): -_F2 * w_ab for s in range(a + 1, b + 1)}
-                )
-    return LieAlgebra(family, om, labels, bld.constants)
-
-
-def build_su(omega) -> LieAlgebra:
-    """Special unitary family on the basis {J, M, B}; torus rows carry the
-    Kronecker coefficient (d_{a,l-1} - d_{b,l-1} + d_{b,l} - d_{a,l})."""
-    return _build_unitary("su", omega)
-
-
-def build_u(omega) -> LieAlgebra:
-    """Unitary family: the su basis plus the central phase generator I."""
-    return _build_unitary("u", omega)
-
-
-def build_sq(omega) -> LieAlgebra:
-    """Quaternionic unitary family on {J, M^alpha, E^alpha}.
-
-    Same-unit rows mirror the J/M pattern; rows mixing distinct quaternionic
-    units alpha != beta carry epsilon(alpha, beta, gamma) with gamma the
-    remaining unit.
-    """
-    om = OmegaVector.coerce(omega)
-    n = om.n
-    labels = labels_for_family("sq", n)
-    bld = _Builder(labels)
-    pairs = [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
-    for a, b, c in combinations(range(n + 1), 3):
-        bld.put(J(a, b), J(a, c), {J(b, c): om.product(a, b)})
-        bld.put(J(a, b), J(b, c), {J(a, c): -_F1})
-        bld.put(J(a, c), J(b, c), {J(a, b): om.product(b, c)})
+def _put_quaternion_rows(bld: _Builder, n: int, w: dict[tuple[int, int], Fraction]):
+    """The sq rows of the diagonal units E and of partners of distinct units."""
     for alpha in (1, 2, 3):
-        for a, b, c in combinations(range(n + 1), 3):
-            w_ab = om.product(a, b)
-            w_bc = om.product(b, c)
-            bld.put(Mq(alpha, a, b), Mq(alpha, a, c), {J(b, c): w_ab})
-            bld.put(Mq(alpha, a, b), Mq(alpha, b, c), {J(a, c): _F1})
-            bld.put(Mq(alpha, a, c), Mq(alpha, b, c), {J(a, b): w_bc})
-            bld.put(J(a, b), Mq(alpha, a, c), {Mq(alpha, b, c): w_ab})
-            bld.put(J(a, b), Mq(alpha, b, c), {Mq(alpha, a, c): -_F1})
-            bld.put(J(a, c), Mq(alpha, b, c), {Mq(alpha, a, b): -w_bc})
-            bld.put(Mq(alpha, a, b), J(a, c), {Mq(alpha, b, c): -w_ab})
-            bld.put(Mq(alpha, a, b), J(b, c), {Mq(alpha, a, c): -_F1})
-            bld.put(Mq(alpha, a, c), J(b, c), {Mq(alpha, a, b): w_bc})
-        for a, b in pairs:
-            w_ab = om.product(a, b)
-            if w_ab:
-                bld.put(
-                    J(a, b),
-                    Mq(alpha, a, b),
-                    {E(alpha, b): _F2 * w_ab, E(alpha, a): -_F2 * w_ab},
-                )
+        for (a, b), w_ab in w.items():
+            bld.put(J(a, b), Mq(alpha, a, b), {E(alpha, b): _F2 * w_ab, E(alpha, a): -_F2 * w_ab})
             bld.put(J(a, b), E(alpha, a), {Mq(alpha, a, b): _F1})
             bld.put(J(a, b), E(alpha, b), {Mq(alpha, a, b): -_F1})
             bld.put(Mq(alpha, a, b), E(alpha, a), {J(a, b): -_F1})
             bld.put(Mq(alpha, a, b), E(alpha, b), {J(a, b): _F1})
-    for alpha in (1, 2, 3):
-        for beta in (1, 2, 3):
-            if beta == alpha:
-                continue
-            gamma, eps = _eps_pair(alpha, beta)
-            feps = Fraction(eps)
-            for a, b, c in combinations(range(n + 1), 3):
-                bld.put(
-                    Mq(alpha, a, b), Mq(beta, a, c), {Mq(gamma, b, c): feps * om.product(a, b)}
-                )
-                bld.put(Mq(alpha, a, b), Mq(beta, b, c), {Mq(gamma, a, c): feps})
-                bld.put(
-                    Mq(alpha, a, c), Mq(beta, b, c), {Mq(gamma, a, b): feps * om.product(b, c)}
-                )
-            for a, b in pairs:
-                bld.put(Mq(alpha, a, b), E(beta, a), {Mq(gamma, a, b): feps})
-                bld.put(Mq(alpha, a, b), E(beta, b), {Mq(gamma, a, b): feps})
-    for alpha, beta in ((1, 2), (1, 3), (2, 3)):
-        gamma, eps = _eps_pair(alpha, beta)
-        feps = Fraction(eps)
-        for a, b in pairs:
-            w_ab = om.product(a, b)
-            if w_ab:
-                bld.put(
-                    Mq(alpha, a, b),
-                    Mq(beta, a, b),
-                    {E(gamma, a): _F2 * feps * w_ab, E(gamma, b): _F2 * feps * w_ab},
-                )
-        for a in range(n + 1):
-            bld.put(E(alpha, a), E(beta, a), {E(gamma, a): _F2 * feps})
-    return LieAlgebra("sq", om, labels, bld.constants)
-
-
-_BUILDERS = {"so": build_so, "su": build_su, "u": build_u, "sq": build_sq}
+    for alpha, beta in permutations((1, 2, 3), 2):
+        gamma = 6 - alpha - beta
+        eps = epsilon(alpha, beta, gamma)
+        for a, b, c in combinations(range(n + 1), 3):
+            bld.put(Mq(alpha, a, b), Mq(beta, a, c), {Mq(gamma, b, c): eps * w[a, b]})
+            bld.put(Mq(alpha, a, b), Mq(beta, b, c), {Mq(gamma, a, c): eps})
+            bld.put(Mq(alpha, a, c), Mq(beta, b, c), {Mq(gamma, a, b): eps * w[b, c]})
+        for a, b in w:
+            bld.put(Mq(alpha, a, b), E(beta, a), {Mq(gamma, a, b): eps})
+            bld.put(Mq(alpha, a, b), E(beta, b), {Mq(gamma, a, b): eps})
+        # [X, Y] and [Y, X] are one row, so the symmetric rows take alpha < beta.
+        if alpha < beta:
+            for (a, b), w_ab in w.items():
+                e_ab = _F2 * eps * w_ab
+                bld.put(Mq(alpha, a, b), Mq(beta, a, b), {E(gamma, a): e_ab, E(gamma, b): e_ab})
+            for a in range(n + 1):
+                bld.put(E(alpha, a), E(beta, a), {E(gamma, a): _F2 * eps})
 
 
 def build_algebra(family: str, omega) -> LieAlgebra:
-    if family not in _BUILDERS:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return _BUILDERS[family](omega)
+    """The closed-form bracket table of `family` at `omega`.
+
+    so, su/u and sq are the metric-antihermitian matrices over R, C and H,
+    and share one rule set (a < b < c, w_ab = omega.product(a, b)):
+
+    * the J rows [J_ab, J_ac] = w_ab J_bc, [J_ab, J_bc] = -J_ac and
+      [J_ac, J_bc] = w_bc J_ab, in every family;
+    * for each imaginary unit of the scalar kind (none over R, i over C,
+      i_1, i_2, i_3 over H), nine rows between J and the partner P_ab of
+      J_ab, which is M(a,b) over C and Mq(alpha,a,b) over H.
+
+    Only the rows of the diagonal generators differ: the torus rows of
+    B(l) over C (the phase I of u is central), and over H the rows of
+    E(alpha, a) and the rows mixing distinct units, signed by epsilon.
+    The rules never read the matrices: `from_matrices` is the route that
+    checks them.
+    """
+    om = OmegaVector.coerce(omega)
+    n = om.n
+    labels = labels_for_family(family, n)
+    kind = FAMILY_KIND[family]
+    bld = _Builder(labels)
+    w = {(a, b): om.product(a, b) for a, b in combinations(range(n + 1), 2)}
+    triples = list(combinations(range(n + 1), 3))
+    for a, b, c in triples:
+        bld.put(J(a, b), J(a, c), {J(b, c): w[a, b]})
+        bld.put(J(a, b), J(b, c), {J(a, c): -_F1})
+        bld.put(J(a, c), J(b, c), {J(a, b): w[b, c]})
+    # R, C and H have real dimension 2**kind, so 2**kind - 1 imaginary units.
+    for alpha in range(1, 2**kind):
+        P = M if kind == Kind.COMPLEX else partial(Mq, alpha)
+        for a, b, c in triples:
+            bld.put(P(a, b), P(a, c), {J(b, c): w[a, b]})
+            bld.put(P(a, b), P(b, c), {J(a, c): _F1})
+            bld.put(P(a, c), P(b, c), {J(a, b): w[b, c]})
+            bld.put(J(a, b), P(a, c), {P(b, c): w[a, b]})
+            bld.put(J(a, b), P(b, c), {P(a, c): -_F1})
+            bld.put(J(a, c), P(b, c), {P(a, b): -w[b, c]})
+            bld.put(P(a, b), J(a, c), {P(b, c): -w[a, b]})
+            bld.put(P(a, b), J(b, c), {P(a, c): -_F1})
+            bld.put(P(a, c), J(b, c), {P(a, b): w[b, c]})
+    if kind == Kind.COMPLEX:
+        _put_torus_rows(bld, n, w)
+    elif kind == Kind.QUATERNION:
+        _put_quaternion_rows(bld, n, w)
+    return LieAlgebra(family, om, labels, bld.constants)
+
+
+# Per-family entry points, kept for library callers.
+def build_so(omega) -> LieAlgebra:
+    return build_algebra("so", omega)
+
+
+def build_su(omega) -> LieAlgebra:
+    return build_algebra("su", omega)
+
+
+def build_u(omega) -> LieAlgebra:
+    return build_algebra("u", omega)
+
+
+def build_sq(omega) -> LieAlgebra:
+    return build_algebra("sq", omega)
 
 
 def verify_jacobi(algebra) -> bool:
@@ -415,20 +371,10 @@ def from_matrices(family: str, omega) -> LieAlgebra:
     r = len(labels)
     for i in range(r):
         for j in range(i + 1, r):
-            com = mat_commutator(mats[i], mats[j])
-            if com.is_zero():
-                continue
-            coeffs = dec.coefficients(com)
-            terms = {k: c for k, c in enumerate(coeffs) if c}
+            terms = dec.coefficients(mat_commutator(mats[i], mats[j]))
             if terms:
                 constants[(i, j)] = terms
     return LieAlgebra(family, om, labels, constants)
-
-
-def contract(omega, zero_set: Iterable[int]) -> OmegaVector:
-    """Zero the listed 1-based coefficients; builders evaluated at the result
-    produce the contracted algebra."""
-    return OmegaVector.coerce(omega).with_zeros(zero_set)
 
 
 def permute_basis(L: LieAlgebra, perm: Iterable[int]) -> LieAlgebra:

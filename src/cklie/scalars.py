@@ -21,7 +21,6 @@ __all__ = [
     "Kind",
     "Hypercomplex",
     "parse_rational",
-    "unit",
     "ONE",
     "I1",
     "I2",
@@ -262,14 +261,3 @@ ONE = Hypercomplex._make(_F1, _F0, _F0, _F0, Kind.REAL)
 I1 = Hypercomplex._make(_F0, _F1, _F0, _F0, Kind.QUATERNION)
 I2 = Hypercomplex._make(_F0, _F0, _F1, _F0, Kind.QUATERNION)
 I3 = Hypercomplex._make(_F0, _F0, _F0, _F1, Kind.QUATERNION)
-
-
-def unit(alpha: int) -> Hypercomplex:
-    """The quaternionic unit i_alpha for alpha in {1, 2, 3}."""
-    if alpha == 1:
-        return I1
-    if alpha == 2:
-        return I2
-    if alpha == 3:
-        return I3
-    raise ValueError(f"quaternionic unit index must be 1, 2 or 3, got {alpha}")

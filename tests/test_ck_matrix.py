@@ -193,26 +193,26 @@ class TestCommutatorAndDecomposition:
         )
         basis = [build_generator("su", lab, om) for lab in labels_for_family("su", 1)]
         coeffs = BasisDecomposer(basis).coefficients(com)
-        assert coeffs == [0, 0, Fraction(-2)]
+        assert coeffs == {2: Fraction(-2)}
 
     def test_decompose_unit_vector(self):
         om = [1, 1]
         basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
         coeffs = BasisDecomposer(basis).coefficients(basis[1])
-        assert coeffs == [0, 1, 0]
+        assert coeffs == {1: 1}
 
     def test_decompose_zero(self):
         om = [1, 1]
         basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
-        assert BasisDecomposer(basis).coefficients(MatrixOverK(3, Kind.REAL)) == [0, 0, 0]
+        assert BasisDecomposer(basis).coefficients(MatrixOverK(3, Kind.REAL)) == {}
 
     def test_decompose_roundtrip_random_combination(self):
         om = [0, 1]
         basis = [build_generator("su", lab, om) for lab in labels_for_family("su", 2)]
-        coeffs = [Fraction(k * k - 3, k + 1) for k in range(len(basis))]
+        coeffs = {k: Fraction(k * k - 3, k + 1) for k in range(len(basis))}
         X = MatrixOverK(3, Kind.COMPLEX)
-        for c, mat in zip(coeffs, basis):
-            X = X + mat * c
+        for k, mat in enumerate(basis):
+            X = X + mat * coeffs[k]
         dec = BasisDecomposer(basis)
         assert dec.coefficients(X) == coeffs
 

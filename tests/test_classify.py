@@ -5,7 +5,6 @@ import pytest
 
 from cklie.ck_matrix import OmegaVector
 from cklie.classify import (
-    ZeroPattern,
     coefficient_cocycle,
     crosscheck,
     pair_combination,
@@ -27,8 +26,8 @@ def sign_patterns(n):
 
 class TestZeroPattern:
     def test_from_omega(self):
-        zp = ZeroPattern.from_omega([1, 0, 0, -1])
-        assert zp.n == 2 and zp.zero_set == frozenset({2, 3})
+        om = OmegaVector.coerce([1, 0, 0, -1])
+        assert om.n_zeros == 2 and om.zero_set() == frozenset({2, 3})
 
 
 class TestPredictSo:

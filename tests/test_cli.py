@@ -64,10 +64,9 @@ class TestGenerators:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_csv_not_supported_here(self, capsys):
-        code, _, err = run(
-            capsys, "generators", "--family", "so", "--omega", "1", "--format", "csv"
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["generators", "--family", "so", "--omega", "1", "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestStructure:
@@ -117,6 +116,28 @@ class TestStructure:
             capsys, "structure", "--family", "so", "--omega", "1,1", "--n", "3"
         )
         assert code == 2
+
+    # sha256 of the output recorded from the per-family closed-form tables
+    # (commit 6d12248); pins every constant at a rational omega with a zero.
+    @pytest.mark.parametrize(
+        "family,fmt,digest",
+        [
+            ("so", "json", "d6a690dcb8a7895364b1b6b8b1f933b7cc3c334898871647a7033e6f5e840acf"),
+            ("so", "text", "c5a55641bd09b04273ae9d65d0ff28db7048fc49224d48f95c81f7c55ad1404a"),
+            ("su", "json", "3fb0452b36474d1ceb8acb71e877ac2fb62f113f0907a57ec85a4800fd9268e5"),
+            ("su", "text", "88bf0c653b5beb9745cbf79a3773f32827623a0a7ee5528fb8ade9f4c2149d01"),
+            ("u", "json", "f5bb98f3f8bca821f74664620ce476b5b787e924c2852b70fa272559fadf752f"),
+            ("u", "text", "51d72dea8d34c3ae241906adb20280b5f91f8f921c9e39a8f882efed300967a1"),
+            ("sq", "json", "a91d86d3f07ec628e8d204174535fc48733bbdd25e1272ed16b1a4a2dd075063"),
+            ("sq", "text", "c1d38861470f70251efabcfbd32fde3cc3b7507a123c39b865ff8b3118ea47d0"),
+        ],
+    )
+    def test_output_digest(self, capsys, family, fmt, digest):
+        code, out, _ = run(
+            capsys, "structure", "--family", family, "--omega", "1,0,-1/2", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestH2:

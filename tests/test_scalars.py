@@ -14,7 +14,6 @@ from cklie.scalars import (
     Kind,
     ONE,
     parse_rational,
-    unit,
 )
 
 UNITS = [ONE, I1, I2, I3, -I1, -I2, -I3, -ONE]
@@ -84,17 +83,17 @@ class TestRational:
 
 class TestHypercomplex:
     def test_defining_relations(self):
-        assert unit(1) * unit(2) == unit(3)
-        assert unit(2) * unit(3) == unit(1)
-        assert unit(3) * unit(1) == unit(2)
-        for alpha in (1, 2, 3):
-            assert unit(alpha) * unit(alpha) == -ONE
+        assert I1 * I2 == I3
+        assert I2 * I3 == I1
+        assert I3 * I1 == I2
+        for u in (I1, I2, I3):
+            assert u * u == -ONE
 
     def test_anticommutation(self):
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
+        for a in (I1, I2, I3):
+            for b in (I1, I2, I3):
                 if a != b:
-                    assert unit(a) * unit(b) == -(unit(b) * unit(a))
+                    assert a * b == -(b * a)
 
     def test_norm_expansion(self):
         assert hc(1, 1) * hc(1, -1) == hc(2)
