@@ -17,20 +17,17 @@ from .ck_matrix import (
     J,
     M,
     MatrixOverK,
-    MetricMatrix,
     Mq,
     OmegaVector,
     XI_LABEL,
     build_generator,
     build_metric,
-    family_dimension,
     is_metric_antihermitian,
     is_traceless,
     labels_for_family,
     mat_commutator,
 )
 from .lie_core import (
-    ExtendedAlgebra,
     LieAlgebra,
     build_algebra,
     build_extended,
@@ -40,7 +37,6 @@ from .lie_core import (
     build_u,
     epsilon,
     from_matrices,
-    permute_basis,
     verify_jacobi,
 )
 from .cohomology import (
@@ -49,7 +45,6 @@ from .cohomology import (
     OneCochain,
     TwoCochain,
     coboundary,
-    exact_rank,
     h2,
 )
 from .classify import (

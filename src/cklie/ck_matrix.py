@@ -25,7 +25,6 @@ __all__ = [
     "FAMILIES",
     "FAMILY_KIND",
     "OmegaVector",
-    "MetricMatrix",
     "build_metric",
     "GeneratorLabel",
     "J",
@@ -36,7 +35,6 @@ __all__ = [
     "I_LABEL",
     "XI_LABEL",
     "labels_for_family",
-    "family_dimension",
     "MatrixOverK",
     "build_generator",
     "is_metric_antihermitian",
@@ -154,27 +152,10 @@ class OmegaVector:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
-class MetricMatrix:
+def build_metric(omega) -> tuple[Fraction, ...]:
     """Diagonal of the hermitian metric: (1, w_01, w_02, ..., w_0N)."""
-
-    diag: tuple[Fraction, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-    def signature(self) -> tuple[int, int]:
-        """(#positive, #negative) diagonal entries; undefined with zeros present."""
-        if any(not d for d in self.diag):
-            raise ValueError("signature undefined: metric has zero entries")
-        pos = sum(1 for d in self.diag if d > 0)
-        return pos, len(self.diag) - pos
-
-
-def build_metric(omega) -> MetricMatrix:
     om = OmegaVector.coerce(omega)
-    return MetricMatrix(tuple(om.product(0, b) for b in range(om.n + 1)))
+    return tuple(om.product(0, b) for b in range(om.n + 1))
 
 
 @dataclass(frozen=True)
@@ -276,18 +257,6 @@ def labels_for_family(family: str, n: int) -> list[GeneratorLabel]:
     return js + mqs + es
 
 
-def family_dimension(family: str, n: int) -> int:
-    if family == "so":
-        return n * (n + 1) // 2
-    if family == "su":
-        return (n + 1) ** 2 - 1
-    if family == "u":
-        return (n + 1) ** 2
-    if family == "sq":
-        return 2 * (n + 1) ** 2 + (n + 1)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def _accumulate(cells: dict, ij: tuple[int, int], value: Hypercomplex):
     cells[ij] = cells[ij] + value if ij in cells else value
 
@@ -319,9 +288,6 @@ class MatrixOverK:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return MatrixOverK(self.dim, self.kind, {ij: v * scalar for ij, v in self.cells.items()})
-
-    def is_zero(self) -> bool:
-        return not self.cells
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixOverK):
@@ -403,17 +369,18 @@ def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     return MatrixOverK(n + 1, kind, cells)
 
 
-def is_metric_antihermitian(X: MatrixOverK, g: MetricMatrix) -> bool:
-    """Exact test of conj-transpose(X) * G + G * X == 0 for diagonal metric G.
+def is_metric_antihermitian(X: MatrixOverK, g: Sequence[Fraction]) -> bool:
+    """Exact test of conj-transpose(X) * G + G * X == 0 for the diagonal
+    metric G = diag(g), as given by `build_metric`.
 
     Entry (i, j) of that sum is g_j conj(X_ji) + g_i X_ij.  The sum is
     hermitian, so checking it where X_ij is nonzero covers every entry.
     """
-    if X.dim != g.dim:
-        raise ValueError(f"dimension mismatch: matrix {X.dim} vs metric {g.dim}")
+    if X.dim != len(g):
+        raise ValueError(f"dimension mismatch: matrix {X.dim} vs metric {len(g)}")
     zero = Hypercomplex.zero(X.kind)
     return not any(
-        X.cells.get((j, i), zero).conjugate() * g.diag[j] + v * g.diag[i]
+        X.cells.get((j, i), zero).conjugate() * g[j] + v * g[i]
         for (i, j), v in X.cells.items()
     )
 
@@ -494,7 +461,9 @@ class BasisDecomposer:
             self._rows.append(row)
             self._combos.append(combo)
 
-    def _reduce(self, row: dict, combo: dict | None):
+    def _reduce(self, row: dict, combo: dict):
+        """Reduce row in place while it leads a pivot column, subtracting the
+        same multiples of the echelon combinations from combo."""
         while row:
             p = min(row)
             slot = self._pivot_slot.get(p)
@@ -502,25 +471,14 @@ class BasisDecomposer:
                 return
             f = row[p]
             _sub_scaled(row, self._rows[slot], f)
-            if combo is not None:
-                _sub_scaled(combo, self._combos[slot], f)
+            _sub_scaled(combo, self._combos[slot], f)
 
     def coefficients(self, mat: MatrixOverK) -> dict[int, Fraction]:
         """The nonzero coordinates {k: c_k} with mat == sum(c_k * basis_k);
         NotInSpanError if mat is outside the span."""
         row = _flatten(mat)
         acc: dict[int, Fraction] = {}
-        while row:
-            p = min(row)
-            slot = self._pivot_slot.get(p)
-            if slot is None:
-                raise NotInSpanError("matrix is not in the span of the basis")
-            f = row[p]
-            _sub_scaled(row, self._rows[slot], f)
-            for k, v in self._combos[slot].items():
-                nv = acc.get(k, _F0) + f * v
-                if nv:
-                    acc[k] = nv
-                else:
-                    acc.pop(k, None)
-        return acc
+        self._reduce(row, acc)
+        if row:
+            raise NotInSpanError("matrix is not in the span of the basis")
+        return {k: -v for k, v in acc.items()}

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import product
 
 from .ck_matrix import (
@@ -58,65 +57,33 @@ class InputError(Exception):
     """User-facing input problem; reported on stderr with exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str
-    n: int
-    omega: OmegaVector | None
-    fmt: str
-    out: str | None
-    jobs: int
-    corrupt: bool = False
-
-
-def _parse_omega(text: str) -> OmegaVector:
-    try:
-        return OmegaVector.parse(text)
-    except ValueError as exc:
-        raise InputError(f"bad --omega value: {exc}") from None
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    family = args.family
-    omega = None
-    n = getattr(args, "n", None)
-    if getattr(args, "omega", None) is not None:
-        omega = _parse_omega(args.omega)
-        if n is not None and n != omega.n:
-            raise InputError(f"--n {n} disagrees with --omega of length {omega.n}")
-        n = omega.n
-    if n is None:
-        raise InputError("either --omega or --n is required")
-    if n < 1:
+def _check_size(args: argparse.Namespace) -> None:
+    """Parse --omega in place and check --n against it; --n alone sizes a sweep."""
+    if "omega" in args:
+        try:
+            args.omega = OmegaVector.parse(args.omega)
+        except ValueError as exc:
+            raise InputError(f"bad --omega value: {exc}") from None
+        if args.n is not None and args.n != args.omega.n:
+            raise InputError(f"--n {args.n} disagrees with --omega of length {args.omega.n}")
+        args.n = args.omega.n
+    if args.n < 1:
         raise InputError("--n must be >= 1")
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise InputError("--jobs must be >= 1")
-    return RunConfig(
-        command=args.command,
-        family=family,
-        n=n,
-        omega=omega,
-        fmt=args.format,
-        out=getattr(args, "out", None),
-        jobs=jobs,
-        corrupt=bool(getattr(args, "corrupt", False)),
-    )
 
 
-def _write_output(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_output(args: argparse.Namespace, text: str):
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, payload) -> None:
-    _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _emit_json(args: argparse.Namespace, payload) -> None:
+    _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -124,27 +91,27 @@ def _emit_json(cfg: RunConfig, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generators(cfg: RunConfig) -> int:
-    labels = labels_for_family(cfg.family, cfg.n)
-    mats = [(lab, build_generator(cfg.family, lab, cfg.omega)) for lab in labels]
-    if cfg.fmt == "json":
+def cmd_generators(args: argparse.Namespace) -> int:
+    labels = labels_for_family(args.family, args.n)
+    mats = [(lab, build_generator(args.family, lab, args.omega)) for lab in labels]
+    if args.format == "json":
         payload = {
-            "family": cfg.family,
-            "n": cfg.n,
-            "omega": [str(c) for c in cfg.omega],
+            "family": args.family,
+            "n": args.n,
+            "omega": [str(c) for c in args.omega],
             "dim": len(labels),
             "generators": [
                 {"label": str(lab), "matrix": mat.to_component_lists()}
                 for lab, mat in mats
             ],
         }
-        _emit_json(cfg, payload)
+        _emit_json(args, payload)
     else:
-        lines = [f"family {cfg.family}  omega ({cfg.omega.text()})  {len(labels)} generators"]
+        lines = [f"family {args.family}  omega ({args.omega.text()})  {len(labels)} generators"]
         for lab, mat in mats:
             lines.append(f"{lab}:")
             lines.append(str(mat))
-        _write_output(cfg, "\n".join(lines) + "\n")
+        _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -153,9 +120,9 @@ def cmd_generators(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_structure(cfg: RunConfig) -> int:
-    L = build_algebra(cfg.family, cfg.omega)
-    if cfg.corrupt:
+def cmd_structure(args: argparse.Namespace) -> int:
+    L = build_algebra(args.family, args.omega)
+    if args.corrupt:
         rows = sorted(L.constants)
         if not rows:
             raise InputError("algebra is abelian; nothing to corrupt")
@@ -165,21 +132,21 @@ def cmd_structure(cfg: RunConfig) -> int:
         terms[k] = -terms[k]
         L = LieAlgebra(L.family, L.omega, L.basis, {**L.constants, pair: terms})
     jacobi_ok = verify_jacobi(L)
-    matrix_match = from_matrices(cfg.family, cfg.omega).same_constants(L)
+    matrix_match = from_matrices(args.family, args.omega).same_constants(L)
     payload = L.to_json_obj()
     payload["jacobi_ok"] = jacobi_ok
     payload["matrix_match"] = matrix_match
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
+    if args.format == "json":
+        _emit_json(args, payload)
     else:
         lines = [
-            f"family {cfg.family}  omega ({cfg.omega.text()})  dim {L.dim}",
+            f"family {args.family}  omega ({args.omega.text()})  dim {L.dim}",
             f"jacobi_ok: {jacobi_ok}",
             f"matrix_match: {matrix_match}",
         ]
         for i, j, k, c in L.structure_rows():
             lines.append(f"[{L.basis[i]}, {L.basis[j]}] -> {c} * {L.basis[k]}")
-        _write_output(cfg, "\n".join(lines) + "\n")
+        _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK if (jacobi_ok and matrix_match) else EXIT_CHECK_FAILED
 
 
@@ -207,13 +174,13 @@ def _h2_payload(family: str, omega: OmegaVector) -> dict:
     return payload
 
 
-def cmd_h2(cfg: RunConfig) -> int:
-    payload = _h2_payload(cfg.family, cfg.omega)
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
+def cmd_h2(args: argparse.Namespace) -> int:
+    payload = _h2_payload(args.family, args.omega)
+    if args.format == "json":
+        _emit_json(args, payload)
     else:
         lines = [
-            f"family {cfg.family}  omega ({cfg.omega.text()})",
+            f"family {args.family}  omega ({args.omega.text()})",
             f"dim_z2 {payload['dim_z2']}  dim_b2 {payload['dim_b2']}  dim_h2 {payload['dim_h2']}",
             f"predicted {payload['predicted']}  match {payload['match']}",
         ]
@@ -222,7 +189,7 @@ def cmd_h2(cfg: RunConfig) -> int:
                 f"xi({p['label_i']},{p['label_j']})={p['c']}" for p in rep["pairs"]
             )
             lines.append(f"representative: {body}")
-        _write_output(cfg, "\n".join(lines) + "\n")
+        _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK if payload["match"] else EXIT_CHECK_FAILED
 
 
@@ -253,32 +220,34 @@ def _sweep_worker(task: tuple[str, tuple[int, ...]]) -> dict:
 
 
 def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
-    """All 3^n sign patterns, rows sorted by omega lexicographic order."""
+    """All 3^n sign patterns, rows in lexicographic omega order: `product`
+    yields the patterns in that order and `Pool.map` keeps it."""
     tasks = [(family, signs) for signs in product((-1, 0, 1), repeat=n)]
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # Imported here: only a parallel sweep pays for loading multiprocessing.
         from multiprocessing import Pool
 
-        with Pool(processes=jobs) as pool:
-            rows = pool.map(_sweep_worker, tasks)
-    else:
-        rows = [_sweep_worker(t) for t in tasks]
-    rows.sort(key=lambda row: tuple(int(s) for s in row["omega"].split(",")))
-    return rows
+        with Pool(processes=workers) as pool:
+            return pool.map(_sweep_worker, tasks)
+    return [_sweep_worker(t) for t in tasks]
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    rows = sweep_rows(cfg.family, cfg.n, jobs=cfg.jobs)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise InputError("--jobs must be >= 1")
+    rows = sweep_rows(args.family, args.n, jobs=jobs)
     mismatches = sum(1 for row in rows if not row["match"])
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(
-            cfg,
+            args,
             {
                 "rows": rows,
                 "summary": {"cases": len(rows), "mismatches": mismatches},
             },
         )
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
@@ -297,7 +266,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 ]
             )
         buf.write(f"# summary cases={len(rows)} mismatches={mismatches}\n")
-        _write_output(cfg, buf.getvalue())
+        _write_output(args, buf.getvalue())
     else:
         lines = []
         for row in rows:
@@ -306,7 +275,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"h2={row['dim_h2']} predicted={row['predicted']} match={row['match']}"
             )
         lines.append(f"summary: cases={len(rows)} mismatches={mismatches}")
-        _write_output(cfg, "\n".join(lines) + "\n")
+        _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK if mismatches == 0 else EXIT_CHECK_FAILED
 
 
@@ -379,24 +348,24 @@ def _pseudoextension_removal_status(family: str, omega: OmegaVector, L) -> str:
     return "skipped"
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = verify_case(cfg.family, cfg.omega)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = verify_case(args.family, args.omega)
     failed = [name for name, status in checks.items() if status == "fail"]
     payload = {
-        "family": cfg.family,
-        "n": cfg.n,
-        "omega": [str(c) for c in cfg.omega],
+        "family": args.family,
+        "n": args.n,
+        "omega": [str(c) for c in args.omega],
         "checks": checks,
         "ok": not failed,
     }
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
+    if args.format == "json":
+        _emit_json(args, payload)
     else:
-        lines = [f"family {cfg.family}  omega ({cfg.omega.text()})"]
+        lines = [f"family {args.family}  omega ({args.omega.text()})"]
         for name, status in checks.items():
             lines.append(f"{name}: {status}")
         lines.append("ok" if not failed else f"FAILED: {', '.join(failed)}")
-        _write_output(cfg, "\n".join(lines) + "\n")
+        _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
@@ -466,8 +435,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        _check_size(args)
+        return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .scalars import _frac
 
@@ -45,7 +45,6 @@ __all__ = [
     "CohomologySolver",
     "coboundary",
     "h2",
-    "exact_rank",
 ]
 
 _F0 = Fraction(0)
@@ -103,9 +102,6 @@ class TwoCochain:
 
     def items(self):
         return sorted(self.entries.items())
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwoCochain):
@@ -301,30 +297,6 @@ def _rational_rows(pivots: list[int], rows: list[dict[int, int]]) -> list[dict[i
     return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, rows)]
 
 
-def exact_rank(matrix: Sequence[Sequence]) -> tuple[int, list[list[Fraction]]]:
-    """Exact rank and nullspace basis of a dense rational matrix.
-
-    Accepts rows of ints/Fractions; returns (rank, basis vectors as dense
-    Fraction lists, one per free column, in column order).
-    """
-    if not matrix:
-        return 0, []
-    ncols = len(matrix[0])
-    rows = []
-    for raw in matrix:
-        if len(raw) != ncols:
-            raise ValueError("ragged matrix")
-        vals = [_frac(v) for v in raw]
-        d = lcm(*(v.denominator for v in vals))
-        rows.append({c: v.numerator * (d // v.denominator) for c, v in enumerate(vals) if v})
-    pivots, red = _rref(rows)
-    null = _nullspace(pivots, red, ncols)
-    piv_set = set(pivots)
-    free = [c for c in range(ncols) if c not in piv_set]
-    dense = [[Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] for f, vec in zip(free, null)]
-    return len(pivots), dense
-
-
 # ---------------------------------------------------------------------------
 # Cocycle system assembly and the solver proper
 # ---------------------------------------------------------------------------
@@ -373,8 +345,8 @@ class CohomologySolver:
     queries stay cheap."""
 
     def __init__(self, algebra):
-        self.algebra = getattr(algebra, "algebra", algebra)
-        r = self.algebra.dim
+        self.algebra = algebra
+        r = algebra.dim
         self.pairs = tuple((i, j) for i in range(r) for j in range(i + 1, r))
         self.pair_index = {pair: t for t, pair in enumerate(self.pairs)}
         self.n_unknowns = len(self.pairs)
@@ -516,12 +488,11 @@ class CohomologySolver:
 
 def coboundary(mu, L) -> TwoCochain:
     """The 2-coboundary of mu: xi_ij = sum_k C_ij^k mu_k."""
-    algebra = getattr(L, "algebra", L)
     values = mu.values if isinstance(mu, OneCochain) else OneCochain(mu).values
-    if len(values) != algebra.dim:
+    if len(values) != L.dim:
         raise ValueError("mu dimension does not match the algebra")
     entries: dict[tuple[int, int], Fraction] = {}
-    for (i, j), terms in algebra.constants.items():
+    for (i, j), terms in L.constants.items():
         s = _F0
         for k, c in terms.items():
             v = values[k]
@@ -529,7 +500,7 @@ def coboundary(mu, L) -> TwoCochain:
                 s += c * v
         if s:
             entries[(i, j)] = s
-    return TwoCochain(algebra.dim, entries)
+    return TwoCochain(L.dim, entries)
 
 
 def h2(L) -> CohomologyResult:

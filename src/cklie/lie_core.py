@@ -8,8 +8,8 @@ three over H), and only the rows of the diagonal generators (the torus of
 su/u; the units E and the mixed-unit rows of sq) are family-specific.
 `from_matrices` rebuilds the same constants by commuting the matrix
 generators and decomposing in the basis, which cross-validates both routes
-constant by constant.  Jacobi verification, basis permutation and centrally
-extended algebras live here too.
+constant by constant.  Jacobi verification and centrally extended algebras
+live here too.
 
 `verify_jacobi` is exact but runs in Python integers: it clears the
 denominators of all constants once (the Jacobiator is quadratic, so scaling
@@ -23,12 +23,10 @@ no implied summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
 from math import lcm
-from typing import Iterable
 
 from .ck_matrix import (
     FAMILY_KIND,
@@ -56,9 +54,7 @@ __all__ = [
     "build_algebra",
     "verify_jacobi",
     "from_matrices",
-    "permute_basis",
     "epsilon",
-    "ExtendedAlgebra",
     "build_extended",
 ]
 
@@ -115,11 +111,6 @@ class LieAlgebra:
         if not terms:
             return {}
         return {k: -c for k, c in terms.items()}
-
-    def bracket_of(self, u: GeneratorLabel, v: GeneratorLabel) -> dict[GeneratorLabel, Fraction]:
-        return {
-            self.basis[k]: c for k, c in self.bracket(self.index(u), self.index(v)).items()
-        }
 
     def structure_rows(self):
         """Yield (i, j, k, c) with i < j, sorted, over nonzero constants."""
@@ -303,7 +294,7 @@ def build_sq(omega) -> LieAlgebra:
     return build_algebra("sq", omega)
 
 
-def verify_jacobi(algebra) -> bool:
+def verify_jacobi(L: LieAlgebra) -> bool:
     """Exact Jacobi check: is [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j]
     zero for every index triple i < j < l?
 
@@ -316,11 +307,7 @@ def verify_jacobi(algebra) -> bool:
     with X_j, with X_i or with some X_k in the support of [X_i, X_j].  Every
     term of a triple's Jacobiator is summed under that triple's pair (i, j),
     and the accumulator is dropped after each pair.
-
-    Accepts a LieAlgebra or anything exposing `.algebra` (e.g. an
-    ExtendedAlgebra).
     """
-    L = getattr(algebra, "algebra", algebra)
     # adj[i][j]: the terms of d*[X_i, X_j] for both index orders.
     adj: list[dict[int, dict[int, int]]] = [{} for _ in range(L.dim)]
     for (i, j), row in L.integer_constants().items():
@@ -377,52 +364,13 @@ def from_matrices(family: str, omega) -> LieAlgebra:
     return LieAlgebra(family, om, labels, constants)
 
 
-def permute_basis(L: LieAlgebra, perm: Iterable[int]) -> LieAlgebra:
-    """Same algebra on a permuted basis: new basis[p] = old basis[perm[p]]."""
-    perm = list(perm)
-    r = L.dim
-    if sorted(perm) != list(range(r)):
-        raise ValueError("perm must be a permutation of 0..dim-1")
-    inv = [0] * r
-    for p, old in enumerate(perm):
-        inv[old] = p
-    basis = [L.basis[old] for old in perm]
-    constants: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), terms in L.constants.items():
-        p, q = inv[i], inv[j]
-        sign = 1
-        if p > q:
-            p, q = q, p
-            sign = -1
-        constants[(p, q)] = {inv[k]: Fraction(sign) * c for k, c in terms.items()}
-    return LieAlgebra(L.family, L.omega, basis, constants)
-
-
-@dataclass(frozen=True)
-class ExtendedAlgebra:
-    """Central extension: base brackets plus xi_ij on the adjoined center.
-
-    The central generator occupies the last index of `algebra` and carries
-    no bracket rows, so it commutes with everything by construction.
-    """
-
-    base: LieAlgebra
-    xi: object
-    algebra: LieAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        return self.algebra.bracket(i, j)
-
-
-def build_extended(L: LieAlgebra, xi) -> ExtendedAlgebra:
+def build_extended(L: LieAlgebra, xi) -> LieAlgebra:
     """Adjoin a central generator with extension coefficients xi.
 
-    The result satisfies the Jacobi identity exactly when xi solves the
-    cocycle equations of L.
+    The central generator XI_LABEL takes the last index and carries no
+    bracket rows, so it commutes with everything by construction.  The
+    result satisfies the Jacobi identity exactly when xi solves the cocycle
+    equations of L.
     """
     r = L.dim
     if xi.dim != r:
@@ -432,5 +380,4 @@ def build_extended(L: LieAlgebra, xi) -> ExtendedAlgebra:
     for (i, j), value in xi.items():
         if value:
             constants.setdefault((i, j), {})[r] = value
-    extended = LieAlgebra(L.family, L.omega, basis, constants)
-    return ExtendedAlgebra(base=L, xi=xi, algebra=extended)
+    return LieAlgebra(L.family, L.omega, basis, constants)

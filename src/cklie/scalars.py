@@ -154,9 +154,6 @@ class Hypercomplex:
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.w, self.x, self.y, self.z)
 
-    def is_zero(self) -> bool:
-        return not (self.w or self.x or self.y or self.z)
-
     def __bool__(self) -> bool:
         return bool(self.w or self.x or self.y or self.z)
 
@@ -229,10 +226,6 @@ class Hypercomplex:
     def conjugate(self) -> "Hypercomplex":
         """Scalar conjugation: fixes the real part, negates i, j, k parts."""
         return Hypercomplex._make(self.w, -self.x, -self.y, -self.z, self.kind)
-
-    def norm_sq(self) -> Fraction:
-        """w^2 + x^2 + y^2 + z^2; equals self * conj(self), always real."""
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def __str__(self) -> str:
         parts = []

@@ -5,10 +5,18 @@ shared code, integer tricks or sparsity, so it can arbitrate the package's
 elimination kernel, cohomology dimensions and bases; the cocycle test and
 the Jacobi check walk every index triple in Fractions, and the quaternion
 product is the full 16-term formula.
+
+The last section holds test-side tools that are not oracles: a basis
+permutation, a label-keyed bracket, the dimension formulas and the adapter
+that drives the package's own elimination kernel.  No oracle calls them.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+
+from cklie.cohomology import _nullspace, _rref
+from cklie.lie_core import LieAlgebra
 
 # Filled by the acceptance tests, echoed by the conftest terminal summary.
 CRITERION_LINES: list[str] = []
@@ -137,12 +145,8 @@ def oracle_is_cocycle(L, xi):
     return True
 
 
-def oracle_jacobi(algebra):
-    """Jacobi identity over every index triple i < j < l, in Fractions.
-
-    Accepts a LieAlgebra or anything exposing `.algebra` (an ExtendedAlgebra).
-    """
-    L = getattr(algebra, "algebra", algebra)
+def oracle_jacobi(L):
+    """Jacobi identity over every index triple i < j < l, in Fractions."""
     for i, j, l in combinations(range(L.dim), 3):
         acc = {}
         for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
@@ -164,3 +168,67 @@ def oracle_quaternion_product(a, b):
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     )
+
+
+# ---------------------------------------------------------------------------
+# Test-side tools (not oracles)
+# ---------------------------------------------------------------------------
+
+# Real dimension of each family as a function of N.
+FAMILY_DIMENSION = {
+    "so": lambda n: n * (n + 1) // 2,
+    "su": lambda n: (n + 1) ** 2 - 1,
+    "u": lambda n: (n + 1) ** 2,
+    "sq": lambda n: 2 * (n + 1) ** 2 + (n + 1),
+}
+
+
+def bracket_of(L, u, v):
+    """[u, v] for generator labels u, v, as {label: coefficient}."""
+    return {L.basis[k]: c for k, c in L.bracket(L.index(u), L.index(v)).items()}
+
+
+def permute_basis(L, perm):
+    """Same algebra on a permuted basis: new basis[p] = old basis[perm[p]]."""
+    perm = list(perm)
+    r = L.dim
+    if sorted(perm) != list(range(r)):
+        raise ValueError("perm must be a permutation of 0..dim-1")
+    inv = [0] * r
+    for p, old in enumerate(perm):
+        inv[old] = p
+    basis = [L.basis[old] for old in perm]
+    constants = {}
+    for (i, j), terms in L.constants.items():
+        p, q = inv[i], inv[j]
+        sign = 1
+        if p > q:
+            p, q = q, p
+            sign = -1
+        constants[(p, q)] = {inv[k]: Fraction(sign) * c for k, c in terms.items()}
+    return LieAlgebra(L.family, L.omega, basis, constants)
+
+
+def kernel_rank(matrix):
+    """Rank and nullspace basis of a dense rational matrix through the
+    package's kernel, `cohomology._rref` and `_nullspace`.
+
+    Each row goes in as sparse integers, scaled by the lcm of its
+    denominators; each basis vector comes out dense in Fractions, 1 at its
+    free column, one per free column in column order.
+    """
+    if not matrix:
+        return 0, []
+    ncols = len(matrix[0])
+    rows = []
+    for raw in matrix:
+        vals = [Fraction(v) for v in raw]
+        d = lcm(*(v.denominator for v in vals))
+        rows.append({c: v.numerator * (d // v.denominator) for c, v in enumerate(vals) if v})
+    pivots, red = _rref(rows)
+    piv_set = set(pivots)
+    free = [c for c in range(ncols) if c not in piv_set]
+    null = _nullspace(pivots, red, ncols)
+    return len(pivots), [
+        [Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] for f, vec in zip(free, null)
+    ]

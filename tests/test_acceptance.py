@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from helpers import CRITERION_LINES, oracle_h2_dims
+from helpers import CRITERION_LINES, oracle_h2_dims, permute_basis
 
 from cklie.ck_matrix import OmegaVector
 from cklie.classify import (
@@ -21,7 +21,7 @@ from cklie.classify import (
 )
 from cklie.classify import _beta_factors
 from cklie.cohomology import CohomologySolver, coboundary
-from cklie.lie_core import build_algebra, build_so, from_matrices, permute_basis, verify_jacobi
+from cklie.lie_core import build_algebra, build_so, from_matrices, verify_jacobi
 
 
 def announce(num: int, title: str, ok: bool, detail: str = ""):

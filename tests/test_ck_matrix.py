@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from helpers import FAMILY_DIMENSION
 from cklie.ck_matrix import (
     B,
     BasisDecomposer,
@@ -17,7 +18,6 @@ from cklie.ck_matrix import (
     OmegaVector,
     build_generator,
     build_metric,
-    family_dimension,
     is_metric_antihermitian,
     is_traceless,
     labels_for_family,
@@ -73,33 +73,27 @@ class TestOmegaVector:
 
 class TestMetric:
     def test_all_ones(self):
-        assert build_metric([1, 1]).diag == (1, 1, 1)
+        assert build_metric([1, 1]) == (1, 1, 1)
 
     def test_zero_propagates_rightward(self):
-        assert build_metric([0, 1]).diag == (1, 0, 0)
+        assert build_metric([0, 1]) == (1, 0, 0)
 
     def test_sign_propagation(self):
-        assert build_metric([-1, 1]).diag == (1, -1, -1)
-
-    def test_signature(self):
-        assert build_metric([-1, 1]).signature() == (1, 2)
-        assert build_metric([1, 1, 1]).signature() == (4, 0)
-        with pytest.raises(ValueError):
-            build_metric([0, 1]).signature()
+        assert build_metric([-1, 1]) == (1, -1, -1)
 
 
 class TestLabels:
     def test_basis_sizes_match_formulas(self):
         for family in FAMILIES:
             for n in range(1, 7):
-                assert len(labels_for_family(family, n)) == family_dimension(family, n)
+                assert len(labels_for_family(family, n)) == FAMILY_DIMENSION[family](n)
 
     def test_family_dimension_values(self):
-        assert family_dimension("so", 3) == 6
-        assert family_dimension("su", 2) == 8
-        assert family_dimension("u", 2) == 9
-        assert family_dimension("sq", 1) == 10
-        assert family_dimension("sq", 2) == 21
+        assert len(labels_for_family("so", 3)) == 6
+        assert len(labels_for_family("su", 2)) == 8
+        assert len(labels_for_family("u", 2)) == 9
+        assert len(labels_for_family("sq", 1)) == 10
+        assert len(labels_for_family("sq", 2)) == 21
 
     def test_label_strings(self):
         assert str(J(0, 1)) == "J(0,1)"
@@ -176,8 +170,8 @@ class TestCommutatorAndDecomposition:
     def test_commutator_antisymmetry(self):
         X = build_generator("so", J(0, 1), [1, 1])
         Y = build_generator("so", J(1, 2), [1, 1])
-        assert mat_commutator(X, X).is_zero()
-        assert (mat_commutator(X, Y) + mat_commutator(Y, X)).is_zero()
+        assert not mat_commutator(X, X).cells
+        assert not (mat_commutator(X, Y) + mat_commutator(Y, X)).cells
 
     def test_so3_bracket_as_matrices(self):
         om = [1, 1]

@@ -2,11 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cklie.ck_matrix import NotInSpanError
-from cklie.cli import main
+from cklie.cli import main, sweep_rows
 
 
 def run(capsys, *argv):
@@ -232,6 +236,28 @@ class TestSweep:
         )
         assert serial == parallel
 
+    def test_workers_capped_at_cases(self, monkeypatch):
+        # A recording stand-in for Pool: no process is started.
+        asked = []
+
+        class FakePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        rows = sweep_rows("so", 1, jobs=8)
+        assert asked == [3]
+        assert rows == sweep_rows("so", 1, jobs=1)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run(
@@ -287,3 +313,23 @@ class TestArgumentValidation:
             capsys, "sweep", "--family", "so", "--n", "2", "--jobs", "0"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, where):
+        target = tmp_path / "no" / "such" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run(
+            capsys, "h2", "--family", "so", "--omega", "1", "--out", str(target)
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write --out {target}")
+        assert out == ""
+
+
+class TestImport:
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        # Only a parallel sweep needs multiprocessing; every launch pays for
+        # what `import cklie.cli` loads.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import cklie.cli, sys; assert 'multiprocessing' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     dense_nullspace,
     dense_rank,
+    kernel_rank,
     oracle_cocycle_system,
     oracle_h2_bases,
     oracle_h2_dims,
     oracle_is_cocycle,
+    permute_basis,
 )
 
 from cklie.cohomology import (
@@ -19,7 +21,6 @@ from cklie.cohomology import (
     OneCochain,
     TwoCochain,
     coboundary,
-    exact_rank,
     h2,
 )
 from cklie.classify import coefficient_cocycle, predict
@@ -88,35 +89,35 @@ class TestTwoCochain:
         a = TwoCochain(3, {(0, 1): Fraction(1)})
         b = TwoCochain(3, {(0, 1): Fraction(-1), (1, 2): Fraction(2)})
         assert (a + b).entries == {(1, 2): Fraction(2)}
-        assert (a - a).is_zero()
+        assert not (a - a).entries
         assert (2 * a).value(0, 1) == 2
         assert (-b).value(1, 2) == -2
 
     def test_zero_entries_dropped(self):
         xi = TwoCochain(3, {(0, 1): Fraction(0)})
-        assert xi.is_zero() and xi == TwoCochain(3)
+        assert not xi.entries and xi == TwoCochain(3)
 
 
 class TestExactRank:
     def test_identity(self):
-        rank, null = exact_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        rank, null = kernel_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert rank == 3 and null == []
 
     def test_zero_matrix(self):
-        rank, null = exact_rank([[0, 0], [0, 0]])
+        rank, null = kernel_rank([[0, 0], [0, 0]])
         assert rank == 0
         assert null == [[1, 0], [0, 1]]
 
     def test_rank_deficient(self):
-        rank, null = exact_rank([[1, 2], [2, 4]])
+        rank, null = kernel_rank([[1, 2], [2, 4]])
         assert rank == 1
         assert null == [[Fraction(-2), Fraction(1)]]
 
     def test_empty(self):
-        assert exact_rank([]) == (0, [])
+        assert kernel_rank([]) == (0, [])
 
     def test_rational_entries(self):
-        rank, null = exact_rank([[Fraction(1, 2), Fraction(1, 3)]])
+        rank, null = kernel_rank([[Fraction(1, 2), Fraction(1, 3)]])
         assert rank == 1
         assert len(null) == 1
         v = null[0]
@@ -125,7 +126,7 @@ class TestExactRank:
     @given(rational_matrices(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_against_dense_oracle(self, matrix, rnd):
-        rank, null = exact_rank(matrix)
+        rank, null = kernel_rank(matrix)
         assert rank == dense_rank(matrix)
         assert null == dense_nullspace(matrix, len(matrix[0]))
         # The produced vectors must actually solve the system.
@@ -135,7 +136,7 @@ class TestExactRank:
         # The RREF is unique, so the order rows arrive in cannot matter.
         shuffled = list(matrix)
         rnd.shuffle(shuffled)
-        assert exact_rank(matrix[::-1]) == exact_rank(shuffled) == (rank, null)
+        assert kernel_rank(matrix[::-1]) == kernel_rank(shuffled) == (rank, null)
 
 
 class TestCocycleSystem:
@@ -171,7 +172,7 @@ class TestCocycleSystem:
 class TestCoboundary:
     def test_zero_mu(self):
         L = build_so([1, 1])
-        assert coboundary(OneCochain([0] * 3), L).is_zero()
+        assert not coboundary(OneCochain([0] * 3), L).entries
 
     def test_single_slot(self):
         L = build_so([1, 1])
@@ -182,7 +183,7 @@ class TestCoboundary:
 
     def test_abelian_always_zero(self):
         L = build_so([1])
-        assert coboundary(OneCochain([0]), L).is_zero()
+        assert not coboundary(OneCochain([0]), L).entries
 
     @pytest.mark.parametrize(
         "family,signs",
@@ -353,8 +354,6 @@ class TestIsTrivial:
 
 class TestPermutationInvariance:
     def test_dims_stable_under_basis_shuffle(self):
-        from cklie.lie_core import permute_basis
-
         rng = random.Random(23)
         for family, signs in [("so", (0, 1, 1)), ("su", (0, 1)), ("sq", (0,))]:
             L = build_algebra(family, signs)

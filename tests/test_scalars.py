@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_quaternion_product
 from cklie.ck_matrix import OmegaVector
-from cklie.cohomology import OneCochain, TwoCochain, exact_rank
+from cklie.cohomology import OneCochain, TwoCochain
 from cklie.scalars import (
     Hypercomplex,
     I1,
@@ -66,10 +66,9 @@ class TestRational:
             lambda v: TwoCochain(3, {(0, 1): 1}) * v,
             lambda v: OneCochain([1, v]),
             lambda v: OneCochain.basis_vector(2, 0, v),
-            lambda v: exact_rank([[1, v]]),
         ],
         ids=["Hypercomplex", "OmegaVector", "TwoCochain", "TwoCochain.mul", "OneCochain",
-             "OneCochain.basis_vector", "exact_rank"],
+             "OneCochain.basis_vector"],
     )
     def test_floats_and_bools_rejected(self, entry, bad):
         # 0.1 would silently become 3602879701896397/36028797018963968
@@ -146,9 +145,9 @@ class TestHypercomplex:
     @given(quaternions)
     @settings(max_examples=200, deadline=None)
     def test_norm_is_a_conj_a(self, a):
-        prod = a * a.conjugate()
-        assert prod == Hypercomplex(a.norm_sq())
-        assert a.norm_sq() >= 0
+        norm_sq = sum(c * c for c in a.components())
+        assert a * a.conjugate() == Hypercomplex(norm_sq)
+        assert norm_sq >= 0
 
     @given(quaternions, quaternions)
     @settings(max_examples=100, deadline=None)
