@@ -142,9 +142,6 @@ class OmegaVector:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"OmegaVector(({self.text()}))"
 

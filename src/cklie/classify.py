@@ -28,22 +28,24 @@ n(n+3)/2.
 quaternionic unitary (sq): every central extension is trivial, for any N
 and any coefficients; the catalog is empty.
 
-`coefficient_cocycle` realizes each named coefficient as an explicit
-cochain, and `crosscheck` confronts the whole catalog with the exact solver:
-counts must agree, every active coefficient must be a nontrivial cocycle,
-every inactive type II must be trivial or forced to zero, every inactive
-type III must fail the cocycle equations.
+Each catalog entry holds everything about its coefficient: its activation,
+the cochain slots that carry it, and, for a type II singleton, the generator
+shift that removes it when inactive.  `coefficient_cocycle` and `removal_mu`
+look an entry up by name; `crosscheck` confronts the whole catalog with the
+exact solver: counts must agree, every active coefficient must be a
+nontrivial cocycle, every inactive type II must be trivial or forced to zero,
+every inactive type III must fail the cocycle equations.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ck_matrix import B, I_LABEL, J, M, OmegaVector, labels_for_family
+from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
 from .cohomology import CohomologySolver, OneCochain, TwoCochain
 from .lie_core import build_algebra
+from .scalars import _frac
 
 __all__ = [
     "CatalogEntry",
@@ -62,9 +64,9 @@ __all__ = [
     "crosscheck",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
-_F2 = Fraction(2)
+
+Slot = tuple[GeneratorLabel, GeneratorLabel, Fraction]
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,10 @@ class CatalogEntry:
     ext_type: str  # "II" (pseudo-extension) or "III" (constrained)
     active: bool
     constraint_note: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.ext_type,
-            "active": self.active,
-            "constraint": self.constraint_note,
-        }
+    slots: tuple[Slot, ...]  # nonzero xi(X, Y) = c of the cochain for value 1
+    # Type II singletons only: shifting the generator by value / factor
+    # removes the coefficient; the factor is zero exactly when it is active.
+    shift: tuple[GeneratorLabel, Fraction] | None = None
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,27 @@ class ExtensionCatalog:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "omega": [str(c) for c in self.omega],
-            "predicted": self.predicted,
-            "entries": [e.to_json_obj() for e in self.entries],
-        }
+
+def _slots(candidates) -> tuple[Slot, ...]:
+    return tuple(s for s in candidates if s[2])
+
+
+def _singleton(name: str, om: OmegaVector, k: int, slots, generator, scale=1) -> CatalogEntry:
+    """Type II singleton, nontrivial iff omega_k = 0, else removed by
+    shifting `generator` by value / (scale * omega_k)."""
+    factor = scale * om.value(k)
+    note = f"nontrivial iff w{k} = 0"
+    return CatalogEntry(name, "II", factor == 0, note, _slots(slots), (generator, factor))
+
+
+def _alpha_f(om: OmegaVector, b: int):
+    """alphaF[b,b+1]: xi(J(a,b), J(a,b+1)) = w_{a,b-1}, a < b."""
+    return ((J(a, b), J(a, b + 1), om.product(a, b - 1)) for a in range(b))
+
+
+def _alpha_l(om: OmegaVector, a: int):
+    """alphaL[a,a+1]: xi(J(a,c), J(a+1,c)) = w_{a+2,c}, c > a+1."""
+    return ((J(a, c), J(a + 1, c), om.product(a + 2, c)) for c in range(a + 2, om.n + 1))
 
 
 def _beta_factors(om: OmegaVector, b: int, d: int) -> list[tuple[str, Fraction]]:
@@ -138,33 +150,29 @@ def predict_so(omega) -> ExtensionCatalog:
     n = om.n
     entries: list[CatalogEntry] = []
     if n >= 2:
+        entries.append(_singleton("alphaL[0,1]", om, 2, _alpha_l(om, 0), J(0, 1)))
         entries.append(
-            CatalogEntry(
-                "alphaL[0,1]",
-                "II",
-                om.value(2) == 0,
-                "nontrivial iff w2 = 0",
-            )
-        )
-        entries.append(
-            CatalogEntry(
-                f"alphaF[{n - 1},{n}]",
-                "II",
-                om.value(n - 1) == 0,
-                f"nontrivial iff w{n - 1} = 0",
-            )
+            _singleton(f"alphaF[{n - 1},{n}]", om, n - 1, _alpha_f(om, n - 1), J(n - 1, n))
         )
     for a in range(n - 2):
         active = om.value(a + 1) == 0 and om.value(a + 3) == 0
         note = f"paired; both nontrivial iff w{a + 1} = 0 and w{a + 3} = 0"
-        entries.append(CatalogEntry(f"alphaF[{a + 1},{a + 2}]", "II", active, note))
-        entries.append(CatalogEntry(f"alphaL[{a + 1},{a + 2}]", "II", active, note))
+        f_slots, l_slots = _slots(_alpha_f(om, a + 1)), _slots(_alpha_l(om, a + 1))
+        entries.append(CatalogEntry(f"alphaF[{a + 1},{a + 2}]", "II", active, note, f_slots))
+        entries.append(CatalogEntry(f"alphaL[{a + 1},{a + 2}]", "II", active, note, l_slots))
     for b in range(n - 2):
         for d in range(b + 2, n):
             factors = _beta_factors(om, b, d)
             active = all(v == 0 for _, v in factors)
             note = "nonzero iff " + " and ".join(f"{s} = 0" for s, _ in factors)
-            entries.append(CatalogEntry(f"beta[{b + 1},{d + 1}]", "III", active, note))
+            # xi(J(b,b+1), J(d,d+1)) = 1, plus xi(J(b,b+2), J(b+1,b+3)) = -w_{b+2}
+            # when d = b+2
+            slots = [(J(b, b + 1), J(d, d + 1), _F1)]
+            if d == b + 2:
+                slots.append((J(b, b + 2), J(b + 1, b + 3), -om.value(b + 2)))
+            entries.append(
+                CatalogEntry(f"beta[{b + 1},{d + 1}]", "III", active, note, _slots(slots))
+            )
     return ExtensionCatalog("so", om, tuple(entries))
 
 
@@ -172,32 +180,30 @@ def predict_su(omega) -> ExtensionCatalog:
     om = OmegaVector.coerce(omega)
     n = om.n
     entries: list[CatalogEntry] = []
-    for k in range(1, n + 1):
-        entries.append(
-            CatalogEntry(f"alpha[{k}]", "II", om.value(k) == 0, f"nontrivial iff w{k} = 0")
+    for s in range(1, n + 1):
+        # xi(J(a,b), M(a,b)) = w_{a,s-1} * w_{s,b}, a < s <= b; removed by B(s)
+        slots = (
+            (J(a, b), M(a, b), om.product(a, s - 1) * om.product(s, b))
+            for a in range(s)
+            for b in range(s, n + 1)
         )
+        entries.append(_singleton(f"alpha[{s}]", om, s, slots, B(s), scale=-2))
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             active = om.value(k) == 0 and om.value(l) == 0
-            entries.append(
-                CatalogEntry(
-                    f"beta[{k},{l}]",
-                    "III",
-                    active,
-                    f"nonzero iff w{k} = 0 and w{l} = 0",
-                )
-            )
+            note = f"nonzero iff w{k} = 0 and w{l} = 0"
+            slots = ((B(k), B(l), _F1),)
+            entries.append(CatalogEntry(f"beta[{k},{l}]", "III", active, note, slots))
     return ExtensionCatalog("su", om, tuple(entries))
 
 
 def predict_u(omega) -> ExtensionCatalog:
     om = OmegaVector.coerce(omega)
-    base = predict_su(om)
-    entries = list(base.entries)
+    entries = list(predict_su(om).entries)
     for k in range(1, om.n + 1):
-        entries.append(
-            CatalogEntry(f"gamma[{k}]", "III", om.value(k) == 0, f"nonzero iff w{k} = 0")
-        )
+        slots = ((B(k), I_LABEL, _F1),)
+        note = f"nonzero iff w{k} = 0"
+        entries.append(CatalogEntry(f"gamma[{k}]", "III", om.value(k) == 0, note, slots))
     return ExtensionCatalog("u", om, tuple(entries))
 
 
@@ -217,81 +223,27 @@ def predict(family: str, omega) -> ExtensionCatalog:
     return _PREDICTORS[family](omega)
 
 
-_NAME_RE = re.compile(r"^(alphaF|alphaL|alpha|beta|gamma)\[(\d+)(?:,(\d+))?\]$")
-
-
-def _parse_name(name: str) -> tuple[str, tuple[int, ...]]:
-    m = _NAME_RE.match(name)
-    if not m:
-        raise ValueError(f"unknown coefficient name {name!r}")
-    kind = m.group(1)
-    idx = (int(m.group(2)),) if m.group(3) is None else (int(m.group(2)), int(m.group(3)))
-    return kind, idx
-
-
 def _index_map(family: str, n: int) -> dict:
     return {lab: i for i, lab in enumerate(labels_for_family(family, n))}
 
 
+def _entry(family: str, om: OmegaVector, name: str) -> CatalogEntry:
+    for entry in predict(family, om).entries:
+        if entry.name == name:
+            return entry
+    raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={om.n}")
+
+
 def coefficient_cocycle(family: str, omega, name: str, value=_F1) -> TwoCochain:
-    """The explicit cochain carrying one named catalog coefficient.
-
-    Slot placement per family:
-      alphaF[b,b+1]  (so): xi(J(a,b), J(a,b+1)) = w_{a,b-1} * value, a < b
-      alphaL[a,a+1]  (so): xi(J(a,c), J(a+1,c)) = w_{a+2,c} * value, c > a+1
-      beta[b+1,d+1]  (so): xi(J(b,b+1), J(d,d+1)) = value, plus
-                           xi(J(b,b+2), J(b+1,b+3)) = -w_{b+2} * value if d = b+2
-      alpha[s]       (su/u): xi(J(a,b), M(a,b)) = w_{a,s-1} * w_{s,b} * value
-      beta[k,l]      (su/u): xi(B(k), B(l)) = value
-      gamma[k]       (u):    xi(B(k), I) = value
-    """
+    """The explicit cochain carrying one named catalog coefficient: the
+    entry's slots, each scaled by value."""
     om = OmegaVector.coerce(omega)
-    if name not in predict(family, om).names():
-        raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={om.n}")
-    return _cochain(family, om, name, Fraction(value), _index_map(family, om.n))
+    return _cochain(_entry(family, om, name).slots, _frac(value), _index_map(family, om.n))
 
 
-def _cochain(family: str, om: OmegaVector, name: str, value: Fraction, index: dict) -> TwoCochain:
-    """`coefficient_cocycle` for a catalog name, with the basis index map given."""
-    n = om.n
-    kind, idx = _parse_name(name)
-    entries: dict[tuple[int, int], Fraction] = {}
-    if family == "so":
-        if kind == "alphaF":
-            b = idx[0]
-            for a in range(b):
-                v = om.product(a, b - 1) * value
-                if v:
-                    entries[(index[J(a, b)], index[J(a, b + 1)])] = v
-        elif kind == "alphaL":
-            a = idx[0]
-            for c in range(a + 2, n + 1):
-                v = om.product(a + 2, c) * value
-                if v:
-                    entries[(index[J(a, c)], index[J(a + 1, c)])] = v
-        else:  # beta
-            b, d = idx[0] - 1, idx[1] - 1
-            entries[(index[J(b, b + 1)], index[J(d, d + 1)])] = value
-            if d == b + 2:
-                v = -om.value(b + 2) * value
-                if v:
-                    entries[(index[J(b, b + 2)], index[J(b + 1, b + 3)])] = v
-    else:
-        if kind == "alpha":
-            s = idx[0]
-            for a in range(s):
-                for b in range(s, n + 1):
-                    v = om.product(a, s - 1) * om.product(s, b) * value
-                    if v:
-                        entries[(index[J(a, b)], index[M(a, b)])] = v
-        elif kind == "beta":
-            k, l = idx
-            entries[(index[B(k)], index[B(l)])] = value
-        else:  # gamma
-            k = idx[0]
-            entries[(index[B(k)], index[I_LABEL])] = value
-    dim = len(index)
-    return TwoCochain(dim, entries)
+def _cochain(slots, value: Fraction, index: dict) -> TwoCochain:
+    """The cochain of the slots scaled by value, with the basis index map given."""
+    return TwoCochain(len(index), {(index[p], index[q]): c * value for p, q, c in slots})
 
 
 def removal_mu(family: str, omega, name: str, value=_F1) -> OneCochain:
@@ -301,30 +253,14 @@ def removal_mu(family: str, omega, name: str, value=_F1) -> OneCochain:
     nonzero); the coboundary of the result equals the coefficient cochain.
     """
     om = OmegaVector.coerce(omega)
-    n = om.n
-    value = Fraction(value)
-    kind, idx = _parse_name(name)
-    index = _index_map(family, n)
-    dim = len(index)
-    if family == "so" and kind == "alphaL" and idx == (0, 1):
-        w2 = om.value(2)
-        if not w2:
-            raise ValueError("alphaL[0,1] is nontrivial here (w2 = 0); no removal exists")
-        return OneCochain.basis_vector(dim, index[J(0, 1)], value / w2)
-    if family == "so" and kind == "alphaF" and idx == (n - 1, n):
-        w = om.value(n - 1)
-        if not w:
-            raise ValueError(
-                f"alphaF[{n - 1},{n}] is nontrivial here (w{n - 1} = 0); no removal exists"
-            )
-        return OneCochain.basis_vector(dim, index[J(n - 1, n)], value / w)
-    if family in ("su", "u") and kind == "alpha":
-        k = idx[0]
-        wk = om.value(k)
-        if not wk:
-            raise ValueError(f"alpha[{k}] is nontrivial here (w{k} = 0); no removal exists")
-        return OneCochain.basis_vector(dim, index[B(k)], -value / (_F2 * wk))
-    raise ValueError(f"no singleton removal rule for {name!r} in family {family!r}")
+    entry = _entry(family, om, name)
+    if entry.shift is None:
+        raise ValueError(f"no singleton removal rule for {name!r} in family {family!r}")
+    generator, factor = entry.shift
+    if not factor:
+        raise ValueError(f"{name} is active here ({entry.constraint_note}); no removal exists")
+    index = _index_map(family, om.n)
+    return OneCochain.basis_vector(len(index), index[generator], _frac(value) / factor)
 
 
 def pair_combination(omega, a: int, scale=_F1) -> TwoCochain:
@@ -336,9 +272,10 @@ def pair_combination(omega, a: int, scale=_F1) -> TwoCochain:
     om = OmegaVector.coerce(omega)
     if not 0 <= a <= om.n - 3:
         raise ValueError(f"pair index a={a} out of range 0..{om.n - 3}")
-    scale = Fraction(scale)
-    f = coefficient_cocycle("so", om, f"alphaF[{a + 1},{a + 2}]", om.value(a + 1) * scale)
-    l = coefficient_cocycle("so", om, f"alphaL[{a + 1},{a + 2}]", om.value(a + 3) * scale)
+    scale = _frac(scale)
+    index = _index_map("so", om.n)
+    f = _cochain(_alpha_f(om, a + 1), om.value(a + 1) * scale, index)
+    l = _cochain(_alpha_l(om, a + 1), om.value(a + 3) * scale, index)
     return f + l
 
 
@@ -348,7 +285,7 @@ def pair_mu(omega, a: int, scale=_F1) -> OneCochain:
     if not 0 <= a <= om.n - 3:
         raise ValueError(f"pair index a={a} out of range 0..{om.n - 3}")
     index = _index_map("so", om.n)
-    return OneCochain.basis_vector(len(index), index[J(a + 1, a + 2)], Fraction(scale))
+    return OneCochain.basis_vector(len(index), index[J(a + 1, a + 2)], _frac(scale))
 
 
 @dataclass(frozen=True)
@@ -417,7 +354,7 @@ def crosscheck(family: str, omega, solver: CohomologySolver | None = None) -> Cr
     verdicts: list[CoefficientVerdict] = []
     all_ok = True
     for entry in catalog.entries:
-        xi = _cochain(family, om, entry.name, _F1, index)
+        xi = _cochain(entry.slots, _F1, index)
         cocycle_ok = solver.is_cocycle(xi)
         trivial = solver.is_coboundary(xi) if cocycle_ok else None
         note = ""

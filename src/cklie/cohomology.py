@@ -108,9 +108,6 @@ class TwoCochain:
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
-
     def __add__(self, other: "TwoCochain") -> "TwoCochain":
         if self.dim != other.dim:
             raise ValueError("cochain dimension mismatch")
@@ -179,9 +176,6 @@ class OneCochain:
         if not isinstance(other, OneCochain):
             return NotImplemented
         return self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
 
     def __repr__(self) -> str:
         return f"OneCochain({[str(v) for v in self.values]})"

@@ -87,6 +87,8 @@ class LieAlgebra:
         self.basis = tuple(basis)
         self.constants = constants
         self._index = {lab: i for i, lab in enumerate(self.basis)}
+        if len(self._index) < len(self.basis):
+            raise ValueError("basis labels must be distinct")
 
     @property
     def dim(self) -> int:
@@ -97,9 +99,6 @@ class LieAlgebra:
             return self._index[label]
         except KeyError:
             raise ValueError(f"label {label} is not in the basis") from None
-
-    def label(self, i: int) -> GeneratorLabel:
-        return self.basis[i]
 
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """Coefficients of [X_i, X_j]; handles any index order, empty if zero."""

@@ -169,9 +169,6 @@ class Hypercomplex:
             return self.w == other and not (self.x or self.y or self.z)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
-
     def __neg__(self) -> "Hypercomplex":
         return Hypercomplex._make(-self.w, -self.x, -self.y, -self.z, self.kind)
 

@@ -296,6 +296,34 @@ class TestVerify:
         assert code == 0
         assert "ok" in out
 
+    # sha256 of the output recorded before the catalog entries carried their
+    # own slots and removal shifts; pins every check's verdict.
+    @pytest.mark.parametrize(
+        "family,omega,fmt,digest",
+        [
+            ("so", "1", "json", "f7a6b274c19f746505ca65461ff6259fe37d97b918020d6ac4faee5109cadccd"),
+            ("so", "1", "text", "c6c8f0d7fd89f27f6eed7c97c59420bc1b91341a78b86f470065b25c8d360126"),
+            ("so", "1,1,1", "json", "8705ee413ab3fdfbb0c227d47830aed62ff21325caa68182ed39d10a05de0bdd"),
+            ("so", "1,1,1", "text", "436bba46030dc4c1503e8b95754a0832a72f00546c02824ea905073a534d5250"),
+            ("so", "0,1,0", "json", "907ff13180d87fa1e1559256d4f1296b1466fdc8543bab31fc9d1f83c53a5cb5"),
+            ("so", "0,1,0", "text", "3ae541ce81a30d585d1bcd893a97d41858a68b913084e5af45fd75af9c00574f"),
+            ("so", "2/3,-5,1,-1/2", "json",
+             "4cf147ecf8e88814cc74a65bf8f043e3ae1f40833f12ba78561efaed24b667a9"),
+            ("so", "2/3,-5,1,-1/2", "text",
+             "55d2461c188c8c908ee80aae37c7d199a8128ef0a9c33e1c508fa26f085d6846"),
+            ("su", "2/3,1", "json", "4f497dedcd276b89963e6ad65c54edc33979887ae83aa5704fd49510daa03d3b"),
+            ("su", "2/3,1", "text", "5ebd16672e1835466cf6b3013e1f0f2604db04a588dafe7ff93e988fcea3939a"),
+            ("u", "1,0", "json", "96353052407f84dd674dffcb6779a85d432505e15218fcfc03a27ba6f7d71880"),
+            ("u", "1,0", "text", "893901e745c759f59fcef4f12cad2a1895170f1c0b6fd7d63cb4ff641318bb05"),
+            ("sq", "1,1", "json", "b0a2e011f1d10b2e09a16f09c2ff16bb43a9622e25f4c25ccd776d03d20eb6cf"),
+            ("sq", "1,1", "text", "959c8e23121c22148b4adfb5d6e55884c869f33fe45bc33e0e627dc995e97f47"),
+        ],
+    )
+    def test_output_digest(self, capsys, family, omega, fmt, digest):
+        code, out, _ = run(capsys, "verify", "--family", family, f"--omega={omega}", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestArgumentValidation:
     def test_unknown_family_rejected_by_argparse(self, capsys):

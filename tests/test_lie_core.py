@@ -272,6 +272,12 @@ class TestExtendedAlgebra:
         assert ext.basis[-1] == XI_LABEL
         assert verify_jacobi(ext)
 
+    def test_double_extension_rejected(self):
+        # a second central generator would repeat XI_LABEL in the basis
+        ext = build_extended(build_so([1, 1]), TwoCochain(3))
+        with pytest.raises(ValueError, match="distinct"):
+            build_extended(ext, TwoCochain(4))
+
     def test_central_generator_commutes(self):
         L = build_so([0, 1])
         xi = TwoCochain(3, {(0, 1): Fraction(1)})

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_quaternion_product
 from cklie.ck_matrix import OmegaVector
+from cklie.classify import coefficient_cocycle, pair_combination, pair_mu, removal_mu
 from cklie.cohomology import OneCochain, TwoCochain
 from cklie.scalars import (
     Hypercomplex,
@@ -66,9 +67,14 @@ class TestRational:
             lambda v: TwoCochain(3, {(0, 1): 1}) * v,
             lambda v: OneCochain([1, v]),
             lambda v: OneCochain.basis_vector(2, 0, v),
+            lambda v: coefficient_cocycle("so", [0, 1], "alphaF[1,2]", v),
+            lambda v: removal_mu("so", [1, 1, 1], "alphaL[0,1]", v),
+            lambda v: pair_combination([1, 1, 1], 0, v),
+            lambda v: pair_mu([1, 1, 1], 0, v),
         ],
         ids=["Hypercomplex", "OmegaVector", "TwoCochain", "TwoCochain.mul", "OneCochain",
-             "OneCochain.basis_vector"],
+             "OneCochain.basis_vector", "coefficient_cocycle", "removal_mu",
+             "pair_combination", "pair_mu"],
     )
     def test_floats_and_bools_rejected(self, entry, bad):
         # 0.1 would silently become 3602879701896397/36028797018963968
