@@ -53,14 +53,12 @@ from .classify import (
     ExtensionCatalog,
     coefficient_cocycle,
     crosscheck,
-    pair_combination,
-    pair_mu,
     predict,
     predict_so,
     predict_sq,
     predict_su,
     predict_u,
-    removal_mu,
+    removals,
 )
 
 __version__ = "0.1.0"

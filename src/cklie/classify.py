@@ -29,12 +29,16 @@ quaternionic unitary (sq): every central extension is trivial, for any N
 and any coefficients; the catalog is empty.
 
 Each catalog entry holds everything about its coefficient: its activation,
-the cochain slots that carry it, and, for a type II singleton, the generator
-shift that removes it when inactive.  `coefficient_cocycle` and `removal_mu`
-look an entry up by name; `crosscheck` confronts the whole catalog with the
-exact solver: counts must agree, every active coefficient must be a
-nontrivial cocycle, every inactive type II must be trivial or forced to zero,
-every inactive type III must fail the cocycle equations.
+the cochain slots that carry it, and, for type II, the generator shift
+(g, c) that removes it.  The catalog thus states one removal identity per
+shifted generator, delta(e_g) = sum of c * xi over the entries that shift g,
+and every one holds exactly for every omega (at an active entry c = 0, so
+its share of the sum vanishes); `removals` builds their right-hand sides.
+`coefficient_cocycle` looks an entry up by name; `crosscheck` confronts the
+whole catalog with the exact solver: counts must agree, every active
+coefficient must be a nontrivial cocycle, every inactive type II must be
+trivial or forced to zero, every inactive type III must fail the cocycle
+equations.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
-from .cohomology import CohomologySolver, OneCochain, TwoCochain
+from .cohomology import CohomologySolver, TwoCochain
 from .lie_core import build_algebra
 from .scalars import _frac
 
@@ -56,9 +60,7 @@ __all__ = [
     "predict_sq",
     "predict",
     "coefficient_cocycle",
-    "removal_mu",
-    "pair_combination",
-    "pair_mu",
+    "removals",
     "CoefficientVerdict",
     "CrosscheckReport",
     "crosscheck",
@@ -76,8 +78,8 @@ class CatalogEntry:
     active: bool
     constraint_note: str
     slots: tuple[Slot, ...]  # nonzero xi(X, Y) = c of the cochain for value 1
-    # Type II singletons only: shifting the generator by value / factor
-    # removes the coefficient; the factor is zero exactly when it is active.
+    # Type II only: (g, c) with delta(e_g) = sum of c * xi over the entries
+    # that shift g; a singleton's c is zero exactly when it is active.
     shift: tuple[GeneratorLabel, Fraction] | None = None
 
 
@@ -157,9 +159,11 @@ def predict_so(omega) -> ExtensionCatalog:
     for a in range(n - 2):
         active = om.value(a + 1) == 0 and om.value(a + 3) == 0
         note = f"paired; both nontrivial iff w{a + 1} = 0 and w{a + 3} = 0"
+        g = J(a + 1, a + 2)
         f_slots, l_slots = _slots(_alpha_f(om, a + 1)), _slots(_alpha_l(om, a + 1))
-        entries.append(CatalogEntry(f"alphaF[{a + 1},{a + 2}]", "II", active, note, f_slots))
-        entries.append(CatalogEntry(f"alphaL[{a + 1},{a + 2}]", "II", active, note, l_slots))
+        f_name, l_name = f"alphaF[{a + 1},{a + 2}]", f"alphaL[{a + 1},{a + 2}]"
+        entries.append(CatalogEntry(f_name, "II", active, note, f_slots, (g, om.value(a + 1))))
+        entries.append(CatalogEntry(l_name, "II", active, note, l_slots, (g, om.value(a + 3))))
     for b in range(n - 2):
         for d in range(b + 2, n):
             factors = _beta_factors(om, b, d)
@@ -223,10 +227,6 @@ def predict(family: str, omega) -> ExtensionCatalog:
     return _PREDICTORS[family](omega)
 
 
-def _index_map(family: str, n: int) -> dict:
-    return {lab: i for i, lab in enumerate(labels_for_family(family, n))}
-
-
 def _entry(family: str, om: OmegaVector, name: str) -> CatalogEntry:
     for entry in predict(family, om).entries:
         if entry.name == name:
@@ -238,54 +238,34 @@ def coefficient_cocycle(family: str, omega, name: str, value=_F1) -> TwoCochain:
     """The explicit cochain carrying one named catalog coefficient: the
     entry's slots, each scaled by value."""
     om = OmegaVector.coerce(omega)
-    return _cochain(_entry(family, om, name).slots, _frac(value), _index_map(family, om.n))
+    index = _basis_index(labels_for_family(family, om.n))
+    return _cochain(_entry(family, om, name).slots, index, _frac(value))
 
 
-def _cochain(slots, value: Fraction, index: dict) -> TwoCochain:
+def _basis_index(basis) -> dict:
+    return {lab: i for i, lab in enumerate(basis)}
+
+
+def _cochain(slots, index: dict, value: Fraction = _F1) -> TwoCochain:
     """The cochain of the slots scaled by value, with the basis index map given."""
     return TwoCochain(len(index), {(index[p], index[q]): c * value for p, q, c in slots})
 
 
-def removal_mu(family: str, omega, name: str, value=_F1) -> OneCochain:
-    """Generator shift removing a type II singleton when its condition fails.
+def removals(catalog: ExtensionCatalog, algebra) -> dict[GeneratorLabel, TwoCochain]:
+    """Right-hand sides of the type II removal identities: for each shifted
+    generator g, the sum of c * xi over the catalog entries with shift (g, c).
 
-    Defined exactly when the coefficient is inactive (its activation omega is
-    nonzero); the coboundary of the result equals the coefficient cochain.
+    delta(e_g) equals it exactly for every omega, so shifting g by value / c
+    removes a singleton coefficient wherever c != 0, and the tied so pair
+    (alphaF, alphaL) = (w_{a+1}, w_{a+3}) always.
     """
-    om = OmegaVector.coerce(omega)
-    entry = _entry(family, om, name)
-    if entry.shift is None:
-        raise ValueError(f"no singleton removal rule for {name!r} in family {family!r}")
-    generator, factor = entry.shift
-    if not factor:
-        raise ValueError(f"{name} is active here ({entry.constraint_note}); no removal exists")
-    index = _index_map(family, om.n)
-    return OneCochain.basis_vector(len(index), index[generator], _frac(value) / factor)
-
-
-def pair_combination(omega, a: int, scale=_F1) -> TwoCochain:
-    """The tied type II pair with (alphaF, alphaL) = (w_{a+1}, w_{a+3}) * scale.
-
-    This instance always satisfies the pair constraint, and it equals the
-    coboundary of `pair_mu` identically in omega.
-    """
-    om = OmegaVector.coerce(omega)
-    if not 0 <= a <= om.n - 3:
-        raise ValueError(f"pair index a={a} out of range 0..{om.n - 3}")
-    scale = _frac(scale)
-    index = _index_map("so", om.n)
-    f = _cochain(_alpha_f(om, a + 1), om.value(a + 1) * scale, index)
-    l = _cochain(_alpha_l(om, a + 1), om.value(a + 3) * scale, index)
-    return f + l
-
-
-def pair_mu(omega, a: int, scale=_F1) -> OneCochain:
-    """Shift of J(a+1,a+2) whose coboundary equals `pair_combination`."""
-    om = OmegaVector.coerce(omega)
-    if not 0 <= a <= om.n - 3:
-        raise ValueError(f"pair index a={a} out of range 0..{om.n - 3}")
-    index = _index_map("so", om.n)
-    return OneCochain.basis_vector(len(index), index[J(a + 1, a + 2)], _frac(scale))
+    index = _basis_index(algebra.basis)
+    rhs: dict[GeneratorLabel, TwoCochain] = {}
+    for entry in catalog.entries:
+        if entry.shift:
+            g, c = entry.shift
+            rhs[g] = rhs.get(g, TwoCochain(algebra.dim)) + _cochain(entry.slots, index, c)
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -319,8 +299,9 @@ class CrosscheckReport:
     dim_z2: int
     dim_b2: int
     dim_h2: int
-    verdicts: tuple[CoefficientVerdict, ...] = field(default=())
-    match: bool = False
+    verdicts: tuple[CoefficientVerdict, ...]
+    match: bool
+    solver: CohomologySolver = field(repr=False, compare=False)  # not serialized
 
     def to_json_obj(self) -> dict:
         return {
@@ -337,24 +318,24 @@ class CrosscheckReport:
         }
 
 
-def crosscheck(family: str, omega, solver: CohomologySolver | None = None) -> CrosscheckReport:
+def crosscheck(family: str, omega) -> CrosscheckReport:
     """Confront the catalog with the exact solver for one algebra.
 
     Match requires: predicted count == dim H2; every active coefficient is a
     nontrivial cocycle; every inactive type II is trivial or fails the
     cocycle equations (forced to zero by its constraint); every inactive
-    type III fails the cocycle equations.
+    type III fails the cocycle equations.  The report keeps the solver, so
+    callers read the algebra, the dims and the bases from the same run.
     """
     om = OmegaVector.coerce(omega)
     catalog = predict(family, om)
-    if solver is None:
-        solver = CohomologySolver(build_algebra(family, om))
+    solver = CohomologySolver(build_algebra(family, om))
     res = solver.result()
-    index = _index_map(family, om.n)
+    index = _basis_index(solver.algebra.basis)
     verdicts: list[CoefficientVerdict] = []
     all_ok = True
     for entry in catalog.entries:
-        xi = _cochain(entry.slots, _F1, index)
+        xi = _cochain(entry.slots, index)
         cocycle_ok = solver.is_cocycle(xi)
         trivial = solver.is_coboundary(xi) if cocycle_ok else None
         note = ""
@@ -392,4 +373,5 @@ def crosscheck(family: str, omega, solver: CohomologySolver | None = None) -> Cr
         dim_h2=res.dim_h2,
         verdicts=tuple(verdicts),
         match=match,
+        solver=solver,
     )

@@ -27,14 +27,7 @@ from .ck_matrix import (
     labels_for_family,
 )
 from .cohomology import CohomologySolver, OneCochain, coboundary
-from .classify import (
-    coefficient_cocycle,
-    crosscheck,
-    pair_combination,
-    pair_mu,
-    predict,
-    removal_mu,
-)
+from .classify import crosscheck, predict, removals
 from .lie_core import LieAlgebra, build_algebra, from_matrices, verify_jacobi
 
 EXIT_OK = 0
@@ -157,10 +150,9 @@ def cmd_structure(args: argparse.Namespace) -> int:
 
 
 def _h2_payload(family: str, omega: OmegaVector) -> dict:
-    L = build_algebra(family, omega)
-    solver = CohomologySolver(L)
-    res = solver.result()
-    report = crosscheck(family, omega, solver=solver)
+    report = crosscheck(family, omega)
+    L = report.solver.algebra
+    res = report.solver.result()
     payload = {
         "family": family,
         "n": omega.n,
@@ -322,22 +314,14 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
 
 
 def _pseudoextension_removal_status(family: str, omega: OmegaVector, L) -> str:
-    """Exact-equality removal identities: each inactive catalog entry with a
-    generator shift, and every tied so pair."""
-    catalog = predict(family, omega)
-    if not catalog.entries:
+    """Every type II removal identity delta(e_g) = sum c * xi, exactly."""
+    identities = removals(predict(family, omega), L)
+    if not identities:
         return "skipped"
     ok = all(
-        coefficient_cocycle(family, omega, e.name)
-        == coboundary(removal_mu(family, omega, e.name), L)
-        for e in catalog.entries
-        if e.shift and not e.active
+        coboundary(OneCochain.basis_vector(L.dim, L.index(g)), L) == rhs
+        for g, rhs in identities.items()
     )
-    if family == "so":
-        ok = ok and all(
-            pair_combination(omega, a) == coboundary(pair_mu(omega, a), L)
-            for a in range(omega.n - 2)
-        )
     return "pass" if ok else "fail"
 
 

@@ -161,6 +161,8 @@ class OneCochain:
 
     @classmethod
     def basis_vector(cls, dim: int, k: int, value=_F1) -> "OneCochain":
+        if not 0 <= k < dim:
+            raise ValueError(f"basis index {k} out of range 0..{dim - 1}")
         vals = [_F0] * dim
         vals[k] = _frac(value)
         return cls(vals)

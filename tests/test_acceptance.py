@@ -6,6 +6,7 @@ stated wall-clock budgets.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,14 +14,9 @@ import pytest
 from helpers import CRITERION_LINES, oracle_h2_dims, permute_basis
 
 from cklie.ck_matrix import OmegaVector
-from cklie.classify import (
-    coefficient_cocycle,
-    crosscheck,
-    pair_combination,
-    pair_mu,
-)
+from cklie.classify import coefficient_cocycle, crosscheck, predict, removals
 from cklie.classify import _beta_factors
-from cklie.cohomology import CohomologySolver, coboundary
+from cklie.cohomology import CohomologySolver, OneCochain, coboundary
 from cklie.lie_core import build_algebra, build_so, from_matrices, verify_jacobi
 
 
@@ -36,9 +32,9 @@ def announce(num: int, title: str, ok: bool, detail: str = ""):
 def rich_case(family: str, signs: tuple[int, ...]) -> dict:
     """Everything the criteria need for one (family, omega) case."""
     t0 = time.perf_counter()
-    L = build_algebra(family, signs)
-    solver = CohomologySolver(L)
-    report = crosscheck(family, signs, solver=solver)
+    report = crosscheck(family, signs)
+    solver = report.solver
+    L = solver.algebra
     lean_elapsed = time.perf_counter() - t0
     res = solver.result()
     rng = random.Random(f"{family}:{signs}")
@@ -233,20 +229,23 @@ def test_c09_beta_constraint_equivalence():
 
 
 def test_c10_pseudoextension_removal():
-    """With both tied coefficients' omegas nonzero, the pair cochain equals an
-    explicit coboundary, exactly, slot for slot; exhaustive for N <= 5."""
+    """Every type II removal identity of the catalog, delta(e_g) = sum of
+    c * xi over the entries with shift (g, c), holds exactly, slot for slot,
+    active entries included; exhaustive over the sign patterns of so N <= 5
+    and su/u N <= 3, and over the entries -5/2, -1, 0, 2/3, 1 for N <= 3."""
+    entries = (-1, 0, 1, Fraction(2, 3), Fraction(-5, 2))
+    grids = [(family, n, entries) for family in ("so", "su", "u") for n in (1, 2, 3)]
+    grids += [("so", n, (-1, 0, 1)) for n in (4, 5)]
     checks = 0
     bad = []
-    for n in range(3, 6):
-        for signs in product((-1, 0, 1), repeat=n):
-            om = OmegaVector.coerce(signs)
-            L = build_so(om)
-            for a in range(n - 2):
-                if om.value(a + 1) and om.value(a + 3):
-                    checks += 1
-                    if pair_combination(om, a) != coboundary(pair_mu(om, a), L):
-                        bad.append((signs, a))
-    announce(10, "pseudo-extension pairs removed by exact coboundaries", not bad, f"{checks} checks")
+    for family, n, values in grids:
+        for omega in product(values, repeat=n):
+            L = build_algebra(family, omega)
+            for g, rhs in removals(predict(family, omega), L).items():
+                checks += 1
+                if coboundary(OneCochain.basis_vector(L.dim, L.index(g)), L) != rhs:
+                    bad.append((family, omega, g))
+    announce(10, "every pseudo-extension removal identity holds exactly", not bad, f"{checks} checks")
 
 
 def test_c11_property_suite(so_sweep, su_sweep, u_sweep, sq_sweep):

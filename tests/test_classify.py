@@ -3,21 +3,19 @@ from itertools import product
 
 import pytest
 
-from cklie.ck_matrix import OmegaVector
+from cklie.ck_matrix import B, J, OmegaVector
 from cklie.classify import (
     coefficient_cocycle,
     crosscheck,
-    pair_combination,
-    pair_mu,
     predict,
     predict_so,
     predict_sq,
     predict_su,
     predict_u,
-    removal_mu,
+    removals,
 )
-from cklie.cohomology import CohomologySolver, coboundary, h2
-from cklie.lie_core import build_so, build_su
+from cklie.cohomology import CohomologySolver, OneCochain, coboundary, h2
+from cklie.lie_core import build_algebra, build_so, build_su
 
 
 def sign_patterns(n):
@@ -172,51 +170,68 @@ class TestCoefficientCocycle:
             coefficient_cocycle("so", [0, 1], "nonsense")
 
 
+def removal_identity(family, omega, g):
+    """Both sides of the catalog's removal identity for the generator g:
+    delta(e_g) and the sum of c * xi over the entries with shift (g, c)."""
+    L = build_algebra(family, omega)
+    delta = coboundary(OneCochain.basis_vector(L.dim, L.index(g)), L)
+    return delta, removals(predict(family, omega), L)[g]
+
+
 class TestRemovalIdentities:
     def test_singleton_alphaL_removed_exactly(self):
+        # delta(e_J(0,1)) = w2 * alphaL[0,1]
         om = [1, 1, 1]
-        L = build_so(om)
-        xi = coefficient_cocycle("so", om, "alphaL[0,1]")
-        assert xi == coboundary(removal_mu("so", om, "alphaL[0,1]"), L)
+        delta, rhs = removal_identity("so", om, J(0, 1))
+        assert rhs == coefficient_cocycle("so", om, "alphaL[0,1]")
+        assert delta == rhs
 
     def test_singleton_alphaF_removed_exactly(self):
+        # delta(e_J(2,3)) = w2 * alphaF[2,3]
         om = [1, -1, 1]
-        L = build_so(om)
-        xi = coefficient_cocycle("so", om, "alphaF[2,3]")
-        assert xi == coboundary(removal_mu("so", om, "alphaF[2,3]"), L)
+        delta, rhs = removal_identity("so", om, J(2, 3))
+        assert rhs == coefficient_cocycle("so", om, "alphaF[2,3]", -1)
+        assert delta == rhs
 
     def test_su_alpha_removed_exactly(self):
+        # delta(e_B(k)) = -2 w_k * alpha[k]
         om = [Fraction(2, 3), 1]
-        L = build_su(om)
-        for name in ("alpha[1]", "alpha[2]"):
-            xi = coefficient_cocycle("su", om, name)
-            assert xi == coboundary(removal_mu("su", om, name), L)
+        for k, w in ((1, Fraction(2, 3)), (2, 1)):
+            delta, rhs = removal_identity("su", om, B(k))
+            assert rhs == coefficient_cocycle("su", om, f"alpha[{k}]", -2 * w)
+            assert delta == rhs
 
     def test_removal_refused_when_active(self):
-        with pytest.raises(ValueError):
-            removal_mu("so", [1, 0, 1], "alphaL[0,1]")
-        with pytest.raises(ValueError):
-            removal_mu("su", [0], "alpha[1]")
+        # an active singleton has shift factor 0: no shift removes it, and
+        # the identity reads delta(e_g) = 0
+        for family, om, g in (("so", [1, 0, 1], J(0, 1)), ("su", [0], B(1))):
+            delta, rhs = removal_identity(family, om, g)
+            assert not rhs.entries
+            assert delta == rhs
 
     def test_pair_combination_equals_coboundary_always(self):
+        # delta(e_J(a+1,a+2)) = w_{a+1} * alphaF + w_{a+3} * alphaL
         for n in (3, 4):
             for signs in sign_patterns(n):
-                L = build_so(signs)
                 for a in range(n - 2):
-                    assert pair_combination(signs, a) == coboundary(
-                        pair_mu(signs, a), L
-                    ), (signs, a)
+                    delta, rhs = removal_identity("so", signs, J(a + 1, a + 2))
+                    f, l = f"alphaF[{a + 1},{a + 2}]", f"alphaL[{a + 1},{a + 2}]"
+                    xi_f = coefficient_cocycle("so", signs, f, signs[a])
+                    xi_l = coefficient_cocycle("so", signs, l, signs[a + 2])
+                    assert rhs == xi_f + xi_l, (signs, a)
+                    assert delta == rhs, (signs, a)
 
     def test_pair_constraint_violation_not_a_cocycle(self):
         # alphaF alone with both constraint omegas nonzero violates the tie
         om = [1, 1, 1]
-        solver = CohomologySolver(build_so(om))
+        L = build_so(om)
+        solver = CohomologySolver(L)
         xi_f = coefficient_cocycle("so", om, "alphaF[1,2]")
         xi_l = coefficient_cocycle("so", om, "alphaL[1,2]")
         assert not solver.is_cocycle(xi_f)
         assert not solver.is_cocycle(xi_l)
         # but the tied combination is one
-        assert solver.is_cocycle(pair_combination(om, 0))
+        assert solver.is_cocycle(removals(predict_so(om), L)[J(1, 2)])
 
     def test_pair_members_independent_when_both_omegas_vanish(self):
         om = [0, 1, 0]
@@ -254,6 +269,16 @@ class TestCrosscheck:
             for n in range(1, nmax + 1):
                 for signs in sign_patterns(n):
                     assert crosscheck(family, signs).match, (family, signs)
+
+    @pytest.mark.parametrize(
+        "family,signs",
+        [("so", (1, 1)), ("so", (0, 1, 0)), ("su", (1, 0)), ("u", (0, -1)), ("sq", (1, 0))],
+    )
+    def test_report_solver_is_the_requested_algebra(self, family, signs):
+        rep = crosscheck(family, signs)
+        assert rep.solver.algebra.same_constants(build_algebra(family, signs))
+        res = rep.solver.result()
+        assert (rep.dim_z2, rep.dim_b2, rep.dim_h2) == (res.dim_z2, res.dim_b2, res.dim_h2)
 
     def test_mixed_deep_zero_patterns(self):
         # patterns with no closed-form table entry still crosscheck

@@ -185,6 +185,11 @@ class TestCoboundary:
         L = build_so([1])
         assert not coboundary(OneCochain([0]), L).entries
 
+    @pytest.mark.parametrize("k", [-1, 3], ids=["k=-1", "k=dim"])
+    def test_basis_vector_index_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            OneCochain.basis_vector(3, k)
+
     @pytest.mark.parametrize(
         "family,signs",
         [("so", (0, 1)), ("so", (1, 1, 1)), ("su", (0, 0)), ("u", (0,)), ("sq", (1,))],
