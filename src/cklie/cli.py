@@ -28,7 +28,7 @@ from .ck_matrix import (
 )
 from .cohomology import CohomologySolver, OneCochain, coboundary
 from .classify import crosscheck, predict, removals
-from .lie_core import LieAlgebra, build_algebra, from_matrices, verify_jacobi
+from .lie_core import LieAlgebra, _from_generators, build_algebra, from_matrices, verify_jacobi
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -297,7 +297,7 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
         checks["traceless"] = "skipped"
     L = build_algebra(family, omega)
     checks["closure_matrix_match"] = (
-        "pass" if from_matrices(family, omega).same_constants(L) else "fail"
+        "pass" if _from_generators(family, omega, labels, mats).same_constants(L) else "fail"
     )
     checks["jacobi"] = "pass" if verify_jacobi(L) else "fail"
     # Coboundaries are linear in mu, so testing each basis vector e_k proves

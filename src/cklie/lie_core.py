@@ -6,10 +6,13 @@ R (so), C (su, u) and H (sq): the J rows are shared by all, nine partner rows
 repeat for each imaginary unit of the scalar kind (none over R, one over C,
 three over H), and only the rows of the diagonal generators (the torus of
 su/u; the units E and the mixed-unit rows of sq) are family-specific.
-`from_matrices` rebuilds the same constants by commuting the matrix
-generators and decomposing in the basis, which cross-validates both routes
-constant by constant.  Jacobi verification and centrally extended algebras
-live here too.
+The rules run once per (family, N), on symbolic weights: the cached shape
+holds each constant as an integer times a range product w_ab = omega_{a+1}
+... omega_b, and each omega fills fresh constant dicts from one table of
+those products.  `from_matrices` rebuilds the same constants by commuting
+the matrix generators and decomposing in the basis, without the shape or the
+table, which cross-validates both routes constant by constant.  Jacobi
+verification and centrally extended algebras live here too.
 
 `verify_jacobi` is exact but runs in Python integers: it clears the
 denominators of all constants once (the Jacobiator is quadratic, so scaling
@@ -24,7 +27,7 @@ no implied summation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import lcm
 
@@ -59,7 +62,6 @@ __all__ = [
 ]
 
 _F1 = Fraction(1)
-_F2 = Fraction(2)
 
 
 def epsilon(a: int, b: int, c: int) -> int:
@@ -77,15 +79,18 @@ class LieAlgebra:
 
     Constants are stored sparsely, keyed by index pairs (i, j) with i < j;
     antisymmetry is implicit and `bracket` negates on demand for j < i.
+    The constants are not mutated after construction: `integer_constants`
+    is computed once and kept, and a changed table is a new `LieAlgebra`.
     """
 
-    __slots__ = ("family", "omega", "basis", "constants", "_index")
+    __slots__ = ("family", "omega", "basis", "constants", "_index", "_integer")
 
     def __init__(self, family, omega, basis, constants):
         self.family = family
         self.omega = omega
         self.basis = tuple(basis)
         self.constants = constants
+        self._integer = None
         self._index = {lab: i for i, lab in enumerate(self.basis)}
         if len(self._index) < len(self.basis):
             raise ValueError("basis labels must be distinct")
@@ -122,16 +127,19 @@ class LieAlgebra:
         """The constants scaled by d, the lcm of their denominators, as ints.
 
         Every exact check here is homogeneous in the constants, so it gives
-        the same verdict, rank or space on d*C as on C.
+        the same verdict, rank or space on d*C as on C.  Computed on the first
+        call and shared by later ones, so callers must not mutate it.
         """
-        d = 1
-        for terms in self.constants.values():
-            for c in terms.values():
-                d = lcm(d, c.denominator)
-        return {
-            pair: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
-            for pair, terms in self.constants.items()
-        }
+        if self._integer is None:
+            d = 1
+            for terms in self.constants.values():
+                for c in terms.values():
+                    d = lcm(d, c.denominator)
+            self._integer = {
+                pair: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+                for pair, terms in self.constants.items()
+            }
+        return self._integer
 
     def same_constants(self, other: "LieAlgebra") -> bool:
         if self.dim != other.dim:
@@ -163,14 +171,33 @@ class LieAlgebra:
         return f"LieAlgebra({self.family}, omega=({om}), dim={self.dim})"
 
 
+class _Weight:
+    """coef * w_ab for an integer coef and w_ab = omega_{a+1} ... omega_b (1
+    when a == b), with omega not yet chosen: the rules scale it by integers."""
+
+    __slots__ = ("coef", "a", "b")
+
+    def __init__(self, coef: int, a: int, b: int):
+        self.coef, self.a, self.b = coef, a, b
+
+    def __rmul__(self, k: int) -> "_Weight":
+        return _Weight(k * self.coef, self.a, self.b)
+
+    def __neg__(self) -> "_Weight":
+        return _Weight(-self.coef, self.a, self.b)
+
+
+_ONE = _Weight(1, 0, 0)
+
+
 class _Builder:
     """Collects bracket rows with order normalization and collision checks."""
 
     def __init__(self, labels):
         self.index = {lab: i for i, lab in enumerate(labels)}
-        self.constants: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self.rows: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = {}
 
-    def put(self, u: GeneratorLabel, v: GeneratorLabel, terms: dict[GeneratorLabel, Fraction]):
+    def put(self, u: GeneratorLabel, v: GeneratorLabel, terms: dict[GeneratorLabel, _Weight]):
         i, j = self.index[u], self.index[v]
         if i == j:
             raise ValueError(f"bracket of {u} with itself")
@@ -178,60 +205,106 @@ class _Builder:
         if i > j:
             i, j = j, i
             sign = -1
-        filtered = {}
-        for lab, c in terms.items():
-            if c:
-                filtered[self.index[lab]] = Fraction(sign) * c
-        if (i, j) in self.constants:
+        if (i, j) in self.rows:
             raise ValueError(f"bracket ({u}, {v}) assigned twice")
-        if filtered:
-            self.constants[(i, j)] = filtered
+        self.rows[(i, j)] = tuple(
+            (self.index[lab], sign * c.coef, c.a, c.b) for lab, c in terms.items()
+        )
 
 
-def _put_torus_rows(bld: _Builder, n: int, w: dict[tuple[int, int], Fraction]):
+def _put_torus_rows(bld: _Builder, n: int, w: dict[tuple[int, int], _Weight]):
     """The su/u rows of the torus generators B(l)."""
     for (a, b), w_ab in w.items():
         for l in range(1, n + 1):
             kappa = (a == l - 1) - (b == l - 1) + (b == l) - (a == l)
             if kappa:
-                bld.put(J(a, b), B(l), {M(a, b): Fraction(kappa)})
-                bld.put(M(a, b), B(l), {J(a, b): Fraction(-kappa)})
-        bld.put(J(a, b), M(a, b), {B(s): -_F2 * w_ab for s in range(a + 1, b + 1)})
+                bld.put(J(a, b), B(l), {M(a, b): kappa * _ONE})
+                bld.put(M(a, b), B(l), {J(a, b): -kappa * _ONE})
+        bld.put(J(a, b), M(a, b), {B(s): -2 * w_ab for s in range(a + 1, b + 1)})
 
 
-def _put_quaternion_rows(bld: _Builder, n: int, w: dict[tuple[int, int], Fraction]):
+def _put_quaternion_rows(bld: _Builder, n: int, w: dict[tuple[int, int], _Weight]):
     """The sq rows of the diagonal units E and of partners of distinct units."""
     for alpha in (1, 2, 3):
         for (a, b), w_ab in w.items():
-            bld.put(J(a, b), Mq(alpha, a, b), {E(alpha, b): _F2 * w_ab, E(alpha, a): -_F2 * w_ab})
-            bld.put(J(a, b), E(alpha, a), {Mq(alpha, a, b): _F1})
-            bld.put(J(a, b), E(alpha, b), {Mq(alpha, a, b): -_F1})
-            bld.put(Mq(alpha, a, b), E(alpha, a), {J(a, b): -_F1})
-            bld.put(Mq(alpha, a, b), E(alpha, b), {J(a, b): _F1})
+            bld.put(J(a, b), Mq(alpha, a, b), {E(alpha, b): 2 * w_ab, E(alpha, a): -2 * w_ab})
+            bld.put(J(a, b), E(alpha, a), {Mq(alpha, a, b): _ONE})
+            bld.put(J(a, b), E(alpha, b), {Mq(alpha, a, b): -_ONE})
+            bld.put(Mq(alpha, a, b), E(alpha, a), {J(a, b): -_ONE})
+            bld.put(Mq(alpha, a, b), E(alpha, b), {J(a, b): _ONE})
     for alpha, beta in permutations((1, 2, 3), 2):
         gamma = 6 - alpha - beta
         eps = epsilon(alpha, beta, gamma)
         for a, b, c in combinations(range(n + 1), 3):
             bld.put(Mq(alpha, a, b), Mq(beta, a, c), {Mq(gamma, b, c): eps * w[a, b]})
-            bld.put(Mq(alpha, a, b), Mq(beta, b, c), {Mq(gamma, a, c): eps})
+            bld.put(Mq(alpha, a, b), Mq(beta, b, c), {Mq(gamma, a, c): eps * _ONE})
             bld.put(Mq(alpha, a, c), Mq(beta, b, c), {Mq(gamma, a, b): eps * w[b, c]})
         for a, b in w:
-            bld.put(Mq(alpha, a, b), E(beta, a), {Mq(gamma, a, b): eps})
-            bld.put(Mq(alpha, a, b), E(beta, b), {Mq(gamma, a, b): eps})
+            bld.put(Mq(alpha, a, b), E(beta, a), {Mq(gamma, a, b): eps * _ONE})
+            bld.put(Mq(alpha, a, b), E(beta, b), {Mq(gamma, a, b): eps * _ONE})
         # [X, Y] and [Y, X] are one row, so the symmetric rows take alpha < beta.
         if alpha < beta:
             for (a, b), w_ab in w.items():
-                e_ab = _F2 * eps * w_ab
+                e_ab = 2 * eps * w_ab
                 bld.put(Mq(alpha, a, b), Mq(beta, a, b), {E(gamma, a): e_ab, E(gamma, b): e_ab})
             for a in range(n + 1):
-                bld.put(E(alpha, a), E(beta, a), {E(gamma, a): _F2 * eps})
+                bld.put(E(alpha, a), E(beta, a), {E(gamma, a): 2 * eps * _ONE})
+
+
+@cache
+def _shape(family: str, n: int):
+    """The bracket table of `family` with N = n for a symbolic omega.
+
+    Returns the basis labels and the rows ((i, j), ((k, coef, a, b), ...)),
+    meaning [X_i, X_j] = sum of coef * w_ab X_k, in insertion order.  Built
+    once per (family, n) and immutable, so every omega shares it.
+    """
+    labels = tuple(labels_for_family(family, n))
+    kind = FAMILY_KIND[family]
+    bld = _Builder(labels)
+    w = {(a, b): _Weight(1, a, b) for a, b in combinations(range(n + 1), 2)}
+    triples = list(combinations(range(n + 1), 3))
+    for a, b, c in triples:
+        bld.put(J(a, b), J(a, c), {J(b, c): w[a, b]})
+        bld.put(J(a, b), J(b, c), {J(a, c): -_ONE})
+        bld.put(J(a, c), J(b, c), {J(a, b): w[b, c]})
+    # R, C and H have real dimension 2**kind, so 2**kind - 1 imaginary units.
+    for alpha in range(1, 2**kind):
+        P = M if kind == Kind.COMPLEX else partial(Mq, alpha)
+        for a, b, c in triples:
+            bld.put(P(a, b), P(a, c), {J(b, c): w[a, b]})
+            bld.put(P(a, b), P(b, c), {J(a, c): _ONE})
+            bld.put(P(a, c), P(b, c), {J(a, b): w[b, c]})
+            bld.put(J(a, b), P(a, c), {P(b, c): w[a, b]})
+            bld.put(J(a, b), P(b, c), {P(a, c): -_ONE})
+            bld.put(J(a, c), P(b, c), {P(a, b): -w[b, c]})
+            bld.put(P(a, b), J(a, c), {P(b, c): -w[a, b]})
+            bld.put(P(a, b), J(b, c), {P(a, c): -_ONE})
+            bld.put(P(a, c), J(b, c), {P(a, b): w[b, c]})
+    if kind == Kind.COMPLEX:
+        _put_torus_rows(bld, n, w)
+    elif kind == Kind.QUATERNION:
+        _put_quaternion_rows(bld, n, w)
+    return labels, tuple(bld.rows.items())
+
+
+def _omega_table(om: OmegaVector) -> list[list[Fraction | None]]:
+    """w[a][b] = omega_{a+1} ... omega_b for 0 <= a <= b <= N, 1 when a == b,
+    by running products; entries with b < a are None."""
+    w = []
+    for a in range(om.n + 1):
+        row: list[Fraction | None] = [None] * a + [_F1]
+        for c in om.coeffs[a:]:
+            row.append(row[-1] * c)
+        w.append(row)
+    return w
 
 
 def build_algebra(family: str, omega) -> LieAlgebra:
     """The closed-form bracket table of `family` at `omega`.
 
     so, su/u and sq are the metric-antihermitian matrices over R, C and H,
-    and share one rule set (a < b < c, w_ab = omega.product(a, b)):
+    and share one rule set (a < b < c, w_ab = omega_{a+1} ... omega_b):
 
     * the J rows [J_ab, J_ac] = w_ab J_bc, [J_ab, J_bc] = -J_ac and
       [J_ac, J_bc] = w_bc J_ab, in every family;
@@ -242,38 +315,27 @@ def build_algebra(family: str, omega) -> LieAlgebra:
     Only the rows of the diagonal generators differ: the torus rows of
     B(l) over C (the phase I of u is central), and over H the rows of
     E(alpha, a) and the rows mixing distinct units, signed by epsilon.
-    The rules never read the matrices: `from_matrices` is the route that
-    checks them.
+
+    The rules run once per (family, N), on symbolic weights (`_shape`); each
+    omega then only evaluates coef * w_ab from one table of range products
+    and drops the zeros, into constant dicts of its own.  The rules never
+    read the matrices, and the matrix route never reads the shape or the
+    table: `from_matrices` is the route that checks them.
     """
     om = OmegaVector.coerce(omega)
-    n = om.n
-    labels = labels_for_family(family, n)
-    kind = FAMILY_KIND[family]
-    bld = _Builder(labels)
-    w = {(a, b): om.product(a, b) for a, b in combinations(range(n + 1), 2)}
-    triples = list(combinations(range(n + 1), 3))
-    for a, b, c in triples:
-        bld.put(J(a, b), J(a, c), {J(b, c): w[a, b]})
-        bld.put(J(a, b), J(b, c), {J(a, c): -_F1})
-        bld.put(J(a, c), J(b, c), {J(a, b): w[b, c]})
-    # R, C and H have real dimension 2**kind, so 2**kind - 1 imaginary units.
-    for alpha in range(1, 2**kind):
-        P = M if kind == Kind.COMPLEX else partial(Mq, alpha)
-        for a, b, c in triples:
-            bld.put(P(a, b), P(a, c), {J(b, c): w[a, b]})
-            bld.put(P(a, b), P(b, c), {J(a, c): _F1})
-            bld.put(P(a, c), P(b, c), {J(a, b): w[b, c]})
-            bld.put(J(a, b), P(a, c), {P(b, c): w[a, b]})
-            bld.put(J(a, b), P(b, c), {P(a, c): -_F1})
-            bld.put(J(a, c), P(b, c), {P(a, b): -w[b, c]})
-            bld.put(P(a, b), J(a, c), {P(b, c): -w[a, b]})
-            bld.put(P(a, b), J(b, c), {P(a, c): -_F1})
-            bld.put(P(a, c), J(b, c), {P(a, b): w[b, c]})
-    if kind == Kind.COMPLEX:
-        _put_torus_rows(bld, n, w)
-    elif kind == Kind.QUATERNION:
-        _put_quaternion_rows(bld, n, w)
-    return LieAlgebra(family, om, labels, bld.constants)
+    labels, rows = _shape(family, om.n)
+    w = _omega_table(om)
+    constants: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for pair, terms in rows:
+        out = {}
+        for k, coef, a, b in terms:
+            w_ab = w[a][b]
+            if w_ab:
+                # Fractions are immutable, so a unit coef can share the entry.
+                out[k] = w_ab if coef == 1 else coef * w_ab
+        if out:
+            constants[pair] = out
+    return LieAlgebra(family, om, labels, constants)
 
 
 # Per-family entry points, kept for library callers.
@@ -352,6 +414,11 @@ def from_matrices(family: str, omega) -> LieAlgebra:
     om = OmegaVector.coerce(omega)
     labels = labels_for_family(family, om.n)
     mats = [build_generator(family, lab, om) for lab in labels]
+    return _from_generators(family, om, labels, mats)
+
+
+def _from_generators(family: str, om: OmegaVector, labels, mats) -> LieAlgebra:
+    """`from_matrices` on the generator matrices of `labels`, already built."""
     dec = BasisDecomposer(mats)
     constants: dict[tuple[int, int], dict[int, Fraction]] = {}
     r = len(labels)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cklie import ck_matrix, cli, lie_core
 from cklie.ck_matrix import NotInSpanError
 from cklie.cli import main, sweep_rows
 
@@ -295,6 +296,20 @@ class TestVerify:
         )
         assert code == 0
         assert "ok" in out
+
+    def test_each_generator_matrix_built_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(family, label, omega):
+            calls.append(label)
+            return ck_matrix.build_generator(family, label, omega)
+
+        monkeypatch.setattr(cli, "build_generator", counting)
+        monkeypatch.setattr(lie_core, "build_generator", counting)
+        code, out, _ = run(capsys, "verify", "--family", "so", "--omega=1,1,1,1,1,1,1,1")
+        assert code == 0
+        assert json.loads(out)["checks"]["closure_matrix_match"] == "pass"
+        assert len(calls) == len(set(calls)) == 36
 
     # sha256 of the output recorded before the catalog entries carried their
     # own slots and removal shifts; pins every check's verdict.

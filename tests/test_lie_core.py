@@ -5,7 +5,9 @@ import random
 import pytest
 
 from helpers import FAMILY_DIMENSION, bracket_of, oracle_jacobi, permute_basis
+from cklie import lie_core
 from cklie.ck_matrix import B, E, J, M, Mq, OmegaVector, XI_LABEL
+from cklie.classify import predict
 from cklie.cohomology import CohomologySolver, TwoCochain
 from cklie.lie_core import (
     LieAlgebra,
@@ -229,6 +231,68 @@ class TestFromMatrices:
     def test_su_rational_omega(self):
         om = [Fraction(2, 3)]
         assert from_matrices("su", om).same_constants(build_su(om))
+
+
+# Signed primes: with no zero entry, every range product omega_{a+1} ... omega_b
+# is a different number, so a constant read from the wrong range cannot agree
+# by accident as it can among the +-1 products of sign patterns.
+SIGNED_PRIMES = (Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-11), Fraction(13, 17))
+
+
+def prime_omegas(n):
+    """The first n signed primes, then the same with a zero at each position."""
+    base = SIGNED_PRIMES[:n]
+    yield base
+    for p in range(n):
+        yield base[:p] + (Fraction(0),) + base[p + 1:]
+
+
+class TestShape:
+    @pytest.mark.parametrize("family,nmax", [("so", 5), ("su", 4), ("u", 4), ("sq", 3)])
+    def test_matches_matrix_route_at_distinct_products(self, family, nmax):
+        lie_core._shape.cache_clear()
+        for n in range(1, nmax + 1):
+            # Build the shape at another omega first, so a value left over from
+            # that build shows up as a mismatch below.
+            build_algebra(family, [Fraction(7, 3)] * n)
+            for omega in prime_omegas(n):
+                om = OmegaVector(omega)
+                w = lie_core._omega_table(om)
+                for a in range(n + 1):
+                    for b in range(a, n + 1):
+                        assert w[a][b] == om.product(a, b), (omega, a, b)
+                closed = build_algebra(family, om)
+                assert closed.same_constants(from_matrices(family, om)), (family, omega)
+
+    def test_matrix_route_and_predictor_read_no_shape(self, monkeypatch):
+        om = OmegaVector(SIGNED_PRIMES[:3])
+        expected = build_algebra("sq", om)
+
+        def refuse(*args):
+            raise AssertionError("the closed-form shape was read")
+
+        monkeypatch.setattr(lie_core, "_shape", refuse)
+        monkeypatch.setattr(lie_core, "_omega_table", refuse)
+        with pytest.raises(AssertionError):
+            build_algebra("sq", om)
+        assert from_matrices("sq", om).same_constants(expected)
+        for family in ("so", "su", "u"):
+            assert predict(family, om).entries
+
+    def test_cache_hands_out_no_shared_state(self):
+        om = [Fraction(2), Fraction(-3)]
+        first = build_algebra("su", om)
+        snapshot = {pair: dict(terms) for pair, terms in first.constants.items()}
+        pair = next(iter(first.constants))
+        terms = first.constants[pair]
+        terms[min(terms)] += 1
+        terms[first.dim - 1] = Fraction(5)
+        assert build_algebra("su", om).constants == snapshot
+
+    def test_integer_constants_computed_once(self):
+        L = build_algebra("su", [Fraction(2, 3), Fraction(-3)])
+        assert L.integer_constants() is L.integer_constants()
+        assert L.integer_constants()[(0, 1)] == {2: 2}
 
 
 class TestContract:
