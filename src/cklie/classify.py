@@ -35,10 +35,10 @@ shifted generator, delta(e_g) = sum of c * xi over the entries that shift g,
 and every one holds exactly for every omega (at an active entry c = 0, so
 its share of the sum vanishes); `removals` builds their right-hand sides.
 `coefficient_cocycle` looks an entry up by name; `crosscheck` confronts the
-whole catalog with the exact solver: counts must agree, every active
-coefficient must be a nontrivial cocycle, every inactive type II must be
-trivial or forced to zero, every inactive type III must fail the cocycle
-equations.
+whole catalog with the exact solver: counts must agree, the active
+coefficients must be nontrivial cocycles that form a basis of H2, every
+inactive type II must be trivial or forced to zero, every inactive type III
+must fail the cocycle equations.
 """
 
 from __future__ import annotations
@@ -321,11 +321,12 @@ class CrosscheckReport:
 def crosscheck(family: str, omega) -> CrosscheckReport:
     """Confront the catalog with the exact solver for one algebra.
 
-    Match requires: predicted count == dim H2; every active coefficient is a
-    nontrivial cocycle; every inactive type II is trivial or fails the
-    cocycle equations (forced to zero by its constraint); every inactive
-    type III fails the cocycle equations.  The report keeps the solver, so
-    callers read the algebra, the dims and the bases from the same run.
+    Match requires: predicted count == dim H2; the active coefficients are
+    nontrivial cocycles independent modulo B2, a basis of H2; every inactive
+    type II is trivial or fails the cocycle equations (forced to zero by its
+    constraint); every inactive type III fails the cocycle equations.  The
+    report keeps the solver, so callers read the algebra, the dims and the
+    representatives from the same run.
     """
     om = OmegaVector.coerce(omega)
     catalog = predict(family, om)
@@ -333,6 +334,7 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
     res = solver.result()
     index = _basis_index(solver.algebra.basis)
     verdicts: list[CoefficientVerdict] = []
+    active: list[TwoCochain] = []
     all_ok = True
     for entry in catalog.entries:
         xi = _cochain(entry.slots, index)
@@ -340,6 +342,7 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
         trivial = solver.is_coboundary(xi) if cocycle_ok else None
         note = ""
         if entry.active:
+            active.append(xi)
             ok = cocycle_ok and trivial is False
         elif entry.ext_type == "III":
             ok = not cocycle_ok
@@ -362,7 +365,7 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
                 note=note,
             )
         )
-    match = all_ok and catalog.predicted == res.dim_h2
+    match = all_ok and catalog.predicted == res.dim_h2 == solver.rank_mod_b2(active)
     return CrosscheckReport(
         family=family,
         omega=om,

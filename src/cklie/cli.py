@@ -152,15 +152,17 @@ def cmd_structure(args: argparse.Namespace) -> int:
 def _h2_payload(family: str, omega: OmegaVector) -> dict:
     report = crosscheck(family, omega)
     L = report.solver.algebra
-    res = report.solver.result()
     payload = {
         "family": family,
         "n": omega.n,
         "omega": [str(c) for c in omega],
         "n_zeros": omega.n_zeros,
         "dim": L.dim,
+        "dim_z2": report.dim_z2,
+        "dim_b2": report.dim_b2,
+        "dim_h2": report.dim_h2,
+        "representatives": [xi.to_json_obj(L) for xi in report.solver.representatives()],
     }
-    payload.update(res.to_json_obj(L))
     payload["crosscheck"] = report.to_json_obj()
     payload["predicted"] = report.predicted
     payload["match"] = report.match

@@ -11,27 +11,28 @@ cocycle space Z2 is the exact nullspace of that system; the coboundary space
 B2 is spanned by the maps mu |-> (xi_ij = sum_k C_ij^k mu_k); dim H2 =
 dim Z2 - dim B2 counts inequivalent nontrivial central extensions.
 
-The pipeline runs in Python integers from assembly to the last reduction.
-The constants are scaled once by d, the lcm of their denominators; the
-equations and the coboundary rows are linear in the constants, so Z2 and B2
-do not change.  Forward elimination reduces each row fraction-free (integer
-cross-multiplication and gcd normalization) against the pivot row stored for
-its leading column; back-substitution clears each row against the reduced
-rows of just the pivot columns it holds; the nullspace is read off in
-integers.  Fractions appear only in the output: each reduced row is divided
-by its pivot once.  The reduced row echelon form of a row space is unique,
-so ranks, bases and representatives do not depend on row order or on the
-order in which rows meet their pivots.  The cocycle test evaluates only the
-equations that hold a nonzero column of the cochain.  A wrong rank here
-would be a wrong theorem, so no floating point is allowed anywhere near this
-module.
+The pipeline runs in Python integers.  The constants are scaled once by d,
+the lcm of their denominators; the equations and the coboundary rows are
+linear in the constants, so Z2 and B2 do not change.  One fraction-free
+reduction loop (integer cross-multiplication, gcd normalization) serves
+every question: forward elimination keeps each nonzero residue as a pivot
+and gives the dims alone (dim Z2 = unknowns - rank of the system, dim B2 =
+rank of the coboundary rows); a cochain is a coboundary exactly when its
+integer vector leaves no residue against the B2 echelon.  The cocycle test
+evaluates only the equations that hold a nonzero column of the cochain.
+Only the representatives that `h2` prints need a basis: the cached system
+echelon is back-substituted, the nullspace read off in integers and reduced
+in turn, and each Z2 row divided by its pivot, the only Fractions the
+solver makes.  The RREF of a row space is unique, so nothing depends on row
+order.  A wrong rank here would be a wrong theorem, so no floating point is
+allowed anywhere near this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Iterable
 
@@ -204,54 +205,58 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _echelon_int(rows: Iterable[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """Fraction-free forward elimination keyed by leading column.
-
-    Each row is reduced against the stored pivot row of its smallest column
-    until it vanishes or leads a column that has no pivot yet: an integer
-    multiple of the pivot row is subtracted when the pivot entry divides the
-    row's, else the two are cross-multiplied and the result gcd-normalized.
-    Stored pivot rows are gcd-normalized.  Returns (pivot columns, echelon
-    rows), one row per pivot, ordered by pivot column.
-    """
-    by_lead: dict[int, dict[int, int]] = {}
-    for row in rows:
-        while row:
-            lead = min(row)
-            piv = by_lead.get(lead)
-            if piv is None:
-                by_lead[lead] = _normalize_int_row(row)
-                break
-            pv, v = piv[lead], row[lead]
-            q, rem = divmod(v, pv)
-            if rem:
-                new = {c: pv * val for c, val in row.items()}
-                q = v
+def _reduce(row: dict[int, int], pivots_by_lead: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Reduce row against the pivot rows keyed by leading column until it
+    vanishes or leads a column with no pivot: an integer multiple of the
+    pivot row is subtracted when the pivot entry divides the row's, else the
+    two are cross-multiplied and the result gcd-normalized.  Returns the
+    residue, empty exactly when row lies in the pivots' span; row itself is
+    not modified."""
+    while row:
+        lead = min(row)
+        piv = pivots_by_lead.get(lead)
+        if piv is None:
+            break
+        pv, v = piv[lead], row[lead]
+        q, rem = divmod(v, pv)
+        if rem:
+            new = {c: pv * val for c, val in row.items()}
+            q = v
+        else:
+            new = dict(row)
+        for c, val in piv.items():
+            nv = new.get(c, 0) - q * val
+            if nv:
+                new[c] = nv
             else:
-                new = dict(row)
-            for c, val in piv.items():
-                nv = new.get(c, 0) - q * val
-                if nv:
-                    new[c] = nv
-                else:
-                    del new[c]
-            row = _normalize_int_row(new) if rem else new
-    pivots = sorted(by_lead)
-    return pivots, [by_lead[p] for p in pivots]
+                del new[c]
+        row = _normalize_int_row(new) if rem else new
+    return row
 
 
-def _rref(rows: Iterable[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """Integer reduced row echelon form: row s leads column pivots[s] and is
-    zero in every other pivot column; dividing it by its leading entry gives
-    the rational RREF row.
+def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination: each row's nonzero residue under :func:`_reduce`
+    is gcd-normalized and stored as the pivot row of its leading column.
+    Returns {pivot column: echelon row}; its length is the rank."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _reduce(row, echelon)
+        if row:
+            echelon[min(row)] = _normalize_int_row(row)
+    return echelon
+
+
+def _rref(echelon: dict[int, dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """Integer reduced row echelon form of a forward echelon: row s leads
+    column pivots[s] and is zero in every other pivot column; dividing it by
+    its leading entry gives the rational RREF row.
 
     Back-substitution runs from the last pivot to the first.  Each row is
     cleared, in one fraction-free combination, against the already-reduced
     rows of just the pivot columns it holds.
     """
-    pivots, ech = _echelon_int(rows)
     done: dict[int, dict[int, int]] = {}
-    for p, row in zip(reversed(pivots), reversed(ech)):
+    for p, row in sorted(echelon.items(), reverse=True):
         hits = [c for c in row if c in done]
         if hits:
             m = lcm(*(done[c][c] for c in hits))
@@ -262,6 +267,7 @@ def _rref(rows: Iterable[dict[int, int]]) -> tuple[list[int], list[dict[int, int
                     new[c2] = new.get(c2, 0) - f * v
             row = _normalize_int_row({c: v for c, v in new.items() if v})
         done[p] = row
+    pivots = sorted(done)
     return pivots, [done[p] for p in pivots]
 
 
@@ -288,11 +294,6 @@ def _nullspace(pivots: list[int], rows: list[dict[int, int]], ncols: int) -> lis
     return basis
 
 
-def _rational_rows(pivots: list[int], rows: list[dict[int, int]]) -> list[dict[int, Fraction]]:
-    """The rational RREF rows (leading entry 1) of an integer RREF."""
-    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, rows)]
-
-
 # ---------------------------------------------------------------------------
 # Cocycle system assembly and the solver proper
 # ---------------------------------------------------------------------------
@@ -307,7 +308,6 @@ class CocycleSystem:
     leaves the solution space unchanged."""
 
     n_unknowns: int
-    pairs: tuple[tuple[int, int], ...]
     rows: tuple[dict[int, int], ...]
 
     @property
@@ -320,25 +320,13 @@ class CohomologyResult:
     dim_z2: int
     dim_b2: int
     dim_h2: int
-    z2_basis: tuple[TwoCochain, ...]
-    b2_basis: tuple[TwoCochain, ...]
-    h2_representatives: tuple[TwoCochain, ...]
-
-    def to_json_obj(self, algebra=None) -> dict:
-        return {
-            "dim_z2": self.dim_z2,
-            "dim_b2": self.dim_b2,
-            "dim_h2": self.dim_h2,
-            "representatives": [
-                xi.to_json_obj(algebra) for xi in self.h2_representatives
-            ],
-        }
 
 
 class CohomologySolver:
-    """Caches the assembled system, the result, the B2 reducer and the
-    column index of the cocycle test for one algebra, so repeated cochain
-    queries stay cheap."""
+    """Caches, for one algebra, the assembled system and its echelon, the B2
+    echelon, the dims, the Z2 basis and the column index of the cocycle
+    test, so repeated cochain queries stay cheap.  Only the Z2 basis holds
+    Fractions."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -347,8 +335,10 @@ class CohomologySolver:
         self.pair_index = {pair: t for t, pair in enumerate(self.pairs)}
         self.n_unknowns = len(self.pairs)
         self._system: CocycleSystem | None = None
+        self._echelon: dict[int, dict[int, int]] | None = None
+        self._b2: dict[int, dict[int, int]] | None = None
         self._result: CohomologyResult | None = None
-        self._b2: tuple[list[int], list[dict[int, Fraction]]] | None = None
+        self._z2: dict[int, TwoCochain] | None = None
         self._by_column: list[list[int]] | None = None
 
     # -- assembly -----------------------------------------------------------
@@ -378,66 +368,73 @@ class CohomologySolver:
                 row = {x: c for x, c in acc.items() if c}
                 if row:
                     rows.append(row)
-            self._system = CocycleSystem(self.n_unknowns, self.pairs, tuple(rows))
+            self._system = CocycleSystem(self.n_unknowns, tuple(rows))
         return self._system
 
-    # -- vector conversions ---------------------------------------------------
+    def _system_echelon(self) -> dict[int, dict[int, int]]:
+        if self._echelon is None:
+            self._echelon = _echelon_int(self.system().rows)
+        return self._echelon
 
-    def cochain_vector(self, xi: TwoCochain) -> dict[int, Fraction]:
-        if xi.dim != self.algebra.dim:
-            raise ValueError("cochain dimension does not match the algebra")
-        return {self.pair_index[pair]: v for pair, v in xi.entries.items()}
-
-    def vector_cochain(self, vec: dict[int, Fraction]) -> TwoCochain:
-        """The cochain of a column vector with Fraction values."""
-        return TwoCochain._wrap(
-            self.algebra.dim, {self.pairs[col]: v for col, v in vec.items() if v}
-        )
-
-    # -- spaces ----------------------------------------------------------------
-
-    def _b2_data(self):
+    def _b2_echelon(self) -> dict[int, dict[int, int]]:
+        """Forward echelon of the coboundary rows, one per generator k with
+        xi_ij = C_ij^k at column ij, in the scaled integer constants."""
         if self._b2 is None:
             rows: list[dict[int, int]] = [{} for _ in range(self.algebra.dim)]
             for pair, terms in self.algebra.integer_constants().items():
                 col = self.pair_index[pair]
                 for k, c in terms.items():
                     rows[k][col] = c
-            pivots, red = _rref(row for row in rows if row)
-            self._b2 = pivots, _rational_rows(pivots, red)
+            self._b2 = _echelon_int(row for row in rows if row)
         return self._b2
 
+    # -- spaces ----------------------------------------------------------------
+
     def result(self) -> CohomologyResult:
-        """Z2 as the RREF of the integer nullspace of the system, B2 and the
-        Z2 rows whose pivots B2 lacks as H2 representatives; memoized."""
+        """dim Z2 = unknowns - rank of the system echelon, dim B2 = rank of
+        the B2 echelon; memoized.  No back-substitution, no Fraction."""
         if self._result is None:
-            sys_ = self.system()
-            z_pivots, z_red = _rref(_nullspace(*_rref(sys_.rows), sys_.n_unknowns))
-            z2 = tuple(self.vector_cochain(row) for row in _rational_rows(z_pivots, z_red))
-            b_pivots, b_rows = self._b2_data()
-            b_set = set(b_pivots)
-            self._result = CohomologyResult(
-                dim_z2=len(z_pivots),
-                dim_b2=len(b_pivots),
-                dim_h2=len(z_pivots) - len(b_pivots),
-                z2_basis=z2,
-                b2_basis=tuple(self.vector_cochain(row) for row in b_rows),
-                h2_representatives=tuple(
-                    xi for p, xi in zip(z_pivots, z2) if p not in b_set
-                ),
-            )
+            dim_z2 = self.n_unknowns - len(self._system_echelon())
+            dim_b2 = len(self._b2_echelon())
+            self._result = CohomologyResult(dim_z2, dim_b2, dim_z2 - dim_b2)
         return self._result
 
+    def z2_basis(self) -> dict[int, TwoCochain]:
+        """The reduced row echelon basis of Z2, {pivot column: cochain} in
+        column order; memoized.  The cached system echelon is back-substituted,
+        its integer nullspace echeloned and reduced, and each row divided by
+        its leading entry: the only Fractions the solver makes."""
+        if self._z2 is None:
+            null = _nullspace(*_rref(self._system_echelon()), self.n_unknowns)
+            r = self.algebra.dim
+            pairs = self.pairs
+            self._z2 = {
+                p: TwoCochain._wrap(r, {pairs[c]: Fraction(v, row[p]) for c, v in row.items()})
+                for p, row in zip(*_rref(_echelon_int(null)))
+            }
+        return self._z2
+
+    def representatives(self) -> tuple[TwoCochain, ...]:
+        """The Z2 basis rows whose pivots B2 lacks: dim H2 nontrivial
+        cocycles, canonical because the RREF of a row space is unique."""
+        return tuple(xi for p, xi in self.z2_basis().items() if p not in self._b2_echelon())
+
     # -- cochain queries ---------------------------------------------------------
+
+    def int_vector(self, xi: TwoCochain) -> dict[int, int]:
+        """The column vector of xi scaled by the lcm of its denominators."""
+        if xi.dim != self.algebra.dim:
+            raise ValueError("cochain dimension does not match the algebra")
+        d = lcm(*(v.denominator for v in xi.entries.values()))
+        return {
+            self.pair_index[pair]: v.numerator * (d // v.denominator)
+            for pair, v in xi.entries.items()
+        }
 
     def is_cocycle(self, xi: TwoCochain) -> bool:
         """Exact: only the equations that hold a nonzero column of xi are
         evaluated, and every other equation sums to zero on xi."""
-        vec = self.cochain_vector(xi)
-        if not vec:
-            return True
-        d = lcm(*(v.denominator for v in vec.values()))
-        ivec = {c: v.numerator * (d // v.denominator) for c, v in vec.items()}
+        ivec = self.int_vector(xi)
         rows = self.system().rows
         if self._by_column is None:
             self._by_column = [[] for _ in range(self.n_unknowns)]
@@ -453,21 +450,16 @@ class CohomologySolver:
         return True
 
     def is_coboundary(self, xi: TwoCochain) -> bool:
-        """True iff xi lies in the span of B2.  Does not test the cocycle
+        """True iff xi lies in the span of B2: its integer vector reduces to
+        nothing against the B2 echelon.  Does not test the cocycle
         equations; see :meth:`is_trivial` for the checked form."""
-        vec = dict(self.cochain_vector(xi))
-        b_pivots, b_rows = self._b2_data()
-        for p, row in zip(b_pivots, b_rows):
-            f = vec.get(p)
-            if not f:
-                continue
-            for c, v in row.items():
-                nv = vec.get(c, _F0) - f * v
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-        return not vec
+        return not _reduce(self.int_vector(xi), self._b2_echelon())
+
+    def rank_mod_b2(self, cochains: Iterable[TwoCochain]) -> int:
+        """The number of the cochains independent modulo B2: the pivots their
+        integer vectors add to the B2 echelon rows."""
+        b2 = self._b2_echelon()
+        return len(_echelon_int(chain(b2.values(), map(self.int_vector, cochains)))) - len(b2)
 
     def is_trivial(self, xi: TwoCochain) -> bool:
         """True iff xi is a coboundary.  Rejects non-cocycles: an input that
@@ -500,5 +492,6 @@ def coboundary(mu, L) -> TwoCochain:
 
 
 def h2(L) -> CohomologyResult:
-    """Dimensions of Z2, B2 and H2 plus canonical representative cocycles."""
+    """Dimensions of Z2, B2 and H2; the representative cocycles are
+    :meth:`CohomologySolver.representatives`."""
     return CohomologySolver(L).result()

@@ -7,15 +7,16 @@ the Jacobi check walk every index triple in Fractions, and the quaternion
 product is the full 16-term formula.
 
 The last section holds test-side tools that are not oracles: a basis
-permutation, a label-keyed bracket, the dimension formulas and the adapter
-that drives the package's own elimination kernel.  No oracle calls them.
+permutation, a label-keyed bracket, the dimension formulas, the cochain of
+an integer solver row and the adapters that drive the package's own
+elimination kernel.  No oracle calls them.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from cklie.cohomology import _nullspace, _rref
+from cklie.cohomology import TwoCochain, _echelon_int, _nullspace, _rref
 from cklie.lie_core import LieAlgebra
 
 # Filled by the acceptance tests, echoed by the conftest terminal summary.
@@ -188,6 +189,11 @@ def bracket_of(L, u, v):
     return {L.basis[k]: c for k, c in L.bracket(L.index(u), L.index(v)).items()}
 
 
+def row_cochain(solver, row):
+    """The cochain of an integer row over the solver's pair columns."""
+    return TwoCochain(solver.algebra.dim, {solver.pairs[c]: v for c, v in row.items()})
+
+
 def permute_basis(L, perm):
     """Same algebra on a permuted basis: new basis[p] = old basis[perm[p]]."""
     perm = list(perm)
@@ -209,9 +215,16 @@ def permute_basis(L, perm):
     return LieAlgebra(L.family, L.omega, basis, constants)
 
 
+def kernel_rref(echelon):
+    """The rational RREF rows, {column: Fraction}, of an integer forward
+    echelon through the package's back-substitution `cohomology._rref`."""
+    pivots, red = _rref(echelon)
+    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, red)]
+
+
 def kernel_rank(matrix):
     """Rank and nullspace basis of a dense rational matrix through the
-    package's kernel, `cohomology._rref` and `_nullspace`.
+    package's kernel, `cohomology._echelon_int`, `_rref` and `_nullspace`.
 
     Each row goes in as sparse integers, scaled by the lcm of its
     denominators; each basis vector comes out dense in Fractions, 1 at its
@@ -225,7 +238,7 @@ def kernel_rank(matrix):
         vals = [Fraction(v) for v in raw]
         d = lcm(*(v.denominator for v in vals))
         rows.append({c: v.numerator * (d // v.denominator) for c, v in enumerate(vals) if v})
-    pivots, red = _rref(rows)
+    pivots, red = _rref(_echelon_int(rows))
     piv_set = set(pivots)
     free = [c for c in range(ncols) if c not in piv_set]
     null = _nullspace(pivots, red, ncols)

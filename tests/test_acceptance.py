@@ -11,12 +11,12 @@ from itertools import product
 
 import pytest
 
-from helpers import CRITERION_LINES, oracle_h2_dims, permute_basis
+from helpers import CRITERION_LINES, oracle_h2_dims, permute_basis, row_cochain
 
 from cklie.ck_matrix import OmegaVector
-from cklie.classify import coefficient_cocycle, crosscheck, predict, removals
+from cklie.classify import crosscheck, predict, removals
 from cklie.classify import _beta_factors
-from cklie.cohomology import CohomologySolver, OneCochain, coboundary
+from cklie.cohomology import CohomologySolver, OneCochain, TwoCochain, coboundary
 from cklie.lie_core import build_algebra, build_so, from_matrices, verify_jacobi
 
 
@@ -48,7 +48,9 @@ def rich_case(family: str, signs: tuple[int, ...]) -> dict:
         "match": report.match,
         "jacobi": verify_jacobi(L),
         "matrix_match": from_matrices(family, signs).same_constants(L),
-        "b2_in_z2": all(solver.is_cocycle(b) for b in res.b2_basis),
+        "b2_in_z2": all(
+            solver.is_cocycle(row_cochain(solver, row)) for row in solver._b2_echelon().values()
+        ),
         "dims_identity": res.dim_h2 == res.dim_z2 - res.dim_b2,
         "perm_dims": (perm_res.dim_z2, perm_res.dim_b2, perm_res.dim_h2),
         "lean_elapsed": lean_elapsed,
@@ -217,11 +219,14 @@ def test_c09_beta_constraint_equivalence():
     for n in range(3, 6):
         for signs in product((-1, 0, 1), repeat=n):
             om = OmegaVector.coerce(signs)
-            solver = CohomologySolver(build_so(om))
+            L = build_so(om)
+            solver = CohomologySolver(L)
+            catalog = {entry.name: entry for entry in predict("so", om).entries}
             for b in range(n - 2):
                 for d in range(b + 2, n):
                     checks += 1
-                    xi = coefficient_cocycle("so", om, f"beta[{b + 1},{d + 1}]")
+                    slots = catalog[f"beta[{b + 1},{d + 1}]"].slots
+                    xi = TwoCochain(L.dim, {(L.index(p), L.index(q)): c for p, q, c in slots})
                     expected = all(v == 0 for _, v in _beta_factors(om, b, d))
                     if solver.is_cocycle(xi) != expected:
                         bad.append((signs, b, d))

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from cklie import classify
 from cklie.ck_matrix import B, J, OmegaVector
 from cklie.classify import (
     coefficient_cocycle,
@@ -279,6 +281,32 @@ class TestCrosscheck:
         assert rep.solver.algebra.same_constants(build_algebra(family, signs))
         res = rep.solver.result()
         assert (rep.dim_z2, rep.dim_b2, rep.dim_h2) == (res.dim_z2, res.dim_b2, res.dim_h2)
+
+    def test_active_entries_must_span_h2(self, monkeypatch):
+        # A catalog whose paired alphaF carries the slots of its alphaL keeps
+        # the right count and every active entry a nontrivial cocycle, but
+        # the active entries no longer span H2: match must say so.
+        def mutant(omega):
+            cat = predict_so(omega)
+            by_name = {e.name: e for e in cat.entries}
+            n = cat.omega.n
+            entries = []
+            for e in cat.entries:
+                if e.name.startswith("alphaF[") and e.name != f"alphaF[{n - 1},{n}]":
+                    e = replace(e, slots=by_name["alphaL" + e.name[len("alphaF"):]].slots)
+                entries.append(e)
+            return replace(cat, entries=tuple(entries))
+
+        monkeypatch.setitem(classify._PREDICTORS, "so", mutant)
+        caught = 0
+        for n in range(1, 6):
+            for signs in sign_patterns(n):
+                rep = crosscheck("so", signs)
+                if not rep.match:
+                    caught += 1
+                    assert rep.predicted == rep.dim_h2
+                    assert all(v.ok for v in rep.verdicts)
+        assert caught
 
     def test_mixed_deep_zero_patterns(self):
         # patterns with no closed-form table entry still crosscheck

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cklie import ck_matrix, cli, lie_core
+from cklie import ck_matrix, cli, cohomology, lie_core
 from cklie.ck_matrix import NotInSpanError
 from cklie.cli import main, sweep_rows
 
@@ -258,6 +258,21 @@ class TestSweep:
         rows = sweep_rows("so", 1, jobs=8)
         assert asked == [3]
         assert rows == sweep_rows("so", 1, jobs=1)
+
+    @pytest.mark.parametrize("family,signs", [("so", (0, 0, 1, 0)), ("su", (0, 1, 0))])
+    def test_rows_need_no_basis_and_no_fraction(self, monkeypatch, family, signs):
+        # A sweep row reads only dims and catalog verdicts: forward elimination
+        # and integer reduction give them, with no back-substitution, no
+        # nullspace and no Fraction made in the solver.
+        expected = cli.run_case(family, signs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep row must not build a basis or a Fraction")
+
+        for name in ("_rref", "_nullspace", "Fraction"):
+            monkeypatch.setattr(cohomology, name, forbidden)
+        assert cli.run_case(family, signs) == expected
+        assert expected["match"] and expected["dim_h2"] > 0
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"

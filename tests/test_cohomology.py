@@ -9,11 +9,13 @@ from helpers import (
     dense_nullspace,
     dense_rank,
     kernel_rank,
+    kernel_rref,
     oracle_cocycle_system,
     oracle_h2_bases,
     oracle_h2_dims,
     oracle_is_cocycle,
     permute_basis,
+    row_cochain,
 )
 
 from cklie.cohomology import (
@@ -208,10 +210,11 @@ class TestSpacesAndDims:
         [((1, 1), (3, 3, 0)), ((0, 1), (3, 2, 1)), ((0, 0), (3, 1, 2))],
     )
     def test_so_n2_dims_frozen(self, signs, expected):
-        res = h2(build_so(signs))
+        solver = CohomologySolver(build_so(signs))
+        res = solver.result()
         assert (res.dim_z2, res.dim_b2, res.dim_h2) == expected
-        assert len(res.z2_basis) == expected[0]
-        assert len(res.b2_basis) == expected[1]
+        assert len(solver.z2_basis()) == expected[0]
+        assert len(solver._b2_echelon()) == expected[1]
 
     @pytest.mark.parametrize(
         "family,nmax", [("so", 3), ("su", 2), ("u", 2), ("sq", 1)]
@@ -226,14 +229,16 @@ class TestSpacesAndDims:
     @pytest.mark.parametrize("family,omega", RATIONAL_CASES)
     def test_bases_match_dense_oracle_on_rationals(self, family, omega):
         L = build_algebra(family, omega)
-        res = h2(L)
+        solver = CohomologySolver(L)
         z2, b2 = oracle_h2_bases(L)
-        assert [xi.entries for xi in res.z2_basis] == z2
-        assert [xi.entries for xi in res.b2_basis] == b2
+        assert [xi.entries for xi in solver.z2_basis().values()] == z2
+        b2_rref = kernel_rref(solver._b2_echelon())
+        assert [{solver.pairs[c]: v for c, v in row.items()} for row in b2_rref] == b2
 
     def test_result_is_memoized(self):
         solver = CohomologySolver(build_so((0, 1, 1)))
         assert solver.result() is solver.result()
+        assert solver.z2_basis() is solver.z2_basis()
 
     def test_result_invariants(self):
         for signs in [(0, 1), (0, 0, 1), (1, 0, 1)]:
@@ -241,12 +246,12 @@ class TestSpacesAndDims:
             solver = CohomologySolver(L)
             res = solver.result()
             assert res.dim_h2 == res.dim_z2 - res.dim_b2
-            assert len(res.z2_basis) == res.dim_z2
-            assert len(res.b2_basis) == res.dim_b2
-            assert len(res.h2_representatives) == res.dim_h2
-            for b in res.b2_basis:
-                assert solver.is_cocycle(b)
-            for rep in res.h2_representatives:
+            assert len(solver.z2_basis()) == res.dim_z2
+            assert len(solver._b2_echelon()) == res.dim_b2
+            assert len(solver.representatives()) == res.dim_h2
+            for row in solver._b2_echelon().values():
+                assert solver.is_cocycle(row_cochain(solver, row))
+            for rep in solver.representatives():
                 assert solver.is_cocycle(rep)
                 assert not solver.is_trivial(rep)
 
@@ -277,7 +282,7 @@ class TestIsCocycle:
         for density in (0.05, 0.2):
             cochains += [random_cochain(rng, L.dim, density) for _ in range(8)]
         names = [entry.name for entry in predict(family, omega).entries]
-        for xi in list(solver.result().b2_basis) + [
+        for xi in [row_cochain(solver, row) for row in solver._b2_echelon().values()] + [
             coefficient_cocycle(family, omega, name) for name in names
         ]:
             bump = TwoCochain(L.dim, {rng.choice(pairs): Fraction(rng.choice((1, -2, 3)), 5)})
@@ -331,7 +336,7 @@ class TestIsTrivial:
 
     def test_nontrivial_representative(self):
         L = build_so([0, 1])
-        rep = h2(L).h2_representatives[0]
+        rep = CohomologySolver(L).representatives()[0]
         assert not CohomologySolver(L).is_trivial(rep)
 
     def test_non_cocycle_rejected(self):
@@ -346,7 +351,7 @@ class TestIsTrivial:
         L = build_so([0, 0, 1])
         solver = CohomologySolver(L)
         rng = random.Random(17)
-        reps = solver.result().h2_representatives
+        reps = solver.representatives()
         for xi in reps:
             for _ in range(10):
                 shifted = xi + coboundary(random_mu(rng, L.dim), L)
@@ -355,6 +360,32 @@ class TestIsTrivial:
     def test_zero_cochain_trivial(self):
         L = build_so([0, 1])
         assert CohomologySolver(L).is_trivial(TwoCochain(L.dim))
+
+
+class TestIsCoboundary:
+    """`is_coboundary` reduces an integer vector against the B2 echelon; the
+    oracle compares dense ranks of the coboundary rows with and without xi."""
+
+    @pytest.mark.parametrize("family,omega", RATIONAL_CASES)
+    def test_agrees_with_dense_rank(self, family, omega):
+        L = build_algebra(family, omega)
+        solver = CohomologySolver(L)
+        pairs, _, cob = oracle_cocycle_system(L)
+        rng = random.Random(f"coboundary:{family}:{omega}")
+        cochains = []
+        for density in (0.05, 0.2, 0.5):
+            cochains += [random_cochain(rng, L.dim, density) * Fraction(7, 3) for _ in range(4)]
+        for _ in range(6):
+            xi = coboundary(random_mu(rng, L.dim), L)
+            bump = TwoCochain(L.dim, {rng.choice(pairs): Fraction(rng.choice((1, -2, 3)), 5)})
+            cochains += [xi, xi + bump]
+        cochains += solver.representatives()
+        rank = dense_rank(cob)
+        expected = [
+            dense_rank(cob + [[xi.value(i, j) for i, j in pairs]]) == rank for xi in cochains
+        ]
+        assert [solver.is_coboundary(xi) for xi in cochains] == expected
+        assert True in expected and False in expected
 
 
 class TestPermutationInvariance:
@@ -377,13 +408,13 @@ class TestRepresentatives:
     def test_representative_pivots_outside_b2(self):
         L = build_so([0, 0, 1])
         solver = CohomologySolver(L)
-        res = solver.result()
-        b_pivots = {min(solver.cochain_vector(b)) for b in res.b2_basis}
-        for rep in res.h2_representatives:
-            assert min(solver.cochain_vector(rep)) not in b_pivots
+        b_pivots = set(solver._b2_echelon())
+        for rep in solver.representatives():
+            assert min(solver.int_vector(rep)) not in b_pivots
 
     def test_deterministic(self):
-        a = h2(build_so([0, 0, 1]))
-        b = h2(build_so([0, 0, 1]))
-        assert a.h2_representatives == b.h2_representatives
-        assert [x.items() for x in a.z2_basis] == [x.items() for x in b.z2_basis]
+        a = CohomologySolver(build_so([0, 0, 1]))
+        b = CohomologySolver(build_so([0, 0, 1]))
+        assert a.representatives() == b.representatives()
+        za, zb = a.z2_basis().values(), b.z2_basis().values()
+        assert [x.items() for x in za] == [x.items() for x in zb]

@@ -360,7 +360,7 @@ class TestExtendedAlgebra:
         # exhaustive over the cocycle basis, plus random non-cocycles
         for family, signs in [("so", (0, 1)), ("so", (1, 1, 1)), ("su", (0,))]:
             L = build_algebra(family, signs)
-            for xi in CohomologySolver(L).result().z2_basis:
+            for xi in CohomologySolver(L).z2_basis().values():
                 assert verify_jacobi(build_extended(L, xi))
         L = build_so([1, 1, 1])
         rng = random.Random(11)
