@@ -39,26 +39,33 @@ from .lie_core import (
     from_matrices,
     verify_jacobi,
 )
-from .cohomology import (
-    CohomologyResult,
-    CohomologySolver,
-    OneCochain,
-    TwoCochain,
-    coboundary,
-    h2,
-)
-from .classify import (
-    CatalogEntry,
-    CrosscheckReport,
-    ExtensionCatalog,
-    coefficient_cocycle,
-    crosscheck,
-    predict,
-    predict_so,
-    predict_sq,
-    predict_su,
-    predict_u,
-    removals,
-)
+
+# Every public name bound above, then those of cohomology and classify.  The
+# commands that never solve for H2 (structure, generators) neither import nor
+# compile these two modules: their names load them on first access.
+_LAZY = {
+    "cohomology": ("CohomologyResult", "CohomologySolver", "OneCochain", "TwoCochain",
+                   "coboundary", "h2"),
+    "classify": ("CatalogEntry", "CrosscheckReport", "ExtensionCatalog", "coefficient_cocycle",
+                 "crosscheck", "predict", "predict_so", "predict_sq", "predict_su", "predict_u",
+                 "removals"),
+}
+__all__ = [n for n in globals() if n[0] != "_" and n not in ("scalars", "ck_matrix", "lie_core")]
+__all__ += [name for names in _LAZY.values() for name in names]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    for home, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

@@ -15,9 +15,9 @@ so commutators and the metric checks loop over those entries only; the full
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .scalars import Hypercomplex, Kind, _frac
 
@@ -155,8 +155,7 @@ def build_metric(omega) -> tuple[Fraction, ...]:
     return tuple(om.product(0, b) for b in range(om.n + 1))
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
+class GeneratorLabel(namedtuple("GeneratorLabel", "variant indices")):
     """Label of a basis generator.
 
     variant "J": rotation-type, indices (a, b) with a < b (all families)
@@ -166,10 +165,11 @@ class GeneratorLabel:
     variant "Mq": quaternionic partners, indices (alpha, a, b)  (sq)
     variant "E": diagonal quaternionic units, (alpha, a)        (sq)
     variant "Xi": the central generator adjoined by an extension
+
+    A label is the tuple (variant, indices) and hashes like it.
     """
 
-    variant: str
-    indices: tuple[int, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         v, idx = self.variant, self.indices

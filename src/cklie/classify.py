@@ -43,7 +43,7 @@ must fail the cocycle equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
@@ -71,23 +71,17 @@ _F1 = Fraction(1)
 Slot = tuple[GeneratorLabel, GeneratorLabel, Fraction]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    ext_type: str  # "II" (pseudo-extension) or "III" (constrained)
-    active: bool
-    constraint_note: str
-    slots: tuple[Slot, ...]  # nonzero xi(X, Y) = c of the cochain for value 1
-    # Type II only: (g, c) with delta(e_g) = sum of c * xi over the entries
-    # that shift g; a singleton's c is zero exactly when it is active.
-    shift: tuple[GeneratorLabel, Fraction] | None = None
+# ext_type is "II" (pseudo-extension) or "III" (constrained); slots are the
+# nonzero xi(X, Y) = c of the cochain for value 1.  Type II only: shift is
+# (g, c) with delta(e_g) = sum of c * xi over the entries that shift g; a
+# singleton's c is zero exactly when it is active.
+CatalogEntry = namedtuple(
+    "CatalogEntry", "name ext_type active constraint_note slots shift", defaults=(None,)
+)
 
 
-@dataclass(frozen=True)
-class ExtensionCatalog:
-    family: str
-    omega: OmegaVector
-    entries: tuple[CatalogEntry, ...]
+class ExtensionCatalog(namedtuple("ExtensionCatalog", "family omega entries")):
+    __slots__ = ()
 
     @property
     def predicted(self) -> int:
@@ -268,15 +262,13 @@ def removals(catalog: ExtensionCatalog, algebra) -> dict[GeneratorLabel, TwoCoch
     return rhs
 
 
-@dataclass(frozen=True)
-class CoefficientVerdict:
-    name: str
-    ext_type: str
-    active: bool
-    is_cocycle: bool
-    trivial: bool | None  # None when not a cocycle
-    ok: bool
-    note: str = ""
+# trivial is None when the cochain is not a cocycle.
+class CoefficientVerdict(
+    namedtuple(
+        "CoefficientVerdict", "name ext_type active is_cocycle trivial ok note", defaults=("",)
+    )
+):
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -290,18 +282,25 @@ class CoefficientVerdict:
         }
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    family: str
-    omega: OmegaVector
-    n_zeros: int
-    predicted: int
-    dim_z2: int
-    dim_b2: int
-    dim_h2: int
-    verdicts: tuple[CoefficientVerdict, ...]
-    match: bool
-    solver: CohomologySolver = field(repr=False, compare=False)  # not serialized
+class CrosscheckReport(
+    namedtuple(
+        "CrosscheckReport",
+        "family omega n_zeros predicted dim_z2 dim_b2 dim_h2 verdicts match solver",
+    )
+):
+    # The solver, last, is kept for callers but is left out of equality, repr
+    # and serialization.  != is spelled out too: tuple's own would compare it.
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CrosscheckReport) and self[:-1] == other[:-1]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:-1]))
+        return f"CrosscheckReport({fields})"
 
     def to_json_obj(self) -> dict:
         return {

@@ -30,11 +30,11 @@ allowed anywhere near this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
-from typing import Iterable
 
 from .scalars import _frac
 
@@ -299,27 +299,21 @@ def _nullspace(pivots: list[int], rows: list[dict[int, int]], ncols: int) -> lis
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CocycleSystem:
+class CocycleSystem(namedtuple("CocycleSystem", "n_unknowns rows")):
     """The assembled linear system: sparse integer rows over pair-indexed
     unknowns, one per index triple whose equation is not identically zero.
     The rows are those of the constants scaled by the lcm of their
     denominators; the equations are linear in the constants, so the scaling
     leaves the solution space unchanged."""
 
-    n_unknowns: int
-    rows: tuple[dict[int, int], ...]
+    __slots__ = ()
 
     @property
     def n_equations(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    dim_z2: int
-    dim_b2: int
-    dim_h2: int
+CohomologyResult = namedtuple("CohomologyResult", "dim_z2 dim_b2 dim_h2")
 
 
 class CohomologySolver:

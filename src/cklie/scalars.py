@@ -40,8 +40,8 @@ _UNIT_PRODUCT = (
     ((3, True), (2, True), (1, False), (0, False)),
 )
 
-# "p", "-p" or "p/q" with q a positive integer.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# "p", "-p" or "p/q" in ASCII digits (int() would also read other scripts' digits).
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 class Kind(IntEnum):

@@ -8,13 +8,18 @@ product is the full 16-term formula.
 
 The last section holds test-side tools that are not oracles: a basis
 permutation, a label-keyed bracket, the dimension formulas, the cochain of
-an integer solver row and the adapters that drive the package's own
-elimination kernel.  No oracle calls them.
+an integer solver row, the adapters that drive the package's own
+elimination kernel and a runner for fresh interpreters.  No oracle calls
+them.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
 from cklie.cohomology import TwoCochain, _echelon_int, _nullspace, _rref
 from cklie.lie_core import LieAlgebra
@@ -245,3 +250,13 @@ def kernel_rank(matrix):
     return len(pivots), [
         [Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] for f, vec in zip(free, null)
     ]
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter, with this
+    checkout's package on the path; what it imports is what a launch pays."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -1,12 +1,13 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from cklie import classify
-from cklie.ck_matrix import B, J, OmegaVector
+from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector
 from cklie.classify import (
+    CatalogEntry,
+    CoefficientVerdict,
     coefficient_cocycle,
     crosscheck,
     predict,
@@ -293,9 +294,9 @@ class TestCrosscheck:
             entries = []
             for e in cat.entries:
                 if e.name.startswith("alphaF[") and e.name != f"alphaF[{n - 1},{n}]":
-                    e = replace(e, slots=by_name["alphaL" + e.name[len("alphaF"):]].slots)
+                    e = e._replace(slots=by_name["alphaL" + e.name[len("alphaF"):]].slots)
                 entries.append(e)
-            return replace(cat, entries=tuple(entries))
+            return cat._replace(entries=tuple(entries))
 
         monkeypatch.setitem(classify._PREDICTORS, "so", mutant)
         caught = 0
@@ -315,6 +316,61 @@ class TestCrosscheck:
             assert rep.match
         assert crosscheck("so", (1, 0, 1)).dim_h2 == 3
         assert crosscheck("so", (1, 0, 1, 0)).dim_h2 == 4
+
+
+class TestRecords:
+    """The immutable records: fields in order and read-only, defaults, label
+    hashing, and a crosscheck report whose equality and repr leave out its
+    solver."""
+
+    FIELDS = {
+        "GeneratorLabel": ("variant", "indices"),
+        "CocycleSystem": ("n_unknowns", "rows"),
+        "CohomologyResult": ("dim_z2", "dim_b2", "dim_h2"),
+        "ExtensionCatalog": ("family", "omega", "entries"),
+        "CatalogEntry": ("name", "ext_type", "active", "constraint_note", "slots", "shift"),
+        "CoefficientVerdict": ("name", "ext_type", "active", "is_cocycle", "trivial", "ok", "note"),
+        "CrosscheckReport": (
+            "family", "omega", "n_zeros", "predicted", "dim_z2", "dim_b2", "dim_h2",
+            "verdicts", "match", "solver",
+        ),
+    }
+
+    def test_fields_in_order_and_read_only(self):
+        rep = crosscheck("so", [0, 0, 1])
+        catalog = predict("so", [0, 0, 1])
+        records = [
+            J(0, 1), rep.solver.system(), rep.solver.result(), catalog, catalog.entries[0],
+            rep.verdicts[0], rep,
+        ]
+        assert sorted(type(r).__name__ for r in records) == sorted(self.FIELDS)
+        for record in records:
+            fields = self.FIELDS[type(record).__name__]
+            assert type(record)(*(getattr(record, f) for f in fields)) == record
+            for name in fields + ("extra",):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+
+    def test_labels_hash_like_their_tuple(self):
+        assert J(0, 1) == GeneratorLabel("J", (0, 1))
+        assert hash(J(0, 1)) == hash(GeneratorLabel("J", (0, 1))) == hash(("J", (0, 1)))
+        assert J(0, 1) != M(0, 1) and J(0, 1) != J(0, 2)
+        assert len({J(0, 1), GeneratorLabel("J", (0, 1)), M(0, 1)}) == 2
+
+    def test_defaults(self):
+        assert CatalogEntry("beta[1,3]", "III", False, "w1 = 0", ()).shift is None
+        assert CoefficientVerdict("beta[1,3]", "III", False, False, None, True).note == ""
+        entries = predict("so", [0, 0, 1]).entries
+        assert all(e.shift is None for e in entries if e.ext_type == "III")
+
+    def test_report_equality_and_repr_leave_out_the_solver(self):
+        a, b = crosscheck("so", [0, 0, 1]), crosscheck("so", [0, 0, 1])
+        assert a.solver is not b.solver
+        assert a == b and not a != b
+        assert repr(a) == repr(b)
+        assert repr(a).startswith("CrosscheckReport(family='so', omega=OmegaVector((0,0,1))")
+        assert "solver" not in repr(a) and "CohomologySolver" not in repr(a)
+        assert a != crosscheck("so", [0, 1, 1])
 
 
 class TestRescalingCovariance:

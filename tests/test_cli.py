@@ -2,13 +2,10 @@ import csv
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import run_fresh
 from cklie import ck_matrix, cli, cohomology, lie_core
 from cklie.ck_matrix import NotInSpanError
 from cklie.cli import main, sweep_rows
@@ -366,6 +363,15 @@ class TestArgumentValidation:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("omega", ["\u0661,1", "\uff11,1", "1,1/\u0662"])
+    def test_non_ascii_digits_exit_2(self, capsys, omega):
+        # Arabic-Indic and full-width digits are decimal digits to int(); the
+        # omega syntax takes ASCII digits only.
+        code, out, err = run(capsys, "h2", "--family", "so", f"--omega={omega}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad --omega value: not a rational")
+
     def test_bad_jobs(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--family", "so", "--n", "2", "--jobs", "0"
@@ -387,7 +393,33 @@ class TestImport:
     def test_cli_import_leaves_multiprocessing_unloaded(self):
         # Only a parallel sweep needs multiprocessing; every launch pays for
         # what `import cklie.cli` loads.
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        code = "import cklie.cli, sys; assert 'multiprocessing' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        run_fresh("import cklie.cli, sys; assert 'multiprocessing' not in sys.modules")
+
+    def test_structure_loads_no_dataclasses_cohomology_or_classify(self):
+        # Every launch compiles the package modules it imports, so a command
+        # that never solves for H2 must not load the solver or the catalog;
+        # no record needs dataclasses.  h2 then loads both and gives the
+        # digest recorded before they were loaded on demand.
+        script = """
+import contextlib, hashlib, io, json, sys
+import cklie.cli
+heavy = ("dataclasses", "cklie.cohomology", "cklie.classify")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cklie.cli.main(["structure", "--family", "so", "--omega=1,0,1"])
+loaded["structure"] = [m for m in heavy if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    h2_code = cklie.cli.main(["h2", "--family", "so", "--omega=1,0,1"])
+loaded["h2"] = [m for m in heavy if m in sys.modules]
+digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps([code, h2_code, digest, loaded]))
+"""
+        code, h2_code, digest, loaded = json.loads(run_fresh(script))
+        assert code == 0 and h2_code == 0
+        assert loaded == {
+            "import": [],
+            "structure": [],
+            "h2": ["cklie.cohomology", "cklie.classify"],
+        }
+        assert digest == "aa4c78bcff7094bea372e62fe8d6d5876364ccf842e6239d70e3fb5d470e9eb6"

@@ -1,0 +1,48 @@
+"""The package namespace: every exported name, with the solver and the
+catalog modules loaded only on first access."""
+
+import json
+
+import pytest
+
+from helpers import run_fresh
+import cklie
+from cklie import ck_matrix, classify, cohomology, lie_core, scalars
+
+SUBMODULES = (scalars, ck_matrix, lie_core, cohomology, classify)
+
+
+def test_every_name_is_its_home_modules_object():
+    for name in cklie.__all__:
+        homes = [m for m in SUBMODULES if name in m.__all__]
+        assert len(homes) == 1, name
+        assert getattr(cklie, name) is getattr(homes[0], name), name
+
+
+def test_names_are_listed_and_star_imported():
+    assert len(set(cklie.__all__)) == len(cklie.__all__)
+    assert set(cklie.__all__) <= set(dir(cklie))
+    namespace: dict = {}
+    exec("from cklie import *", namespace)
+    assert set(cklie.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(cklie, name) for name in cklie.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cklie.no_such_name
+    assert not hasattr(cklie, "run_case")
+
+
+def test_bare_import_loads_neither_cohomology_nor_classify():
+    script = (
+        "import json, sys\n"
+        "import cklie\n"
+        "before = sorted(m for m in sys.modules if m.startswith('cklie'))\n"
+        "cklie.h2\n"
+        "after = sorted(m for m in sys.modules if m.startswith('cklie'))\n"
+        "print(json.dumps([before, after]))\n"
+    )
+    before, after = json.loads(run_fresh(script))
+    assert before == ["cklie", "cklie.ck_matrix", "cklie.lie_core", "cklie.scalars"]
+    assert after == sorted(before + ["cklie.cohomology"])

@@ -60,6 +60,13 @@ class TestRational:
         with pytest.raises(ValueError):
             parse_rational(text)
 
+    # int() reads any Unicode decimal digit: Arabic-Indic one and two,
+    # full-width one.
+    @pytest.mark.parametrize("text", ["\u0661", "\uff11", "-\u0661/2", "1/\u0662"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
     @pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
     @pytest.mark.parametrize(
         "entry",
