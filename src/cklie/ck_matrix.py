@@ -10,14 +10,19 @@ Matrices are stored sparsely as {(row, col): value} with no zero entries.
 Every generator except the central phase I has at most two nonzero entries,
 so commutators and the metric checks loop over those entries only; the full
 (N+1) x (N+1) grid is rendered only for output.
+
+The exact elimination kernel lives here too: sparse integer rows reduced
+fraction-free (cross-multiplication, gcd normalization).  One reduction
+loop decomposes commutators in the generator basis (`BasisDecomposer`) and
+serves every rank and membership question of `cohomology`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .scalars import Hypercomplex, Kind, _frac
 
@@ -105,7 +110,7 @@ class OmegaVector:
         """Two-index coefficient: product omega_{a+1} * ... * omega_b, 1 when a == b."""
         if not 0 <= a <= b <= self.n:
             raise ValueError(f"need 0 <= a <= b <= {self.n}, got a={a}, b={b}")
-        return math.prod(self.coeffs[a:b], start=_F1)
+        return prod(self.coeffs[a:b], start=_F1)
 
     def signs(self) -> tuple[int, ...]:
         return tuple((c > 0) - (c < 0) for c in self.coeffs)
@@ -402,80 +407,125 @@ class NotInSpanError(ValueError):
     """A matrix fell outside the span of the supplied basis."""
 
 
-def _flatten(mat: MatrixOverK) -> dict[int, Fraction]:
-    """Row-major entries, then (w, x, y, z) per entry, as a sparse vector."""
-    d = mat.dim
-    out = {}
-    for (i, j), v in mat.cells.items():
-        base = (i * d + j) * 4
-        w, x, y, z = v.components()
-        if w:
-            out[base] = w
-        if x:
-            out[base + 1] = x
-        if y:
-            out[base + 2] = y
-        if z:
-            out[base + 3] = z
-    return out
+# ---------------------------------------------------------------------------
+# Exact elimination kernel (sparse rows over arbitrary-precision integers)
+# ---------------------------------------------------------------------------
 
 
-def _sub_scaled(target: dict, source: dict, factor: Fraction):
-    for c, v in source.items():
-        nv = target.get(c, _F0) - factor * v
-        if nv:
-            target[c] = nv
+def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
+    """Divide by the gcd and make the leading entry positive."""
+    if not row:
+        return row
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    if row[min(row)] < 0:
+        row = {c: -v for c, v in row.items()}
+    return row
+
+
+def _reduce(row: dict[int, int], pivots_by_lead: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Reduce row against the pivot rows keyed by leading column until it
+    vanishes or leads a column with no pivot: an integer multiple of the
+    pivot row is subtracted when the pivot entry divides the row's, else the
+    two are cross-multiplied and the result gcd-normalized.  Returns the
+    residue, empty exactly when row lies in the pivots' span; row itself is
+    not modified."""
+    while row:
+        lead = min(row)
+        piv = pivots_by_lead.get(lead)
+        if piv is None:
+            break
+        pv, v = piv[lead], row[lead]
+        q, rem = divmod(v, pv)
+        if rem:
+            new = {c: pv * val for c, val in row.items()}
+            q = v
         else:
-            target.pop(c, None)
+            new = dict(row)
+        for c, val in piv.items():
+            nv = new.get(c, 0) - q * val
+            if nv:
+                new[c] = nv
+            else:
+                del new[c]
+        row = _normalize_int_row(new) if rem else new
+    return row
+
+
+def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination: each row's nonzero residue under :func:`_reduce`
+    is gcd-normalized and stored as the pivot row of its leading column.
+    Returns {pivot column: echelon row}; its length is the rank."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _reduce(row, echelon)
+        if row:
+            echelon[min(row)] = _normalize_int_row(row)
+    return echelon
+
+
+def _lcm_scaled(items: Iterable[tuple[int, Fraction]]) -> tuple[int, dict[int, int]]:
+    """The lcm m of the values' denominators and the sparse integer vector
+    {column: m * value} of the (column, value) pairs."""
+    items = list(items)
+    m = lcm(*(v.denominator for _, v in items))
+    return m, {c: v.numerator * (m // v.denominator) for c, v in items}
+
+
+def _int_row(mat: MatrixOverK, marker: int) -> dict[int, int]:
+    """The (w, x, y, z) components of each entry, row-major, scaled by the
+    lcm m of their denominators, with m at column marker."""
+    d = mat.dim
+    m, row = _lcm_scaled(
+        ((i * d + j) * 4 + t, c)
+        for (i, j), v in mat.cells.items()
+        for t, c in enumerate(v.components())
+        if c
+    )
+    row[marker] = m
+    return row
 
 
 class BasisDecomposer:
     """Reusable exact coordinate solver over a fixed independent basis.
 
-    Flattens each basis matrix to its real components, keeps a reduced
-    echelon of those vectors together with the combination that produced
-    each echelon row, and recovers coordinates of any matrix in the span by
-    plain reduction.  Built once per basis, used for every commutator.
+    Each matrix becomes one integer row (:func:`_int_row`): its real
+    components scaled by the lcm m of their denominators, and m itself in a
+    marker column past the 4 * dim**2 component columns, off + k for basis
+    element k.  The marker carries m, not 1, so that every integer
+    combination of rows keeps the exact coefficients of the matrices it
+    combines.  The basis rows are forward-eliminated once with the
+    solver's kernel (:func:`_echelon_int`).  A matrix X takes marker
+    off + r, r = len(basis), and :func:`_reduce` leaves a residue
+    s * row(X) - sum_k a_k * row(B_k); X is in the span exactly when no
+    component column is left, and then X = sum_k c_k B_k with
+    c_k = -residue[off + k] / residue[off + r].  Built once per basis, used
+    for every commutator.
     """
 
     def __init__(self, basis: Sequence[MatrixOverK]):
         if not basis:
             raise ValueError("basis must be nonempty")
-        self._pivot_slot: dict[int, int] = {}
-        self._rows: list[dict[int, Fraction]] = []
-        self._combos: list[dict[int, Fraction]] = []
-        for idx, mat in enumerate(basis):
-            row = _flatten(mat)
-            combo = {idx: _F1}
-            self._reduce(row, combo)
-            if not row:
-                raise ValueError(f"basis element {idx} depends on earlier elements")
-            p = min(row)
-            inv = _F1 / row[p]
-            row = {c: v * inv for c, v in row.items()}
-            combo = {c: v * inv for c, v in combo.items()}
-            self._pivot_slot[p] = len(self._rows)
-            self._rows.append(row)
-            self._combos.append(combo)
-
-    def _reduce(self, row: dict, combo: dict):
-        """Reduce row in place while it leads a pivot column, subtracting the
-        same multiples of the echelon combinations from combo."""
-        while row:
-            p = min(row)
-            slot = self._pivot_slot.get(p)
-            if slot is None:
-                return
-            f = row[p]
-            _sub_scaled(row, self._rows[slot], f)
-            _sub_scaled(combo, self._combos[slot], f)
+        self._off = off = 4 * basis[0].dim ** 2
+        self._echelon = _echelon_int(_int_row(mat, off + k) for k, mat in enumerate(basis))
+        # A row whose residue leads a marker column has no component left:
+        # its element, the last marker it holds, depends on earlier ones.
+        dependent = [max(row) - off for lead, row in self._echelon.items() if lead >= off]
+        if dependent:
+            raise ValueError(f"basis element {min(dependent)} depends on earlier elements")
+        self._marker = off + len(basis)
 
     def coefficients(self, mat: MatrixOverK) -> dict[int, Fraction]:
         """The nonzero coordinates {k: c_k} with mat == sum(c_k * basis_k);
         NotInSpanError if mat is outside the span."""
-        row = _flatten(mat)
-        acc: dict[int, Fraction] = {}
-        self._reduce(row, acc)
-        if row:
+        off, marker = self._off, self._marker
+        res = _reduce(_int_row(mat, marker), self._echelon)
+        if min(res) < off:
             raise NotInSpanError("matrix is not in the span of the basis")
-        return {k: -v for k, v in acc.items()}
+        scale = res[marker]
+        return {c - off: Fraction(-v, scale) for c, v in res.items() if c != marker}

@@ -76,7 +76,7 @@ Slot = tuple[GeneratorLabel, GeneratorLabel, Fraction]
 # (g, c) with delta(e_g) = sum of c * xi over the entries that shift g; a
 # singleton's c is zero exactly when it is active.
 CatalogEntry = namedtuple(
-    "CatalogEntry", "name ext_type active constraint_note slots shift", defaults=(None,)
+    "CatalogEntry", "name ext_type active slots shift", defaults=(None,)
 )
 
 
@@ -102,8 +102,7 @@ def _singleton(name: str, om: OmegaVector, k: int, slots, generator, scale=1) ->
     """Type II singleton, nontrivial iff omega_k = 0, else removed by
     shifting `generator` by value / (scale * omega_k)."""
     factor = scale * om.value(k)
-    note = f"nontrivial iff w{k} = 0"
-    return CatalogEntry(name, "II", factor == 0, note, _slots(slots), (generator, factor))
+    return CatalogEntry(name, "II", factor == 0, _slots(slots), (generator, factor))
 
 
 def _alpha_f(om: OmegaVector, b: int):
@@ -116,22 +115,23 @@ def _alpha_l(om: OmegaVector, a: int):
     return ((J(a, c), J(a + 1, c), om.product(a + 2, c)) for c in range(a + 2, om.n + 1))
 
 
-def _beta_factors(om: OmegaVector, b: int, d: int) -> list[tuple[str, Fraction]]:
-    """In-range constraint factors for beta[b+1,d+1] as (description, value)."""
+def _beta_factors(om: OmegaVector, b: int, d: int) -> list[Fraction]:
+    """In-range constraint factors for beta[b+1,d+1]: it is nonzero iff all
+    of them vanish."""
     n = om.n
-    factors: list[tuple[str, Fraction]] = []
+    factors: list[Fraction] = []
     if b >= 1:
-        factors.append((f"w{b}", om.value(b)))
+        factors.append(om.value(b))
     if d == b + 2:
-        factors.append((f"w{b + 1}*w{b + 2}", om.value(b + 1) * om.value(b + 2)))
-        factors.append((f"w{b + 2}*w{b + 3}", om.value(b + 2) * om.value(b + 3)))
+        factors.append(om.value(b + 1) * om.value(b + 2))
+        factors.append(om.value(b + 2) * om.value(b + 3))
         if b + 4 <= n:
-            factors.append((f"w{b + 4}", om.value(b + 4)))
+            factors.append(om.value(b + 4))
     else:
-        factors.append((f"w{b + 2}", om.value(b + 2)))
-        factors.append((f"w{d}", om.value(d)))
+        factors.append(om.value(b + 2))
+        factors.append(om.value(d))
         if d + 2 <= n:
-            factors.append((f"w{d + 2}", om.value(d + 2)))
+            factors.append(om.value(d + 2))
     return factors
 
 
@@ -152,24 +152,21 @@ def predict_so(omega) -> ExtensionCatalog:
         )
     for a in range(n - 2):
         active = om.value(a + 1) == 0 and om.value(a + 3) == 0
-        note = f"paired; both nontrivial iff w{a + 1} = 0 and w{a + 3} = 0"
         g = J(a + 1, a + 2)
         f_slots, l_slots = _slots(_alpha_f(om, a + 1)), _slots(_alpha_l(om, a + 1))
         f_name, l_name = f"alphaF[{a + 1},{a + 2}]", f"alphaL[{a + 1},{a + 2}]"
-        entries.append(CatalogEntry(f_name, "II", active, note, f_slots, (g, om.value(a + 1))))
-        entries.append(CatalogEntry(l_name, "II", active, note, l_slots, (g, om.value(a + 3))))
+        entries.append(CatalogEntry(f_name, "II", active, f_slots, (g, om.value(a + 1))))
+        entries.append(CatalogEntry(l_name, "II", active, l_slots, (g, om.value(a + 3))))
     for b in range(n - 2):
         for d in range(b + 2, n):
-            factors = _beta_factors(om, b, d)
-            active = all(v == 0 for _, v in factors)
-            note = "nonzero iff " + " and ".join(f"{s} = 0" for s, _ in factors)
+            active = not any(_beta_factors(om, b, d))
             # xi(J(b,b+1), J(d,d+1)) = 1, plus xi(J(b,b+2), J(b+1,b+3)) = -w_{b+2}
             # when d = b+2
             slots = [(J(b, b + 1), J(d, d + 1), _F1)]
             if d == b + 2:
                 slots.append((J(b, b + 2), J(b + 1, b + 3), -om.value(b + 2)))
             entries.append(
-                CatalogEntry(f"beta[{b + 1},{d + 1}]", "III", active, note, _slots(slots))
+                CatalogEntry(f"beta[{b + 1},{d + 1}]", "III", active, _slots(slots))
             )
     return ExtensionCatalog("so", om, tuple(entries))
 
@@ -189,9 +186,8 @@ def predict_su(omega) -> ExtensionCatalog:
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             active = om.value(k) == 0 and om.value(l) == 0
-            note = f"nonzero iff w{k} = 0 and w{l} = 0"
             slots = ((B(k), B(l), _F1),)
-            entries.append(CatalogEntry(f"beta[{k},{l}]", "III", active, note, slots))
+            entries.append(CatalogEntry(f"beta[{k},{l}]", "III", active, slots))
     return ExtensionCatalog("su", om, tuple(entries))
 
 
@@ -200,8 +196,7 @@ def predict_u(omega) -> ExtensionCatalog:
     entries = list(predict_su(om).entries)
     for k in range(1, om.n + 1):
         slots = ((B(k), I_LABEL, _F1),)
-        note = f"nonzero iff w{k} = 0"
-        entries.append(CatalogEntry(f"gamma[{k}]", "III", om.value(k) == 0, note, slots))
+        entries.append(CatalogEntry(f"gamma[{k}]", "III", om.value(k) == 0, slots))
     return ExtensionCatalog("u", om, tuple(entries))
 
 

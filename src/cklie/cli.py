@@ -220,9 +220,10 @@ def _sweep_worker(task: tuple[str, tuple[int, ...]]) -> dict:
 
 def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
     """All 3^n sign patterns, rows in lexicographic omega order: `product`
-    yields the patterns in that order and `Pool.map` keeps it."""
+    yields the patterns in that order and `Pool.map` keeps it.  At most
+    jobs workers, and never more than the CPUs or the cases."""
     tasks = [(family, signs) for signs in product((-1, 0, 1), repeat=n)]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: only a parallel sweep pays for loading multiprocessing.
         from multiprocessing import Pool

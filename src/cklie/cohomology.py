@@ -14,8 +14,9 @@ dim Z2 - dim B2 counts inequivalent nontrivial central extensions.
 The pipeline runs in Python integers.  The constants are scaled once by d,
 the lcm of their denominators; the equations and the coboundary rows are
 linear in the constants, so Z2 and B2 do not change.  One fraction-free
-reduction loop (integer cross-multiplication, gcd normalization) serves
-every question: forward elimination keeps each nonzero residue as a pivot
+reduction loop (integer cross-multiplication, gcd normalization), the
+kernel in `ck_matrix` that also decomposes commutators, serves every
+question: forward elimination keeps each nonzero residue as a pivot
 and gives the dims alone (dim Z2 = unknowns - rank of the system, dim B2 =
 rank of the coboundary rows); a cochain is a coboundary exactly when its
 integer vector leaves no residue against the B2 echelon.  The cocycle test
@@ -34,8 +35,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import lcm
 
+from .ck_matrix import _echelon_int, _lcm_scaled, _normalize_int_row, _reduce
 from .scalars import _frac
 
 __all__ = [
@@ -65,6 +67,8 @@ class TwoCochain:
         data: dict[tuple[int, int], Fraction] = {}
         if entries:
             for (i, j), value in entries.items() if isinstance(entries, dict) else entries:
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError(f"cochain indices must be ints, got ({i!r}, {j!r})")
                 if i == j:
                     raise ValueError(f"cochain entry at equal indices ({i}, {j})")
                 if not (0 <= i < dim and 0 <= j < dim):
@@ -162,6 +166,8 @@ class OneCochain:
 
     @classmethod
     def basis_vector(cls, dim: int, k: int, value=_F1) -> "OneCochain":
+        if type(k) is not int:
+            raise TypeError(f"basis index must be an int, got {k!r}")
         if not 0 <= k < dim:
             raise ValueError(f"basis index {k} out of range 0..{dim - 1}")
         vals = [_F0] * dim
@@ -185,65 +191,8 @@ class OneCochain:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination kernel (sparse rows over arbitrary-precision integers)
+# Back-substitution and nullspace over the kernel's integer echelon
 # ---------------------------------------------------------------------------
-
-
-def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
-    """Divide by the gcd and make the leading entry positive."""
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    if row[min(row)] < 0:
-        row = {c: -v for c, v in row.items()}
-    return row
-
-
-def _reduce(row: dict[int, int], pivots_by_lead: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Reduce row against the pivot rows keyed by leading column until it
-    vanishes or leads a column with no pivot: an integer multiple of the
-    pivot row is subtracted when the pivot entry divides the row's, else the
-    two are cross-multiplied and the result gcd-normalized.  Returns the
-    residue, empty exactly when row lies in the pivots' span; row itself is
-    not modified."""
-    while row:
-        lead = min(row)
-        piv = pivots_by_lead.get(lead)
-        if piv is None:
-            break
-        pv, v = piv[lead], row[lead]
-        q, rem = divmod(v, pv)
-        if rem:
-            new = {c: pv * val for c, val in row.items()}
-            q = v
-        else:
-            new = dict(row)
-        for c, val in piv.items():
-            nv = new.get(c, 0) - q * val
-            if nv:
-                new[c] = nv
-            else:
-                del new[c]
-        row = _normalize_int_row(new) if rem else new
-    return row
-
-
-def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward elimination: each row's nonzero residue under :func:`_reduce`
-    is gcd-normalized and stored as the pivot row of its leading column.
-    Returns {pivot column: echelon row}; its length is the rank."""
-    echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = _reduce(row, echelon)
-        if row:
-            echelon[min(row)] = _normalize_int_row(row)
-    return echelon
 
 
 def _rref(echelon: dict[int, dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
@@ -419,11 +368,7 @@ class CohomologySolver:
         """The column vector of xi scaled by the lcm of its denominators."""
         if xi.dim != self.algebra.dim:
             raise ValueError("cochain dimension does not match the algebra")
-        d = lcm(*(v.denominator for v in xi.entries.values()))
-        return {
-            self.pair_index[pair]: v.numerator * (d // v.denominator)
-            for pair, v in xi.entries.items()
-        }
+        return _lcm_scaled((self.pair_index[pair], v) for pair, v in xi.entries.items())[1]
 
     def is_cocycle(self, xi: TwoCochain) -> bool:
         """Exact: only the equations that hold a nonzero column of xi are

@@ -21,7 +21,8 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from cklie.cohomology import TwoCochain, _echelon_int, _nullspace, _rref
+from cklie.ck_matrix import _echelon_int
+from cklie.cohomology import TwoCochain, _nullspace, _rref
 from cklie.lie_core import LieAlgebra
 
 # Filled by the acceptance tests, echoed by the conftest terminal summary.
@@ -229,7 +230,8 @@ def kernel_rref(echelon):
 
 def kernel_rank(matrix):
     """Rank and nullspace basis of a dense rational matrix through the
-    package's kernel, `cohomology._echelon_int`, `_rref` and `_nullspace`.
+    package's kernel, `ck_matrix._echelon_int`, then `cohomology._rref` and
+    `_nullspace`.
 
     Each row goes in as sparse integers, scaled by the lcm of its
     denominators; each basis vector comes out dense in Fractions, 1 at its

@@ -201,14 +201,16 @@ class TestCommutatorAndDecomposition:
         assert BasisDecomposer(basis).coefficients(MatrixOverK(3, Kind.REAL)) == {}
 
     def test_decompose_roundtrip_random_combination(self):
-        om = [0, 1]
-        basis = [build_generator("su", lab, om) for lab in labels_for_family("su", 2)]
-        coeffs = {k: Fraction(k * k - 3, k + 1) for k in range(len(basis))}
-        X = MatrixOverK(3, Kind.COMPLEX)
-        for k, mat in enumerate(basis):
-            X = X + mat * coeffs[k]
-        dec = BasisDecomposer(basis)
-        assert dec.coefficients(X) == coeffs
+        # Rational omegas give basis rows scaled by different lcms, so a
+        # decomposer that dropped those scales would get the coefficients wrong.
+        for family, om in (("su", [0, 1]), ("su", ["2/3", "-5/7"]), ("sq", ["3/4", "-2/5"])):
+            basis = [build_generator(family, lab, om) for lab in labels_for_family(family, 2)]
+            coeffs = {k: Fraction(k * k - 3, k + 1) for k in range(len(basis))}
+            X = MatrixOverK(3, basis[0].kind)
+            for k, mat in enumerate(basis):
+                X = X + mat * coeffs[k]
+            dec = BasisDecomposer(basis)
+            assert dec.coefficients(X) == coeffs, (family, om)
 
     def test_not_in_span(self):
         om = [1, 1]
@@ -220,8 +222,9 @@ class TestCommutatorAndDecomposition:
     def test_dependent_basis_rejected(self):
         om = [1, 1]
         g = build_generator("so", J(0, 1), om)
-        with pytest.raises(ValueError):
-            BasisDecomposer([g, g * 2])
+        for factor in (2, Fraction(2, 3)):
+            with pytest.raises(ValueError, match="basis element 1 depends"):
+                BasisDecomposer([g, g * factor])
 
     def test_matrix_json_component_quadruples(self):
         g = build_generator("sq", E(2, 1), [1])

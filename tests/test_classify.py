@@ -61,7 +61,8 @@ class TestPredictSo:
     def test_entry_counts(self):
         for n in range(2, 7):
             cat = predict_so([1] * n)
-            n_pairs = sum(1 for e in cat.entries if "paired" in e.constraint_note)
+            singletons = ("alphaL[0,1]", f"alphaF[{n - 1},{n}]")
+            n_pairs = sum(1 for e in cat.entries if e.ext_type == "II" and e.name not in singletons)
             n_beta = sum(1 for e in cat.entries if e.ext_type == "III")
             assert n_pairs == 2 * (n - 2)
             assert n_beta == (n - 1) * (n - 2) // 2
@@ -328,7 +329,7 @@ class TestRecords:
         "CocycleSystem": ("n_unknowns", "rows"),
         "CohomologyResult": ("dim_z2", "dim_b2", "dim_h2"),
         "ExtensionCatalog": ("family", "omega", "entries"),
-        "CatalogEntry": ("name", "ext_type", "active", "constraint_note", "slots", "shift"),
+        "CatalogEntry": ("name", "ext_type", "active", "slots", "shift"),
         "CoefficientVerdict": ("name", "ext_type", "active", "is_cocycle", "trivial", "ok", "note"),
         "CrosscheckReport": (
             "family", "omega", "n_zeros", "predicted", "dim_z2", "dim_b2", "dim_h2",
@@ -358,7 +359,7 @@ class TestRecords:
         assert len({J(0, 1), GeneratorLabel("J", (0, 1)), M(0, 1)}) == 2
 
     def test_defaults(self):
-        assert CatalogEntry("beta[1,3]", "III", False, "w1 = 0", ()).shift is None
+        assert CatalogEntry("beta[1,3]", "III", False, ()).shift is None
         assert CoefficientVerdict("beta[1,3]", "III", False, False, None, True).note == ""
         entries = predict("so", [0, 0, 1]).entries
         assert all(e.shift is None for e in entries if e.ext_type == "III")

@@ -234,8 +234,10 @@ class TestSweep:
         )
         assert serial == parallel
 
-    def test_workers_capped_at_cases(self, monkeypatch):
-        # A recording stand-in for Pool: no process is started.
+    @staticmethod
+    def fake_pool(monkeypatch, cpus):
+        # A recording stand-in for Pool on a machine with `cpus` CPUs: no
+        # process is started.
         asked = []
 
         class FakePool:
@@ -252,9 +254,22 @@ class TestSweep:
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        return asked
+
+    def test_workers_capped_at_cases(self, monkeypatch):
+        asked = self.fake_pool(monkeypatch, cpus=64)
         rows = sweep_rows("so", 1, jobs=8)
         assert asked == [3]
         assert rows == sweep_rows("so", 1, jobs=1)
+
+    @pytest.mark.parametrize("cpus,expected", [(4, [4]), (None, []), (1, [])])
+    def test_workers_capped_at_cpus(self, monkeypatch, cpus, expected):
+        # An unknown CPU count counts as one, and one worker runs serially.
+        asked = self.fake_pool(monkeypatch, cpus=cpus)
+        rows = sweep_rows("so", 2, jobs=5000)
+        assert asked == expected
+        assert rows == sweep_rows("so", 2, jobs=1)
 
     @pytest.mark.parametrize("family,signs", [("so", (0, 0, 1, 0)), ("su", (0, 1, 0))])
     def test_rows_need_no_basis_and_no_fraction(self, monkeypatch, family, signs):

@@ -95,6 +95,13 @@ class TestTwoCochain:
         assert (2 * a).value(0, 1) == 2
         assert (-b).value(1, 2) == -2
 
+    @pytest.mark.parametrize("pair", [(0.0, 1), (0, 2.0), (True, 2), (1, False)])
+    def test_non_int_index_rejected(self, pair):
+        # 0.0 == 0 and True == 1, but neither is an index: a float or bool
+        # key would reach to_json_obj as "i": 0.0 or "i": true.
+        with pytest.raises(TypeError):
+            TwoCochain(3, {pair: 1})
+
     def test_zero_entries_dropped(self):
         xi = TwoCochain(3, {(0, 1): Fraction(0)})
         assert not xi.entries and xi == TwoCochain(3)
@@ -190,6 +197,11 @@ class TestCoboundary:
     @pytest.mark.parametrize("k", [-1, 3], ids=["k=-1", "k=dim"])
     def test_basis_vector_index_out_of_range(self, k):
         with pytest.raises(ValueError):
+            OneCochain.basis_vector(3, k)
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_basis_vector_non_int_index_rejected(self, k):
+        with pytest.raises(TypeError):
             OneCochain.basis_vector(3, k)
 
     @pytest.mark.parametrize(

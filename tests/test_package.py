@@ -1,7 +1,9 @@
 """The package namespace: every exported name, with the solver and the
 catalog modules loaded only on first access."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +48,18 @@ def test_bare_import_loads_neither_cohomology_nor_classify():
     before, after = json.loads(run_fresh(script))
     assert before == ["cklie", "cklie.ck_matrix", "cklie.lie_core", "cklie.scalars"]
     assert after == sorted(before + ["cklie.cohomology"])
+
+
+def test_one_elimination_kernel():
+    # Commutator decomposition and the cohomology solver share one integer
+    # reduction loop, defined once, in ck_matrix.
+    kernel = ("_normalize_int_row", "_reduce", "_echelon_int")
+    for name in kernel:
+        assert getattr(cohomology, name) is getattr(ck_matrix, name), name
+    defined = sorted(
+        (path.name, node.name)
+        for path in Path(cklie.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in kernel
+    )
+    assert defined == sorted(("ck_matrix.py", name) for name in kernel)
