@@ -47,8 +47,7 @@ _LAZY = {
     "cohomology": ("CohomologyResult", "CohomologySolver", "OneCochain", "TwoCochain",
                    "coboundary", "h2"),
     "classify": ("CatalogEntry", "CrosscheckReport", "ExtensionCatalog", "coefficient_cocycle",
-                 "crosscheck", "predict", "predict_so", "predict_sq", "predict_su", "predict_u",
-                 "removals"),
+                 "crosscheck", "predict", "removals"),
 }
 __all__ = [n for n in globals() if n[0] != "_" and n not in ("scalars", "ck_matrix", "lie_core")]
 __all__ += [name for names in _LAZY.values() for name in names]

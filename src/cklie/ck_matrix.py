@@ -100,12 +100,6 @@ class OmegaVector:
     def n(self) -> int:
         return len(self.coeffs)
 
-    def value(self, k: int) -> Fraction:
-        """omega_k for 1 <= k <= N."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"omega index {k} out of range 1..{self.n}")
-        return self.coeffs[k - 1]
-
     def product(self, a: int, b: int) -> Fraction:
         """Two-index coefficient: product omega_{a+1} * ... * omega_b, 1 when a == b."""
         if not 0 <= a <= b <= self.n:

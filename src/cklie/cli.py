@@ -310,7 +310,7 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
     )
     checks["coboundaries_are_cocycles"] = "pass" if ok else "fail"
     # Every type II removal identity delta(e_g) = sum c * xi, exactly.
-    identities = removals(predict(family, omega), L)
+    identities = removals(predict(family, omega))
     ok = all(
         coboundary(OneCochain.basis_vector(L.dim, L.index(g)), L) == rhs
         for g, rhs in identities.items()

@@ -64,6 +64,10 @@ class TwoCochain:
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim: int, entries=None):
+        if type(dim) is not int:
+            raise TypeError(f"cochain dimension must be an int, got {dim!r}")
+        if dim < 0:
+            raise ValueError(f"cochain dimension must be >= 0, got {dim}")
         data: dict[tuple[int, int], Fraction] = {}
         if entries:
             for (i, j), value in entries.items() if isinstance(entries, dict) else entries:

@@ -7,10 +7,10 @@ the Jacobi check walk every index triple in Fractions, and the quaternion
 product is the full 16-term formula.
 
 The last section holds test-side tools that are not oracles: a basis
-permutation, a label-keyed bracket, the dimension formulas, the cochain of
-an integer solver row, the adapters that drive the package's own
-elimination kernel and a runner for fresh interpreters.  No oracle calls
-them.
+permutation, a label-keyed bracket, the dimension formulas, signed-prime
+omegas, the cochain of an integer solver row, the adapters that drive the
+package's own elimination kernel and a runner for fresh interpreters.  No
+oracle calls them.
 """
 
 import os
@@ -188,6 +188,22 @@ FAMILY_DIMENSION = {
     "u": lambda n: (n + 1) ** 2,
     "sq": lambda n: 2 * (n + 1) ** 2 + (n + 1),
 }
+
+
+# Signed primes: with no zero entry, every range product omega_{a+1} ... omega_b
+# is a different number, so a constant read from the wrong range cannot agree
+# by accident as it can among the +-1 products of sign patterns.
+SIGNED_PRIMES = (
+    Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-11), Fraction(13, 17), Fraction(-19, 23)
+)
+
+
+def prime_omegas(n):
+    """The first n signed primes, then the same with a zero at each position."""
+    base = SIGNED_PRIMES[:n]
+    yield base
+    for p in range(n):
+        yield base[:p] + (Fraction(0),) + base[p + 1:]
 
 
 def bracket_of(L, u, v):

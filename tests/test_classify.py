@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from cklie import classify
+from helpers import SIGNED_PRIMES, prime_omegas
+from cklie import classify, lie_core
 from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector
 from cklie.classify import (
     CatalogEntry,
@@ -11,10 +12,6 @@ from cklie.classify import (
     coefficient_cocycle,
     crosscheck,
     predict,
-    predict_so,
-    predict_sq,
-    predict_su,
-    predict_u,
     removals,
 )
 from cklie.cohomology import CohomologySolver, OneCochain, coboundary, h2
@@ -25,6 +22,10 @@ def sign_patterns(n):
     return product((-1, 0, 1), repeat=n)
 
 
+def active_names(catalog):
+    return [e.name for e in catalog.entries if e.active]
+
+
 class TestZeroPattern:
     def test_from_omega(self):
         om = OmegaVector.coerce([1, 0, 0, -1])
@@ -33,34 +34,34 @@ class TestZeroPattern:
 
 class TestPredictSo:
     def test_simple_signature_cases_have_none(self):
-        assert predict_so([1, 1, 1, 1]).predicted == 0
-        assert predict_so([-1, 1, -1, 1]).predicted == 0
+        assert predict("so", [1, 1, 1, 1]).predicted == 0
+        assert predict("so", [-1, 1, -1, 1]).predicted == 0
 
     def test_galilei_n3(self):
-        cat = predict_so([0, 0, 1])
-        assert sorted(cat.active_names()) == ["alphaF[2,3]", "alphaL[0,1]", "beta[1,3]"]
+        cat = predict("so", [0, 0, 1])
+        assert sorted(active_names(cat)) == ["alphaF[2,3]", "alphaL[0,1]", "beta[1,3]"]
         assert cat.predicted == 3
 
     def test_flag_n4(self):
-        cat = predict_so([0, 0, 0, 0])
+        cat = predict("so", [0, 0, 0, 0])
         assert cat.predicted == 9  # 2(N-1) type II + (N-1)(N-2)/2 type III
 
     def test_deep_zero_tail_n5(self):
-        cat = predict_so([0, 0, 1, 1, 1])
-        assert cat.active_names() == ["alphaL[0,1]"]
+        cat = predict("so", [0, 0, 1, 1, 1])
+        assert active_names(cat) == ["alphaL[0,1]"]
 
     def test_n1_empty_catalog(self):
-        assert predict_so([1]).entries == ()
-        assert predict_so([0]).predicted == 0
+        assert predict("so", [1]).entries == ()
+        assert predict("so", [0]).predicted == 0
 
     def test_n2_only_singletons(self):
-        cat = predict_so([0, 1])
-        assert cat.names() == ["alphaL[0,1]", "alphaF[1,2]"]
-        assert cat.active_names() == ["alphaF[1,2]"]
+        cat = predict("so", [0, 1])
+        assert [e.name for e in cat.entries] == ["alphaL[0,1]", "alphaF[1,2]"]
+        assert active_names(cat) == ["alphaF[1,2]"]
 
     def test_entry_counts(self):
         for n in range(2, 7):
-            cat = predict_so([1] * n)
+            cat = predict("so", [1] * n)
             singletons = ("alphaL[0,1]", f"alphaF[{n - 1},{n}]")
             n_pairs = sum(1 for e in cat.entries if e.ext_type == "II" and e.name not in singletons)
             n_beta = sum(1 for e in cat.entries if e.ext_type == "III")
@@ -71,13 +72,13 @@ class TestPredictSo:
         # enlarging the zero set never deactivates an entry
         for n in (3, 4, 5):
             for signs in sign_patterns(n):
-                before = {e.name: e.active for e in predict_so(signs).entries}
+                before = {e.name: e.active for e in predict("so", signs).entries}
                 for k in range(1, n + 1):
                     if signs[k - 1] == 0:
                         continue
                     contracted = list(signs)
                     contracted[k - 1] = 0
-                    after = {e.name: e.active for e in predict_so(contracted).entries}
+                    after = {e.name: e.active for e in predict("so", contracted).entries}
                     for name, was_active in before.items():
                         if was_active:
                             assert after[name], (signs, k, name)
@@ -85,9 +86,9 @@ class TestPredictSo:
 
 class TestPredictUnitaryAndSq:
     def test_su_formula(self):
-        assert predict_su([1, 1]).predicted == 0
-        assert predict_su([0, 1]).active_names() == ["alpha[1]"]
-        assert sorted(predict_su([0, 0, 1]).active_names()) == [
+        assert predict("su", [1, 1]).predicted == 0
+        assert active_names(predict("su", [0, 1])) == ["alpha[1]"]
+        assert sorted(active_names(predict("su", [0, 0, 1]))) == [
             "alpha[1]",
             "alpha[2]",
             "beta[1,2]",
@@ -95,22 +96,22 @@ class TestPredictUnitaryAndSq:
         for n in (1, 2, 3):
             for signs in sign_patterns(n):
                 nz = signs.count(0)
-                assert predict_su(signs).predicted == nz * (nz + 1) // 2
+                assert predict("su", signs).predicted == nz * (nz + 1) // 2
 
     def test_u_formula(self):
-        assert predict_u([1]).predicted == 0
-        assert sorted(predict_u([0]).active_names()) == ["alpha[1]", "gamma[1]"]
-        assert predict_u([0, 0, 0]).predicted == 9
+        assert predict("u", [1]).predicted == 0
+        assert sorted(active_names(predict("u", [0]))) == ["alpha[1]", "gamma[1]"]
+        assert predict("u", [0, 0, 0]).predicted == 9
         for n in (1, 2, 3):
             for signs in sign_patterns(n):
                 nz = signs.count(0)
-                assert predict_u(signs).predicted == nz * (nz + 3) // 2
+                assert predict("u", signs).predicted == nz * (nz + 3) // 2
 
     def test_sq_always_empty(self):
         for n in (1, 2, 3, 4):
             for signs in [(1,) * n, (0,) * n, (-1, 1) * (n // 2) or (-1,) * n]:
-                assert predict_sq(signs).predicted == 0
-        assert predict_sq([-1, 1]).entries == ()
+                assert predict("sq", signs).predicted == 0
+        assert predict("sq", [-1, 1]).entries == ()
 
     def test_predict_dispatch(self):
         assert predict("so", [0, 1]).family == "so"
@@ -179,7 +180,7 @@ def removal_identity(family, omega, g):
     delta(e_g) and the sum of c * xi over the entries with shift (g, c)."""
     L = build_algebra(family, omega)
     delta = coboundary(OneCochain.basis_vector(L.dim, L.index(g)), L)
-    return delta, removals(predict(family, omega), L)[g]
+    return delta, removals(predict(family, omega))[g]
 
 
 class TestRemovalIdentities:
@@ -235,7 +236,7 @@ class TestRemovalIdentities:
         assert not solver.is_cocycle(xi_f)
         assert not solver.is_cocycle(xi_l)
         # but the tied combination is one
-        assert solver.is_cocycle(removals(predict_so(om), L)[J(1, 2)])
+        assert solver.is_cocycle(removals(predict("so", om))[J(1, 2)])
 
     def test_pair_members_independent_when_both_omegas_vanish(self):
         om = [0, 1, 0]
@@ -288,8 +289,8 @@ class TestCrosscheck:
         # A catalog whose paired alphaF carries the slots of its alphaL keeps
         # the right count and every active entry a nontrivial cocycle, but
         # the active entries no longer span H2: match must say so.
-        def mutant(omega):
-            cat = predict_so(omega)
+        def mutant(family, omega):
+            cat = predict(family, omega)
             by_name = {e.name: e for e in cat.entries}
             n = cat.omega.n
             entries = []
@@ -299,7 +300,7 @@ class TestCrosscheck:
                 entries.append(e)
             return cat._replace(entries=tuple(entries))
 
-        monkeypatch.setitem(classify._PREDICTORS, "so", mutant)
+        monkeypatch.setattr(classify, "predict", mutant)
         caught = 0
         for n in range(1, 6):
             for signs in sign_patterns(n):
@@ -317,6 +318,56 @@ class TestCrosscheck:
             assert rep.match
         assert crosscheck("so", (1, 0, 1)).dim_h2 == 3
         assert crosscheck("so", (1, 0, 1, 0)).dim_h2 == 4
+
+
+class TestCatalogShape:
+    @pytest.mark.parametrize("family,nmax", [("so", 6), ("su", 4), ("u", 4)])
+    def test_identities_and_crosscheck_at_distinct_products(self, family, nmax):
+        classify._catalog_shape.cache_clear()
+        for n in range(1, nmax + 1):
+            # Build the shape at another omega first, so a value left over from
+            # that build shows up as a failure below.
+            predict(family, [Fraction(7, 3)] * n)
+            for omega in prime_omegas(n):
+                for g in removals(predict(family, omega)):
+                    delta, rhs = removal_identity(family, omega, g)
+                    assert delta == rhs, (family, omega, g)
+                assert crosscheck(family, omega).match, (family, omega)
+
+    def test_predict_reads_no_labels_once_built(self, monkeypatch):
+        om = SIGNED_PRIMES[:3]
+        for family in ("so", "su", "u", "sq"):
+            predict(family, [1, 1, 1])
+
+        def refuse(*args):
+            raise AssertionError("the basis labels were rebuilt")
+
+        monkeypatch.setattr(classify, "labels_for_family", refuse)
+        catalogs = {family: predict(family, om) for family in ("so", "su", "u", "sq")}
+        identities = {family: removals(cat) for family, cat in catalogs.items()}
+        monkeypatch.undo()
+        classify._catalog_shape.cache_clear()
+        for family, cat in catalogs.items():
+            assert cat == predict(family, om)
+            assert identities[family] == removals(predict(family, om))
+
+    @pytest.mark.parametrize("family,nmax", [("so", 8), ("su", 6), ("u", 6), ("sq", 4)])
+    def test_degree_at_most_one_in_each_omega(self, family, nmax):
+        # Every catalog slot, factor and shift is an integer times a squarefree
+        # monomial, and every bracket constant an integer times a range
+        # product w_ab; so both sides of delta(e_g) = sum of c * xi have
+        # degree <= 2 in each omega_k, and agreeing on {-1, 0, 1}^N proves
+        # the identity for every omega.
+        for n in range(1, nmax + 1):
+            _, monomials, entries = classify._catalog_shape(family, n)
+            for _, ks in monomials:
+                assert all(1 <= k <= n for k in ks), (family, n, ks)
+                assert list(ks) == sorted(set(ks)), (family, n, ks)
+            assert all(i < j for *_, slots, _ in entries for i, j, _ in slots), (family, n)
+            _, rows = lie_core._shape(family, n)
+            for _, terms in rows:
+                for _, _, a, b in terms:
+                    assert 0 <= a <= b <= n, (family, n, a, b)
 
 
 class TestRecords:

@@ -102,6 +102,10 @@ class TestTwoCochain:
         with pytest.raises(TypeError):
             TwoCochain(3, {pair: 1})
 
+    def test_negative_dim_rejected(self):
+        with pytest.raises(ValueError):
+            TwoCochain(-1)
+
     def test_zero_entries_dropped(self):
         xi = TwoCochain(3, {(0, 1): Fraction(0)})
         assert not xi.entries and xi == TwoCochain(3)

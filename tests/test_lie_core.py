@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from helpers import FAMILY_DIMENSION, bracket_of, oracle_jacobi, permute_basis
+from helpers import (
+    FAMILY_DIMENSION,
+    SIGNED_PRIMES,
+    bracket_of,
+    oracle_jacobi,
+    permute_basis,
+    prime_omegas,
+)
 from cklie import lie_core
 from cklie.ck_matrix import B, E, J, M, Mq, OmegaVector, XI_LABEL
 from cklie.classify import predict
@@ -231,20 +238,6 @@ class TestFromMatrices:
     def test_su_rational_omega(self):
         om = [Fraction(2, 3)]
         assert from_matrices("su", om).same_constants(build_su(om))
-
-
-# Signed primes: with no zero entry, every range product omega_{a+1} ... omega_b
-# is a different number, so a constant read from the wrong range cannot agree
-# by accident as it can among the +-1 products of sign patterns.
-SIGNED_PRIMES = (Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-11), Fraction(13, 17))
-
-
-def prime_omegas(n):
-    """The first n signed primes, then the same with a zero at each position."""
-    base = SIGNED_PRIMES[:n]
-    yield base
-    for p in range(n):
-        yield base[:p] + (Fraction(0),) + base[p + 1:]
 
 
 class TestShape:

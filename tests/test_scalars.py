@@ -73,14 +73,15 @@ class TestRational:
         [
             lambda v: Hypercomplex(v),
             lambda v: OmegaVector([1, v]),
+            lambda v: TwoCochain(v),
             lambda v: TwoCochain(3, {(0, 1): v}),
             lambda v: TwoCochain(3, {(0, 1): 1}) * v,
             lambda v: OneCochain([1, v]),
             lambda v: OneCochain.basis_vector(2, 0, v),
             lambda v: coefficient_cocycle("so", [0, 1], "alphaF[1,2]", v),
         ],
-        ids=["Hypercomplex", "OmegaVector", "TwoCochain", "TwoCochain.mul", "OneCochain",
-             "OneCochain.basis_vector", "coefficient_cocycle"],
+        ids=["Hypercomplex", "OmegaVector", "TwoCochain.dim", "TwoCochain", "TwoCochain.mul",
+             "OneCochain", "OneCochain.basis_vector", "coefficient_cocycle"],
     )
     def test_floats_and_bools_rejected(self, entry, bad):
         # 0.1 would silently become 3602879701896397/36028797018963968
