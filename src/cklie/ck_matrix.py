@@ -12,9 +12,11 @@ so commutators and the metric checks loop over those entries only; the full
 (N+1) x (N+1) grid is rendered only for output.
 
 The exact elimination kernel lives here too: sparse integer rows reduced
-fraction-free (cross-multiplication, gcd normalization).  One reduction
-loop decomposes commutators in the generator basis (`BasisDecomposer`) and
-serves every rank and membership question of `cohomology`.
+fraction-free (cross-multiplication, gcd normalization), after a pre-pass
+that takes out the columns of single-entry rows (most cocycle equations say
+xi_c = 0).  One reduction loop decomposes commutators in the generator basis
+(`BasisDecomposer`) and serves every rank and membership question of
+`cohomology`.
 """
 
 from __future__ import annotations
@@ -410,11 +412,7 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     """Divide by the gcd and make the leading entry positive."""
     if not row:
         return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
+    g = gcd(*row.values())
     if g > 1:
         row = {c: v // g for c, v in row.items()}
     if row[min(row)] < 0:
@@ -451,15 +449,23 @@ def _reduce(row: dict[int, int], pivots_by_lead: dict[int, dict[int, int]]) -> d
     return row
 
 
-def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon_int(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Forward elimination: each row's nonzero residue under :func:`_reduce`
     is gcd-normalized and stored as the pivot row of its leading column.
-    Returns {pivot column: echelon row}; its length is the rank."""
-    echelon: dict[int, dict[int, int]] = {}
+    Returns {pivot column: echelon row}; its length is the rank.  The rows
+    are sparse with no zero entries, read twice and never modified.  A
+    pre-pass makes each single-entry row the unit pivot {c: 1} of its column
+    and strips those columns from the other rows: the row space, and so the
+    RREF and the set of pivot columns, stays the same."""
+    units = {c: {c: 1} for row in rows if len(row) == 1 for c in row}
+    echelon = dict(units)
     for row in rows:
-        row = _reduce(row, echelon)
-        if row:
-            echelon[min(row)] = _normalize_int_row(row)
+        if len(row) > 1:
+            if not units.keys().isdisjoint(row):
+                row = {c: v for c, v in row.items() if c not in units}
+            row = _reduce(row, echelon)
+            if row:
+                echelon[min(row)] = _normalize_int_row(row)
     return echelon
 
 
@@ -506,7 +512,7 @@ class BasisDecomposer:
         if not basis:
             raise ValueError("basis must be nonempty")
         self._off = off = 4 * basis[0].dim ** 2
-        self._echelon = _echelon_int(_int_row(mat, off + k) for k, mat in enumerate(basis))
+        self._echelon = _echelon_int([_int_row(mat, off + k) for k, mat in enumerate(basis)])
         # A row whose residue leads a marker column has no component left:
         # its element, the last marker it holds, depends on earlier ones.
         dependent = [max(row) - off for lead, row in self._echelon.items() if lead >= off]

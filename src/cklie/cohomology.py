@@ -6,27 +6,25 @@ equation
 
     sum_k ( C_ij^k xi_kl + C_jl^k xi_ki + C_li^k xi_kj ) = 0,
 
-assembled once per triple with xi_kl read as -xi_lk whenever k > l.  The
-cocycle space Z2 is the exact nullspace of that system; the coboundary space
-B2 is spanned by the maps mu |-> (xi_ij = sum_k C_ij^k mu_k); dim H2 =
+assembled in one nested loop over i < j < l with the three bracket terms
+inline, xi_kl read as -xi_lk whenever k > l.  Z2 is its exact nullspace, B2
+is spanned by the maps mu |-> (xi_ij = sum_k C_ij^k mu_k), and dim H2 =
 dim Z2 - dim B2 counts inequivalent nontrivial central extensions.
 
-The pipeline runs in Python integers.  The constants are scaled once by d,
-the lcm of their denominators; the equations and the coboundary rows are
-linear in the constants, so Z2 and B2 do not change.  One fraction-free
-reduction loop (integer cross-multiplication, gcd normalization), the
-kernel in `ck_matrix` that also decomposes commutators, serves every
-question: forward elimination keeps each nonzero residue as a pivot
-and gives the dims alone (dim Z2 = unknowns - rank of the system, dim B2 =
-rank of the coboundary rows); a cochain is a coboundary exactly when its
-integer vector leaves no residue against the B2 echelon.  The cocycle test
-evaluates only the equations that hold a nonzero column of the cochain.
-Only the representatives that `h2` prints need a basis: the cached system
-echelon is back-substituted, the nullspace read off in integers and reduced
-in turn, and each Z2 row divided by its pivot, the only Fractions the
-solver makes.  The RREF of a row space is unique, so nothing depends on row
-order.  A wrong rank here would be a wrong theorem, so no floating point is
-allowed anywhere near this module.
+Everything runs in Python integers: the equations and the coboundary rows
+are linear in the constants, so scaling them by the lcm of their
+denominators leaves Z2 and B2 unchanged.  The fraction-free kernel of
+`ck_matrix` first takes out the columns of single-entry rows (most equations
+say xi_c = 0); its forward elimination then gives the dims alone (dim Z2 =
+unknowns - rank of the system, dim B2 = rank of the coboundary rows), and a
+cochain is a coboundary exactly when its integer vector leaves no residue
+against the B2 echelon.  The cocycle test evaluates only the equations that
+hold a nonzero column of the cochain.  Only the representatives that `h2`
+prints need a basis: the system echelon is back-substituted, its integer
+nullspace reduced in turn, and each Z2 row divided by its pivot, the only
+Fractions made here.  The RREF of a row space, and so its set of pivot
+columns, is unique, so nothing depends on row order or on the pre-pass.  A
+wrong rank here would be a wrong theorem, so no floating point is allowed.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, combinations
 from math import lcm
 
 from .ck_matrix import _echelon_int, _lcm_scaled, _normalize_int_row, _reduce
@@ -302,19 +299,33 @@ class CohomologySolver:
             for x, (i, j) in enumerate(self.pairs):
                 col[i][j] = col[j][i] = x
             rows = []
-            for i, j, l in combinations(range(r), 3):
-                acc: dict[int, int] = {}
-                # [X_l, X_i] = -[X_i, X_l]; xi_kt = -xi_tk when k > t.
-                for terms, t, sign in ((brk[i][j], l, 1), (brk[j][l], i, 1), (brk[i][l], j, -1)):
-                    if terms:
-                        col_t = col[t]
-                        for k, c in terms.items():
-                            if k != t:
-                                x = col_t[k]
-                                acc[x] = acc.get(x, 0) + (c * sign if k < t else -c * sign)
-                row = {x: c for x, c in acc.items() if c}
-                if row:
-                    rows.append(row)
+            # xi([X_i, X_j], X_l) + xi([X_j, X_l], X_i) - xi([X_i, X_l], X_j), xi_kt = -xi_tk
+            for i in range(r):
+                bi, col_i = brk[i], col[i]
+                for j in range(i + 1, r):
+                    bij, bj, col_j = bi[j], brk[j], col[j]
+                    for l in range(j + 1, r):
+                        acc: dict[int, int] = {}
+                        if bij:
+                            col_l = col[l]
+                            for k, c in bij.items():
+                                if k != l:
+                                    acc[col_l[k]] = c if k < l else -c
+                        terms = bj[l]
+                        if terms:
+                            for k, c in terms.items():
+                                if k != i:
+                                    x = col_i[k]
+                                    acc[x] = acc.get(x, 0) + (c if k < i else -c)
+                        terms = bi[l]
+                        if terms:
+                            for k, c in terms.items():
+                                if k != j:
+                                    x = col_j[k]
+                                    acc[x] = acc.get(x, 0) + (-c if k < j else c)
+                        row = {x: c for x, c in acc.items() if c}
+                        if row:
+                            rows.append(row)
             self._system = CocycleSystem(self.n_unknowns, tuple(rows))
         return self._system
 
@@ -332,7 +343,7 @@ class CohomologySolver:
                 col = self.pair_index[pair]
                 for k, c in terms.items():
                     rows[k][col] = c
-            self._b2 = _echelon_int(row for row in rows if row)
+            self._b2 = _echelon_int([row for row in rows if row])
         return self._b2
 
     # -- spaces ----------------------------------------------------------------
@@ -402,7 +413,7 @@ class CohomologySolver:
         """The number of the cochains independent modulo B2: the pivots their
         integer vectors add to the B2 echelon rows."""
         b2 = self._b2_echelon()
-        return len(_echelon_int(chain(b2.values(), map(self.int_vector, cochains)))) - len(b2)
+        return len(_echelon_int([*b2.values(), *map(self.int_vector, cochains)])) - len(b2)
 
     def is_trivial(self, xi: TwoCochain) -> bool:
         """True iff xi is a coboundary.  Rejects non-cocycles: an input that
@@ -422,15 +433,8 @@ def coboundary(mu, L) -> TwoCochain:
     values = mu.values if isinstance(mu, OneCochain) else OneCochain(mu).values
     if len(values) != L.dim:
         raise ValueError("mu dimension does not match the algebra")
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (i, j), terms in L.constants.items():
-        s = _F0
-        for k, c in terms.items():
-            v = values[k]
-            if v:
-                s += c * v
-        if s:
-            entries[(i, j)] = s
+    # TwoCochain drops the zero sums.
+    entries = {pair: sum(c * values[k] for k, c in terms.items()) for pair, terms in L.constants.items()}
     return TwoCochain(L.dim, entries)
 
 

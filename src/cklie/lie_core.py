@@ -128,12 +128,21 @@ class LieAlgebra:
 
         Every exact check here is homogeneous in the constants, so it gives
         the same verdict, rank or space on d*C as on C.  Computed on the first
-        call and shared by later ones, so callers must not mutate it.
+        call and shared by later ones, so callers must not mutate it.  The
+        same loop raises ValueError unless every key is a pair of ints
+        0 <= i < j < dim and every term a nonzero constant at 0 <= k < dim.
         """
         if self._integer is None:
+            r = self.dim
             d = 1
-            for terms in self.constants.values():
-                for c in terms.values():
+            for (i, j), terms in self.constants.items():
+                if type(i) is not int or type(j) is not int or not 0 <= i < j < r:
+                    raise ValueError(f"bracket key {(i, j)!r} is not a pair of ints 0 <= i < j < {r}")
+                for k, c in terms.items():
+                    if type(k) is not int or not 0 <= k < r:
+                        raise ValueError(f"bracket {(i, j)} has a term at index {k!r}, outside 0..{r - 1}")
+                    if not c:
+                        raise ValueError(f"bracket {(i, j)} stores a zero constant at index {k}")
                     d = lcm(d, c.denominator)
             self._integer = {
                 pair: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
@@ -444,6 +453,5 @@ def build_extended(L: LieAlgebra, xi) -> LieAlgebra:
     basis = list(L.basis) + [XI_LABEL]
     constants = {pair: dict(terms) for pair, terms in L.constants.items()}
     for (i, j), value in xi.items():
-        if value:
-            constants.setdefault((i, j), {})[r] = value
+        constants.setdefault((i, j), {})[r] = value
     return LieAlgebra(L.family, L.omega, basis, constants)

@@ -244,6 +244,18 @@ def kernel_rref(echelon):
     return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, red)]
 
 
+def integer_rows(matrix):
+    """The kernel's input for a dense rational matrix: each row as sparse
+    integers {column: value}, scaled by the lcm of its denominators, with
+    no zero entries."""
+    rows = []
+    for raw in matrix:
+        vals = [Fraction(v) for v in raw]
+        d = lcm(*(v.denominator for v in vals))
+        rows.append({c: v.numerator * (d // v.denominator) for c, v in enumerate(vals) if v})
+    return rows
+
+
 def kernel_rank(matrix):
     """Rank and nullspace basis of a dense rational matrix through the
     package's kernel, `ck_matrix._echelon_int`, then `cohomology._rref` and
@@ -256,12 +268,7 @@ def kernel_rank(matrix):
     if not matrix:
         return 0, []
     ncols = len(matrix[0])
-    rows = []
-    for raw in matrix:
-        vals = [Fraction(v) for v in raw]
-        d = lcm(*(v.denominator for v in vals))
-        rows.append({c: v.numerator * (d // v.denominator) for c, v in enumerate(vals) if v})
-    pivots, red = _rref(_echelon_int(rows))
+    pivots, red = _rref(_echelon_int(integer_rows(matrix)))
     piv_set = set(pivots)
     free = [c for c in range(ncols) if c not in piv_set]
     null = _nullspace(pivots, red, ncols)

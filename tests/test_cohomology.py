@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     dense_nullspace,
     dense_rank,
+    dense_rref,
+    integer_rows,
     kernel_rank,
     kernel_rref,
     oracle_cocycle_system,
@@ -25,8 +28,9 @@ from cklie.cohomology import (
     coboundary,
     h2,
 )
+from cklie.ck_matrix import J, _echelon_int
 from cklie.classify import coefficient_cocycle, predict
-from cklie.lie_core import build_algebra, build_so, build_sq, build_su, build_u
+from cklie.lie_core import LieAlgebra, build_algebra, build_so, build_sq, build_su, build_u
 
 
 def sign_patterns(n):
@@ -52,6 +56,32 @@ def rational_matrices(draw):
     )
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     return draw(st.lists(row, min_size=1, max_size=10))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 12 x 8, each row with 0-3 nonzeros; single-entry rows and
+    repeated rows (exact, negated or doubled copies) are common, so the
+    kernel's pre-pass meets unit rows, duplicate units, rows it strips and
+    rows it strips to nothing."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    nonzero = st.one_of(
+        st.sampled_from((-3, -2, -1, 1, 2, 3)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool),
+    )
+    matrix = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        if matrix and draw(st.integers(min_value=0, max_value=3)) == 0:
+            factor = draw(st.sampled_from((1, -1, 2)))
+            matrix.append([factor * v for v in draw(st.sampled_from(matrix))])
+            continue
+        size = min(ncols, draw(st.sampled_from((0, 1, 1, 1, 2, 3))))
+        support = draw(st.lists(st.integers(0, ncols - 1), min_size=size, max_size=size, unique=True))
+        row = [0] * ncols
+        for c in support:
+            row[c] = draw(nonzero)
+        matrix.append(row)
+    return matrix
 
 
 def rational_omega(*entries):
@@ -136,9 +166,8 @@ class TestExactRank:
         v = null[0]
         assert Fraction(1, 2) * v[0] + Fraction(1, 3) * v[1] == 0
 
-    @given(rational_matrices(), st.randoms(use_true_random=False))
-    @settings(max_examples=150, deadline=None)
-    def test_against_dense_oracle(self, matrix, rnd):
+    @staticmethod
+    def check_against_dense_oracle(matrix, rnd):
         rank, null = kernel_rank(matrix)
         assert rank == dense_rank(matrix)
         assert null == dense_nullspace(matrix, len(matrix[0]))
@@ -150,6 +179,26 @@ class TestExactRank:
         shuffled = list(matrix)
         rnd.shuffle(shuffled)
         assert kernel_rank(matrix[::-1]) == kernel_rank(shuffled) == (rank, null)
+        # The echelon's keys are the pivot columns of the RREF, whatever the
+        # pre-pass took out: `representatives` reads B2's pivots off them.
+        assert sorted(_echelon_int(integer_rows(matrix))) == dense_rref(matrix)[0]
+
+    @given(rational_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_against_dense_oracle(self, matrix, rnd):
+        self.check_against_dense_oracle(matrix, rnd)
+
+    @given(sparse_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_against_dense_oracle(self, matrix, rnd):
+        self.check_against_dense_oracle(matrix, rnd)
+
+    def test_single_entry_rows_become_unit_pivots(self):
+        # Columns 1 and 3 are killed by unit rows; the pre-pass strips them,
+        # so the last row leaves no residue and the third leads column 0.
+        rows = [{1: -4}, {3: 2}, {0: 6, 1: 5, 3: -1}, {1: 3, 3: 7}, {3: 9}]
+        assert _echelon_int(rows) == {1: {1: 1}, 3: {3: 1}, 0: {0: 1}}
+        assert rows[2] == {0: 6, 1: 5, 3: -1}  # the input is not modified
 
 
 class TestCocycleSystem:
@@ -180,6 +229,60 @@ class TestCocycleSystem:
         assert sys_.n_equations == 0 and sys_.n_unknowns == 6
         res = h2(abelian)
         assert (res.dim_z2, res.dim_b2, res.dim_h2) == (6, 0, 6)
+
+    @staticmethod
+    def assert_rows_match_oracle(L):
+        # The rows are the oracle's nonzero equations scaled by d, the lcm
+        # of the constants' denominators, in triple order.
+        d = lcm(*(c.denominator for terms in L.constants.values() for c in terms.values()))
+        _, equations, _ = oracle_cocycle_system(L)
+        expected = []
+        for eq in equations:
+            row = {c: v * d for c, v in enumerate(eq) if v}
+            assert all(v.denominator == 1 for v in row.values())
+            if row:
+                expected.append({c: int(v) for c, v in row.items()})
+        assert list(CohomologySolver(L).system().rows) == expected
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [("so", n) for n in range(1, 5)]
+        + [(f, n) for f in ("su", "u") for n in range(1, 4)]
+        + [("sq", 1), ("sq", 2)],
+    )
+    def test_rows_equal_oracle_equations(self, family, n):
+        for signs in sign_patterns(n):
+            self.assert_rows_match_oracle(build_algebra(family, signs))
+
+    @pytest.mark.parametrize(
+        "family,omega",
+        [("so", rational_omega(0, "-3/4", 0, "5/2")), ("su", rational_omega(0, "2/3", 0))],
+    )
+    def test_rows_equal_oracle_equations_on_rationals(self, family, omega):
+        self.assert_rows_match_oracle(build_algebra(family, omega))
+
+
+class TestHandBuiltTable:
+    """A stored zero would become a B2 pivot, and a key (1, 0) would be
+    dropped by the assembly: each gives a wrong H2 with no error unless the
+    table is checked."""
+
+    BASIS = [J(0, 1), J(0, 2), J(1, 2)]
+
+    @pytest.mark.parametrize(
+        "constants,message",
+        [
+            ({(0, 1): {2: 0}}, "zero constant"),
+            ({(0, 1): {2: 1, 0: 0}}, "zero constant"),
+            ({(1, 0): {2: 1}}, "not a pair of ints"),
+            ({(0, 1): {3: Fraction(1)}}, "outside 0..2"),
+            ({(0.0, 1): {2: Fraction(1)}}, "not a pair of ints"),
+        ],
+    )
+    def test_rejected(self, constants, message):
+        L = LieAlgebra(None, None, self.BASIS, constants)
+        with pytest.raises(ValueError, match=message):
+            h2(L)
 
 
 class TestCoboundary:
