@@ -19,7 +19,6 @@ from .ck_matrix import (
     MatrixOverK,
     Mq,
     OmegaVector,
-    XI_LABEL,
     build_generator,
     build_metric,
     is_metric_antihermitian,
@@ -30,7 +29,6 @@ from .ck_matrix import (
 from .lie_core import (
     LieAlgebra,
     build_algebra,
-    build_extended,
     build_so,
     build_sq,
     build_su,
@@ -46,8 +44,8 @@ from .lie_core import (
 _LAZY = {
     "cohomology": ("CohomologyResult", "CohomologySolver", "OneCochain", "TwoCochain",
                    "coboundary", "h2"),
-    "classify": ("CatalogEntry", "CrosscheckReport", "ExtensionCatalog", "coefficient_cocycle",
-                 "crosscheck", "predict", "removals"),
+    "classify": ("CatalogEntry", "CrosscheckReport", "ExtensionCatalog", "crosscheck", "predict",
+                 "removals"),
 }
 __all__ = [n for n in globals() if n[0] != "_" and n not in ("scalars", "ck_matrix", "lie_core")]
 __all__ += [name for names in _LAZY.values() for name in names]

@@ -40,7 +40,6 @@ __all__ = [
     "Mq",
     "E",
     "I_LABEL",
-    "XI_LABEL",
     "labels_for_family",
     "MatrixOverK",
     "build_generator",
@@ -51,7 +50,6 @@ __all__ = [
     "NotInSpanError",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 FAMILIES = ("so", "su", "u", "sq")
@@ -69,8 +67,7 @@ class OmegaVector:
 
     Entries are arbitrary rationals.  Every nonzero entry could be rescaled
     to +-1 without changing the algebra up to isomorphism; that reduction is
-    exposed through :meth:`signs` but never forced, so rescaling covariance
-    stays testable.
+    never forced, so rescaling covariance stays testable.
     """
 
     __slots__ = ("coeffs",)
@@ -108,26 +105,9 @@ class OmegaVector:
             raise ValueError(f"need 0 <= a <= b <= {self.n}, got a={a}, b={b}")
         return prod(self.coeffs[a:b], start=_F1)
 
-    def signs(self) -> tuple[int, ...]:
-        return tuple((c > 0) - (c < 0) for c in self.coeffs)
-
-    def zero_set(self) -> frozenset[int]:
-        """1-based indices of vanishing coefficients."""
-        return frozenset(k for k in range(1, self.n + 1) if not self.coeffs[k - 1])
-
     @property
     def n_zeros(self) -> int:
         return sum(1 for c in self.coeffs if not c)
-
-    def with_zeros(self, indices: Iterable[int]) -> "OmegaVector":
-        """Copy with the listed 1-based entries set to zero."""
-        idx = set(indices)
-        for k in idx:
-            if not 1 <= k <= self.n:
-                raise ValueError(f"omega index {k} out of range 1..{self.n}")
-        return OmegaVector(
-            _F0 if (k + 1) in idx else c for k, c in enumerate(self.coeffs)
-        )
 
     def text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
@@ -165,7 +145,6 @@ class GeneratorLabel(namedtuple("GeneratorLabel", "variant indices")):
     variant "I": central phase i * identity, no indices     (u)
     variant "Mq": quaternionic partners, indices (alpha, a, b)  (sq)
     variant "E": diagonal quaternionic units, (alpha, a)        (sq)
-    variant "Xi": the central generator adjoined by an extension
 
     A label is the tuple (variant, indices) and hashes like it.
     """
@@ -222,7 +201,6 @@ def E(alpha: int, a: int) -> GeneratorLabel:
 
 
 I_LABEL = GeneratorLabel("I", ())
-XI_LABEL = GeneratorLabel("Xi", ())
 
 
 def labels_for_family(family: str, n: int) -> list[GeneratorLabel]:

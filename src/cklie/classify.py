@@ -38,8 +38,8 @@ generator, delta(e_g) = sum of c * xi over the entries that shift g, built
 by `removals`.  Both sides have degree <= 2 in each omega_k, so agreeing on
 {-1, 0, 1}^N proves an identity for every omega: the acceptance suite does
 so for so N <= 5 and su/u N <= 3; larger N is only sampled.
-`coefficient_cocycle` looks an entry up by name; `crosscheck` confronts the
-whole catalog with the exact solver: counts must agree, the active
+`crosscheck` confronts the whole catalog with the exact solver, each entry
+as the integer column vector of its slots: counts must agree, the active
 coefficients must be nontrivial cocycles that form a basis of H2, every
 inactive type II must be trivial or forced to zero, every inactive type III
 must fail the cocycle equations.
@@ -52,16 +52,14 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 
-from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
+from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, _lcm_scaled, labels_for_family
 from .cohomology import CohomologySolver, TwoCochain
 from .lie_core import build_algebra
-from .scalars import _frac
 
 __all__ = [
     "CatalogEntry",
     "ExtensionCatalog",
     "predict",
-    "coefficient_cocycle",
     "removals",
     "CoefficientVerdict",
     "CrosscheckReport",
@@ -208,22 +206,6 @@ def predict(family: str, omega) -> ExtensionCatalog:
     return ExtensionCatalog(family, om, entries)
 
 
-def coefficient_cocycle(family: str, omega, name: str, value=_F1) -> TwoCochain:
-    """The explicit cochain carrying one named catalog coefficient: the
-    entry's slots, each scaled by value."""
-    value = _frac(value)
-    catalog = predict(family, omega)
-    for entry in catalog.entries:
-        if entry.name == name:
-            return _cochain(catalog.dim, entry.slots, value)
-    raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={catalog.omega.n}")
-
-
-def _cochain(dim: int, slots, value: Fraction = _F1) -> TwoCochain:
-    """The cochain of the slots scaled by value."""
-    return TwoCochain(dim, {(i, j): c * value for i, j, c in slots})
-
-
 def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, TwoCochain]:
     """Right-hand sides of the type II removal identities: for each shifted
     generator g, the sum of c * xi over the catalog entries with shift (g, c),
@@ -234,13 +216,15 @@ def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, TwoCochain]:
     coefficient wherever c != 0, and the tied so pair (alphaF, alphaL) =
     (w_{a+1}, w_{a+3}) always.
     """
-    dim = catalog.dim
-    rhs: dict[GeneratorLabel, TwoCochain] = {}
+    sums: dict[GeneratorLabel, dict[tuple[int, int], Fraction]] = {}
     for entry in catalog.entries:
         if entry.shift:
             g, c = entry.shift
-            rhs[g] = rhs.get(g, TwoCochain(dim)) + _cochain(dim, entry.slots, c)
-    return rhs
+            acc = sums.setdefault(g, {})
+            for i, j, v in entry.slots:
+                acc[i, j] = acc.get((i, j), 0) + c * v
+    # TwoCochain drops the zero sums.
+    return {g: TwoCochain(catalog.dim, acc) for g, acc in sums.items()}
 
 
 # trivial is None when the cochain is not a cocycle.
@@ -312,16 +296,17 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
     catalog = predict(family, om)
     solver = CohomologySolver(build_algebra(family, om))
     res = solver.result()
+    pair_index = solver.pair_index
     verdicts: list[CoefficientVerdict] = []
-    active: list[TwoCochain] = []
+    active: list[dict[int, int]] = []
     all_ok = True
     for entry in catalog.entries:
-        xi = _cochain(catalog.dim, entry.slots)
-        cocycle_ok = solver.is_cocycle(xi)
-        trivial = solver.is_coboundary(xi) if cocycle_ok else None
+        vec = _lcm_scaled((pair_index[i, j], c) for i, j, c in entry.slots)[1]
+        cocycle_ok = solver.is_cocycle(vec)
+        trivial = solver.is_coboundary(vec) if cocycle_ok else None
         note = ""
         if entry.active:
-            active.append(xi)
+            active.append(vec)
             ok = cocycle_ok and trivial is False
         elif entry.ext_type == "III":
             ok = not cocycle_ok

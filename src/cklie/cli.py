@@ -305,7 +305,7 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
     # that every coboundary is a cocycle.
     solver = CohomologySolver(L)
     ok = all(
-        solver.is_cocycle(coboundary(OneCochain.basis_vector(L.dim, k), L))
+        solver.is_cocycle(solver.int_vector(coboundary(OneCochain.basis_vector(L.dim, k), L)))
         for k in range(L.dim)
     )
     checks["coboundaries_are_cocycles"] = "pass" if ok else "fail"

@@ -98,14 +98,6 @@ class TwoCochain:
         object.__setattr__(res, "entries", entries)
         return res
 
-    def value(self, i: int, j: int) -> Fraction:
-        """xi_ij for any index order (antisymmetric, zero on the diagonal)."""
-        if i == j:
-            return _F0
-        if i < j:
-            return self.entries.get((i, j), _F0)
-        return -self.entries.get((j, i), _F0)
-
     def items(self):
         return sorted(self.entries.items())
 
@@ -113,30 +105,6 @@ class TwoCochain:
         if not isinstance(other, TwoCochain):
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
-
-    def __add__(self, other: "TwoCochain") -> "TwoCochain":
-        if self.dim != other.dim:
-            raise ValueError("cochain dimension mismatch")
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            nv = out.get(key, _F0) + v
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return TwoCochain._wrap(self.dim, out)
-
-    def __sub__(self, other: "TwoCochain") -> "TwoCochain":
-        return self + (-other)
-
-    def __neg__(self) -> "TwoCochain":
-        return TwoCochain._wrap(self.dim, {k: -v for k, v in self.entries.items()})
-
-    def __mul__(self, scalar) -> "TwoCochain":
-        f = _frac(scalar)
-        return TwoCochain._wrap(self.dim, {k: v * f for k, v in self.entries.items()} if f else {})
-
-    __rmul__ = __mul__
 
     def to_json_obj(self, algebra=None) -> dict:
         pairs = []
@@ -270,7 +238,13 @@ class CohomologySolver:
     """Caches, for one algebra, the assembled system and its echelon, the B2
     echelon, the dims, the Z2 basis and the column index of the cocycle
     test, so repeated cochain queries stay cheap.  Only the Z2 basis holds
-    Fractions."""
+    Fractions.
+
+    The cochain queries take a cochain as its integer column vector
+    {pair_index[(i, j)]: int}, with no zero values; `int_vector` makes one
+    from a `TwoCochain`.  Each query is homogeneous, so every nonzero
+    multiple of a cochain gets the same answer.
+    """
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -385,10 +359,9 @@ class CohomologySolver:
             raise ValueError("cochain dimension does not match the algebra")
         return _lcm_scaled((self.pair_index[pair], v) for pair, v in xi.entries.items())[1]
 
-    def is_cocycle(self, xi: TwoCochain) -> bool:
-        """Exact: only the equations that hold a nonzero column of xi are
-        evaluated, and every other equation sums to zero on xi."""
-        ivec = self.int_vector(xi)
+    def is_cocycle(self, vec: dict[int, int]) -> bool:
+        """Exact: only the equations that hold a nonzero column of vec are
+        evaluated, and every other equation sums to zero on it."""
         rows = self.system().rows
         if self._by_column is None:
             self._by_column = [[] for _ in range(self.n_unknowns)]
@@ -396,31 +369,23 @@ class CohomologySolver:
                 for c in row:
                     self._by_column[c].append(t)
         touched = set()
-        for c in ivec:
+        for c in vec:
             touched.update(self._by_column[c])
         for t in touched:
-            if sum(v * ivec.get(c, 0) for c, v in rows[t].items()):
+            if sum(v * vec.get(c, 0) for c, v in rows[t].items()):
                 return False
         return True
 
-    def is_coboundary(self, xi: TwoCochain) -> bool:
-        """True iff xi lies in the span of B2: its integer vector reduces to
-        nothing against the B2 echelon.  Does not test the cocycle
-        equations; see :meth:`is_trivial` for the checked form."""
-        return not _reduce(self.int_vector(xi), self._b2_echelon())
+    def is_coboundary(self, vec: dict[int, int]) -> bool:
+        """True iff vec lies in the span of B2: it reduces to nothing against
+        the B2 echelon.  Does not test the cocycle equations."""
+        return not _reduce(vec, self._b2_echelon())
 
-    def rank_mod_b2(self, cochains: Iterable[TwoCochain]) -> int:
-        """The number of the cochains independent modulo B2: the pivots their
-        integer vectors add to the B2 echelon rows."""
+    def rank_mod_b2(self, vectors: Iterable[dict[int, int]]) -> int:
+        """The number of the vectors independent modulo B2: the pivots they
+        add to the B2 echelon rows."""
         b2 = self._b2_echelon()
-        return len(_echelon_int([*b2.values(), *map(self.int_vector, cochains)])) - len(b2)
-
-    def is_trivial(self, xi: TwoCochain) -> bool:
-        """True iff xi is a coboundary.  Rejects non-cocycles: an input that
-        fails the cocycle equations is not an extension at all."""
-        if not self.is_cocycle(xi):
-            raise ValueError("cochain is not a cocycle")
-        return self.is_coboundary(xi)
+        return len(_echelon_int([*b2.values(), *vectors])) - len(b2)
 
 
 # ---------------------------------------------------------------------------

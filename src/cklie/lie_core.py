@@ -12,7 +12,7 @@ holds each constant as an integer times a range product w_ab = omega_{a+1}
 those products.  `from_matrices` rebuilds the same constants by commuting
 the matrix generators and decomposing in the basis, without the shape or the
 table, which cross-validates both routes constant by constant.  Jacobi
-verification and centrally extended algebras live here too.
+verification lives here too.
 
 `verify_jacobi` is exact but runs in Python integers: it clears the
 denominators of all constants once (the Jacobiator is quadratic, so scaling
@@ -40,7 +40,6 @@ from .ck_matrix import (
     M,
     Mq,
     OmegaVector,
-    XI_LABEL,
     build_generator,
     labels_for_family,
     mat_commutator,
@@ -58,7 +57,6 @@ __all__ = [
     "verify_jacobi",
     "from_matrices",
     "epsilon",
-    "build_extended",
 ]
 
 _F1 = Fraction(1)
@@ -79,21 +77,51 @@ class LieAlgebra:
 
     Constants are stored sparsely, keyed by index pairs (i, j) with i < j;
     antisymmetry is implicit and `bracket` negates on demand for j < i.
-    The constants are not mutated after construction: `integer_constants`
-    is computed once and kept, and a changed table is a new `LieAlgebra`.
+    The constants are not mutated after construction: the table check and
+    `integer_constants` run once and are kept, and a changed table is a new
+    `LieAlgebra`.
     """
 
-    __slots__ = ("family", "omega", "basis", "constants", "_index", "_integer")
+    __slots__ = ("family", "omega", "basis", "_constants", "_index", "_lcm", "_integer")
 
     def __init__(self, family, omega, basis, constants):
         self.family = family
         self.omega = omega
         self.basis = tuple(basis)
-        self.constants = constants
+        self._constants = constants
+        self._lcm = None
         self._integer = None
         self._index = {lab: i for i, lab in enumerate(self.basis)}
         if len(self._index) < len(self.basis):
             raise ValueError("basis labels must be distinct")
+
+    @property
+    def constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The bracket table {(i, j): {k: C_ij^k}}, read only after the table
+        check, which runs on the first read and is kept.
+
+        The check raises ValueError unless every key is a pair of ints
+        0 <= i < j < dim and every term a nonzero constant at an int index
+        0 <= k < dim, and TypeError for a constant that is not an int or a
+        Fraction (a float or a bool included).  The same loop takes the lcm
+        of the denominators that `integer_constants` scales by.
+        """
+        if self._lcm is None:
+            r = self.dim
+            d = 1
+            for (i, j), terms in self._constants.items():
+                if type(i) is not int or type(j) is not int or not 0 <= i < j < r:
+                    raise ValueError(f"bracket key {(i, j)!r} is not a pair of ints 0 <= i < j < {r}")
+                for k, c in terms.items():
+                    if type(k) is not int or not 0 <= k < r:
+                        raise ValueError(f"bracket {(i, j)} has a term at index {k!r}, outside 0..{r - 1}")
+                    if type(c) is not Fraction and type(c) is not int:
+                        raise TypeError(f"bracket {(i, j)} has a {type(c).__name__} constant {c!r}")
+                    if not c:
+                        raise ValueError(f"bracket {(i, j)} stores a zero constant at index {k}")
+                    d = lcm(d, c.denominator)
+            self._lcm = d
+        return self._constants
 
     @property
     def dim(self) -> int:
@@ -118,8 +146,9 @@ class LieAlgebra:
 
     def structure_rows(self):
         """Yield (i, j, k, c) with i < j, sorted, over nonzero constants."""
-        for (i, j) in sorted(self.constants):
-            terms = self.constants[(i, j)]
+        constants = self.constants
+        for (i, j) in sorted(constants):
+            terms = constants[(i, j)]
             for k in sorted(terms):
                 yield i, j, k, terms[k]
 
@@ -128,25 +157,14 @@ class LieAlgebra:
 
         Every exact check here is homogeneous in the constants, so it gives
         the same verdict, rank or space on d*C as on C.  Computed on the first
-        call and shared by later ones, so callers must not mutate it.  The
-        same loop raises ValueError unless every key is a pair of ints
-        0 <= i < j < dim and every term a nonzero constant at 0 <= k < dim.
+        call and shared by later ones, so callers must not mutate it.
         """
         if self._integer is None:
-            r = self.dim
-            d = 1
-            for (i, j), terms in self.constants.items():
-                if type(i) is not int or type(j) is not int or not 0 <= i < j < r:
-                    raise ValueError(f"bracket key {(i, j)!r} is not a pair of ints 0 <= i < j < {r}")
-                for k, c in terms.items():
-                    if type(k) is not int or not 0 <= k < r:
-                        raise ValueError(f"bracket {(i, j)} has a term at index {k!r}, outside 0..{r - 1}")
-                    if not c:
-                        raise ValueError(f"bracket {(i, j)} stores a zero constant at index {k}")
-                    d = lcm(d, c.denominator)
+            constants = self.constants
+            d = self._lcm
             self._integer = {
                 pair: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
-                for pair, terms in self.constants.items()
+                for pair, terms in constants.items()
             }
         return self._integer
 
@@ -437,21 +455,3 @@ def _from_generators(family: str, om: OmegaVector, labels, mats) -> LieAlgebra:
             if terms:
                 constants[(i, j)] = terms
     return LieAlgebra(family, om, labels, constants)
-
-
-def build_extended(L: LieAlgebra, xi) -> LieAlgebra:
-    """Adjoin a central generator with extension coefficients xi.
-
-    The central generator XI_LABEL takes the last index and carries no
-    bracket rows, so it commutes with everything by construction.  The
-    result satisfies the Jacobi identity exactly when xi solves the cocycle
-    equations of L.
-    """
-    r = L.dim
-    if xi.dim != r:
-        raise ValueError(f"cochain dimension {xi.dim} != algebra dimension {r}")
-    basis = list(L.basis) + [XI_LABEL]
-    constants = {pair: dict(terms) for pair, terms in L.constants.items()}
-    for (i, j), value in xi.items():
-        constants.setdefault((i, j), {})[r] = value
-    return LieAlgebra(L.family, L.omega, basis, constants)

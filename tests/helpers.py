@@ -9,8 +9,10 @@ product is the full 16-term formula.
 The last section holds test-side tools that are not oracles: a basis
 permutation, a label-keyed bracket, the dimension formulas, signed-prime
 omegas, the cochain of an integer solver row, the adapters that drive the
-package's own elimination kernel and a runner for fresh interpreters.  No
-oracle calls them.
+package's own elimination kernel and a runner for fresh interpreters.  It
+also holds the conveniences that only tests use: omega sign patterns and
+zero sets, scaled cochains, a catalog entry's cochain by name, the checked
+triviality test and the centrally extended algebra.  No oracle calls them.
 """
 
 import os
@@ -21,9 +23,11 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from cklie.ck_matrix import _echelon_int
+from cklie.ck_matrix import GeneratorLabel, OmegaVector, _echelon_int
+from cklie.classify import predict
 from cklie.cohomology import TwoCochain, _nullspace, _rref
 from cklie.lie_core import LieAlgebra
+from cklie.scalars import _frac
 
 # Filled by the acceptance tests, echoed by the conftest terminal summary.
 CRITERION_LINES: list[str] = []
@@ -138,15 +142,25 @@ def oracle_h2_bases(L):
     )
 
 
+def cochain_value(xi, i, j):
+    """xi_ij for any index order, read from the stored entries i < j
+    (antisymmetric, zero on the diagonal)."""
+    if i == j:
+        return Fraction(0)
+    if i < j:
+        return xi.entries.get((i, j), Fraction(0))
+    return -xi.entries.get((j, i), Fraction(0))
+
+
 def oracle_is_cocycle(L, xi):
     """xi([X_i,X_j],X_l) + xi([X_j,X_l],X_i) + xi([X_l,X_i],X_j) == 0 for
-    every index triple, evaluated from `LieAlgebra.bracket` and
-    `TwoCochain.value`."""
+    every index triple, evaluated from `LieAlgebra.bracket` and the entries
+    of xi."""
     for i, j, l in combinations(range(L.dim), 3):
         total = Fraction(0)
         for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
             for k, c in L.bracket(u, v).items():
-                total += c * xi.value(k, third)
+                total += c * cochain_value(xi, k, third)
         if total:
             return False
     return True
@@ -209,6 +223,79 @@ def prime_omegas(n):
 def bracket_of(L, u, v):
     """[u, v] for generator labels u, v, as {label: coefficient}."""
     return {L.basis[k]: c for k, c in L.bracket(L.index(u), L.index(v)).items()}
+
+
+def omega_signs(omega):
+    """The sign of each coefficient: 1, 0 or -1."""
+    return tuple((c > 0) - (c < 0) for c in OmegaVector.coerce(omega).coeffs)
+
+
+def zero_set(omega):
+    """1-based indices of the vanishing coefficients."""
+    return frozenset(k for k, c in enumerate(OmegaVector.coerce(omega).coeffs, 1) if not c)
+
+
+def with_zeros(omega, indices):
+    """Copy of omega with the listed 1-based entries set to zero."""
+    om = OmegaVector.coerce(omega)
+    idx = set(indices)
+    for k in idx:
+        if not 1 <= k <= om.n:
+            raise ValueError(f"omega index {k} out of range 1..{om.n}")
+    return OmegaVector(0 if k in idx else c for k, c in enumerate(om.coeffs, 1))
+
+
+def cochain_sum(*cochains):
+    """The sum of cochains of one dimension."""
+    dim = cochains[0].dim
+    if any(xi.dim != dim for xi in cochains):
+        raise ValueError("cochain dimension mismatch")
+    total = {}
+    for xi in cochains:
+        for pair, v in xi.entries.items():
+            total[pair] = total.get(pair, 0) + v
+    return TwoCochain(dim, total)
+
+
+def scaled(xi, scalar):
+    """The cochain scalar * xi; a float or bool scalar raises TypeError."""
+    f = _frac(scalar)
+    return TwoCochain(xi.dim, {pair: v * f for pair, v in xi.entries.items()})
+
+
+def coefficient_cocycle(family, omega, name, value=1):
+    """The cochain of one named catalog entry: its slots, each scaled by value."""
+    value = _frac(value)
+    catalog = predict(family, omega)
+    for entry in catalog.entries:
+        if entry.name == name:
+            return TwoCochain(catalog.dim, {(i, j): c * value for i, j, c in entry.slots})
+    raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={catalog.omega.n}")
+
+
+def is_trivial(solver, xi):
+    """True iff the cochain xi is a coboundary; ValueError if it is not a
+    cocycle, since such a cochain is not an extension at all."""
+    vec = solver.int_vector(xi)
+    if not solver.is_cocycle(vec):
+        raise ValueError("cochain is not a cocycle")
+    return solver.is_coboundary(vec)
+
+
+XI_LABEL = GeneratorLabel("Xi", ())
+
+
+def build_extended(L, xi):
+    """L with a central generator XI_LABEL adjoined at the last index and
+    extension coefficients xi: it satisfies the Jacobi identity exactly when
+    xi solves the cocycle equations of L."""
+    r = L.dim
+    if xi.dim != r:
+        raise ValueError(f"cochain dimension {xi.dim} != algebra dimension {r}")
+    constants = {pair: dict(terms) for pair, terms in L.constants.items()}
+    for (i, j), value in xi.items():
+        constants.setdefault((i, j), {})[r] = value
+    return LieAlgebra(L.family, L.omega, [*L.basis, XI_LABEL], constants)
 
 
 def row_cochain(solver, row):

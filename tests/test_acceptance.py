@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from helpers import CRITERION_LINES, oracle_h2_dims, permute_basis, row_cochain
+from helpers import CRITERION_LINES, oracle_h2_dims, permute_basis
 
 from cklie.ck_matrix import OmegaVector
 from cklie.classify import crosscheck, predict, removals
@@ -48,7 +48,7 @@ def rich_case(family: str, signs: tuple[int, ...]) -> dict:
         "jacobi": verify_jacobi(L),
         "matrix_match": from_matrices(family, signs).same_constants(L),
         "b2_in_z2": all(
-            solver.is_cocycle(row_cochain(solver, row)) for row in solver._b2_echelon().values()
+            solver.is_cocycle(row) for row in solver._b2_echelon().values()
         ),
         "dims_identity": res.dim_h2 == res.dim_z2 - res.dim_b2,
         "perm_dims": (perm_res.dim_z2, perm_res.dim_b2, perm_res.dim_h2),
@@ -226,7 +226,7 @@ def test_c09_beta_constraint_equivalence():
                     checks += 1
                     entry = catalog[f"beta[{b + 1},{d + 1}]"]
                     xi = TwoCochain(L.dim, {(i, j): c for i, j, c in entry.slots})
-                    if solver.is_cocycle(xi) != entry.active:
+                    if solver.is_cocycle(solver.int_vector(xi)) != entry.active:
                         bad.append((signs, b, d))
     announce(9, "beta cocycle condition == constraint factors", not bad, f"{checks} checks")
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import FAMILY_DIMENSION
+from helpers import FAMILY_DIMENSION, omega_signs, with_zeros, zero_set
 from cklie.ck_matrix import (
     B,
     BasisDecomposer,
@@ -56,15 +56,15 @@ class TestOmegaVector:
 
     def test_signs_and_zero_set(self):
         om = OmegaVector([Fraction(3, 2), 0, -5])
-        assert om.signs() == (1, 0, -1)
-        assert om.zero_set() == frozenset({2})
+        assert omega_signs(om) == (1, 0, -1)
+        assert zero_set(om) == frozenset({2})
         assert om.n_zeros == 1
 
     def test_with_zeros(self):
-        om = OmegaVector([1, 1, 1]).with_zeros({1, 2})
+        om = with_zeros(OmegaVector([1, 1, 1]), {1, 2})
         assert om.coeffs == (0, 0, 1)
         with pytest.raises(ValueError):
-            OmegaVector([1]).with_zeros({2})
+            with_zeros(OmegaVector([1]), {2})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -3,18 +3,26 @@ from itertools import product
 
 import pytest
 
-from helpers import SIGNED_PRIMES, prime_omegas
+from helpers import (
+    SIGNED_PRIMES,
+    cochain_sum,
+    cochain_value,
+    coefficient_cocycle,
+    is_trivial,
+    omega_signs,
+    prime_omegas,
+    zero_set,
+)
 from cklie import classify, lie_core
 from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector
 from cklie.classify import (
     CatalogEntry,
     CoefficientVerdict,
-    coefficient_cocycle,
     crosscheck,
     predict,
     removals,
 )
-from cklie.cohomology import CohomologySolver, OneCochain, coboundary, h2
+from cklie.cohomology import CohomologySolver, OneCochain, TwoCochain, coboundary, h2
 from cklie.lie_core import build_algebra, build_so, build_su
 
 
@@ -29,7 +37,7 @@ def active_names(catalog):
 class TestZeroPattern:
     def test_from_omega(self):
         om = OmegaVector.coerce([1, 0, 0, -1])
-        assert om.n_zeros == 2 and om.zero_set() == frozenset({2, 3})
+        assert om.n_zeros == 2 and zero_set(om) == frozenset({2, 3})
 
 
 class TestPredictSo:
@@ -154,7 +162,7 @@ class TestCoefficientCocycle:
         om = [0]
         xi = coefficient_cocycle("su", om, "alpha[1]")
         L = build_su(om)
-        assert xi.value(L.index(L.basis[0]), L.index(L.basis[1])) == 1  # (J(0,1), M(0,1))
+        assert cochain_value(xi, L.index(L.basis[0]), L.index(L.basis[1])) == 1  # (J(0,1), M(0,1))
 
     def test_su_alpha_slot_values(self):
         om = OmegaVector([2, 3])
@@ -163,8 +171,8 @@ class TestCoefficientCocycle:
         iJ01, iJ02 = L.index(L.basis[0]), L.index(L.basis[1])
         iM01, iM02 = L.index(L.basis[3]), L.index(L.basis[4])
         # xi(J(0,1), M(0,1)) = w_00 * w_11 = 1; xi(J(0,2), M(0,2)) = w_00 * w_12 = 3
-        assert xi.value(iJ01, iM01) == 1
-        assert xi.value(iJ02, iM02) == 3
+        assert cochain_value(xi, iJ01, iM01) == 1
+        assert cochain_value(xi, iJ02, iM02) == 3
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -223,7 +231,7 @@ class TestRemovalIdentities:
                     f, l = f"alphaF[{a + 1},{a + 2}]", f"alphaL[{a + 1},{a + 2}]"
                     xi_f = coefficient_cocycle("so", signs, f, signs[a])
                     xi_l = coefficient_cocycle("so", signs, l, signs[a + 2])
-                    assert rhs == xi_f + xi_l, (signs, a)
+                    assert rhs == cochain_sum(xi_f, xi_l), (signs, a)
                     assert delta == rhs, (signs, a)
 
     def test_pair_constraint_violation_not_a_cocycle(self):
@@ -233,18 +241,18 @@ class TestRemovalIdentities:
         solver = CohomologySolver(L)
         xi_f = coefficient_cocycle("so", om, "alphaF[1,2]")
         xi_l = coefficient_cocycle("so", om, "alphaL[1,2]")
-        assert not solver.is_cocycle(xi_f)
-        assert not solver.is_cocycle(xi_l)
+        assert not solver.is_cocycle(solver.int_vector(xi_f))
+        assert not solver.is_cocycle(solver.int_vector(xi_l))
         # but the tied combination is one
-        assert solver.is_cocycle(removals(predict("so", om))[J(1, 2)])
+        assert solver.is_cocycle(solver.int_vector(removals(predict("so", om))[J(1, 2)]))
 
     def test_pair_members_independent_when_both_omegas_vanish(self):
         om = [0, 1, 0]
         solver = CohomologySolver(build_so(om))
         for name in ("alphaF[1,2]", "alphaL[1,2]"):
             xi = coefficient_cocycle("so", om, name)
-            assert solver.is_cocycle(xi)
-            assert not solver.is_trivial(xi)
+            assert solver.is_cocycle(solver.int_vector(xi))
+            assert not is_trivial(solver, xi)
 
 
 class TestCrosscheck:
@@ -274,6 +282,25 @@ class TestCrosscheck:
             for n in range(1, nmax + 1):
                 for signs in sign_patterns(n):
                     assert crosscheck(family, signs).match, (family, signs)
+
+    def test_builds_no_rational_cochain(self, monkeypatch):
+        # Each entry goes to the solver as the integer vector of its slots:
+        # with every way of making a TwoCochain patched to raise, the reports
+        # over the grid of the four acceptance sweeps stay the same.
+        grid = [
+            (family, signs)
+            for family, n in (("so", 5), ("su", 3), ("u", 3), ("sq", 2))
+            for signs in sign_patterns(n)
+        ]
+        expected = [crosscheck(family, signs) for family, signs in grid]
+        assert all(rep.match for rep in expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("crosscheck built a TwoCochain")
+
+        monkeypatch.setattr(TwoCochain, "__init__", refuse)
+        monkeypatch.setattr(TwoCochain, "_wrap", refuse)
+        assert [crosscheck(family, signs) for family, signs in grid] == expected
 
     @pytest.mark.parametrize(
         "family,signs",
@@ -437,4 +464,4 @@ class TestRescalingCovariance:
             a = h2(build_so(signs))
             b = h2(build_so(scaled))
             assert (a.dim_z2, a.dim_b2, a.dim_h2) == (b.dim_z2, b.dim_b2, b.dim_h2)
-            assert OmegaVector.coerce(signs).signs() == OmegaVector.coerce(scaled).signs()
+            assert omega_signs(signs) == omega_signs(scaled)

@@ -16,9 +16,14 @@ from helpers import (
     oracle_cocycle_system,
     oracle_h2_bases,
     oracle_h2_dims,
+    cochain_sum,
+    cochain_value,
+    coefficient_cocycle,
+    is_trivial,
     oracle_is_cocycle,
     permute_basis,
     row_cochain,
+    scaled,
 )
 
 from cklie.cohomology import (
@@ -29,8 +34,16 @@ from cklie.cohomology import (
     h2,
 )
 from cklie.ck_matrix import J, _echelon_int
-from cklie.classify import coefficient_cocycle, predict
-from cklie.lie_core import LieAlgebra, build_algebra, build_so, build_sq, build_su, build_u
+from cklie.classify import predict
+from cklie.lie_core import (
+    LieAlgebra,
+    build_algebra,
+    build_so,
+    build_sq,
+    build_su,
+    build_u,
+    verify_jacobi,
+)
 
 
 def sign_patterns(n):
@@ -109,9 +122,10 @@ def random_mu(rng, dim, span=6):
 class TestTwoCochain:
     def test_antisymmetric_storage(self):
         xi = TwoCochain(4, {(2, 1): Fraction(3)})
-        assert xi.value(1, 2) == -3
-        assert xi.value(2, 1) == 3
-        assert xi.value(1, 1) == 0
+        assert xi.entries == {(1, 2): -3}
+        assert cochain_value(xi, 1, 2) == -3
+        assert cochain_value(xi, 2, 1) == 3
+        assert cochain_value(xi, 1, 1) == 0
 
     def test_equal_index_rejected(self):
         with pytest.raises(ValueError):
@@ -120,10 +134,10 @@ class TestTwoCochain:
     def test_arithmetic(self):
         a = TwoCochain(3, {(0, 1): Fraction(1)})
         b = TwoCochain(3, {(0, 1): Fraction(-1), (1, 2): Fraction(2)})
-        assert (a + b).entries == {(1, 2): Fraction(2)}
-        assert not (a - a).entries
-        assert (2 * a).value(0, 1) == 2
-        assert (-b).value(1, 2) == -2
+        assert cochain_sum(a, b).entries == {(1, 2): Fraction(2)}
+        assert not cochain_sum(a, scaled(a, -1)).entries
+        assert cochain_value(scaled(a, 2), 0, 1) == 2
+        assert cochain_value(scaled(b, -1), 1, 2) == -2
 
     @pytest.mark.parametrize("pair", [(0.0, 1), (0, 2.0), (True, 2), (1, False)])
     def test_non_int_index_rejected(self, pair):
@@ -262,6 +276,29 @@ class TestCocycleSystem:
         self.assert_rows_match_oracle(build_algebra(family, omega))
 
 
+BAD_TABLES = [
+    ({(0, 1): {2: 0}}, "zero constant"),
+    ({(0, 1): {2: 1, 0: 0}}, "zero constant"),
+    ({(1, 0): {2: 1}}, "not a pair of ints"),
+    ({(0, 1): {3: Fraction(1)}}, "outside 0..2"),
+    ({(0.0, 1): {2: Fraction(1)}}, "not a pair of ints"),
+]
+
+# Every way a table is read.  Unchecked, the key (1, 0) gave bracket(0, 1)
+# == {} but xi_01 = -1 from coboundary, and a stored zero printed "c": "0".
+TABLE_READERS = {
+    "constants": lambda L: L.constants,
+    "bracket": lambda L: L.bracket(0, 1),
+    "structure_rows": lambda L: list(L.structure_rows()),
+    "to_json_obj": lambda L: L.to_json_obj(),
+    "same_constants": lambda L: L.same_constants(L),
+    "integer_constants": lambda L: L.integer_constants(),
+    "verify_jacobi": verify_jacobi,
+    "coboundary": lambda L: coboundary(OneCochain([0, 0, 1]), L),
+    "h2": h2,
+}
+
+
 class TestHandBuiltTable:
     """A stored zero would become a B2 pivot, and a key (1, 0) would be
     dropped by the assembly: each gives a wrong H2 with no error unless the
@@ -269,20 +306,33 @@ class TestHandBuiltTable:
 
     BASIS = [J(0, 1), J(0, 2), J(1, 2)]
 
-    @pytest.mark.parametrize(
-        "constants,message",
-        [
-            ({(0, 1): {2: 0}}, "zero constant"),
-            ({(0, 1): {2: 1, 0: 0}}, "zero constant"),
-            ({(1, 0): {2: 1}}, "not a pair of ints"),
-            ({(0, 1): {3: Fraction(1)}}, "outside 0..2"),
-            ({(0.0, 1): {2: Fraction(1)}}, "not a pair of ints"),
-        ],
-    )
+    @pytest.mark.parametrize("constants,message", BAD_TABLES)
     def test_rejected(self, constants, message):
         L = LieAlgebra(None, None, self.BASIS, constants)
         with pytest.raises(ValueError, match=message):
             h2(L)
+
+    @pytest.mark.parametrize("reader", TABLE_READERS)
+    @pytest.mark.parametrize("constants,message", BAD_TABLES)
+    def test_every_reader_checks(self, reader, constants, message):
+        L = LieAlgebra(None, None, self.BASIS, constants)
+        with pytest.raises(ValueError, match=message):
+            TABLE_READERS[reader](L)
+
+    @pytest.mark.parametrize("reader", TABLE_READERS)
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+    def test_float_or_bool_constant_rejected(self, reader, bad):
+        # 0.5 made integer_constants raise AttributeError, bracket return 0.5
+        # and to_json_obj print "0.5"; True was taken as 1 and printed "True".
+        L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: bad}})
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            TABLE_READERS[reader](L)
+
+    def test_int_and_fraction_constants_accepted(self):
+        L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: 3}, (0, 2): {1: Fraction(-1, 2)}})
+        assert L.bracket(1, 0) == {2: -3}
+        assert L.integer_constants() == {(0, 1): {2: 6}, (0, 2): {1: -1}}
+        assert [c["c"] for c in L.to_json_obj()["constants"]] == ["3", "-1/2"]
 
 
 class TestCoboundary:
@@ -320,7 +370,7 @@ class TestCoboundary:
         L = build_algebra(family, signs)
         solver = CohomologySolver(L)
         for k in range(L.dim):
-            assert solver.is_cocycle(coboundary(OneCochain.basis_vector(L.dim, k), L))
+            assert solver.is_cocycle(solver.int_vector(coboundary(OneCochain.basis_vector(L.dim, k), L)))
 
 
 class TestSpacesAndDims:
@@ -369,10 +419,10 @@ class TestSpacesAndDims:
             assert len(solver._b2_echelon()) == res.dim_b2
             assert len(solver.representatives()) == res.dim_h2
             for row in solver._b2_echelon().values():
-                assert solver.is_cocycle(row_cochain(solver, row))
+                assert solver.is_cocycle(row)
             for rep in solver.representatives():
-                assert solver.is_cocycle(rep)
-                assert not solver.is_trivial(rep)
+                assert solver.is_cocycle(solver.int_vector(rep))
+                assert not is_trivial(solver, rep)
 
     def test_known_h2_values(self):
         assert h2(build_so([1, 1])).dim_h2 == 0
@@ -405,13 +455,13 @@ class TestIsCocycle:
             coefficient_cocycle(family, omega, name) for name in names
         ]:
             bump = TwoCochain(L.dim, {rng.choice(pairs): Fraction(rng.choice((1, -2, 3)), 5)})
-            cochains += [xi, xi + bump]
+            cochains += [xi, cochain_sum(xi, bump)]
         # Columns that no equation touches: every cochain on them is a cocycle.
         untouched = [xi for xi in units if oracle_is_cocycle(L, xi)]
         for _ in range(5):
             picked = [xi for xi in untouched if rng.random() < 0.5]
-            cochains.append(sum(picked, TwoCochain(L.dim)) * Fraction(-7, 3))
-        verdicts = [solver.is_cocycle(xi) for xi in cochains]
+            cochains.append(scaled(cochain_sum(TwoCochain(L.dim), *picked), Fraction(-7, 3)))
+        verdicts = [solver.is_cocycle(solver.int_vector(xi)) for xi in cochains]
         assert verdicts == [oracle_is_cocycle(L, xi) for xi in cochains]
         assert True in verdicts and False in verdicts
 
@@ -440,7 +490,7 @@ class TestIsCocycle:
                 if sum(a * b for a, b in zip(eq, vec)):
                     xi = TwoCochain(L.dim, dict(zip(pairs, vec)))
                     assert not oracle_is_cocycle(L, xi)
-                    assert not solver.is_cocycle(xi)
+                    assert not solver.is_cocycle(solver.int_vector(xi))
                     found += 1
                     break
         assert found
@@ -451,20 +501,20 @@ class TestIsTrivial:
         L = build_so([0, 1])
         solver = CohomologySolver(L)
         for k in range(L.dim):
-            assert solver.is_trivial(coboundary(OneCochain.basis_vector(L.dim, k), L))
+            assert is_trivial(solver, coboundary(OneCochain.basis_vector(L.dim, k), L))
 
     def test_nontrivial_representative(self):
         L = build_so([0, 1])
         rep = CohomologySolver(L).representatives()[0]
-        assert not CohomologySolver(L).is_trivial(rep)
+        assert not is_trivial(CohomologySolver(L), rep)
 
     def test_non_cocycle_rejected(self):
         L = build_so([1, 1, 1])
         solver = CohomologySolver(L)
         xi = TwoCochain(L.dim, {(0, 1): Fraction(1)})
-        assert not solver.is_cocycle(xi)
+        assert not solver.is_cocycle(solver.int_vector(xi))
         with pytest.raises(ValueError):
-            solver.is_trivial(xi)
+            is_trivial(solver, xi)
 
     def test_gauge_invariance(self):
         L = build_so([0, 0, 1])
@@ -473,12 +523,12 @@ class TestIsTrivial:
         reps = solver.representatives()
         for xi in reps:
             for _ in range(10):
-                shifted = xi + coboundary(random_mu(rng, L.dim), L)
-                assert solver.is_trivial(shifted) == solver.is_trivial(xi) == False
+                shifted = cochain_sum(xi, coboundary(random_mu(rng, L.dim), L))
+                assert is_trivial(solver, shifted) == is_trivial(solver, xi) == False
 
     def test_zero_cochain_trivial(self):
         L = build_so([0, 1])
-        assert CohomologySolver(L).is_trivial(TwoCochain(L.dim))
+        assert is_trivial(CohomologySolver(L), TwoCochain(L.dim))
 
 
 class TestIsCoboundary:
@@ -493,17 +543,17 @@ class TestIsCoboundary:
         rng = random.Random(f"coboundary:{family}:{omega}")
         cochains = []
         for density in (0.05, 0.2, 0.5):
-            cochains += [random_cochain(rng, L.dim, density) * Fraction(7, 3) for _ in range(4)]
+            cochains += [scaled(random_cochain(rng, L.dim, density), Fraction(7, 3)) for _ in range(4)]
         for _ in range(6):
             xi = coboundary(random_mu(rng, L.dim), L)
             bump = TwoCochain(L.dim, {rng.choice(pairs): Fraction(rng.choice((1, -2, 3)), 5)})
-            cochains += [xi, xi + bump]
+            cochains += [xi, cochain_sum(xi, bump)]
         cochains += solver.representatives()
         rank = dense_rank(cob)
         expected = [
-            dense_rank(cob + [[xi.value(i, j) for i, j in pairs]]) == rank for xi in cochains
+            dense_rank(cob + [[cochain_value(xi, i, j) for i, j in pairs]]) == rank for xi in cochains
         ]
-        assert [solver.is_coboundary(xi) for xi in cochains] == expected
+        assert [solver.is_coboundary(solver.int_vector(xi)) for xi in cochains] == expected
         assert True in expected and False in expected
 
 

@@ -30,6 +30,24 @@ def test_names_are_listed_and_star_imported():
     assert all(namespace[name] is getattr(cklie, name) for name in cklie.__all__)
 
 
+# Names that no command reaches; the tests that use them import them from
+# tests/helpers.py.
+REMOVED = ("coefficient_cocycle", "is_trivial", "build_extended", "XI_LABEL")
+
+
+def test_removed_names_are_gone():
+    exported = {*cklie.__all__, *(n for m in SUBMODULES for n in m.__all__)}
+    exported |= {n for names in cklie._LAZY.values() for n in names}
+    assert exported.isdisjoint(REMOVED)
+    for name in REMOVED:
+        assert not any(hasattr(m, name) for m in (cklie, *SUBMODULES)), name
+    assert not hasattr(cohomology.CohomologySolver, "is_trivial")
+    for name in ("value", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        assert name not in vars(cohomology.TwoCochain), name
+    for name in ("signs", "zero_set", "with_zeros"):
+        assert not hasattr(ck_matrix.OmegaVector, name), name
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cklie.no_such_name

@@ -5,10 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_quaternion_product
+from helpers import coefficient_cocycle, oracle_quaternion_product, scaled
 import cklie
 from cklie.ck_matrix import OmegaVector
-from cklie.classify import coefficient_cocycle
 from cklie.cohomology import OneCochain, TwoCochain
 from cklie.scalars import (
     Hypercomplex,
@@ -75,7 +74,7 @@ class TestRational:
             lambda v: OmegaVector([1, v]),
             lambda v: TwoCochain(v),
             lambda v: TwoCochain(3, {(0, 1): v}),
-            lambda v: TwoCochain(3, {(0, 1): 1}) * v,
+            lambda v: scaled(TwoCochain(3, {(0, 1): 1}), v),
             lambda v: OneCochain([1, v]),
             lambda v: OneCochain.basis_vector(2, 0, v),
             lambda v: coefficient_cocycle("so", [0, 1], "alphaF[1,2]", v),
