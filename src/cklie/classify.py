@@ -35,9 +35,11 @@ II, the generator shift (g, c) that removes it; `predict` evaluates each
 distinct monomial once per omega, and an entry is active iff every factor
 vanishes.  The catalog thus states one removal identity per shifted
 generator, delta(e_g) = sum of c * xi over the entries that shift g, built
-by `removals`.  Both sides have degree <= 2 in each omega_k, so agreeing on
-{-1, 0, 1}^N proves an identity for every omega: the acceptance suite does
-so for so N <= 5 and su/u N <= 3; larger N is only sampled.
+by `removals`.  `certify_rescaling` proves, once per (family, N), that a
+crosscheck and every removal identity at omega follow from those at the 0/1
+pattern with the same zeros, so solving the 2^N representatives proves them
+for every rational omega: the acceptance suite does so for so N <= 7, su/u
+N <= 5 and sq N <= 4.
 `crosscheck` confronts the whole catalog with the exact solver, each entry
 as the integer column vector of its slots: counts must agree, the active
 coefficients must be nontrivial cocycles that form a basis of H2, every
@@ -54,11 +56,12 @@ from math import prod
 
 from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, _lcm_scaled, labels_for_family
 from .cohomology import CohomologySolver, TwoCochain
-from .lie_core import build_algebra
+from .lie_core import _shape, build_algebra
 
 __all__ = [
     "CatalogEntry",
     "ExtensionCatalog",
+    "certify_rescaling",
     "predict",
     "removals",
     "CoefficientVerdict",
@@ -183,6 +186,62 @@ def _catalog_shape(family: str, n: int):
         for name, ext_type, factors, slots, shift in _RULES[family](n)
     )
     return len(index), tuple(monomials), rows
+
+
+@cache
+def certify_rescaling(family: str, n: int) -> None:
+    """Prove that every crosscheck of `family` with N = n depends only on the
+    zero set of omega; raise ArithmeticError if the proof fails.
+
+    Write omega_m = lam_m**2 * z_m with z the 0/1 pattern of the same zeros
+    (lam_m = 1 where omega_m = 0), and let e_m(g) = 1 when a < m <= b for
+    J/M/Mq(..., a, b), else 0.  Over K = Q(sqrt(omega_1), ..., sqrt(omega_N)),
+    X_g -> prod lam_m**e_m(g) X_g maps the algebra at omega onto the one at z
+    when every bracket term (i, j) -> k of weight coef * w_ab has
+    e(i) + e(j) - e(k) = 2 [a < m <= b]; it carries each catalog cochain to a
+    nonzero multiple of its counterpart when e(i) + e(j) - 2 exponents(slot
+    monomial) is one vector v for all of the entry's slots; and it carries
+    each removal identity of generator g when v - 2 exponents(shift monomial)
+    = e(g) for every entry that shifts g.  Ranks do not change under a field
+    extension, and the slots, factors and shift coefficients vanish on the
+    zero set alone, so dims, verdicts and match at omega equal those at z.
+
+    Reads only the two cached shapes and solves nothing; cached, so it runs
+    once per (family, n).  Exponents are counted: omega_k**2 counts 2.
+    """
+    labels, brackets = _shape(family, n)
+    ms = range(1, n + 1)
+
+    def span(a: int, b: int, times: int = 1) -> tuple[int, ...]:
+        return tuple(times * (a < m <= b) for m in ms)
+
+    def e(label: GeneratorLabel) -> tuple[int, ...]:
+        return span(*label.indices[-2:]) if label.variant in ("J", "M", "Mq") else (0,) * n
+
+    weights = [e(label) for label in labels]
+    for (i, j), terms in brackets:
+        for k, _, a, b in terms:
+            if tuple(x + y - z for x, y, z in zip(weights[i], weights[j], weights[k])) != span(a, b, 2):
+                raise ArithmeticError(
+                    f"{family} N={n}: bracket [{labels[i]}, {labels[j]}] -> {labels[k]} "
+                    f"with weight w_{a}{b} does not rescale"
+                )
+    _, monomials, entries = _catalog_shape(family, n)
+    exponents = [tuple(ks.count(m) for m in ms) for _, ks in monomials]
+    for name, _, _, slots, shift in entries:
+        vectors = {
+            tuple(x + y - 2 * p for x, y, p in zip(weights[i], weights[j], exponents[mono]))
+            for i, j, mono in slots
+        }
+        if len(vectors) > 1:
+            raise ArithmeticError(f"{family} N={n}: the slots of {name} rescale differently")
+        if shift and vectors:
+            g, mono = shift
+            (v,) = vectors
+            if tuple(x - 2 * p for x, p in zip(v, exponents[mono])) != e(g):
+                raise ArithmeticError(
+                    f"{family} N={n}: the removal identity of {g} through {name} does not rescale"
+                )
 
 
 def predict(family: str, omega) -> ExtensionCatalog:

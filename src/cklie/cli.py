@@ -219,18 +219,32 @@ def _sweep_worker(task: tuple[str, tuple[int, ...]]) -> dict:
 
 
 def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
-    """All 3^n sign patterns, rows in lexicographic omega order: `product`
-    yields the patterns in that order and `Pool.map` keeps it.  At most
-    jobs workers, and never more than the CPUs or the cases."""
-    tasks = [(family, signs) for signs in product((-1, 0, 1), repeat=n)]
+    """All 3^n sign patterns, rows in lexicographic omega order.
+
+    `certify_rescaling` proves that a row depends only on the zero set of
+    omega, so only the 2^n patterns in {0, 1}^n are solved, and each row is
+    its representative's (1 wherever omega is nonzero) with its own omega.
+    At most jobs workers, and never more than the CPUs or the cases solved;
+    `Pool.map` keeps the order.
+    """
+    from .classify import certify_rescaling
+
+    certify_rescaling(family, n)
+    tasks = [(family, z) for z in product((0, 1), repeat=n)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: only a parallel sweep pays for loading multiprocessing.
         from multiprocessing import Pool
 
         with Pool(processes=workers) as pool:
-            return pool.map(_sweep_worker, tasks)
-    return [_sweep_worker(t) for t in tasks]
+            solved = pool.map(_sweep_worker, tasks)
+    else:
+        solved = [_sweep_worker(t) for t in tasks]
+    by_zero_set = {z: row for (_, z), row in zip(tasks, solved)}
+    return [
+        {**by_zero_set[tuple(s * s for s in signs)], "omega": ",".join(map(str, signs))}
+        for signs in product((-1, 0, 1), repeat=n)
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -301,13 +315,10 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
         "pass" if _from_generators(family, omega, labels, mats).same_constants(L) else "fail"
     )
     checks["jacobi"] = "pass" if verify_jacobi(L) else "fail"
-    # Coboundaries are linear in mu, so testing each basis vector e_k proves
-    # that every coboundary is a cocycle.
+    # Coboundaries are linear in mu, so testing each delta(e_k) proves that
+    # every coboundary is a cocycle.
     solver = CohomologySolver(L)
-    ok = all(
-        solver.is_cocycle(solver.int_vector(coboundary(OneCochain.basis_vector(L.dim, k), L)))
-        for k in range(L.dim)
-    )
+    ok = all(solver.is_cocycle(row) for row in solver.coboundary_rows())
     checks["coboundaries_are_cocycles"] = "pass" if ok else "fail"
     # Every type II removal identity delta(e_g) = sum c * xi, exactly.
     identities = removals(predict(family, omega))

@@ -308,16 +308,20 @@ class CohomologySolver:
             self._echelon = _echelon_int(self.system().rows)
         return self._echelon
 
+    def coboundary_rows(self) -> list[dict[int, int]]:
+        """The column vectors of delta(e_k), k = 0..dim-1: xi_ij = C_ij^k at
+        column ij, in the scaled integer constants (empty for a central X_k)."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.algebra.dim)]
+        for pair, terms in self.algebra.integer_constants().items():
+            col = self.pair_index[pair]
+            for k, c in terms.items():
+                rows[k][col] = c
+        return rows
+
     def _b2_echelon(self) -> dict[int, dict[int, int]]:
-        """Forward echelon of the coboundary rows, one per generator k with
-        xi_ij = C_ij^k at column ij, in the scaled integer constants."""
+        """Forward echelon of the coboundary rows."""
         if self._b2 is None:
-            rows: list[dict[int, int]] = [{} for _ in range(self.algebra.dim)]
-            for pair, terms in self.algebra.integer_constants().items():
-                col = self.pair_index[pair]
-                for k, c in terms.items():
-                    rows[k][col] = c
-            self._b2 = _echelon_int([row for row in rows if row])
+            self._b2 = _echelon_int([row for row in self.coboundary_rows() if row])
         return self._b2
 
     # -- spaces ----------------------------------------------------------------

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     SIGNED_PRIMES,
@@ -13,7 +15,7 @@ from helpers import (
     prime_omegas,
     zero_set,
 )
-from cklie import classify, lie_core
+from cklie import classify, cli, lie_core
 from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector
 from cklie.classify import (
     CatalogEntry,
@@ -465,3 +467,158 @@ class TestRescalingCovariance:
             b = h2(build_so(scaled))
             assert (a.dim_z2, a.dim_b2, a.dim_h2) == (b.dim_z2, b.dim_b2, b.dim_h2)
             assert omega_signs(signs) == omega_signs(scaled)
+
+
+def _nonunit_rationals():
+    """0 or +-p/q with p <= 13, q <= 9 and |p/q| != 1."""
+    magnitude = st.builds(Fraction, st.integers(1, 13), st.integers(1, 9)).filter(lambda v: v != 1)
+    return st.one_of(
+        st.just(Fraction(0)), st.builds(lambda v, s: s * v, magnitude, st.sampled_from((-1, 1)))
+    )
+
+
+@st.composite
+def rational_cases(draw):
+    family, nmax = draw(st.sampled_from((("so", 4), ("su", 3), ("u", 3))))
+    n = draw(st.integers(1, nmax))
+    return family, tuple(draw(st.lists(_nonunit_rationals(), min_size=n, max_size=n)))
+
+
+@pytest.fixture
+def fresh_certificate():
+    # The certificate is cached per (family, N); a test that patches a shape
+    # must not read, nor leave behind, a verdict on another shape.
+    classify.certify_rescaling.cache_clear()
+    yield
+    classify.certify_rescaling.cache_clear()
+
+
+def patch_shape(monkeypatch, name, family, n, mutate):
+    """Serve mutate(shape) in place of the cached shape `classify.<name>`
+    for (family, n); every other (family, N) keeps its own."""
+    real = getattr(classify, name)
+    mutant = mutate(real(family, n))
+    monkeypatch.setattr(
+        classify, name, lambda f, k: mutant if (f, k) == (family, n) else real(f, k)
+    )
+
+
+def edit_entries(edit):
+    """A catalog shape mutation: each entry's (slots, shift) becomes
+    edit(name, slots, shift, monomials), where `monomials` is a list that
+    edit may append new monomials to."""
+
+    def mutate(shape):
+        dim, monomials, rows = shape
+        monomials = list(monomials)
+        rows = tuple(
+            (name, ext_type, factors, *edit(name, slots, shift, monomials))
+            for name, ext_type, factors, slots, shift in rows
+        )
+        return dim, tuple(monomials), rows
+
+    return mutate
+
+
+def numbered(monomials, mono):
+    monomials.append(mono)
+    return len(monomials) - 1
+
+
+def su_alpha_with_omega_s(name, slots, shift, monomials):
+    # xi(J(a,b), M(a,b)) = w_ab, omega_s included, for alpha[s].
+    if not name.startswith("alpha"):
+        return slots, shift
+    s = int(name[6:-1])
+    slots = tuple(
+        (i, j, numbered(monomials, (coef, tuple(sorted((*ks, s))))))
+        for i, j, m in slots
+        for coef, ks in [monomials[m]]
+    )
+    return slots, shift
+
+
+class TestRescalingCertificate:
+    """`certify_rescaling` proves that a crosscheck depends on the zero set
+    of omega alone; the sweep solves one 0/1 representative per zero set on
+    its strength."""
+
+    @pytest.mark.parametrize("family,nmax", [("so", 12), ("su", 8), ("u", 8), ("sq", 6)])
+    def test_passes_on_every_shape(self, family, nmax, fresh_certificate):
+        for n in range(1, nmax + 1):
+            assert classify.certify_rescaling(family, n) is None
+
+    def test_squared_slot_monomial_is_counted(self, monkeypatch, capsys, fresh_certificate):
+        # so beta[1,3] with -omega_2**2 in place of -omega_2.  Every 0/1
+        # representative still matches, since omega_2**2 = omega_2 there, but
+        # the sign pattern (0, -1, 0, 0), where beta[1,3] is active, does not:
+        # only counting exponents, not testing membership, sees it.
+        def square(name, slots, shift, monomials):
+            if name == "beta[1,3]":
+                (i, j, m) = slots[1]
+                coef, ks = monomials[m]
+                slots = (slots[0], (i, j, numbered(monomials, (coef, ks * 2))))
+            return slots, shift
+
+        patch_shape(monkeypatch, "_catalog_shape", "so", 4, edit_entries(square))
+        assert all(cli.run_case("so", z)["match"] for z in product((0, 1), repeat=4))
+        bad = [s for s in sign_patterns(4) if not cli.run_case("so", s)["match"]]
+        assert bad == [(0, -1, 0, 0)]
+        with pytest.raises(ArithmeticError, match=r"slots of beta\[1,3\]"):
+            classify.certify_rescaling("so", 4)
+        with pytest.raises(ArithmeticError):
+            cli.main(["sweep", "--family", "so", "--n", "4", "--format", "csv", "--jobs", "1"])
+        assert capsys.readouterr().out == ""
+
+    def test_shifted_bracket_weight(self, monkeypatch, capsys, fresh_certificate):
+        # One bracket term of so N=3 reads w_{a+1,b+1} in place of w_ab.
+        def shift_first(shape):
+            labels, rows = shape
+            (pair, ((k, coef, a, b), *rest)), *others = rows
+            return labels, ((pair, ((k, coef, a + 1, b + 1), *rest)), *others)
+
+        patch_shape(monkeypatch, "_shape", "so", 3, shift_first)
+        with pytest.raises(ArithmeticError, match="bracket"):
+            classify.certify_rescaling("so", 3)
+        with pytest.raises(ArithmeticError):
+            cli.main(["sweep", "--family", "so", "--n", "3", "--format", "json", "--jobs", "1"])
+        assert capsys.readouterr().out == ""
+
+    def test_removal_identity_must_rescale(self, monkeypatch, fresh_certificate):
+        # su alpha[s] with omega_s inside its slots rescales consistently, but
+        # delta(e_B(s)) = -2 omega_s * xi then holds only where omega_s is 0
+        # or 1: the shift check sees it.
+        patch_shape(monkeypatch, "_catalog_shape", "su", 2, edit_entries(su_alpha_with_omega_s))
+        with pytest.raises(ArithmeticError, match=r"removal identity of B\(1\)"):
+            classify.certify_rescaling("su", 2)
+
+    def test_consistent_wrong_slot_is_caught_by_solving(
+        self, monkeypatch, capsys, fresh_certificate
+    ):
+        # The same slots with the shift coefficient -2, so that the removal
+        # identity holds for every omega: the certificate passes, and solving
+        # the representatives finds the cochain trivial wherever alpha[s] is
+        # active, in the 5 patterns with a zero.
+        def with_constant_shift(name, slots, shift, monomials):
+            slots, shift = su_alpha_with_omega_s(name, slots, shift, monomials)
+            if shift:
+                shift = (shift[0], numbered(monomials, (-2, ())))
+            return slots, shift
+
+        patch_shape(monkeypatch, "_catalog_shape", "su", 2, edit_entries(with_constant_shift))
+        classify.certify_rescaling("su", 2)
+        code = cli.main(["sweep", "--family", "su", "--n", "2", "--format", "json", "--jobs", "1"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["summary"] == {"cases": 9, "mismatches": 5}
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=rational_cases())
+    def test_non_unit_rationals_report_as_their_zero_set(self, case):
+        family, omega = case
+        got = crosscheck(family, omega)
+        rep = crosscheck(family, tuple(int(v != 0) for v in omega))
+        assert rep.match
+        assert (got.n_zeros, got.dim_z2, got.dim_b2, got.dim_h2, got.predicted) == (
+            rep.n_zeros, rep.dim_z2, rep.dim_b2, rep.dim_h2, rep.predicted
+        )
+        assert got.verdicts == rep.verdicts and got.match == rep.match

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import json
+from itertools import product
 
 import pytest
 
 from helpers import run_fresh
-from cklie import ck_matrix, cli, cohomology, lie_core
-from cklie.ck_matrix import NotInSpanError
+from cklie import ck_matrix, classify, cli, cohomology, lie_core
+from cklie.ck_matrix import NotInSpanError, OmegaVector
+from cklie.classify import predict, removals
 from cklie.cli import main, sweep_rows
 
 
@@ -260,7 +262,8 @@ class TestSweep:
     def test_workers_capped_at_cases(self, monkeypatch):
         asked = self.fake_pool(monkeypatch, cpus=64)
         rows = sweep_rows("so", 1, jobs=8)
-        assert asked == [3]
+        # so N=1 has 3 sign patterns but 2 zero sets, and only those are solved.
+        assert asked == [2]
         assert rows == sweep_rows("so", 1, jobs=1)
 
     @pytest.mark.parametrize("cpus,expected", [(4, [4]), (None, []), (1, [])])
@@ -270,6 +273,30 @@ class TestSweep:
         rows = sweep_rows("so", 2, jobs=5000)
         assert asked == expected
         assert rows == sweep_rows("so", 2, jobs=1)
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [*(("so", n) for n in range(1, 6)), *((f, n) for f in ("su", "u", "sq") for n in (1, 2, 3))],
+    )
+    def test_rows_equal_per_pattern_solves(self, family, n):
+        # The sweep solves one pattern per zero set; solving every pattern
+        # must give the same rows, in the same order.
+        expected = [cli.run_case(family, signs) for signs in product((-1, 0, 1), repeat=n)]
+        assert sweep_rows(family, n) == expected
+
+    def test_certificate_once_per_sweep(self, monkeypatch, capsys):
+        calls = []
+        real = classify.certify_rescaling
+
+        def counting(family, n):
+            calls.append((family, n))
+            return real(family, n)
+
+        monkeypatch.setattr(classify, "certify_rescaling", counting)
+        code, _, _ = run(
+            capsys, "sweep", "--family", "su", "--n", "3", "--format", "csv", "--jobs", "1"
+        )
+        assert code == 0 and calls == [("su", 3)]
 
     @pytest.mark.parametrize("family,signs", [("so", (0, 0, 1, 0)), ("su", (0, 1, 0))])
     def test_rows_need_no_basis_and_no_fraction(self, monkeypatch, family, signs):
@@ -337,6 +364,35 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["checks"]["closure_matrix_match"] == "pass"
         assert len(calls) == len(set(calls)) == 36
+
+    def test_coboundary_only_for_removal_identities(self, monkeypatch):
+        # The coboundaries-are-cocycles check reads the solver's integer
+        # delta(e_k) rows; only the removal identities build Fraction cochains.
+        calls = []
+        real = cohomology.coboundary
+
+        def counting(mu, L):
+            calls.append(mu)
+            return real(mu, L)
+
+        monkeypatch.setattr(cohomology, "coboundary", counting)
+        omega = OmegaVector.coerce([1] * 5)
+        checks = cli.verify_case("so", omega)
+        assert checks["coboundaries_are_cocycles"] == checks["pseudoextension_removal"] == "pass"
+        assert len(calls) == len(removals(predict("so", omega))) == 5
+
+    def test_coboundaries_fail_on_a_broken_bracket(self, monkeypatch):
+        # Negating one constant of so N=3 breaks Jacobi, so some delta(e_k)
+        # is no longer a cocycle.
+        def corrupted(family, omega):
+            L = lie_core.build_algebra(family, omega)
+            pair = min(L.constants)
+            terms = {k: -c for k, c in L.constants[pair].items()}
+            return lie_core.LieAlgebra(L.family, L.omega, L.basis, {**L.constants, pair: terms})
+
+        monkeypatch.setattr(cli, "build_algebra", corrupted)
+        checks = cli.verify_case("so", OmegaVector.coerce([1, 1, 1]))
+        assert checks["jacobi"] == checks["coboundaries_are_cocycles"] == "fail"
 
     # sha256 of the output recorded before the catalog entries carried their
     # own slots and removal shifts; pins every check's verdict.

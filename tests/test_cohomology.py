@@ -373,6 +373,21 @@ class TestCoboundary:
             assert solver.is_cocycle(solver.int_vector(coboundary(OneCochain.basis_vector(L.dim, k), L)))
 
 
+    @pytest.mark.parametrize(
+        "family,omega", [("so", ("2/3", -5, "1/2")), ("su", ("-3/4", 0)), ("u", (0, "5/3"))]
+    )
+    def test_coboundary_rows_are_scaled_coboundaries(self, family, omega):
+        # Row k is delta(e_k) scaled by d, the lcm of the constants' denominators.
+        L = build_algebra(family, omega)
+        d = lcm(*(c.denominator for terms in L.constants.values() for c in terms.values()))
+        solver = CohomologySolver(L)
+        rows = solver.coboundary_rows()
+        assert len(rows) == L.dim and d > 1
+        for k, row in enumerate(rows):
+            xi = coboundary(OneCochain.basis_vector(L.dim, k), L)
+            assert row == {solver.pair_index[p]: c * d for p, c in xi.entries.items()}
+
+
 class TestSpacesAndDims:
     @pytest.mark.parametrize(
         "signs,expected",
