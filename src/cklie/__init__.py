@@ -7,7 +7,7 @@ cohomology exactly, and cross-validates the result against a closed-form
 classification of the extension coefficients.
 """
 
-from .scalars import Hypercomplex, Kind, parse_rational
+from .scalars import Kind, parse_rational
 from .ck_matrix import (
     B,
     E,

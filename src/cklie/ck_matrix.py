@@ -6,10 +6,15 @@ consecutive coefficients build the diagonal metric, and the generators are
 the metric-antihermitian elementary combinations over the matching scalar
 kind (real, complex or quaternionic).
 
-Matrices are stored sparsely as {(row, col): value} with no zero entries.
-Every generator except the central phase I has at most two nonzero entries,
-so commutators and the metric checks loop over those entries only; the full
-(N+1) x (N+1) grid is rendered only for output.
+Matrices are stored sparsely as {(row, col): (unit, value)} with no zero
+entries: every generator entry is a rational times one unit (1, i_1, i_2 or
+i_3), and the constructor accepts no other form.  Every generator except the
+central phase I has at most two nonzero entries, so commutators and the
+metric checks loop over those entries only; the full (N+1) x (N+1) grid is
+rendered only for output.  The matrix route to the structure constants
+scales each generator once to integers and commutes pairs with the signed
+unit table straight into integer component rows, so no Fraction is
+multiplied per pair.
 
 The exact elimination kernel lives here too: sparse integer rows reduced
 fraction-free (cross-multiplication, gcd normalization), after a pre-pass
@@ -26,7 +31,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .scalars import Hypercomplex, Kind, _frac
+from .scalars import _UNIT_PRODUCT, Kind, _frac
 
 __all__ = [
     "FAMILIES",
@@ -233,55 +238,75 @@ def labels_for_family(family: str, n: int) -> list[GeneratorLabel]:
     return js + mqs + es
 
 
-def _accumulate(cells: dict, ij: tuple[int, int], value: Hypercomplex):
-    cells[ij] = cells[ij] + value if ij in cells else value
+# The highest unit each kind allows: 1; 1 and i_1; all four.
+_TOP_UNIT = {Kind.REAL: 0, Kind.COMPLEX: 1, Kind.QUATERNION: 3}
+_SYMBOL = ("", "i", "j", "k")
+
+
+def _components(cell) -> list[str]:
+    """A cell (or None) as its (w, x, y, z) components in text."""
+    comps = ["0"] * 4
+    if cell:
+        comps[cell[0]] = str(cell[1])
+    return comps
+
+
+def _text(cell) -> str:
+    """A cell (or None) as text: "0", "2", "-1/2j", or a bare "i" or "-k"
+    for a unit times +-1."""
+    if not cell:
+        return "0"
+    u, v = cell
+    if u and abs(v) == 1:
+        return ("-" if v < 0 else "") + _SYMBOL[u]
+    return f"{v}{_SYMBOL[u]}"
 
 
 class MatrixOverK:
-    """Sparse (dim x dim) matrix over one scalar kind: {(row, col): value}.
+    """Sparse (dim x dim) matrix over one scalar kind whose every entry is a
+    rational times one unit: {(row, col): (unit, value)}, with unit 0..3 for
+    1, i_1, i_2, i_3 and value a nonzero int or Fraction.
 
-    Zero entries are never stored, so equality of the cell maps is equality
-    of matrices and an empty map is the zero matrix.
+    The constructor rejects every other form: a value that is not an int or
+    a Fraction (TypeError), a zero value (zero entries are never stored, so
+    an empty map is the zero matrix), a unit the kind does not allow and a
+    position outside the matrix (ValueError).
     """
 
     __slots__ = ("dim", "kind", "cells")
 
     def __init__(self, dim: int, kind: Kind, cells=None):
+        cells = dict(cells) if cells else {}
+        top = _TOP_UNIT[kind]
+        for (i, j), (u, v) in cells.items():
+            if type(v) is not int and type(v) is not Fraction:
+                raise TypeError(f"entry ({i}, {j}) must be an int or a Fraction, got {v!r}")
+            if not v:
+                raise ValueError(f"entry ({i}, {j}) is zero; zero entries are not stored")
+            if type(u) is not int or not 0 <= u <= top:
+                raise ValueError(f"entry ({i}, {j}): unit {u!r} is not a {kind.name} unit")
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"entry ({i}, {j}) is outside a {dim} x {dim} matrix")
         self.dim = dim
         self.kind = kind
-        self.cells = {ij: v for ij, v in cells.items() if v} if cells else {}
+        self.cells = cells
 
-    def __add__(self, other: "MatrixOverK") -> "MatrixOverK":
-        cells = dict(self.cells)
-        for ij, v in other.cells.items():
-            _accumulate(cells, ij, v)
-        return MatrixOverK(self.dim, max(self.kind, other.kind), cells)
+    def row(self) -> dict[int, int | Fraction]:
+        """The component row {(i * dim + j) * 4 + unit: value}: one column
+        per real component of each entry, row-major."""
+        d = self.dim
+        return {(i * d + j) * 4 + u: v for (i, j), (u, v) in self.cells.items()}
 
-    def __neg__(self) -> "MatrixOverK":
-        return MatrixOverK(self.dim, self.kind, {ij: -v for ij, v in self.cells.items()})
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return MatrixOverK(self.dim, self.kind, {ij: v * scalar for ij, v in self.cells.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixOverK):
-            return NotImplemented
-        return self.dim == other.dim and self.cells == other.cells
-
-    def _grid(self) -> list[list[Hypercomplex]]:
-        zero = Hypercomplex.zero(self.kind)
-        return [
-            [self.cells.get((i, j), zero) for j in range(self.dim)] for i in range(self.dim)
-        ]
+    def _grid(self, render) -> list[list]:
+        cells = self.cells
+        return [[render(cells.get((i, j))) for j in range(self.dim)] for i in range(self.dim)]
 
     def to_component_lists(self) -> list[list[list[str]]]:
         """JSON form: nested arrays of (w, x, y, z) component quadruples."""
-        return [[[str(c) for c in v.components()] for v in line] for line in self._grid()]
+        return self._grid(_components)
 
     def __str__(self) -> str:
-        text = [[str(v) for v in line] for line in self._grid()]
+        text = self._grid(_text)
         width = max((len(c) for line in text for c in line), default=1)
         return "\n".join(
             "[ " + "  ".join(c.rjust(width) for c in line) + " ]" for line in text
@@ -317,64 +342,76 @@ def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     n = om.n
     if label.indices and label.indices[-1] > n:
         raise ValueError(f"label {label} out of range for n={n}")
-    kind = FAMILY_KIND[family]
     v = label.variant
     if v == "J":
         a, b = label.indices
-        cells = {
-            (a, b): Hypercomplex.real(-om.product(a, b), kind),
-            (b, a): Hypercomplex.real(_F1, kind),
-        }
+        cells = {(a, b): (0, -om.product(a, b)), (b, a): (0, 1)}
     elif v == "B":
         (l,) = label.indices
-        cells = {
-            (l - 1, l - 1): Hypercomplex.imag_unit_multiple(1, _F1, kind),
-            (l, l): Hypercomplex.imag_unit_multiple(1, -_F1, kind),
-        }
+        cells = {(l - 1, l - 1): (1, 1), (l, l): (1, -1)}
     elif v == "I":
-        cells = {(a, a): Hypercomplex.imag_unit_multiple(1, _F1, kind) for a in range(n + 1)}
+        cells = {(a, a): (1, 1) for a in range(n + 1)}
     elif v == "E":
         alpha, a = label.indices
-        cells = {(a, a): Hypercomplex.imag_unit_multiple(alpha, _F1, kind)}
+        cells = {(a, a): (alpha, 1)}
     else:  # M(a,b) is Mq with the complex unit i = i_1
         alpha, a, b = (1, *label.indices) if v == "M" else label.indices
-        cells = {
-            (a, b): Hypercomplex.imag_unit_multiple(alpha, om.product(a, b), kind),
-            (b, a): Hypercomplex.imag_unit_multiple(alpha, _F1, kind),
-        }
-    return MatrixOverK(n + 1, kind, cells)
+        cells = {(a, b): (alpha, om.product(a, b)), (b, a): (alpha, 1)}
+    # A contracted entry w_ab = 0 is not stored.
+    return MatrixOverK(n + 1, FAMILY_KIND[family], {ij: c for ij, c in cells.items() if c[1]})
 
 
 def is_metric_antihermitian(X: MatrixOverK, g: Sequence[Fraction]) -> bool:
     """Exact test of conj-transpose(X) * G + G * X == 0 for the diagonal
     metric G = diag(g), as given by `build_metric`.
 
-    Entry (i, j) of that sum is g_j conj(X_ji) + g_i X_ij.  The sum is
-    hermitian, so checking it where X_ij is nonzero covers every entry.
+    Entry (i, j) of that sum is g_j conj(X_ji) + g_i X_ij, where conjugation
+    negates every unit but 1; two terms on different units cancel only if
+    both vanish.  The sum is hermitian, so checking it where X_ij is nonzero
+    covers every entry.
     """
     if X.dim != len(g):
         raise ValueError(f"dimension mismatch: matrix {X.dim} vs metric {len(g)}")
-    zero = Hypercomplex.zero(X.kind)
-    return not any(
-        X.cells.get((j, i), zero).conjugate() * g[j] + v * g[i]
-        for (i, j), v in X.cells.items()
-    )
+    for (i, j), (u, v) in X.cells.items():
+        total = g[i] * v
+        if (j, i) in X.cells:
+            pu, pv = X.cells[j, i]
+            term = g[j] * (pv if pu == 0 else -pv)
+            if pu == u:
+                total += term
+            elif term:
+                return False
+        if total:
+            return False
+    return True
 
 
 def is_traceless(X: MatrixOverK) -> bool:
-    return not sum((v for (i, j), v in X.cells.items() if i == j), Hypercomplex.zero(X.kind))
+    trace: dict[int, int | Fraction] = {}
+    for (i, j), (u, v) in X.cells.items():
+        if i == j:
+            trace[u] = trace.get(u, 0) + v
+    return not any(trace.values())
 
 
-def mat_commutator(X: MatrixOverK, Y: MatrixOverK) -> MatrixOverK:
-    """XY - YX, summed over the pairs of nonzero cells that meet."""
-    acc: dict[tuple[int, int], Hypercomplex] = {}
-    for (i, k), a in X.cells.items():
-        for (l, j), b in Y.cells.items():
+def mat_commutator(X: MatrixOverK, Y: MatrixOverK) -> dict[int, int | Fraction]:
+    """The component row (`MatrixOverK.row`) of XY - YX, summed over the
+    pairs of nonzero cells that meet.  The product of two entries is the
+    signed unit of `_UNIT_PRODUCT` times the product of their values, so
+    integer matrices give an integer row.  No zero entry is kept."""
+    d = X.dim
+    acc: dict[int, int | Fraction] = {}
+    for (i, k), (p, a) in X.cells.items():
+        for (l, j), (q, b) in Y.cells.items():
             if k == l:
-                _accumulate(acc, (i, j), a * b)
+                r, sign = _UNIT_PRODUCT[p][q]
+                col = (i * d + j) * 4 + r
+                acc[col] = acc.get(col, 0) + sign * a * b
             if j == i:
-                _accumulate(acc, (l, k), -(b * a))
-    return MatrixOverK(X.dim, max(X.kind, Y.kind), acc)
+                r, sign = _UNIT_PRODUCT[q][p]
+                col = (l * d + k) * 4 + r
+                acc[col] = acc.get(col, 0) - sign * b * a
+    return {col: v for col, v in acc.items() if v}
 
 
 class NotInSpanError(ValueError):
@@ -447,50 +484,41 @@ def _echelon_int(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
     return echelon
 
 
-def _lcm_scaled(items: Iterable[tuple[int, Fraction]]) -> tuple[int, dict[int, int]]:
-    """The lcm m of the values' denominators and the sparse integer vector
-    {column: m * value} of the (column, value) pairs."""
-    items = list(items)
-    m = lcm(*(v.denominator for _, v in items))
-    return m, {c: v.numerator * (m // v.denominator) for c, v in items}
-
-
-def _int_row(mat: MatrixOverK, marker: int) -> dict[int, int]:
-    """The (w, x, y, z) components of each entry, row-major, scaled by the
-    lcm m of their denominators, with m at column marker."""
-    d = mat.dim
-    m, row = _lcm_scaled(
-        ((i * d + j) * 4 + t, c)
-        for (i, j), v in mat.cells.items()
-        for t, c in enumerate(v.components())
-        if c
-    )
-    row[marker] = m
-    return row
+def _cleared(mat: MatrixOverK) -> tuple[int, MatrixOverK]:
+    """(D, D * mat) for the lcm D of the denominators of mat's values: the
+    second matrix has integer values only."""
+    d = lcm(*(v.denominator for _, v in mat.cells.values()))
+    cells = {ij: (u, v.numerator * (d // v.denominator)) for ij, (u, v) in mat.cells.items()}
+    return d, MatrixOverK(mat.dim, mat.kind, cells)
 
 
 class BasisDecomposer:
     """Reusable exact coordinate solver over a fixed independent basis.
 
-    Each matrix becomes one integer row (:func:`_int_row`): its real
-    components scaled by the lcm m of their denominators, and m itself in a
-    marker column past the 4 * dim**2 component columns, off + k for basis
-    element k.  The marker carries m, not 1, so that every integer
-    combination of rows keeps the exact coefficients of the matrices it
-    combines.  The basis rows are forward-eliminated once with the
-    solver's kernel (:func:`_echelon_int`).  A matrix X takes marker
-    off + r, r = len(basis), and :func:`_reduce` leaves a residue
-    s * row(X) - sum_k a_k * row(B_k); X is in the span exactly when no
+    Each basis matrix B_k is scaled once by the lcm D_k of its denominators
+    (:func:`_cleared`) and becomes one integer row: its component row
+    (`MatrixOverK.row`) and D_k in a marker column past the 4 * dim**2
+    component columns, off + k.  The marker carries D_k, not 1, so that every
+    integer combination of rows keeps the exact coefficients of the matrices
+    it combines.  The basis rows are forward-eliminated once with the
+    solver's kernel (:func:`_echelon_int`).  A matrix X given as an integer
+    component row over a scale s takes marker off + r, r = len(basis),
+    holding s, and :func:`_reduce` leaves a residue
+    t * row(X) - sum_k a_k * row(B_k); X is in the span exactly when no
     component column is left, and then X = sum_k c_k B_k with
-    c_k = -residue[off + k] / residue[off + r].  Built once per basis, used
-    for every commutator.
+    c_k = -residue[off + k] / residue[off + r].  `bracket` commutes two
+    scaled basis matrices, in integers only, and decomposes their
+    commutator over the scale D_i * D_j.
     """
 
     def __init__(self, basis: Sequence[MatrixOverK]):
         if not basis:
             raise ValueError("basis must be nonempty")
         self._off = off = 4 * basis[0].dim ** 2
-        self._echelon = _echelon_int([_int_row(mat, off + k) for k, mat in enumerate(basis)])
+        self._scaled = [_cleared(mat) for mat in basis]
+        self._echelon = _echelon_int(
+            [{**mat.row(), off + k: d} for k, (d, mat) in enumerate(self._scaled)]
+        )
         # A row whose residue leads a marker column has no component left:
         # its element, the last marker it holds, depends on earlier ones.
         dependent = [max(row) - off for lead, row in self._echelon.items() if lead >= off]
@@ -498,12 +526,18 @@ class BasisDecomposer:
             raise ValueError(f"basis element {min(dependent)} depends on earlier elements")
         self._marker = off + len(basis)
 
-    def coefficients(self, mat: MatrixOverK) -> dict[int, Fraction]:
-        """The nonzero coordinates {k: c_k} with mat == sum(c_k * basis_k);
-        NotInSpanError if mat is outside the span."""
+    def coefficients(self, row: dict[int, int], scale: int) -> dict[int, Fraction]:
+        """The nonzero coordinates {k: c_k} with row / scale == sum(c_k *
+        basis_k), for an integer component row with no zero entries and a
+        nonzero integer scale; NotInSpanError if it is outside the span."""
         off, marker = self._off, self._marker
-        res = _reduce(_int_row(mat, marker), self._echelon)
+        res = _reduce({**row, marker: scale}, self._echelon)
         if min(res) < off:
             raise NotInSpanError("matrix is not in the span of the basis")
         scale = res[marker]
         return {c - off: Fraction(-v, scale) for c, v in res.items() if c != marker}
+
+    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+        """The coordinates of [basis_i, basis_j]."""
+        (di, x), (dj, y) = self._scaled[i], self._scaled[j]
+        return self.coefficients(mat_commutator(x, y), di * dj)

@@ -52,9 +52,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import lcm, prod
 
-from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, _lcm_scaled, labels_for_family
+from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
 from .cohomology import CohomologySolver, TwoCochain
 from .lie_core import _shape, build_algebra
 
@@ -360,7 +360,8 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
     active: list[dict[int, int]] = []
     all_ok = True
     for entry in catalog.entries:
-        vec = _lcm_scaled((pair_index[i, j], c) for i, j, c in entry.slots)[1]
+        m = lcm(*(c.denominator for _, _, c in entry.slots))
+        vec = {pair_index[i, j]: c.numerator * (m // c.denominator) for i, j, c in entry.slots}
         cocycle_ok = solver.is_cocycle(vec)
         trivial = solver.is_coboundary(vec) if cocycle_ok else None
         note = ""

@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .ck_matrix import _echelon_int, _lcm_scaled, _normalize_int_row, _reduce
+from .ck_matrix import _echelon_int, _normalize_int_row, _reduce
 from .scalars import _frac
 
 __all__ = [
@@ -241,9 +241,9 @@ class CohomologySolver:
     Fractions.
 
     The cochain queries take a cochain as its integer column vector
-    {pair_index[(i, j)]: int}, with no zero values; `int_vector` makes one
-    from a `TwoCochain`.  Each query is homogeneous, so every nonzero
-    multiple of a cochain gets the same answer.
+    {pair_index[(i, j)]: int}, with no zero values.  Each query is
+    homogeneous, so every nonzero multiple of a cochain gets the same
+    answer.
     """
 
     def __init__(self, algebra):
@@ -356,12 +356,6 @@ class CohomologySolver:
         return tuple(xi for p, xi in self.z2_basis().items() if p not in self._b2_echelon())
 
     # -- cochain queries ---------------------------------------------------------
-
-    def int_vector(self, xi: TwoCochain) -> dict[int, int]:
-        """The column vector of xi scaled by the lcm of its denominators."""
-        if xi.dim != self.algebra.dim:
-            raise ValueError("cochain dimension does not match the algebra")
-        return _lcm_scaled((self.pair_index[pair], v) for pair, v in xi.entries.items())[1]
 
     def is_cocycle(self, vec: dict[int, int]) -> bool:
         """Exact: only the equations that hold a nonzero column of vec are

@@ -42,7 +42,6 @@ from .ck_matrix import (
     OmegaVector,
     build_generator,
     labels_for_family,
-    mat_commutator,
     BasisDecomposer,
 )
 from .scalars import Kind
@@ -434,9 +433,11 @@ def verify_jacobi(L: LieAlgebra) -> bool:
 def from_matrices(family: str, omega) -> LieAlgebra:
     """Rebuild the structure constants from matrix commutators.
 
-    Every pairwise commutator of the matrix generators is decomposed in the
-    generator basis; failure to decompose means the matrix algebra did not
-    close, which the construction rules out, so it is raised as a hard error.
+    Every pairwise commutator of the matrix generators, each scaled once to
+    integer entries, is decomposed in the generator basis
+    (`BasisDecomposer.bracket`); failure to decompose means the matrix
+    algebra did not close, which the construction rules out, so it is raised
+    as a hard error.
     """
     om = OmegaVector.coerce(omega)
     labels = labels_for_family(family, om.n)
@@ -451,7 +452,7 @@ def _from_generators(family: str, om: OmegaVector, labels, mats) -> LieAlgebra:
     r = len(labels)
     for i in range(r):
         for j in range(i + 1, r):
-            terms = dec.coefficients(mat_commutator(mats[i], mats[j]))
+            terms = dec.bracket(i, j)
             if terms:
                 constants[(i, j)] = terms
     return LieAlgebra(family, om, labels, constants)

@@ -4,15 +4,19 @@ Everything here is deliberately naive: dense Fraction Gauss-Jordan with no
 shared code, integer tricks or sparsity, so it can arbitrate the package's
 elimination kernel, cohomology dimensions and bases; the cocycle test and
 the Jacobi check walk every index triple in Fractions, and the quaternion
-product is the full 16-term formula.
+product is the full 16-term formula.  `Hypercomplex` is a four-component
+quaternion over Fractions with a kind tag, once the package's entry type;
+the dense commutator of generator matrices in it arbitrates the package's
+single-unit commutator.
 
 The last section holds test-side tools that are not oracles: a basis
 permutation, a label-keyed bracket, the dimension formulas, signed-prime
 omegas, the cochain of an integer solver row, the adapters that drive the
 package's own elimination kernel and a runner for fresh interpreters.  It
 also holds the conveniences that only tests use: omega sign patterns and
-zero sets, scaled cochains, a catalog entry's cochain by name, the checked
-triviality test and the centrally extended algebra.  No oracle calls them.
+zero sets, scaled cochains and matrices, a cochain's integer column
+vector, a catalog entry's cochain by name, the checked triviality test and
+the centrally extended algebra.  No oracle calls them.
 """
 
 import os
@@ -23,11 +27,11 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from cklie.ck_matrix import GeneratorLabel, OmegaVector, _echelon_int
+from cklie.ck_matrix import GeneratorLabel, MatrixOverK, OmegaVector, _echelon_int
 from cklie.classify import predict
 from cklie.cohomology import TwoCochain, _nullspace, _rref
 from cklie.lie_core import LieAlgebra
-from cklie.scalars import _frac
+from cklie.scalars import Kind, _frac
 
 # Filled by the acceptance tests, echoed by the conftest terminal summary.
 CRITERION_LINES: list[str] = []
@@ -191,6 +195,146 @@ def oracle_quaternion_product(a, b):
     )
 
 
+_F0 = Fraction(0)
+
+# Unit products on the components (0, 1, 2, 3) = (1, i, j, k):
+# _UNIT_PRODUCT[p][q] = (r, positive) means e_p * e_q = +-e_r, e.g. i*j = k,
+# j*i = -k and i*i = -1.
+_UNIT_PRODUCT = (
+    ((0, True), (1, True), (2, True), (3, True)),
+    ((1, True), (0, False), (3, True), (2, False)),
+    ((2, True), (3, False), (0, False), (1, True)),
+    ((3, True), (2, True), (1, False), (0, False)),
+)
+
+
+class Hypercomplex:
+    """Quaternion w + x*i + y*j + z*k over exact rationals, with a kind tag.
+
+    Values are immutable.  The tag never lies: a value tagged REAL has
+    x = y = z = 0 and a value tagged COMPLEX has y = z = 0.  Arithmetic
+    between different kinds promotes the result to the larger kind.
+    """
+
+    __slots__ = ("w", "x", "y", "z", "kind")
+
+    def __init__(self, w=0, x=0, y=0, z=0, kind=None):
+        w, x, y, z = _frac(w), _frac(x), _frac(y), _frac(z)
+        if y or z:
+            needed = Kind.QUATERNION
+        elif x:
+            needed = Kind.COMPLEX
+        else:
+            needed = Kind.REAL
+        if kind is None:
+            kind = needed
+        elif kind < needed:
+            raise ValueError(f"components do not fit in kind {kind.name}")
+        for name, value in zip(self.__slots__, (w, x, y, z, Kind(kind))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Hypercomplex values are immutable")
+
+    def components(self):
+        return (self.w, self.x, self.y, self.z)
+
+    def __bool__(self):
+        return any(self.components())
+
+    def __eq__(self, other):
+        if isinstance(other, Hypercomplex):
+            return self.components() == other.components()
+        if isinstance(other, (int, Fraction)):
+            return self.w == other and not (self.x or self.y or self.z)
+        return NotImplemented
+
+    def __neg__(self):
+        return Hypercomplex(-self.w, -self.x, -self.y, -self.z, self.kind)
+
+    def __add__(self, other):
+        comps = (a + b for a, b in zip(self.components(), other.components()))
+        return Hypercomplex(*comps, max(self.kind, other.kind))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            f = _frac(other)
+            return Hypercomplex(*(c * f for c in self.components()), self.kind)
+        if not isinstance(other, Hypercomplex):
+            return NotImplemented
+        # Only the products of nonzero components are formed.
+        out = [_F0, _F0, _F0, _F0]
+        b_terms = [(q, v) for q, v in enumerate(other.components()) if v]
+        for p, u in enumerate(self.components()):
+            if u:
+                for q, v in b_terms:
+                    r, positive = _UNIT_PRODUCT[p][q]
+                    out[r] += u * v if positive else -u * v
+        return Hypercomplex(*out, max(self.kind, other.kind))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def conjugate(self):
+        """Scalar conjugation: fixes the real part, negates i, j, k parts."""
+        return Hypercomplex(self.w, -self.x, -self.y, -self.z, self.kind)
+
+    def __str__(self):
+        parts = []
+        for value, sym in zip(self.components(), ("", "i", "j", "k")):
+            if not value:
+                continue
+            if sym and value == 1:
+                body = sym
+            elif sym and value == -1:
+                body = f"-{sym}"
+            else:
+                body = f"{value}{sym}"
+            parts.append(body if not parts or body.startswith("-") else "+" + body)
+        return "".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"Hypercomplex({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r}, kind={self.kind.name})"
+
+
+ONE = Hypercomplex(1)
+I1 = Hypercomplex(0, 1, kind=Kind.QUATERNION)
+I2 = Hypercomplex(0, 0, 1)
+I3 = Hypercomplex(0, 0, 0, 1)
+
+
+def dense_grid(mat):
+    """The matrix as a dense grid of `Hypercomplex` entries."""
+    grid = [[Hypercomplex() for _ in range(mat.dim)] for _ in range(mat.dim)]
+    for (i, j), (u, v) in mat.cells.items():
+        comps = [0, 0, 0, 0]
+        comps[u] = v
+        grid[i][j] = Hypercomplex(*comps)
+    return grid
+
+
+def oracle_commutator(X, Y):
+    """XY - YX over dense `Hypercomplex` grids, every entry of every product
+    summed, as the component row {(i * dim + j) * 4 + t: Fraction}."""
+    d = X.dim
+    x, y = dense_grid(X), dense_grid(Y)
+    row = {}
+    for i in range(d):
+        for j in range(d):
+            total = Hypercomplex()
+            for k in range(d):
+                total = total + x[i][k] * y[k][j] - y[i][k] * x[k][j]
+            for t, c in enumerate(total.components()):
+                if c:
+                    row[(i * d + j) * 4 + t] = c
+    return row
+
+
 # ---------------------------------------------------------------------------
 # Test-side tools (not oracles)
 # ---------------------------------------------------------------------------
@@ -263,6 +407,36 @@ def scaled(xi, scalar):
     return TwoCochain(xi.dim, {pair: v * f for pair, v in xi.entries.items()})
 
 
+def scaled_matrix(mat, factor):
+    """The matrix factor * mat, factor a nonzero rational."""
+    f = _frac(factor)
+    return MatrixOverK(mat.dim, mat.kind, {ij: (u, v * f) for ij, (u, v) in mat.cells.items()})
+
+
+def lcm_scaled(items):
+    """The lcm m of the values' denominators and the sparse integer vector
+    {key: m * value} of the (key, value) pairs."""
+    items = list(items)
+    m = lcm(*(v.denominator for _, v in items))
+    return m, {c: v.numerator * (m // v.denominator) for c, v in items}
+
+
+def decompose(dec, mat):
+    """The coordinates of a matrix, or of a component row {column: rational},
+    under a `BasisDecomposer`."""
+    row = mat.row() if isinstance(mat, MatrixOverK) else mat
+    m, ints = lcm_scaled(row.items())
+    return dec.coefficients(ints, m)
+
+
+def int_vector(solver, xi):
+    """The solver's column vector of the cochain xi, scaled by the lcm of
+    its denominators."""
+    if xi.dim != solver.algebra.dim:
+        raise ValueError("cochain dimension does not match the algebra")
+    return lcm_scaled((solver.pair_index[pair], v) for pair, v in xi.entries.items())[1]
+
+
 def coefficient_cocycle(family, omega, name, value=1):
     """The cochain of one named catalog entry: its slots, each scaled by value."""
     value = _frac(value)
@@ -276,7 +450,7 @@ def coefficient_cocycle(family, omega, name, value=1):
 def is_trivial(solver, xi):
     """True iff the cochain xi is a coboundary; ValueError if it is not a
     cocycle, since such a cochain is not an extension at all."""
-    vec = solver.int_vector(xi)
+    vec = int_vector(solver, xi)
     if not solver.is_cocycle(vec):
         raise ValueError("cochain is not a cocycle")
     return solver.is_coboundary(vec)

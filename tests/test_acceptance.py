@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from helpers import CRITERION_LINES, oracle_h2_dims, permute_basis
+from helpers import CRITERION_LINES, int_vector, oracle_h2_dims, permute_basis
 
 from cklie.ck_matrix import OmegaVector
 from cklie.classify import certify_rescaling, crosscheck, predict, removals
@@ -226,7 +226,7 @@ def test_c09_beta_constraint_equivalence():
                     checks += 1
                     entry = catalog[f"beta[{b + 1},{d + 1}]"]
                     xi = TwoCochain(L.dim, {(i, j): c for i, j, c in entry.slots})
-                    if solver.is_cocycle(solver.int_vector(xi)) != entry.active:
+                    if solver.is_cocycle(int_vector(solver, xi)) != entry.active:
                         bad.append((signs, b, d))
     announce(9, "beta cocycle condition == constraint factors", not bad, f"{checks} checks")
 

@@ -1,9 +1,18 @@
 from fractions import Fraction
 from itertools import product
+import random
 
 import pytest
 
-from helpers import FAMILY_DIMENSION, omega_signs, with_zeros, zero_set
+from helpers import (
+    FAMILY_DIMENSION,
+    decompose,
+    omega_signs,
+    oracle_commutator,
+    scaled_matrix,
+    with_zeros,
+    zero_set,
+)
 from cklie.ck_matrix import (
     B,
     BasisDecomposer,
@@ -23,7 +32,7 @@ from cklie.ck_matrix import (
     labels_for_family,
     mat_commutator,
 )
-from cklie.scalars import Hypercomplex, Kind
+from cklie.scalars import Kind
 
 
 def sign_patterns(n):
@@ -114,16 +123,16 @@ class TestLabels:
 class TestGenerators:
     def test_so_j01(self):
         g = build_generator("so", J(0, 1), [1, 1])
-        assert g.cells == {(0, 1): Hypercomplex(-1), (1, 0): Hypercomplex(1)}
+        assert g.cells == {(0, 1): (0, -1), (1, 0): (0, 1)}
 
     def test_so_j01_contracted_single_entry(self):
         g = build_generator("so", J(0, 1), [0, 1])
         # the contracted entry -w_01 = 0 is not stored
-        assert g.cells == {(1, 0): Hypercomplex(1)}
+        assert g.cells == {(1, 0): (0, 1)}
 
     def test_sq_e10(self):
         g = build_generator("sq", E(1, 0), [0])
-        assert g.cells == {(0, 0): Hypercomplex(0, 1)}
+        assert g.cells == {(0, 0): (1, 1)}
 
     def test_family_label_mismatch(self):
         with pytest.raises(ValueError):
@@ -153,7 +162,7 @@ class TestGenerators:
         assert not is_traceless(build_generator("u", I_LABEL, [1, 1]))
 
     def test_single_elementary_not_antihermitian(self):
-        X = MatrixOverK(2, Kind.REAL, {(0, 1): Hypercomplex(1)})
+        X = MatrixOverK(2, Kind.REAL, {(0, 1): (0, 1)})
         assert not is_metric_antihermitian(X, build_metric([1]))
 
     def test_generator_not_antihermitian_under_other_metric(self):
@@ -162,23 +171,116 @@ class TestGenerators:
         X = build_generator("so", J(0, 1), [1])
         assert not is_metric_antihermitian(X, build_metric([-1]))
 
+    def test_partner_on_another_unit_not_antihermitian(self):
+        # M(0,1) = i_1 (w e_01 + e_10) with i_2 at (1,0): the values are the
+        # same, only the unit differs, and i_1 and i_2 terms cannot cancel.
+        g = build_generator("su", M(0, 1), [1])
+        same = MatrixOverK(2, Kind.QUATERNION, g.cells)
+        swapped = MatrixOverK(2, Kind.QUATERNION, {**g.cells, (1, 0): (2, g.cells[1, 0][1])})
+        metric = build_metric([1])
+        assert is_metric_antihermitian(same, metric)
+        assert not is_metric_antihermitian(swapped, metric)
+
+    def test_torus_with_a_flipped_sign_not_traceless(self):
+        g = build_generator("su", B(2), [1, 1])
+        assert g.cells == {(1, 1): (1, 1), (2, 2): (1, -1)}
+        flipped = MatrixOverK(3, Kind.COMPLEX, {**g.cells, (2, 2): (1, 1)})
+        assert is_traceless(g) and not is_traceless(flipped)
+        # i_1 - i_2 on the diagonal: the values cancel, the units do not.
+        assert not is_traceless(MatrixOverK(2, Kind.QUATERNION, {(0, 0): (1, 1), (1, 1): (2, -1)}))
+
     def test_zero_matrix_antihermitian(self):
         assert is_metric_antihermitian(MatrixOverK(3, Kind.REAL), build_metric([1, 1]))
+
+
+class TestMatrixOverK:
+    def test_accepts_single_unit_entries(self):
+        X = MatrixOverK(2, Kind.QUATERNION, {(0, 1): (3, Fraction(-2, 3)), (1, 1): (0, 5)})
+        assert X.row() == {(0 * 2 + 1) * 4 + 3: Fraction(-2, 3), (1 * 2 + 1) * 4 + 0: 5}
+
+    @pytest.mark.parametrize("unit", [4, -1, 1.0, None])
+    def test_bad_unit_index(self, unit):
+        with pytest.raises(ValueError, match="unit"):
+            MatrixOverK(2, Kind.QUATERNION, {(0, 1): (unit, 1)})
+
+    @pytest.mark.parametrize("value", [0, Fraction(0)])
+    def test_zero_value(self, value):
+        with pytest.raises(ValueError, match="zero"):
+            MatrixOverK(2, Kind.REAL, {(0, 1): (0, value)})
+
+    @pytest.mark.parametrize(
+        "kind,unit", [(Kind.REAL, 1), (Kind.REAL, 3), (Kind.COMPLEX, 2), (Kind.COMPLEX, 3)]
+    )
+    def test_unit_the_kind_forbids(self, kind, unit):
+        with pytest.raises(ValueError, match="unit"):
+            MatrixOverK(2, kind, {(0, 1): (unit, 1)})
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, "1"])
+    def test_inexact_value(self, value):
+        with pytest.raises(TypeError):
+            MatrixOverK(2, Kind.QUATERNION, {(0, 1): (1, value)})
+
+    @pytest.mark.parametrize("ij", [(0, 2), (2, 0), (-1, 0)])
+    def test_position_outside(self, ij):
+        with pytest.raises(ValueError, match="outside"):
+            MatrixOverK(2, Kind.REAL, {ij: (0, 1)})
 
 
 class TestCommutatorAndDecomposition:
     def test_commutator_antisymmetry(self):
         X = build_generator("so", J(0, 1), [1, 1])
         Y = build_generator("so", J(1, 2), [1, 1])
-        assert not mat_commutator(X, X).cells
-        assert not (mat_commutator(X, Y) + mat_commutator(Y, X)).cells
+        assert not mat_commutator(X, X)
+        assert mat_commutator(X, Y)
+        assert mat_commutator(X, Y) == {c: -v for c, v in mat_commutator(Y, X).items()}
 
     def test_so3_bracket_as_matrices(self):
         om = [1, 1]
         X = build_generator("so", J(0, 1), om)
         Y = build_generator("so", J(1, 2), om)
         Z = build_generator("so", J(0, 2), om)
-        assert mat_commutator(X, Y) == -Z
+        assert mat_commutator(X, Y) == {c: -v for c, v in Z.row().items()}
+
+    @pytest.mark.parametrize(
+        "family,om", [("so", [2, 0, "-1/3"]), ("u", ["2/3", "-5/7"]), ("sq", ["3/4", "-2/5"])]
+    )
+    def test_generator_commutators_match_dense_oracle(self, family, om):
+        basis = [build_generator(family, lab, om) for lab in labels_for_family(family, len(om))]
+        for X in basis:
+            for Y in basis:
+                assert mat_commutator(X, Y) == oracle_commutator(X, Y)
+
+    def test_mixed_unit_commutators_match_dense_oracle(self):
+        # Cells on different units, so an entry of the commutator can hold
+        # several units at once, unlike any commutator of two generators.
+        rng = random.Random(5)
+
+        def random_matrix():
+            cells = {}
+            for _ in range(4):
+                value = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                cells[rng.randrange(3), rng.randrange(3)] = (rng.randrange(4), value)
+            return MatrixOverK(3, Kind.QUATERNION, cells)
+
+        for _ in range(50):
+            X, Y = random_matrix(), random_matrix()
+            assert mat_commutator(X, Y) == oracle_commutator(X, Y)
+
+    def test_bracket_multiplies_no_fraction(self, monkeypatch):
+        om = ["3/4", "-2/5", "7/3"]
+        basis = [build_generator("sq", lab, om) for lab in labels_for_family("sq", 3)]
+        dec = BasisDecomposer(basis)
+        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+        expected = [dec.bracket(i, j) for i, j in pairs]
+
+        def no_fraction_product(*args):
+            raise AssertionError("a Fraction was multiplied")
+
+        monkeypatch.setattr(Fraction, "__mul__", no_fraction_product)
+        monkeypatch.setattr(Fraction, "__rmul__", no_fraction_product)
+        with pytest.raises(AssertionError):
+            Fraction(1, 2) * 3
+        assert [dec.bracket(i, j) for i, j in pairs] == expected
 
     def test_su2_bracket_coefficient(self):
         om = [1]
@@ -186,19 +288,21 @@ class TestCommutatorAndDecomposition:
             build_generator("su", J(0, 1), om), build_generator("su", M(0, 1), om)
         )
         basis = [build_generator("su", lab, om) for lab in labels_for_family("su", 1)]
-        coeffs = BasisDecomposer(basis).coefficients(com)
-        assert coeffs == {2: Fraction(-2)}
+        dec = BasisDecomposer(basis)
+        assert decompose(dec, com) == {2: Fraction(-2)}
+        assert dec.bracket(0, 1) == {2: Fraction(-2)}
 
     def test_decompose_unit_vector(self):
         om = [1, 1]
         basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
-        coeffs = BasisDecomposer(basis).coefficients(basis[1])
+        coeffs = decompose(BasisDecomposer(basis), basis[1])
         assert coeffs == {1: 1}
 
     def test_decompose_zero(self):
         om = [1, 1]
         basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
-        assert BasisDecomposer(basis).coefficients(MatrixOverK(3, Kind.REAL)) == {}
+        assert BasisDecomposer(basis).coefficients({}, 7) == {}
+        assert decompose(BasisDecomposer(basis), MatrixOverK(3, Kind.REAL)) == {}
 
     def test_decompose_roundtrip_random_combination(self):
         # Rational omegas give basis rows scaled by different lcms, so a
@@ -206,25 +310,27 @@ class TestCommutatorAndDecomposition:
         for family, om in (("su", [0, 1]), ("su", ["2/3", "-5/7"]), ("sq", ["3/4", "-2/5"])):
             basis = [build_generator(family, lab, om) for lab in labels_for_family(family, 2)]
             coeffs = {k: Fraction(k * k - 3, k + 1) for k in range(len(basis))}
-            X = MatrixOverK(3, basis[0].kind)
+            X = {}
             for k, mat in enumerate(basis):
-                X = X + mat * coeffs[k]
+                for c, v in mat.row().items():
+                    X[c] = X.get(c, 0) + v * coeffs[k]
+            X = {c: v for c, v in X.items() if v}
             dec = BasisDecomposer(basis)
-            assert dec.coefficients(X) == coeffs, (family, om)
+            assert decompose(dec, X) == coeffs, (family, om)
 
     def test_not_in_span(self):
         om = [1, 1]
         basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
-        outside = MatrixOverK(3, Kind.REAL, {(0, 0): Hypercomplex(1)})
+        outside = MatrixOverK(3, Kind.REAL, {(0, 0): (0, 1)})
         with pytest.raises(NotInSpanError):
-            BasisDecomposer(basis).coefficients(outside)
+            decompose(BasisDecomposer(basis), outside)
 
     def test_dependent_basis_rejected(self):
         om = [1, 1]
         g = build_generator("so", J(0, 1), om)
         for factor in (2, Fraction(2, 3)):
             with pytest.raises(ValueError, match="basis element 1 depends"):
-                BasisDecomposer([g, g * factor])
+                BasisDecomposer([g, scaled_matrix(g, factor)])
 
     def test_matrix_json_component_quadruples(self):
         g = build_generator("sq", E(2, 1), [1])

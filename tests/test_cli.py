@@ -67,6 +67,22 @@ class TestGenerators:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the output recorded from the four-component entries (commit
+    # a911076); non-unit denominators pin the scaled generators' rendering.
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("json", "c5c4af0e05400b4f45f8fd5be73d3d3ad587a1883f5ee20d07218ba5f03b9974"),
+            ("text", "bae10510e5d4e60d11d9429f1d569b6cfd17ec9b2f06fe1d5243f32b3ce0c89a"),
+        ],
+    )
+    def test_rational_omega_digest(self, capsys, fmt, digest):
+        code, out, _ = run(
+            capsys, "generators", "--family", "sq", "--omega=2,-3,5/7,4/3,-1/2", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_csv_not_supported_here(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generators", "--family", "so", "--omega", "1", "--format", "csv"])
@@ -140,6 +156,28 @@ class TestStructure:
         code, out, _ = run(
             capsys, "structure", "--family", family, "--omega", "1,0,-1/2", "--format", fmt
         )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+    # sha256 of the output recorded from the four-component entries (commit
+    # a911076).  Each generator is scaled by the lcm D_k of its denominators,
+    # and these omegas make D_i * D_j differ from 1 in the commutator rows.
+    @pytest.mark.parametrize(
+        "family,omega,fmt,digest",
+        [
+            ("sq", "2,-3,5/7,4/3,-1/2", "json",
+             "2c87bc03b339d030abaab01f914d047febd678661d6e4eadebd99b7d647645b0"),
+            ("sq", "2,-3,5/7,4/3,-1/2", "text",
+             "2db1542ca245142209d78ae87ae886fea537ba9349761481cd6066ff906bedb4"),
+            ("su", "3/2,-1,0,5/3", "json",
+             "5a3e589b03215c1682dd0bc30b80a00d7473f6238ce1555f60bbd8d49e494152"),
+            ("su", "3/2,-1,0,5/3", "text",
+             "6f14f462415929680705f34834c557072796de6dde750948c7f59cba2c537289"),
+        ],
+    )
+    def test_rational_omega_digest(self, capsys, family, omega, fmt, digest):
+        code, out, _ = run(capsys, "structure", "--family", family, f"--omega={omega}", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

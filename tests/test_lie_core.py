@@ -11,6 +11,7 @@ from helpers import (
     bracket_of,
     build_extended,
     coefficient_cocycle,
+    int_vector,
     oracle_jacobi,
     permute_basis,
     prime_omegas,
@@ -242,6 +243,20 @@ class TestFromMatrices:
         om = [Fraction(2, 3)]
         assert from_matrices("su", om).same_constants(build_su(om))
 
+    def test_reads_neither_shape_nor_omega_table(self, monkeypatch):
+        # The matrix route is the independent check of the closed form, so it
+        # must succeed with both of the closed form's inputs taken away.
+        om = OmegaVector(SIGNED_PRIMES[:3])
+        expected = {family: build_algebra(family, om) for family in ("so", "su", "u", "sq")}
+
+        def refuse(*args):
+            raise AssertionError("the closed-form shape or omega table was read")
+
+        monkeypatch.setattr(lie_core, "_shape", refuse)
+        monkeypatch.setattr(lie_core, "_omega_table", refuse)
+        for family, closed in expected.items():
+            assert from_matrices(family, om).same_constants(closed), family
+
 
 class TestShape:
     @pytest.mark.parametrize("family,nmax", [("so", 5), ("su", 4), ("u", 4), ("sq", 3)])
@@ -369,7 +384,7 @@ class TestExtendedAlgebra:
                     if rng.random() < 0.3:
                         entries[(i, j)] = Fraction(rng.randint(-3, 3))
             xi = TwoCochain(L.dim, entries)
-            if not solver.is_cocycle(solver.int_vector(xi)):
+            if not solver.is_cocycle(int_vector(solver, xi)):
                 found_non_cocycle += 1
                 assert not verify_jacobi(build_extended(L, xi))
         assert found_non_cocycle > 0
@@ -378,7 +393,7 @@ class TestExtendedAlgebra:
         L = build_so([1, Fraction(-2, 3), Fraction(5, 2)])
         xi = TwoCochain(L.dim, {(0, 1): Fraction(1, 3), (1, 2): Fraction(-7, 4)})
         solver = CohomologySolver(L)
-        assert not solver.is_cocycle(solver.int_vector(xi))
+        assert not solver.is_cocycle(int_vector(solver, xi))
         ext = build_extended(L, xi)
         assert verify_jacobi(ext) is oracle_jacobi(ext) is False
 

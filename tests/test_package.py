@@ -32,7 +32,10 @@ def test_names_are_listed_and_star_imported():
 
 # Names that no command reaches; the tests that use them import them from
 # tests/helpers.py.
-REMOVED = ("coefficient_cocycle", "is_trivial", "build_extended", "XI_LABEL")
+REMOVED = (
+    "coefficient_cocycle", "is_trivial", "build_extended", "XI_LABEL",
+    "Hypercomplex", "ONE", "I1", "I2", "I3", "int_vector",
+)
 
 
 def test_removed_names_are_gone():
@@ -41,9 +44,12 @@ def test_removed_names_are_gone():
     assert exported.isdisjoint(REMOVED)
     for name in REMOVED:
         assert not any(hasattr(m, name) for m in (cklie, *SUBMODULES)), name
-    assert not hasattr(cohomology.CohomologySolver, "is_trivial")
+    for name in ("is_trivial", "int_vector"):
+        assert not hasattr(cohomology.CohomologySolver, name), name
     for name in ("value", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
         assert name not in vars(cohomology.TwoCochain), name
+    for name in ("__add__", "__neg__", "__mul__", "__eq__"):
+        assert name not in vars(ck_matrix.MatrixOverK), name
     for name in ("signs", "zero_set", "with_zeros"):
         assert not hasattr(ck_matrix.OmegaVector, name), name
 

@@ -1,23 +1,27 @@
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coefficient_cocycle, oracle_quaternion_product, scaled
-import cklie
-from cklie.ck_matrix import OmegaVector
-from cklie.cohomology import OneCochain, TwoCochain
-from cklie.scalars import (
-    Hypercomplex,
+from helpers import (
     I1,
     I2,
     I3,
-    Kind,
     ONE,
-    parse_rational,
+    Hypercomplex,
+    coefficient_cocycle,
+    oracle_quaternion_product,
+    scaled,
 )
+import cklie
+from cklie import ck_matrix, cli
+from cklie.ck_matrix import MatrixOverK, NotInSpanError, OmegaVector
+from cklie.cohomology import OneCochain, TwoCochain
+from cklie.lie_core import build_sq, from_matrices
+from cklie.scalars import _UNIT_PRODUCT, Kind, parse_rational
 
 UNITS = [ONE, I1, I2, I3, -I1, -I2, -I3, -ONE]
 
@@ -78,9 +82,10 @@ class TestRational:
             lambda v: OneCochain([1, v]),
             lambda v: OneCochain.basis_vector(2, 0, v),
             lambda v: coefficient_cocycle("so", [0, 1], "alphaF[1,2]", v),
+            lambda v: MatrixOverK(2, Kind.REAL, {(0, 1): (0, v)}),
         ],
         ids=["Hypercomplex", "OmegaVector", "TwoCochain.dim", "TwoCochain", "TwoCochain.mul",
-             "OneCochain", "OneCochain.basis_vector", "coefficient_cocycle"],
+             "OneCochain", "OneCochain.basis_vector", "coefficient_cocycle", "MatrixOverK"],
     )
     def test_floats_and_bools_rejected(self, entry, bad):
         # 0.1 would silently become 3602879701896397/36028797018963968
@@ -111,6 +116,48 @@ class TestNoFloats:
                 if literal or named:
                     found.append(f"{path.name}:{node.lineno}")
         assert not found
+
+
+class TestUnitTable:
+    # The 16 Hamilton products of the units 1, i, j, k, written out:
+    # e_p * e_q = sign * e_r.
+    HAMILTON = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+    }
+
+    def test_hamilton_products(self):
+        units = "1ijk"
+        for (a, b), (sign, c) in self.HAMILTON.items():
+            assert _UNIT_PRODUCT[units.index(a)][units.index(b)] == (units.index(c), sign), (a, b)
+        assert len(_UNIT_PRODUCT) == 4 and all(len(row) == 4 for row in _UNIT_PRODUCT)
+
+    @staticmethod
+    def flip(monkeypatch, p, q):
+        table = [list(row) for row in _UNIT_PRODUCT]
+        r, sign = table[p][q]
+        table[p][q] = (r, -sign)
+        monkeypatch.setattr(ck_matrix, "_UNIT_PRODUCT", tuple(map(tuple, table)))
+
+    def test_flipped_square_breaks_the_matrix_route(self, monkeypatch, capsys):
+        # i*i = +1: every commutator of two i_1 generators changes sign and
+        # stays in the span, so only the comparison with the closed form can
+        # catch it.
+        omega = "1,1"
+        assert from_matrices("sq", omega).same_constants(build_sq(omega))
+        self.flip(monkeypatch, 1, 1)
+        assert not from_matrices("sq", omega).same_constants(build_sq(omega))
+        assert cli.main(["structure", "--family", "sq", "--omega", omega]) == 1
+        assert json.loads(capsys.readouterr().out)["matrix_match"] is False
+
+    def test_flipped_mixed_product_leaves_the_span(self, monkeypatch):
+        # i*j = -k, with j*i = -k still: [E1(0), E2(0)] vanishes, and the
+        # commutator of M1(0,1) and M2(1,2) is no longer antihermitian.
+        self.flip(monkeypatch, 1, 2)
+        with pytest.raises(NotInSpanError):
+            from_matrices("sq", "1,1")
 
 
 class TestHypercomplex:
