@@ -42,8 +42,7 @@ from .lie_core import (
 # commands that never solve for H2 (structure, generators) neither import nor
 # compile these two modules: their names load them on first access.
 _LAZY = {
-    "cohomology": ("CohomologyResult", "CohomologySolver", "OneCochain", "TwoCochain",
-                   "coboundary", "h2"),
+    "cohomology": ("CohomologyResult", "CohomologySolver", "h2"),
     "classify": ("CatalogEntry", "CrosscheckReport", "ExtensionCatalog", "certify_rescaling",
                  "crosscheck", "predict", "removals"),
 }

@@ -398,8 +398,12 @@ def mat_commutator(X: MatrixOverK, Y: MatrixOverK) -> dict[int, int | Fraction]:
     """The component row (`MatrixOverK.row`) of XY - YX, summed over the
     pairs of nonzero cells that meet.  The product of two entries is the
     signed unit of `_UNIT_PRODUCT` times the product of their values, so
-    integer matrices give an integer row.  No zero entry is kept."""
+    integer matrices give an integer row.  No zero entry is kept; matrices
+    of different dim or kind raise ValueError, since the row's columns
+    depend on the dim."""
     d = X.dim
+    if Y.dim != d or Y.kind != X.kind:
+        raise ValueError(f"cannot commute {X!r} with {Y!r}")
     acc: dict[int, int | Fraction] = {}
     for (i, k), (p, a) in X.cells.items():
         for (l, j), (q, b) in Y.cells.items():
@@ -508,13 +512,18 @@ class BasisDecomposer:
     component column is left, and then X = sum_k c_k B_k with
     c_k = -residue[off + k] / residue[off + r].  `bracket` commutes two
     scaled basis matrices, in integers only, and decomposes their
-    commutator over the scale D_i * D_j.
+    commutator over the scale D_i * D_j.  The basis matrices share one dim
+    and kind, which sets the columns; a mixed basis raises ValueError.
     """
 
     def __init__(self, basis: Sequence[MatrixOverK]):
         if not basis:
             raise ValueError("basis must be nonempty")
-        self._off = off = 4 * basis[0].dim ** 2
+        dim, kind = basis[0].dim, basis[0].kind
+        for k, mat in enumerate(basis):
+            if mat.dim != dim or mat.kind != kind:
+                raise ValueError(f"basis element {k} is a {mat!r}, element 0 a {basis[0]!r}")
+        self._off = off = 4 * dim ** 2
         self._scaled = [_cleared(mat) for mat in basis]
         self._echelon = _echelon_int(
             [{**mat.row(), off + k: d} for k, (d, mat) in enumerate(self._scaled)]

@@ -34,12 +34,15 @@ coefficient with its constraint factors, its cochain slots and, for type
 II, the generator shift (g, c) that removes it; `predict` evaluates each
 distinct monomial once per omega, and an entry is active iff every factor
 vanishes.  The catalog thus states one removal identity per shifted
-generator, delta(e_g) = sum of c * xi over the entries that shift g, built
-by `removals`.  `certify_rescaling` proves, once per (family, N), that a
-crosscheck and every removal identity at omega follow from those at the 0/1
-pattern with the same zeros, so solving the 2^N representatives proves them
-for every rational omega: the acceptance suite does so for so N <= 7, su/u
-N <= 5 and sq N <= 4.
+generator, delta(e_g) = sum of c * xi over the entries that shift g;
+`removals` builds each right-hand side as a plain {(i, j): Fraction} map,
+and `verify` compares it, scaled by the lcm d of the constants'
+denominators, with the solver's integer row of delta(e_g).
+`certify_rescaling` proves, once per (family, N), that a crosscheck and
+every removal identity at omega follow from those at the 0/1 pattern with
+the same zeros, so solving the 2^N representatives proves them for every
+rational omega: the acceptance suite does so for so N <= 7, su/u N <= 5 and
+sq N <= 4.
 `crosscheck` confronts the whole catalog with the exact solver, each entry
 as the integer column vector of its slots: counts must agree, the active
 coefficients must be nontrivial cocycles that form a basis of H2, every
@@ -55,7 +58,7 @@ from functools import cache
 from math import lcm, prod
 
 from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
-from .cohomology import CohomologySolver, TwoCochain
+from .cohomology import CohomologySolver
 from .lie_core import _shape, build_algebra
 
 __all__ = [
@@ -91,11 +94,6 @@ class ExtensionCatalog(namedtuple("ExtensionCatalog", "family omega entries")):
     @property
     def predicted(self) -> int:
         return sum(1 for e in self.entries if e.active)
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the algebra whose basis indices the slots use."""
-        return _catalog_shape(self.family, self.omega.n)[0]
 
 
 def _mono(*ks: int, coef: int = 1) -> Monomial:
@@ -163,11 +161,11 @@ _RULES = {"so": _so_rules, "su": _su_rules, "u": _u_rules, "sq": lambda n: ()}
 def _catalog_shape(family: str, n: int):
     """The catalog of `family` with N = n for a symbolic omega.
 
-    Returns the basis dimension, the distinct monomials and one row per
-    entry, (name, ext_type, factors, slots, shift), with each factor a
-    monomial number, each slot (i, j, monomial number), i < j indices of the
-    canonical basis, and the shift (g, monomial number) or None.  Built once
-    per (family, n) and immutable, so every omega shares it.
+    Returns the distinct monomials and one row per entry, (name, ext_type,
+    factors, slots, shift), with each factor a monomial number, each slot
+    (i, j, monomial number), i < j indices of the canonical basis, and the
+    shift (g, monomial number) or None.  Built once per (family, n) and
+    immutable, so every omega shares it.
     """
     index = {lab: i for i, lab in enumerate(labels_for_family(family, n))}
     monomials: dict[Monomial, int] = {}
@@ -185,7 +183,7 @@ def _catalog_shape(family: str, n: int):
         )
         for name, ext_type, factors, slots, shift in _RULES[family](n)
     )
-    return len(index), tuple(monomials), rows
+    return tuple(monomials), rows
 
 
 @cache
@@ -226,7 +224,7 @@ def certify_rescaling(family: str, n: int) -> None:
                     f"{family} N={n}: bracket [{labels[i]}, {labels[j]}] -> {labels[k]} "
                     f"with weight w_{a}{b} does not rescale"
                 )
-    _, monomials, entries = _catalog_shape(family, n)
+    monomials, entries = _catalog_shape(family, n)
     exponents = [tuple(ks.count(m) for m in ms) for _, ks in monomials]
     for name, _, _, slots, shift in entries:
         vectors = {
@@ -249,7 +247,7 @@ def predict(family: str, omega) -> ExtensionCatalog:
     the cached shape evaluated once, each entry active iff every factor
     vanishes."""
     om = OmegaVector.coerce(omega)
-    _, monomials, rows = _catalog_shape(family, om.n)
+    monomials, rows = _catalog_shape(family, om.n)
     w = om.coeffs
     v = [coef * prod([w[k - 1] for k in ks], start=_F1) for coef, ks in monomials]
     entries = tuple(
@@ -265,10 +263,11 @@ def predict(family: str, omega) -> ExtensionCatalog:
     return ExtensionCatalog(family, om, entries)
 
 
-def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, TwoCochain]:
+def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, dict[tuple[int, int], Fraction]]:
     """Right-hand sides of the type II removal identities: for each shifted
     generator g, the sum of c * xi over the catalog entries with shift (g, c),
-    on the canonical basis of the catalog's family and N.
+    as {(i, j): value} over i < j indices of the canonical basis of the
+    catalog's family and N, with the zero sums dropped.
 
     delta(e_g) equals it exactly (proved for every omega up to the N stated
     in the module docstring), so shifting g by value / c removes a singleton
@@ -282,8 +281,7 @@ def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, TwoCochain]:
             acc = sums.setdefault(g, {})
             for i, j, v in entry.slots:
                 acc[i, j] = acc.get((i, j), 0) + c * v
-    # TwoCochain drops the zero sums.
-    return {g: TwoCochain(catalog.dim, acc) for g, acc in sums.items()}
+    return {g: {pair: v for pair, v in acc.items() if v} for g, acc in sums.items()}
 
 
 # trivial is None when the cochain is not a cocycle.

@@ -163,7 +163,13 @@ def _h2_payload(family: str, omega: OmegaVector) -> dict:
         "dim_z2": report.dim_z2,
         "dim_b2": report.dim_b2,
         "dim_h2": report.dim_h2,
-        "representatives": [xi.to_json_obj(L) for xi in report.solver.representatives()],
+        "representatives": [
+            {"pairs": [
+                {"i": i, "j": j, "c": str(c), "label_i": str(L.basis[i]), "label_j": str(L.basis[j])}
+                for (i, j), c in sorted(xi.items())
+            ]}
+            for xi in report.solver.representatives()
+        ],
     }
     payload["crosscheck"] = report.to_json_obj()
     payload["predicted"] = report.predicted
@@ -214,10 +220,6 @@ def run_case(family: str, signs: tuple[int, ...]) -> dict:
     }
 
 
-def _sweep_worker(task: tuple[str, tuple[int, ...]]) -> dict:
-    return run_case(*task)
-
-
 def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
     """All 3^n sign patterns, rows in lexicographic omega order.
 
@@ -225,7 +227,7 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
     omega, so only the 2^n patterns in {0, 1}^n are solved, and each row is
     its representative's (1 wherever omega is nonzero) with its own omega.
     At most jobs workers, and never more than the CPUs or the cases solved;
-    `Pool.map` keeps the order.
+    `Pool.starmap` keeps the order.
     """
     from .classify import certify_rescaling
 
@@ -237,9 +239,9 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
         from multiprocessing import Pool
 
         with Pool(processes=workers) as pool:
-            solved = pool.map(_sweep_worker, tasks)
+            solved = pool.starmap(run_case, tasks)
     else:
-        solved = [_sweep_worker(t) for t in tasks]
+        solved = [run_case(*t) for t in tasks]
     by_zero_set = {z: row for (_, z), row in zip(tasks, solved)}
     return [
         {**by_zero_set[tuple(s * s for s in signs)], "omega": ",".join(map(str, signs))}
@@ -292,7 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def verify_case(family: str, omega: OmegaVector) -> dict:
     """Full invariant suite for one algebra; values 'pass'/'fail'/'skipped'."""
     from .classify import predict, removals
-    from .cohomology import CohomologySolver, OneCochain, coboundary
+    from .cohomology import CohomologySolver
 
     checks: dict[str, str] = {}
     labels = labels_for_family(family, omega.n)
@@ -318,12 +320,15 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
     # Coboundaries are linear in mu, so testing each delta(e_k) proves that
     # every coboundary is a cocycle.
     solver = CohomologySolver(L)
-    ok = all(solver.is_cocycle(row) for row in solver.coboundary_rows())
+    rows = solver.coboundary_rows()
+    ok = all(solver.is_cocycle(row) for row in rows)
     checks["coboundaries_are_cocycles"] = "pass" if ok else "fail"
-    # Every type II removal identity delta(e_g) = sum c * xi, exactly.
+    # Every type II removal identity delta(e_g) = sum c * xi, exactly: row g
+    # is delta(e_g) in the constants scaled by d, so it must equal d * rhs.
     identities = removals(predict(family, omega))
+    d, pair_index = L.scale, solver.pair_index
     ok = all(
-        coboundary(OneCochain.basis_vector(L.dim, L.index(g)), L) == rhs
+        rows[L.index(g)] == {pair_index[p]: d * c for p, c in rhs.items()}
         for g, rhs in identities.items()
     )
     checks["pseudoextension_removal"] = ("pass" if ok else "fail") if identities else "skipped"

@@ -13,18 +13,21 @@ dim Z2 - dim B2 counts inequivalent nontrivial central extensions.
 
 Everything runs in Python integers: the equations and the coboundary rows
 are linear in the constants, so scaling them by the lcm of their
-denominators leaves Z2 and B2 unchanged.  The fraction-free kernel of
-`ck_matrix` first takes out the columns of single-entry rows (most equations
-say xi_c = 0); its forward elimination then gives the dims alone (dim Z2 =
+denominators leaves Z2 and B2 unchanged.  A cochain is its integer column
+vector {pair_index[(i, j)]: int}, and delta(e_k) is the k-th coboundary row,
+the only coboundary built here.  The fraction-free kernel of `ck_matrix`
+first takes out the columns of single-entry rows (most equations say
+xi_c = 0); its forward elimination then gives the dims alone (dim Z2 =
 unknowns - rank of the system, dim B2 = rank of the coboundary rows), and a
 cochain is a coboundary exactly when its integer vector leaves no residue
 against the B2 echelon.  The cocycle test evaluates only the equations that
 hold a nonzero column of the cochain.  Only the representatives that `h2`
 prints need a basis: the system echelon is back-substituted, its integer
-nullspace reduced in turn, and each Z2 row divided by its pivot, the only
-Fractions made here.  The RREF of a row space, and so its set of pivot
-columns, is unique, so nothing depends on row order or on the pre-pass.  A
-wrong rank here would be a wrong theorem, so no floating point is allowed.
+nullspace reduced in turn, and each Z2 row divided by its pivot into a
+plain {(i, j): Fraction} map, the only Fractions made here.  The RREF of a
+row space, and so its set of pivot columns, is unique, so nothing depends
+on row order or on the pre-pass.  A wrong rank here would be a wrong
+theorem, so no floating point is allowed.
 """
 
 from __future__ import annotations
@@ -35,128 +38,13 @@ from fractions import Fraction
 from math import lcm
 
 from .ck_matrix import _echelon_int, _normalize_int_row, _reduce
-from .scalars import _frac
 
 __all__ = [
-    "TwoCochain",
-    "OneCochain",
     "CohomologyResult",
     "CocycleSystem",
     "CohomologySolver",
-    "coboundary",
     "h2",
 ]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-class TwoCochain:
-    """Antisymmetric rational 2-cochain xi, stored as {(i, j): value}, i < j.
-
-    Immutable value semantics; zero entries are never stored, so equality of
-    the entry maps is equality of cochains.
-    """
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries=None):
-        if type(dim) is not int:
-            raise TypeError(f"cochain dimension must be an int, got {dim!r}")
-        if dim < 0:
-            raise ValueError(f"cochain dimension must be >= 0, got {dim}")
-        data: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (i, j), value in entries.items() if isinstance(entries, dict) else entries:
-                if type(i) is not int or type(j) is not int:
-                    raise TypeError(f"cochain indices must be ints, got ({i!r}, {j!r})")
-                if i == j:
-                    raise ValueError(f"cochain entry at equal indices ({i}, {j})")
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise ValueError(f"cochain index ({i}, {j}) out of range")
-                v = _frac(value)
-                if i > j:
-                    i, j = j, i
-                    v = -v
-                if v:
-                    prev = data.get((i, j))
-                    data[(i, j)] = v if prev is None else prev + v
-                    if not data[(i, j)]:
-                        del data[(i, j)]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoCochain is immutable")
-
-    @classmethod
-    def _wrap(cls, dim: int, entries: dict[tuple[int, int], Fraction]) -> "TwoCochain":
-        """A cochain that takes over entries already keyed i < j, in range,
-        with nonzero Fraction values."""
-        res = cls.__new__(cls)
-        object.__setattr__(res, "dim", dim)
-        object.__setattr__(res, "entries", entries)
-        return res
-
-    def items(self):
-        return sorted(self.entries.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoCochain):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def to_json_obj(self, algebra=None) -> dict:
-        pairs = []
-        for (i, j), c in self.items():
-            rec = {"i": i, "j": j, "c": str(c)}
-            if algebra is not None:
-                rec["label_i"] = str(algebra.basis[i])
-                rec["label_j"] = str(algebra.basis[j])
-            pairs.append(rec)
-        return {"pairs": pairs}
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"({i},{j}): {c}" for (i, j), c in self.items())
-        return f"TwoCochain(dim={self.dim}, {{{body}}})"
-
-
-class OneCochain:
-    """A 1-cochain mu: one rational per generator (used to shift generators
-    into the center; its differential is a 2-coboundary)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable):
-        object.__setattr__(self, "values", tuple(_frac(v) for v in values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneCochain is immutable")
-
-    @classmethod
-    def basis_vector(cls, dim: int, k: int, value=_F1) -> "OneCochain":
-        if type(k) is not int:
-            raise TypeError(f"basis index must be an int, got {k!r}")
-        if not 0 <= k < dim:
-            raise ValueError(f"basis index {k} out of range 0..{dim - 1}")
-        vals = [_F0] * dim
-        vals[k] = _frac(value)
-        return cls(vals)
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneCochain):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"OneCochain({[str(v) for v in self.values]})"
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +144,7 @@ class CohomologySolver:
         self._echelon: dict[int, dict[int, int]] | None = None
         self._b2: dict[int, dict[int, int]] | None = None
         self._result: CohomologyResult | None = None
-        self._z2: dict[int, TwoCochain] | None = None
+        self._z2: dict[int, dict[tuple[int, int], Fraction]] | None = None
         self._by_column: list[list[int]] | None = None
 
     # -- assembly -----------------------------------------------------------
@@ -335,22 +223,22 @@ class CohomologySolver:
             self._result = CohomologyResult(dim_z2, dim_b2, dim_z2 - dim_b2)
         return self._result
 
-    def z2_basis(self) -> dict[int, TwoCochain]:
+    def z2_basis(self) -> dict[int, dict[tuple[int, int], Fraction]]:
         """The reduced row echelon basis of Z2, {pivot column: cochain} in
-        column order; memoized.  The cached system echelon is back-substituted,
-        its integer nullspace echeloned and reduced, and each row divided by
-        its leading entry: the only Fractions the solver makes."""
+        column order, each cochain {(i, j): xi_ij} over i < j with no zero
+        value; memoized.  The cached system echelon is back-substituted, its
+        integer nullspace echeloned and reduced, and each row divided by its
+        leading entry: the only Fractions the solver makes."""
         if self._z2 is None:
             null = _nullspace(*_rref(self._system_echelon()), self.n_unknowns)
-            r = self.algebra.dim
             pairs = self.pairs
             self._z2 = {
-                p: TwoCochain._wrap(r, {pairs[c]: Fraction(v, row[p]) for c, v in row.items()})
+                p: {pairs[c]: Fraction(v, row[p]) for c, v in row.items()}
                 for p, row in zip(*_rref(_echelon_int(null)))
             }
         return self._z2
 
-    def representatives(self) -> tuple[TwoCochain, ...]:
+    def representatives(self) -> tuple[dict[tuple[int, int], Fraction], ...]:
         """The Z2 basis rows whose pivots B2 lacks: dim H2 nontrivial
         cocycles, canonical because the RREF of a row space is unique."""
         return tuple(xi for p, xi in self.z2_basis().items() if p not in self._b2_echelon())
@@ -389,16 +277,6 @@ class CohomologySolver:
 # ---------------------------------------------------------------------------
 # Functional API
 # ---------------------------------------------------------------------------
-
-
-def coboundary(mu, L) -> TwoCochain:
-    """The 2-coboundary of mu: xi_ij = sum_k C_ij^k mu_k."""
-    values = mu.values if isinstance(mu, OneCochain) else OneCochain(mu).values
-    if len(values) != L.dim:
-        raise ValueError("mu dimension does not match the algebra")
-    # TwoCochain drops the zero sums.
-    entries = {pair: sum(c * values[k] for k, c in terms.items()) for pair, terms in L.constants.items()}
-    return TwoCochain(L.dim, entries)
 
 
 def h2(L) -> CohomologyResult:

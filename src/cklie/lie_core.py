@@ -123,6 +123,13 @@ class LieAlgebra:
         return self._constants
 
     @property
+    def scale(self) -> int:
+        """d, the lcm of the constants' denominators: `integer_constants`
+        is d * C."""
+        self.constants  # the table check takes d, once
+        return self._lcm
+
+    @property
     def dim(self) -> int:
         return len(self.basis)
 

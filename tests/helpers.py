@@ -3,20 +3,25 @@
 Everything here is deliberately naive: dense Fraction Gauss-Jordan with no
 shared code, integer tricks or sparsity, so it can arbitrate the package's
 elimination kernel, cohomology dimensions and bases; the cocycle test and
-the Jacobi check walk every index triple in Fractions, and the quaternion
-product is the full 16-term formula.  `Hypercomplex` is a four-component
-quaternion over Fractions with a kind tag, once the package's entry type;
-the dense commutator of generator matrices in it arbitrates the package's
-single-unit commutator.
+the Jacobi check walk every index triple in Fractions, the coboundary sums
+every bracket term in Fractions, and the quaternion product is the full
+16-term formula.  `Hypercomplex` is a four-component quaternion over
+Fractions with a kind tag, once the package's entry type; the dense
+commutator of generator matrices in it arbitrates the package's single-unit
+commutator.
+
+A 2-cochain here is a plain map {(i, j): Fraction} over i < j with no zero
+value, the form `CohomologySolver.z2_basis` and `classify.removals` return;
+a 1-cochain mu is a map {k: rational}, a missing k meaning 0.
 
 The last section holds test-side tools that are not oracles: a basis
 permutation, a label-keyed bracket, the dimension formulas, signed-prime
 omegas, the cochain of an integer solver row, the adapters that drive the
 package's own elimination kernel and a runner for fresh interpreters.  It
 also holds the conveniences that only tests use: omega sign patterns and
-zero sets, scaled cochains and matrices, a cochain's integer column
-vector, a catalog entry's cochain by name, the checked triviality test and
-the centrally extended algebra.  No oracle calls them.
+zero sets, sums and multiples of cochains, scaled matrices, a cochain's
+integer column vector, a catalog entry's cochain by name, the checked
+triviality test and the centrally extended algebra.  No oracle calls them.
 """
 
 import os
@@ -29,7 +34,7 @@ from pathlib import Path
 
 from cklie.ck_matrix import GeneratorLabel, MatrixOverK, OmegaVector, _echelon_int
 from cklie.classify import predict
-from cklie.cohomology import TwoCochain, _nullspace, _rref
+from cklie.cohomology import _nullspace, _rref
 from cklie.lie_core import LieAlgebra
 from cklie.scalars import Kind, _frac
 
@@ -152,8 +157,21 @@ def cochain_value(xi, i, j):
     if i == j:
         return Fraction(0)
     if i < j:
-        return xi.entries.get((i, j), Fraction(0))
-    return -xi.entries.get((j, i), Fraction(0))
+        return xi.get((i, j), Fraction(0))
+    return -xi.get((j, i), Fraction(0))
+
+
+def oracle_coboundary(L, mu):
+    """delta(mu) straight from the definition, xi_ij = sum_k C_ij^k mu_k,
+    in Fractions over every bracket of `L.constants`, with the zero sums
+    dropped.  The oracle for the solver's integer coboundary rows and for
+    the removal identities; delta(e_k) is oracle_coboundary(L, {k: 1})."""
+    xi = {}
+    for pair, terms in L.constants.items():
+        v = sum((c * mu.get(k, 0) for k, c in terms.items()), Fraction(0))
+        if v:
+            xi[pair] = v
+    return xi
 
 
 def oracle_is_cocycle(L, xi):
@@ -390,21 +408,18 @@ def with_zeros(omega, indices):
 
 
 def cochain_sum(*cochains):
-    """The sum of cochains of one dimension."""
-    dim = cochains[0].dim
-    if any(xi.dim != dim for xi in cochains):
-        raise ValueError("cochain dimension mismatch")
+    """The sum of cochains, with the zero sums dropped."""
     total = {}
     for xi in cochains:
-        for pair, v in xi.entries.items():
+        for pair, v in xi.items():
             total[pair] = total.get(pair, 0) + v
-    return TwoCochain(dim, total)
+    return {pair: v for pair, v in total.items() if v}
 
 
 def scaled(xi, scalar):
     """The cochain scalar * xi; a float or bool scalar raises TypeError."""
     f = _frac(scalar)
-    return TwoCochain(xi.dim, {pair: v * f for pair, v in xi.entries.items()})
+    return {pair: v * f for pair, v in xi.items() if f}
 
 
 def scaled_matrix(mat, factor):
@@ -432,9 +447,7 @@ def decompose(dec, mat):
 def int_vector(solver, xi):
     """The solver's column vector of the cochain xi, scaled by the lcm of
     its denominators."""
-    if xi.dim != solver.algebra.dim:
-        raise ValueError("cochain dimension does not match the algebra")
-    return lcm_scaled((solver.pair_index[pair], v) for pair, v in xi.entries.items())[1]
+    return lcm_scaled((solver.pair_index[pair], v) for pair, v in xi.items())[1]
 
 
 def coefficient_cocycle(family, omega, name, value=1):
@@ -443,7 +456,7 @@ def coefficient_cocycle(family, omega, name, value=1):
     catalog = predict(family, omega)
     for entry in catalog.entries:
         if entry.name == name:
-            return TwoCochain(catalog.dim, {(i, j): c * value for i, j, c in entry.slots})
+            return {(i, j): c * value for i, j, c in entry.slots if value}
     raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={catalog.omega.n}")
 
 
@@ -464,8 +477,8 @@ def build_extended(L, xi):
     extension coefficients xi: it satisfies the Jacobi identity exactly when
     xi solves the cocycle equations of L."""
     r = L.dim
-    if xi.dim != r:
-        raise ValueError(f"cochain dimension {xi.dim} != algebra dimension {r}")
+    if not all(0 <= i < j < r for i, j in xi):
+        raise ValueError(f"cochain pair outside 0 <= i < j < {r}")
     constants = {pair: dict(terms) for pair, terms in L.constants.items()}
     for (i, j), value in xi.items():
         constants.setdefault((i, j), {})[r] = value
@@ -474,7 +487,7 @@ def build_extended(L, xi):
 
 def row_cochain(solver, row):
     """The cochain of an integer row over the solver's pair columns."""
-    return TwoCochain(solver.algebra.dim, {solver.pairs[c]: v for c, v in row.items()})
+    return {solver.pairs[c]: v for c, v in row.items()}
 
 
 def permute_basis(L, perm):

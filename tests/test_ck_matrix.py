@@ -332,6 +332,21 @@ class TestCommutatorAndDecomposition:
             with pytest.raises(ValueError, match="basis element 1 depends"):
                 BasisDecomposer([g, scaled_matrix(g, factor)])
 
+    def test_mixed_dim_or_kind_rejected(self):
+        # The columns depend on the dim: unchecked, this basis was accepted
+        # and bracket(0, 1) returned {0: Fraction(-1)}.
+        small = MatrixOverK(2, Kind.REAL, {(0, 1): (0, 1)})
+        large = MatrixOverK(3, Kind.REAL, {(0, 0): (0, 1)})
+        with pytest.raises(ValueError, match="basis element 1"):
+            BasisDecomposer([small, large])
+        with pytest.raises(ValueError, match="cannot commute"):
+            mat_commutator(small, large)
+        complex_ = MatrixOverK(2, Kind.COMPLEX, {(0, 0): (1, 1)})
+        with pytest.raises(ValueError, match="basis element 1"):
+            BasisDecomposer([small, complex_])
+        with pytest.raises(ValueError, match="cannot commute"):
+            mat_commutator(complex_, small)
+
     def test_matrix_json_component_quadruples(self):
         g = build_generator("sq", E(2, 1), [1])
         comps = g.to_component_lists()

@@ -13,6 +13,7 @@ from helpers import (
     int_vector,
     is_trivial,
     omega_signs,
+    oracle_coboundary,
     prime_omegas,
     zero_set,
 )
@@ -25,7 +26,7 @@ from cklie.classify import (
     predict,
     removals,
 )
-from cklie.cohomology import CohomologySolver, OneCochain, TwoCochain, coboundary, h2
+from cklie.cohomology import CohomologySolver, h2
 from cklie.lie_core import build_algebra, build_so, build_su
 
 
@@ -135,7 +136,7 @@ class TestCoefficientCocycle:
         om = [0, 1]
         xi = coefficient_cocycle("so", om, "alphaF[1,2]")
         # slots xi(J(a,1), J(a,2)) = w_{a,0}: only a=0 with value w_00 = 1
-        assert xi.entries == {(0, 1): Fraction(1)}
+        assert xi == {(0, 1): Fraction(1)}
 
     def test_so_alphaL_slots(self):
         om = OmegaVector([1, 1, 1])
@@ -146,20 +147,20 @@ class TestCoefficientCocycle:
             (L.index(L.basis[1]), L.index(L.basis[3])): Fraction(1),  # (J(0,2), J(1,2))
             (L.index(L.basis[2]), L.index(L.basis[4])): Fraction(1),  # (J(0,3), J(1,3))
         }
-        assert xi.entries == expected
+        assert xi == expected
 
     def test_so_beta_adjacent_has_two_slots(self):
         om = [0, 1, 0]
         xi = coefficient_cocycle("so", om, "beta[1,3]")
         # slot (J(0,1), J(2,3)) with 1 and (J(0,2), J(1,3)) with -w_2
-        assert len(xi.entries) == 2
-        vals = sorted(xi.entries.values())
+        assert len(xi) == 2
+        vals = sorted(xi.values())
         assert vals == [Fraction(-1), Fraction(1)]
 
     def test_so_beta_wide_single_slot(self):
         om = [0, 0, 0, 0]
         xi = coefficient_cocycle("so", om, "beta[1,4]")
-        assert len(xi.entries) == 1
+        assert len(xi) == 1
 
     def test_su_alpha_unit_slot(self):
         om = [0]
@@ -190,7 +191,7 @@ def removal_identity(family, omega, g):
     """Both sides of the catalog's removal identity for the generator g:
     delta(e_g) and the sum of c * xi over the entries with shift (g, c)."""
     L = build_algebra(family, omega)
-    delta = coboundary(OneCochain.basis_vector(L.dim, L.index(g)), L)
+    delta = oracle_coboundary(L, {L.index(g): 1})
     return delta, removals(predict(family, omega))[g]
 
 
@@ -222,7 +223,7 @@ class TestRemovalIdentities:
         # the identity reads delta(e_g) = 0
         for family, om, g in (("so", [1, 0, 1], J(0, 1)), ("su", [0], B(1))):
             delta, rhs = removal_identity(family, om, g)
-            assert not rhs.entries
+            assert not rhs
             assert delta == rhs
 
     def test_pair_combination_equals_coboundary_always(self):
@@ -288,8 +289,9 @@ class TestCrosscheck:
 
     def test_builds_no_rational_cochain(self, monkeypatch):
         # Each entry goes to the solver as the integer vector of its slots:
-        # with every way of making a TwoCochain patched to raise, the reports
-        # over the grid of the four acceptance sweeps stay the same.
+        # with `z2_basis`, the only place the solver makes Fractions, patched
+        # to raise, the reports over the grid of the four acceptance sweeps
+        # stay the same.
         grid = [
             (family, signs)
             for family, n in (("so", 5), ("su", 3), ("u", 3), ("sq", 2))
@@ -299,10 +301,9 @@ class TestCrosscheck:
         assert all(rep.match for rep in expected)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("crosscheck built a TwoCochain")
+            raise AssertionError("crosscheck built the Z2 basis")
 
-        monkeypatch.setattr(TwoCochain, "__init__", refuse)
-        monkeypatch.setattr(TwoCochain, "_wrap", refuse)
+        monkeypatch.setattr(CohomologySolver, "z2_basis", refuse)
         assert [crosscheck(family, signs) for family, signs in grid] == expected
 
     @pytest.mark.parametrize(
@@ -389,7 +390,7 @@ class TestCatalogShape:
         # degree <= 2 in each omega_k, and agreeing on {-1, 0, 1}^N proves
         # the identity for every omega.
         for n in range(1, nmax + 1):
-            _, monomials, entries = classify._catalog_shape(family, n)
+            monomials, entries = classify._catalog_shape(family, n)
             for _, ks in monomials:
                 assert all(1 <= k <= n for k in ks), (family, n, ks)
                 assert list(ks) == sorted(set(ks)), (family, n, ks)
@@ -510,13 +511,13 @@ def edit_entries(edit):
     edit may append new monomials to."""
 
     def mutate(shape):
-        dim, monomials, rows = shape
+        monomials, rows = shape
         monomials = list(monomials)
         rows = tuple(
             (name, ext_type, factors, *edit(name, slots, shift, monomials))
             for name, ext_type, factors, slots, shift in rows
         )
-        return dim, tuple(monomials), rows
+        return tuple(monomials), rows
 
     return mutate
 

@@ -290,8 +290,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
+            def starmap(self, fn, tasks):
+                return [fn(*t) for t in tasks]
 
         monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -403,21 +403,61 @@ class TestVerify:
         assert json.loads(out)["checks"]["closure_matrix_match"] == "pass"
         assert len(calls) == len(set(calls)) == 36
 
-    def test_coboundary_only_for_removal_identities(self, monkeypatch):
-        # The coboundaries-are-cocycles check reads the solver's integer
-        # delta(e_k) rows; only the removal identities build Fraction cochains.
+    def test_coboundary_rows_built_once(self, monkeypatch):
+        # Both the coboundaries-are-cocycles check and the removal identities
+        # read the solver's integer delta(e_k) rows, built once; neither
+        # builds the Z2 basis, the only place the solver makes Fractions.
         calls = []
-        real = cohomology.coboundary
+        real = cohomology.CohomologySolver.coboundary_rows
 
-        def counting(mu, L):
-            calls.append(mu)
-            return real(mu, L)
+        def counting(solver):
+            calls.append(solver)
+            return real(solver)
 
-        monkeypatch.setattr(cohomology, "coboundary", counting)
+        def refuse(solver):
+            raise AssertionError("verify built the Z2 basis")
+
+        monkeypatch.setattr(cohomology.CohomologySolver, "coboundary_rows", counting)
+        monkeypatch.setattr(cohomology.CohomologySolver, "z2_basis", refuse)
         omega = OmegaVector.coerce([1] * 5)
         checks = cli.verify_case("so", omega)
         assert checks["coboundaries_are_cocycles"] == checks["pseudoextension_removal"] == "pass"
-        assert len(calls) == len(removals(predict("so", omega))) == 5
+        assert len(removals(predict("so", omega))) == 5
+        assert len(calls) == 1
+
+    # Non-unit rationals: the constants' denominators have lcm d = 6, so
+    # each solver row is 6 * delta(e_g).
+    RATIONAL_SO = ("2/3", "-5", "1", "-1/2")
+
+    def test_doubled_shift_coefficient_fails(self, monkeypatch, capsys):
+        # alphaL[0,1] with twice its shift coefficient: delta(e_J(0,1)) no
+        # longer equals the sum of c * xi, and verify must say so.
+        real = classify._catalog_shape
+        monomials, rows = real("so", 4)
+        doubled = []
+        for name, ext_type, factors, slots, shift in rows:
+            if name == "alphaL[0,1]":
+                coef, ks = monomials[shift[1]]
+                shift = (shift[0], len(monomials))
+                monomials = (*monomials, (2 * coef, ks))
+            doubled.append((name, ext_type, factors, slots, shift))
+        mutant = (monomials, tuple(doubled))
+        monkeypatch.setattr(
+            classify, "_catalog_shape", lambda f, n: mutant if (f, n) == ("so", 4) else real(f, n)
+        )
+        assert lie_core.build_algebra("so", self.RATIONAL_SO).scale == 6
+        omega = ",".join(self.RATIONAL_SO)
+        code, out, _ = run(capsys, "verify", "--family", "so", f"--omega={omega}", "--format", "text")
+        assert code == 1
+        assert "pseudoextension_removal: fail" in out.splitlines()
+
+    def test_removal_check_needs_the_scale(self, monkeypatch):
+        # The identities hold on the real catalog, but only against d * rhs:
+        # the same check with d = 1 fails.
+        omega = OmegaVector.coerce(self.RATIONAL_SO)
+        assert cli.verify_case("so", omega)["pseudoextension_removal"] == "pass"
+        monkeypatch.setattr(lie_core.LieAlgebra, "scale", property(lambda L: 1))
+        assert cli.verify_case("so", omega)["pseudoextension_removal"] == "fail"
 
     def test_coboundaries_fail_on_a_broken_bracket(self, monkeypatch):
         # Negating one constant of so N=3 breaks Jacobi, so some delta(e_k)

@@ -20,7 +20,7 @@ from helpers import (
 from cklie import lie_core
 from cklie.ck_matrix import B, E, J, M, Mq, OmegaVector
 from cklie.classify import predict
-from cklie.cohomology import CohomologySolver, TwoCochain
+from cklie.cohomology import CohomologySolver
 from cklie.lie_core import (
     LieAlgebra,
     build_algebra,
@@ -342,20 +342,20 @@ class TestPermuteBasis:
 class TestExtendedAlgebra:
     def test_zero_cochain_direct_sum(self):
         L = build_so([1, 1])
-        ext = build_extended(L, TwoCochain(L.dim))
+        ext = build_extended(L, {})
         assert ext.dim == L.dim + 1
         assert ext.basis[-1] == XI_LABEL
         assert verify_jacobi(ext)
 
     def test_double_extension_rejected(self):
         # a second central generator would repeat XI_LABEL in the basis
-        ext = build_extended(build_so([1, 1]), TwoCochain(3))
+        ext = build_extended(build_so([1, 1]), {})
         with pytest.raises(ValueError, match="distinct"):
-            build_extended(ext, TwoCochain(4))
+            build_extended(ext, {})
 
     def test_central_generator_commutes(self):
         L = build_so([0, 1])
-        xi = TwoCochain(3, {(0, 1): Fraction(1)})
+        xi = {(0, 1): Fraction(1)}
         ext = build_extended(L, xi)
         last = ext.dim - 1
         for i in range(ext.dim):
@@ -363,7 +363,7 @@ class TestExtendedAlgebra:
 
     def test_nontrivial_coefficient_appears_in_bracket(self):
         L = build_so([0, 1])
-        xi = TwoCochain(3, {(0, 1): Fraction(5)})
+        xi = {(0, 1): Fraction(5)}
         ext = build_extended(L, xi)
         assert ext.bracket(0, 1).get(3) == 5
 
@@ -383,7 +383,7 @@ class TestExtendedAlgebra:
                 for j in range(i + 1, L.dim):
                     if rng.random() < 0.3:
                         entries[(i, j)] = Fraction(rng.randint(-3, 3))
-            xi = TwoCochain(L.dim, entries)
+            xi = {pair: v for pair, v in entries.items() if v}
             if not solver.is_cocycle(int_vector(solver, xi)):
                 found_non_cocycle += 1
                 assert not verify_jacobi(build_extended(L, xi))
@@ -391,7 +391,7 @@ class TestExtendedAlgebra:
 
     def test_agrees_with_oracle_on_non_cocycle(self):
         L = build_so([1, Fraction(-2, 3), Fraction(5, 2)])
-        xi = TwoCochain(L.dim, {(0, 1): Fraction(1, 3), (1, 2): Fraction(-7, 4)})
+        xi = {(0, 1): Fraction(1, 3), (1, 2): Fraction(-7, 4)}
         solver = CohomologySolver(L)
         assert not solver.is_cocycle(int_vector(solver, xi))
         ext = build_extended(L, xi)
@@ -404,8 +404,9 @@ class TestExtendedAlgebra:
         assert verify_jacobi(build_extended(L, xi))
 
     def test_dimension_mismatch_rejected(self):
+        # (0, 3) would pair X_0 with the new central generator itself
         with pytest.raises(ValueError):
-            build_extended(build_so([1, 1]), TwoCochain(5))
+            build_extended(build_so([1, 1]), {(0, 3): Fraction(1)})
 
 
 class TestSerialization:
