@@ -43,8 +43,8 @@ from .lie_core import (
 # compile these two modules: their names load them on first access.
 _LAZY = {
     "cohomology": ("CohomologyResult", "CohomologySolver", "h2"),
-    "classify": ("CatalogEntry", "CrosscheckReport", "ExtensionCatalog", "certify_rescaling",
-                 "crosscheck", "predict", "removals"),
+    "classify": ("CatalogEntry", "CrosscheckReport", "certify_rescaling", "crosscheck", "predict",
+                 "removals"),
 }
 __all__ = [n for n in globals() if n[0] != "_" and n not in ("scalars", "ck_matrix", "lie_core")]
 __all__ += [name for names in _LAZY.values() for name in names]

@@ -67,24 +67,22 @@ FAMILY_KIND = {
 }
 
 
-class OmegaVector:
-    """The N contraction coefficients omega_1..omega_N (1-based accessors).
+class OmegaVector(tuple):
+    """The N contraction coefficients omega_1..omega_N: a tuple of Fractions,
+    omega_k at index k - 1.
 
     Entries are arbitrary rationals.  Every nonzero entry could be rescaled
     to +-1 without changing the algebra up to isomorphism; that reduction is
     never forced, so rescaling covariance stays testable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable):
+    def __new__(cls, coeffs: Iterable):
         vals = tuple(_frac(c) for c in coeffs)
         if not vals:
             raise ValueError("omega must have at least one coefficient")
-        object.__setattr__(self, "coeffs", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OmegaVector is immutable")
+        return super().__new__(cls, vals)
 
     @classmethod
     def coerce(cls, value) -> "OmegaVector":
@@ -102,37 +100,26 @@ class OmegaVector:
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return len(self)
 
     def product(self, a: int, b: int) -> Fraction:
         """Two-index coefficient: product omega_{a+1} * ... * omega_b, 1 when a == b."""
         if not 0 <= a <= b <= self.n:
             raise ValueError(f"need 0 <= a <= b <= {self.n}, got a={a}, b={b}")
-        return prod(self.coeffs[a:b], start=_F1)
+        return prod(self[a:b], start=_F1)
 
     @property
     def n_zeros(self) -> int:
-        return sum(1 for c in self.coeffs if not c)
+        return sum(1 for c in self if not c)
 
     def text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, OmegaVector):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+        return ",".join(str(c) for c in self)
 
     def __repr__(self) -> str:
         return f"OmegaVector(({self.text()}))"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
+        return "(" + ", ".join(str(c) for c in self) + ")"
 
 
 def build_metric(omega) -> tuple[Fraction, ...]:
@@ -238,8 +225,6 @@ def labels_for_family(family: str, n: int) -> list[GeneratorLabel]:
     return js + mqs + es
 
 
-# The highest unit each kind allows: 1; 1 and i_1; all four.
-_TOP_UNIT = {Kind.REAL: 0, Kind.COMPLEX: 1, Kind.QUATERNION: 3}
 _SYMBOL = ("", "i", "j", "k")
 
 
@@ -277,7 +262,8 @@ class MatrixOverK:
 
     def __init__(self, dim: int, kind: Kind, cells=None):
         cells = dict(cells) if cells else {}
-        top = _TOP_UNIT[kind]
+        # R, C and H have real dimension 2**kind, so units 0 .. 2**kind - 1.
+        top = 2**kind - 1
         for (i, j), (u, v) in cells.items():
             if type(v) is not int and type(v) is not Fraction:
                 raise TypeError(f"entry ({i}, {j}) must be an int or a Fraction, got {v!r}")

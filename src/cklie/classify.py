@@ -32,8 +32,8 @@ The rules above are data: they run once per (family, N) on monomials, an
 integer times a squarefree product of omegas, and yield one entry per
 coefficient with its constraint factors, its cochain slots and, for type
 II, the generator shift (g, c) that removes it; `predict` evaluates each
-distinct monomial once per omega, and an entry is active iff every factor
-vanishes.  The catalog thus states one removal identity per shifted
+distinct monomial once per omega and returns the tuple of entries, each
+active iff every factor vanishes.  The catalog thus states one removal identity per shifted
 generator, delta(e_g) = sum of c * xi over the entries that shift g;
 `removals` builds each right-hand side as a plain {(i, j): Fraction} map,
 and `verify` compares it, scaled by the lcm d of the constants'
@@ -47,7 +47,9 @@ sq N <= 4.
 as the integer column vector of its slots: counts must agree, the active
 coefficients must be nontrivial cocycles that form a basis of H2, every
 inactive type II must be trivial or forced to zero, every inactive type III
-must fail the cocycle equations.
+must fail the cocycle equations.  Its report serializes once
+(`to_json_obj`), each verdict as its own fields; `h2` and `sweep` print
+from that report.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .lie_core import _shape, build_algebra
 
 __all__ = [
     "CatalogEntry",
-    "ExtensionCatalog",
     "certify_rescaling",
     "predict",
     "removals",
@@ -86,14 +87,6 @@ Monomial = tuple[int, tuple[int, ...]]
 CatalogEntry = namedtuple(
     "CatalogEntry", "name ext_type active slots shift", defaults=(None,)
 )
-
-
-class ExtensionCatalog(namedtuple("ExtensionCatalog", "family omega entries")):
-    __slots__ = ()
-
-    @property
-    def predicted(self) -> int:
-        return sum(1 for e in self.entries if e.active)
 
 
 def _mono(*ks: int, coef: int = 1) -> Monomial:
@@ -242,15 +235,14 @@ def certify_rescaling(family: str, n: int) -> None:
                 )
 
 
-def predict(family: str, omega) -> ExtensionCatalog:
-    """Extension-coefficient catalog of `family` at omega: each monomial of
-    the cached shape evaluated once, each entry active iff every factor
-    vanishes."""
+def predict(family: str, omega) -> tuple[CatalogEntry, ...]:
+    """Extension-coefficient catalog of `family` at omega, one entry per
+    coefficient: each monomial of the cached shape evaluated once, each
+    entry active iff every factor vanishes."""
     om = OmegaVector.coerce(omega)
     monomials, rows = _catalog_shape(family, om.n)
-    w = om.coeffs
-    v = [coef * prod([w[k - 1] for k in ks], start=_F1) for coef, ks in monomials]
-    entries = tuple(
+    v = [coef * prod([om[k - 1] for k in ks], start=_F1) for coef, ks in monomials]
+    return tuple(
         CatalogEntry(
             name,
             ext_type,
@@ -260,10 +252,11 @@ def predict(family: str, omega) -> ExtensionCatalog:
         )
         for name, ext_type, factors, slots, shift in rows
     )
-    return ExtensionCatalog(family, om, entries)
 
 
-def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, dict[tuple[int, int], Fraction]]:
+def removals(
+    catalog: tuple[CatalogEntry, ...],
+) -> dict[GeneratorLabel, dict[tuple[int, int], Fraction]]:
     """Right-hand sides of the type II removal identities: for each shifted
     generator g, the sum of c * xi over the catalog entries with shift (g, c),
     as {(i, j): value} over i < j indices of the canonical basis of the
@@ -275,7 +268,7 @@ def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, dict[tuple[int, 
     (w_{a+1}, w_{a+3}) always.
     """
     sums: dict[GeneratorLabel, dict[tuple[int, int], Fraction]] = {}
-    for entry in catalog.entries:
+    for entry in catalog:
         if entry.shift:
             g, c = entry.shift
             acc = sums.setdefault(g, {})
@@ -284,24 +277,11 @@ def removals(catalog: ExtensionCatalog) -> dict[GeneratorLabel, dict[tuple[int, 
     return {g: {pair: v for pair, v in acc.items() if v} for g, acc in sums.items()}
 
 
-# trivial is None when the cochain is not a cocycle.
-class CoefficientVerdict(
-    namedtuple(
-        "CoefficientVerdict", "name ext_type active is_cocycle trivial ok note", defaults=("",)
-    )
-):
-    __slots__ = ()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.ext_type,
-            "active": self.active,
-            "cocycle": self.is_cocycle,
-            "trivial": self.trivial,
-            "ok": self.ok,
-            "note": self.note,
-        }
+# The fields are the JSON keys; trivial is None when the cochain is not a
+# cocycle.
+CoefficientVerdict = namedtuple(
+    "CoefficientVerdict", "name type active cocycle trivial ok note", defaults=("",)
+)
 
 
 class CrosscheckReport(
@@ -310,19 +290,8 @@ class CrosscheckReport(
         "family omega n_zeros predicted dim_z2 dim_b2 dim_h2 verdicts match solver",
     )
 ):
-    # The solver, last, is kept for callers but is left out of equality, repr
-    # and serialization.  != is spelled out too: tuple's own would compare it.
+    # The solver, last, is kept for callers but left out of serialization.
     __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CrosscheckReport) and self[:-1] == other[:-1]
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:-1]))
-        return f"CrosscheckReport({fields})"
 
     def to_json_obj(self) -> dict:
         return {
@@ -335,7 +304,7 @@ class CrosscheckReport(
             "dim_b2": self.dim_b2,
             "dim_h2": self.dim_h2,
             "match": self.match,
-            "coefficients": [v.to_json_obj() for v in self.verdicts],
+            "coefficients": [v._asdict() for v in self.verdicts],
         }
 
 
@@ -350,14 +319,13 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
     representatives from the same run.
     """
     om = OmegaVector.coerce(omega)
-    catalog = predict(family, om)
     solver = CohomologySolver(build_algebra(family, om))
     res = solver.result()
     pair_index = solver.pair_index
     verdicts: list[CoefficientVerdict] = []
     active: list[dict[int, int]] = []
     all_ok = True
-    for entry in catalog.entries:
+    for entry in predict(family, om):
         m = lcm(*(c.denominator for _, _, c in entry.slots))
         vec = {pair_index[i, j]: c.numerator * (m // c.denominator) for i, j, c in entry.slots}
         cocycle_ok = solver.is_cocycle(vec)
@@ -378,21 +346,16 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
         all_ok = all_ok and ok
         verdicts.append(
             CoefficientVerdict(
-                name=entry.name,
-                ext_type=entry.ext_type,
-                active=entry.active,
-                is_cocycle=cocycle_ok,
-                trivial=trivial,
-                ok=ok,
-                note=note,
+                entry.name, entry.ext_type, entry.active, cocycle_ok, trivial, ok, note
             )
         )
-    match = all_ok and catalog.predicted == res.dim_h2 == solver.rank_mod_b2(active)
+    predicted = len(active)
+    match = all_ok and predicted == res.dim_h2 == solver.rank_mod_b2(active)
     return CrosscheckReport(
         family=family,
         omega=om,
         n_zeros=om.n_zeros,
-        predicted=catalog.predicted,
+        predicted=predicted,
         dim_z2=res.dim_z2,
         dim_b2=res.dim_b2,
         dim_h2=res.dim_h2,

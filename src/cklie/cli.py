@@ -154,26 +154,17 @@ def _h2_payload(family: str, omega: OmegaVector) -> dict:
 
     report = crosscheck(family, omega)
     L = report.solver.algebra
-    payload = {
-        "family": family,
-        "n": omega.n,
-        "omega": [str(c) for c in omega],
-        "n_zeros": omega.n_zeros,
-        "dim": L.dim,
-        "dim_z2": report.dim_z2,
-        "dim_b2": report.dim_b2,
-        "dim_h2": report.dim_h2,
-        "representatives": [
-            {"pairs": [
-                {"i": i, "j": j, "c": str(c), "label_i": str(L.basis[i]), "label_j": str(L.basis[j])}
-                for (i, j), c in sorted(xi.items())
-            ]}
-            for xi in report.solver.representatives()
-        ],
-    }
-    payload["crosscheck"] = report.to_json_obj()
-    payload["predicted"] = report.predicted
-    payload["match"] = report.match
+    summary = report.to_json_obj()
+    payload = {key: value for key, value in summary.items() if key != "coefficients"}
+    payload["dim"] = L.dim
+    payload["representatives"] = [
+        {"pairs": [
+            {"i": i, "j": j, "c": str(c), "label_i": str(L.basis[i]), "label_j": str(L.basis[j])}
+            for (i, j), c in sorted(xi.items())
+        ]}
+        for xi in report.solver.representatives()
+    ]
+    payload["crosscheck"] = summary
     return payload
 
 
@@ -207,17 +198,8 @@ def run_case(family: str, signs: tuple[int, ...]) -> dict:
 
     omega = OmegaVector.coerce(signs)
     report = crosscheck(family, omega)
-    return {
-        "family": family,
-        "N": omega.n,
-        "omega": omega.text(),
-        "n_zeros": omega.n_zeros,
-        "dim_z2": report.dim_z2,
-        "dim_b2": report.dim_b2,
-        "dim_h2": report.dim_h2,
-        "predicted": report.predicted,
-        "match": report.match,
-    }
+    row = {"family": family, "N": omega.n, "omega": omega.text()}
+    return row | {column: getattr(report, column) for column in SWEEP_COLUMNS[3:]}
 
 
 def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
@@ -303,12 +285,8 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
     checks["antihermitian"] = (
         "pass" if all(is_metric_antihermitian(m, metric) for m in mats) else "fail"
     )
-    if family == "su":
-        checks["traceless"] = "pass" if all(is_traceless(m) for m in mats) else "fail"
-    elif family == "u":
-        ok = all(
-            is_traceless(m) for lab, m in zip(labels, mats) if lab != I_LABEL
-        )
+    if family in ("su", "u"):
+        ok = all(is_traceless(m) for lab, m in zip(labels, mats) if lab != I_LABEL)
         checks["traceless"] = "pass" if ok else "fail"
     else:
         checks["traceless"] = "skipped"

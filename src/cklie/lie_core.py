@@ -327,7 +327,7 @@ def _omega_table(om: OmegaVector) -> list[list[Fraction | None]]:
     w = []
     for a in range(om.n + 1):
         row: list[Fraction | None] = [None] * a + [_F1]
-        for c in om.coeffs[a:]:
+        for c in om[a:]:
             row.append(row[-1] * c)
         w.append(row)
     return w

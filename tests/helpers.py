@@ -389,12 +389,12 @@ def bracket_of(L, u, v):
 
 def omega_signs(omega):
     """The sign of each coefficient: 1, 0 or -1."""
-    return tuple((c > 0) - (c < 0) for c in OmegaVector.coerce(omega).coeffs)
+    return tuple((c > 0) - (c < 0) for c in OmegaVector.coerce(omega))
 
 
 def zero_set(omega):
     """1-based indices of the vanishing coefficients."""
-    return frozenset(k for k, c in enumerate(OmegaVector.coerce(omega).coeffs, 1) if not c)
+    return frozenset(k for k, c in enumerate(OmegaVector.coerce(omega), 1) if not c)
 
 
 def with_zeros(omega, indices):
@@ -404,7 +404,7 @@ def with_zeros(omega, indices):
     for k in idx:
         if not 1 <= k <= om.n:
             raise ValueError(f"omega index {k} out of range 1..{om.n}")
-    return OmegaVector(0 if k in idx else c for k, c in enumerate(om.coeffs, 1))
+    return OmegaVector(0 if k in idx else c for k, c in enumerate(om, 1))
 
 
 def cochain_sum(*cochains):
@@ -453,11 +453,11 @@ def int_vector(solver, xi):
 def coefficient_cocycle(family, omega, name, value=1):
     """The cochain of one named catalog entry: its slots, each scaled by value."""
     value = _frac(value)
-    catalog = predict(family, omega)
-    for entry in catalog.entries:
+    om = OmegaVector.coerce(omega)
+    for entry in predict(family, om):
         if entry.name == name:
             return {(i, j): c * value for i, j, c in entry.slots if value}
-    raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={catalog.omega.n}")
+    raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={om.n}")
 
 
 def is_trivial(solver, xi):
@@ -551,11 +551,12 @@ def kernel_rank(matrix):
     ]
 
 
-def run_fresh(code: str) -> str:
-    """Standard output of `code` run in a fresh interpreter, with this
-    checkout's package on the path; what it imports is what a launch pays."""
+def run_fresh(*argv: str) -> str:
+    """Standard output of a fresh interpreter run with the arguments argv,
+    e.g. "-c", code, with this checkout's package on the path; what it
+    imports is what a launch pays."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

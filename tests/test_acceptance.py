@@ -220,7 +220,7 @@ def test_c09_beta_constraint_equivalence():
             om = OmegaVector.coerce(signs)
             L = build_so(om)
             solver = CohomologySolver(L)
-            catalog = {entry.name: entry for entry in predict("so", om).entries}
+            catalog = {entry.name: entry for entry in predict("so", om)}
             for b in range(n - 2):
                 for d in range(b + 2, n):
                     checks += 1

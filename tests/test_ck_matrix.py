@@ -60,7 +60,7 @@ class TestOmegaVector:
 
     def test_parse_and_text_roundtrip(self):
         om = OmegaVector.parse("1,0,-1/2")
-        assert om.coeffs == (Fraction(1), Fraction(0), Fraction(-1, 2))
+        assert om == (Fraction(1), Fraction(0), Fraction(-1, 2))
         assert om.text() == "1,0,-1/2"
 
     def test_signs_and_zero_set(self):
@@ -71,13 +71,37 @@ class TestOmegaVector:
 
     def test_with_zeros(self):
         om = with_zeros(OmegaVector([1, 1, 1]), {1, 2})
-        assert om.coeffs == (0, 0, 1)
+        assert om == (0, 0, 1)
         with pytest.raises(ValueError):
             with_zeros(OmegaVector([1]), {2})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             OmegaVector([])
+
+    def test_is_its_tuple_of_fractions(self):
+        om = OmegaVector([1, 0, "-1/2"])
+        coeffs = (Fraction(1), Fraction(0), Fraction(-1, 2))
+        assert om == coeffs and coeffs == om and hash(om) == hash(coeffs)
+        assert all(type(c) is Fraction for c in om) and om[2] == coeffs[2]
+        assert len({om, coeffs, OmegaVector.parse("1,0,-1/2")}) == 1
+        assert om != OmegaVector([1, 0, "1/2"]) and om != coeffs[:2]
+        assert OmegaVector.coerce(om) is om and OmegaVector.coerce(coeffs) == om
+        assert (repr(om), str(om)) == ("OmegaVector((1,0,-1/2))", "(1, 0, -1/2)")
+
+    def test_read_only(self):
+        om = OmegaVector([1, 1])
+        for name in ("coeffs", "n", "n_zeros", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(om, name, (2,))
+        assert om == (1, 1) and om.n == 2
+
+    @pytest.mark.parametrize("bad", [[], [0.5], [1, 1.0], [True], [1, False]])
+    def test_empty_float_and_bool_input_rejected(self, bad):
+        with pytest.raises(TypeError if bad else ValueError):
+            OmegaVector(bad)
+        with pytest.raises(TypeError if bad else ValueError):
+            OmegaVector.coerce(tuple(bad))
 
 
 class TestMetric:

@@ -35,7 +35,7 @@ def sign_patterns(n):
 
 
 def active_names(catalog):
-    return [e.name for e in catalog.entries if e.active]
+    return [e.name for e in catalog if e.active]
 
 
 class TestZeroPattern:
@@ -46,37 +46,37 @@ class TestZeroPattern:
 
 class TestPredictSo:
     def test_simple_signature_cases_have_none(self):
-        assert predict("so", [1, 1, 1, 1]).predicted == 0
-        assert predict("so", [-1, 1, -1, 1]).predicted == 0
+        assert active_names(predict("so", [1, 1, 1, 1])) == []
+        assert active_names(predict("so", [-1, 1, -1, 1])) == []
 
     def test_galilei_n3(self):
         cat = predict("so", [0, 0, 1])
         assert sorted(active_names(cat)) == ["alphaF[2,3]", "alphaL[0,1]", "beta[1,3]"]
-        assert cat.predicted == 3
+        assert len(active_names(cat)) == 3
 
     def test_flag_n4(self):
         cat = predict("so", [0, 0, 0, 0])
-        assert cat.predicted == 9  # 2(N-1) type II + (N-1)(N-2)/2 type III
+        assert len(active_names(cat)) == 9  # 2(N-1) type II + (N-1)(N-2)/2 type III
 
     def test_deep_zero_tail_n5(self):
         cat = predict("so", [0, 0, 1, 1, 1])
         assert active_names(cat) == ["alphaL[0,1]"]
 
     def test_n1_empty_catalog(self):
-        assert predict("so", [1]).entries == ()
-        assert predict("so", [0]).predicted == 0
+        assert predict("so", [1]) == ()
+        assert active_names(predict("so", [0])) == []
 
     def test_n2_only_singletons(self):
         cat = predict("so", [0, 1])
-        assert [e.name for e in cat.entries] == ["alphaL[0,1]", "alphaF[1,2]"]
+        assert [e.name for e in cat] == ["alphaL[0,1]", "alphaF[1,2]"]
         assert active_names(cat) == ["alphaF[1,2]"]
 
     def test_entry_counts(self):
         for n in range(2, 7):
             cat = predict("so", [1] * n)
             singletons = ("alphaL[0,1]", f"alphaF[{n - 1},{n}]")
-            n_pairs = sum(1 for e in cat.entries if e.ext_type == "II" and e.name not in singletons)
-            n_beta = sum(1 for e in cat.entries if e.ext_type == "III")
+            n_pairs = sum(1 for e in cat if e.ext_type == "II" and e.name not in singletons)
+            n_beta = sum(1 for e in cat if e.ext_type == "III")
             assert n_pairs == 2 * (n - 2)
             assert n_beta == (n - 1) * (n - 2) // 2
 
@@ -84,13 +84,13 @@ class TestPredictSo:
         # enlarging the zero set never deactivates an entry
         for n in (3, 4, 5):
             for signs in sign_patterns(n):
-                before = {e.name: e.active for e in predict("so", signs).entries}
+                before = {e.name: e.active for e in predict("so", signs)}
                 for k in range(1, n + 1):
                     if signs[k - 1] == 0:
                         continue
                     contracted = list(signs)
                     contracted[k - 1] = 0
-                    after = {e.name: e.active for e in predict("so", contracted).entries}
+                    after = {e.name: e.active for e in predict("so", contracted)}
                     for name, was_active in before.items():
                         if was_active:
                             assert after[name], (signs, k, name)
@@ -98,7 +98,7 @@ class TestPredictSo:
 
 class TestPredictUnitaryAndSq:
     def test_su_formula(self):
-        assert predict("su", [1, 1]).predicted == 0
+        assert active_names(predict("su", [1, 1])) == []
         assert active_names(predict("su", [0, 1])) == ["alpha[1]"]
         assert sorted(active_names(predict("su", [0, 0, 1]))) == [
             "alpha[1]",
@@ -108,25 +108,26 @@ class TestPredictUnitaryAndSq:
         for n in (1, 2, 3):
             for signs in sign_patterns(n):
                 nz = signs.count(0)
-                assert predict("su", signs).predicted == nz * (nz + 1) // 2
+                assert len(active_names(predict("su", signs))) == nz * (nz + 1) // 2
 
     def test_u_formula(self):
-        assert predict("u", [1]).predicted == 0
+        assert active_names(predict("u", [1])) == []
         assert sorted(active_names(predict("u", [0]))) == ["alpha[1]", "gamma[1]"]
-        assert predict("u", [0, 0, 0]).predicted == 9
+        assert len(active_names(predict("u", [0, 0, 0]))) == 9
         for n in (1, 2, 3):
             for signs in sign_patterns(n):
                 nz = signs.count(0)
-                assert predict("u", signs).predicted == nz * (nz + 3) // 2
+                assert len(active_names(predict("u", signs))) == nz * (nz + 3) // 2
 
     def test_sq_always_empty(self):
         for n in (1, 2, 3, 4):
             for signs in [(1,) * n, (0,) * n, (-1, 1) * (n // 2) or (-1,) * n]:
-                assert predict("sq", signs).predicted == 0
-        assert predict("sq", [-1, 1]).entries == ()
+                assert active_names(predict("sq", signs)) == []
+        assert predict("sq", [-1, 1]) == ()
 
     def test_predict_dispatch(self):
-        assert predict("so", [0, 1]).family == "so"
+        assert [e.name for e in predict("so", [0, 1])] == ["alphaL[0,1]", "alphaF[1,2]"]
+        assert [e.name for e in predict("u", [1])] == ["alpha[1]", "gamma[1]"]
         with pytest.raises(ValueError):
             predict("sp", [1])
 
@@ -279,7 +280,7 @@ class TestCrosscheck:
     def test_type_iii_forced_zero_verdict(self):
         rep = crosscheck("so", [1, 1, 1])
         beta = [v for v in rep.verdicts if v.name == "beta[1,3]"][0]
-        assert not beta.active and not beta.is_cocycle and beta.ok
+        assert not beta.active and not beta.cocycle and beta.ok
 
     def test_small_sweeps_all_match(self):
         for family, nmax in (("so", 4), ("su", 2), ("u", 2), ("sq", 2)):
@@ -297,14 +298,14 @@ class TestCrosscheck:
             for family, n in (("so", 5), ("su", 3), ("u", 3), ("sq", 2))
             for signs in sign_patterns(n)
         ]
-        expected = [crosscheck(family, signs) for family, signs in grid]
-        assert all(rep.match for rep in expected)
+        expected = [crosscheck(family, signs).to_json_obj() for family, signs in grid]
+        assert all(obj["match"] for obj in expected)
 
         def refuse(*args, **kwargs):
             raise AssertionError("crosscheck built the Z2 basis")
 
         monkeypatch.setattr(CohomologySolver, "z2_basis", refuse)
-        assert [crosscheck(family, signs) for family, signs in grid] == expected
+        assert [crosscheck(family, signs).to_json_obj() for family, signs in grid] == expected
 
     @pytest.mark.parametrize(
         "family,signs",
@@ -322,14 +323,14 @@ class TestCrosscheck:
         # the active entries no longer span H2: match must say so.
         def mutant(family, omega):
             cat = predict(family, omega)
-            by_name = {e.name: e for e in cat.entries}
-            n = cat.omega.n
+            by_name = {e.name: e for e in cat}
+            n = OmegaVector.coerce(omega).n
             entries = []
-            for e in cat.entries:
+            for e in cat:
                 if e.name.startswith("alphaF[") and e.name != f"alphaF[{n - 1},{n}]":
                     e = e._replace(slots=by_name["alphaL" + e.name[len("alphaF"):]].slots)
                 entries.append(e)
-            return cat._replace(entries=tuple(entries))
+            return tuple(entries)
 
         monkeypatch.setattr(classify, "predict", mutant)
         caught = 0
@@ -403,16 +404,15 @@ class TestCatalogShape:
 
 class TestRecords:
     """The immutable records: fields in order and read-only, defaults, label
-    hashing, and a crosscheck report whose equality and repr leave out its
+    hashing, and a crosscheck report whose serialization leaves out its
     solver."""
 
     FIELDS = {
         "GeneratorLabel": ("variant", "indices"),
         "CocycleSystem": ("n_unknowns", "rows"),
         "CohomologyResult": ("dim_z2", "dim_b2", "dim_h2"),
-        "ExtensionCatalog": ("family", "omega", "entries"),
         "CatalogEntry": ("name", "ext_type", "active", "slots", "shift"),
-        "CoefficientVerdict": ("name", "ext_type", "active", "is_cocycle", "trivial", "ok", "note"),
+        "CoefficientVerdict": ("name", "type", "active", "cocycle", "trivial", "ok", "note"),
         "CrosscheckReport": (
             "family", "omega", "n_zeros", "predicted", "dim_z2", "dim_b2", "dim_h2",
             "verdicts", "match", "solver",
@@ -423,7 +423,7 @@ class TestRecords:
         rep = crosscheck("so", [0, 0, 1])
         catalog = predict("so", [0, 0, 1])
         records = [
-            J(0, 1), rep.solver.system(), rep.solver.result(), catalog, catalog.entries[0],
+            J(0, 1), rep.solver.system(), rep.solver.result(), catalog[0],
             rep.verdicts[0], rep,
         ]
         assert sorted(type(r).__name__ for r in records) == sorted(self.FIELDS)
@@ -443,17 +443,17 @@ class TestRecords:
     def test_defaults(self):
         assert CatalogEntry("beta[1,3]", "III", False, ()).shift is None
         assert CoefficientVerdict("beta[1,3]", "III", False, False, None, True).note == ""
-        entries = predict("so", [0, 0, 1]).entries
+        entries = predict("so", [0, 0, 1])
         assert all(e.shift is None for e in entries if e.ext_type == "III")
 
-    def test_report_equality_and_repr_leave_out_the_solver(self):
+    def test_report_serialization_leaves_out_the_solver(self):
         a, b = crosscheck("so", [0, 0, 1]), crosscheck("so", [0, 0, 1])
         assert a.solver is not b.solver
-        assert a == b and not a != b
-        assert repr(a) == repr(b)
-        assert repr(a).startswith("CrosscheckReport(family='so', omega=OmegaVector((0,0,1))")
-        assert "solver" not in repr(a) and "CohomologySolver" not in repr(a)
-        assert a != crosscheck("so", [0, 1, 1])
+        assert a.to_json_obj() == b.to_json_obj()
+        text = json.dumps(a.to_json_obj(), sort_keys=True)
+        assert "solver" not in text and "Cohomology" not in text
+        assert a[:-1] == b[:-1] and a.to_json_obj() != crosscheck("so", [0, 1, 1]).to_json_obj()
+        assert list(a.to_json_obj()["coefficients"][0]) == list(CoefficientVerdict._fields)
 
 
 class TestRescalingCovariance:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -542,7 +543,7 @@ class TestImport:
     def test_cli_import_leaves_multiprocessing_unloaded(self):
         # Only a parallel sweep needs multiprocessing; every launch pays for
         # what `import cklie.cli` loads.
-        run_fresh("import cklie.cli, sys; assert 'multiprocessing' not in sys.modules")
+        run_fresh("-c", "import cklie.cli, sys; assert 'multiprocessing' not in sys.modules")
 
     def test_structure_loads_no_dataclasses_cohomology_or_classify(self):
         # Every launch compiles the package modules it imports, so a command
@@ -564,7 +565,7 @@ loaded["h2"] = [m for m in heavy if m in sys.modules]
 digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
 print(json.dumps([code, h2_code, digest, loaded]))
 """
-        code, h2_code, digest, loaded = json.loads(run_fresh(script))
+        code, h2_code, digest, loaded = json.loads(run_fresh("-c", script))
         assert code == 0 and h2_code == 0
         assert loaded == {
             "import": [],
@@ -572,3 +573,32 @@ print(json.dumps([code, h2_code, digest, loaded]))
             "h2": ["cklie.cohomology", "cklie.classify"],
         }
         assert digest == "aa4c78bcff7094bea372e62fe8d6d5876364ccf842e6239d70e3fb5d470e9eb6"
+
+
+class TestTraceWrapper:
+    """perfbench/trace_cli.py wraps each layer's entry points by name; a
+    change to those names or to what they return must keep it working."""
+
+    TRACE_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "trace_cli.py"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["h2", "--family", "so", "--omega=0,1,1"],
+            ["sweep", "--family", "su", "--n", "2", "--jobs", "1", "--format", "csv"],
+        ],
+    )
+    def test_traced_run_prints_the_same_and_counts_each_layer(self, tmp_path, argv):
+        spans_path = tmp_path / "spans.json"
+        traced = run_fresh(str(self.TRACE_CLI), str(spans_path), *argv)
+        assert traced == run_fresh("-m", "cklie.cli", *argv)
+        spans = json.loads(spans_path.read_text(encoding="utf-8"))
+        counts = {}
+        for name, _, _, _, count, _ in spans:
+            if count:
+                counts.setdefault(name, []).append(count)
+        assert counts["classify.crosscheck"]
+        assert all(c["catalog_entries"] > 0 for c in counts["classify.crosscheck"])
+        assert counts["cohomology.system"]
+        for c in counts["cohomology.system"]:
+            assert set(c) == {"unknowns", "equations", "nonzeros"} and c["unknowns"] > 0

@@ -414,7 +414,7 @@ class TestIsCocycle:
         cochains = list(units)
         for density in (0.05, 0.2):
             cochains += [random_cochain(rng, L.dim, density) for _ in range(8)]
-        names = [entry.name for entry in predict(family, omega).entries]
+        names = [entry.name for entry in predict(family, omega)]
         for xi in [row_cochain(solver, row) for row in solver._b2_echelon().values()] + [
             coefficient_cocycle(family, omega, name) for name in names
         ]:

@@ -288,7 +288,7 @@ class TestShape:
             build_algebra("sq", om)
         assert from_matrices("sq", om).same_constants(expected)
         for family in ("so", "su", "u"):
-            assert predict(family, om).entries
+            assert predict(family, om)
 
     def test_cache_hands_out_no_shared_state(self):
         om = [Fraction(2), Fraction(-3)]
