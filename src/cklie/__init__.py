@@ -29,10 +29,6 @@ from .ck_matrix import (
 from .lie_core import (
     LieAlgebra,
     build_algebra,
-    build_so,
-    build_sq,
-    build_su,
-    build_u,
     epsilon,
     from_matrices,
     verify_jacobi,
@@ -42,7 +38,7 @@ from .lie_core import (
 # commands that never solve for H2 (structure, generators) neither import nor
 # compile these two modules: their names load them on first access.
 _LAZY = {
-    "cohomology": ("CohomologyResult", "CohomologySolver", "h2"),
+    "cohomology": ("CohomologyResult", "CohomologySolver"),
     "classify": ("CatalogEntry", "CrosscheckReport", "certify_rescaling", "crosscheck", "predict",
                  "removals"),
 }

@@ -25,7 +25,7 @@ from .ck_matrix import (
     is_traceless,
     labels_for_family,
 )
-from .lie_core import LieAlgebra, _from_generators, build_algebra, from_matrices, verify_jacobi
+from .lie_core import _from_generators, build_algebra, from_matrices, verify_jacobi
 
 # cohomology and classify are imported inside the commands that solve for H2
 # (h2, sweep, verify), so that structure and generators load neither.
@@ -116,15 +116,6 @@ def cmd_generators(args: argparse.Namespace) -> int:
 
 def cmd_structure(args: argparse.Namespace) -> int:
     L = build_algebra(args.family, args.omega)
-    if args.corrupt:
-        rows = sorted(L.constants)
-        if not rows:
-            raise InputError("algebra is abelian; nothing to corrupt")
-        pair = rows[0]
-        terms = dict(L.constants[pair])
-        k = min(terms)
-        terms[k] = -terms[k]
-        L = LieAlgebra(L.family, L.omega, L.basis, {**L.constants, pair: terms})
     jacobi_ok = verify_jacobi(L)
     matrix_match = from_matrices(args.family, args.omega).same_constants(L)
     payload = L.to_json_obj()
@@ -368,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_struct = sub.add_parser("structure", help="structure constants + verification")
     common(p_struct, need_omega=True)
-    p_struct.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="negate one structure constant first (verification must then fail)",
-    )
 
     p_h2 = sub.add_parser("h2", help="second cohomology + predictor crosscheck")
     common(p_h2, need_omega=True)
@@ -401,7 +387,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_size(args)
-        return _COMMANDS[args.command](args)
+        # The int <-> str digit limit (against quadratic-time conversion) holds
+        # for the input; printed products and representatives may exceed it.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            return _COMMANDS[args.command](args)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

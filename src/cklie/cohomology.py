@@ -18,16 +18,17 @@ vector {pair_index[(i, j)]: int}, and delta(e_k) is the k-th coboundary row,
 the only coboundary built here.  The fraction-free kernel of `ck_matrix`
 first takes out the columns of single-entry rows (most equations say
 xi_c = 0); its forward elimination then gives the dims alone (dim Z2 =
-unknowns - rank of the system, dim B2 = rank of the coboundary rows), and a
-cochain is a coboundary exactly when its integer vector leaves no residue
-against the B2 echelon.  The cocycle test evaluates only the equations that
-hold a nonzero column of the cochain.  Only the representatives that `h2`
-prints need a basis: the system echelon is back-substituted, its integer
-nullspace reduced in turn, and each Z2 row divided by its pivot into a
-plain {(i, j): Fraction} map, the only Fractions made here.  The RREF of a
-row space, and so its set of pivot columns, is unique, so nothing depends
-on row order or on the pre-pass.  A wrong rank here would be a wrong
-theorem, so no floating point is allowed.
+unknowns - rank of the system, dim B2 = rank of the coboundary rows), which
+`CohomologySolver(L).result()` returns, and a cochain is a coboundary
+exactly when its integer vector leaves no residue against the B2 echelon.
+The cocycle test evaluates only the equations that hold a nonzero column of
+the cochain.  Only the representatives that the `h2` command prints need a
+basis: the system echelon is back-substituted, its integer nullspace
+reduced in turn, and each Z2 row divided by its pivot into a plain
+{(i, j): Fraction} map, the only Fractions made here.  The RREF of a row
+space, and so its set of pivot columns, is unique, so nothing depends on
+row order or on the pre-pass.  A wrong rank here would be a wrong theorem,
+so no floating point is allowed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "CohomologyResult",
     "CocycleSystem",
     "CohomologySolver",
-    "h2",
 ]
 
 
@@ -273,13 +273,3 @@ class CohomologySolver:
         b2 = self._b2_echelon()
         return len(_echelon_int([*b2.values(), *vectors])) - len(b2)
 
-
-# ---------------------------------------------------------------------------
-# Functional API
-# ---------------------------------------------------------------------------
-
-
-def h2(L) -> CohomologyResult:
-    """Dimensions of Z2, B2 and H2; the representative cocycles are
-    :meth:`CohomologySolver.representatives`."""
-    return CohomologySolver(L).result()

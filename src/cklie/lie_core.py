@@ -48,10 +48,6 @@ from .scalars import Kind
 
 __all__ = [
     "LieAlgebra",
-    "build_so",
-    "build_su",
-    "build_u",
-    "build_sq",
     "build_algebra",
     "verify_jacobi",
     "from_matrices",
@@ -75,7 +71,7 @@ class LieAlgebra:
     """Finite-dimensional real Lie algebra given by labeled basis + constants.
 
     Constants are stored sparsely, keyed by index pairs (i, j) with i < j;
-    antisymmetry is implicit and `bracket` negates on demand for j < i.
+    antisymmetry is implicit: [X_j, X_i] is the negated row (i, j).
     The constants are not mutated after construction: the table check and
     `integer_constants` run once and are kept, and a changed table is a new
     `LieAlgebra`.
@@ -138,17 +134,6 @@ class LieAlgebra:
             return self._index[label]
         except KeyError:
             raise ValueError(f"label {label} is not in the basis") from None
-
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """Coefficients of [X_i, X_j]; handles any index order, empty if zero."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.constants.get((i, j), {})
-        terms = self.constants.get((j, i))
-        if not terms:
-            return {}
-        return {k: -c for k, c in terms.items()}
 
     def structure_rows(self):
         """Yield (i, j, k, c) with i < j, sorted, over nonzero constants."""
@@ -369,23 +354,6 @@ def build_algebra(family: str, omega) -> LieAlgebra:
         if out:
             constants[pair] = out
     return LieAlgebra(family, om, labels, constants)
-
-
-# Per-family entry points, kept for library callers.
-def build_so(omega) -> LieAlgebra:
-    return build_algebra("so", omega)
-
-
-def build_su(omega) -> LieAlgebra:
-    return build_algebra("su", omega)
-
-
-def build_u(omega) -> LieAlgebra:
-    return build_algebra("u", omega)
-
-
-def build_sq(omega) -> LieAlgebra:
-    return build_algebra("sq", omega)
 
 
 def verify_jacobi(L: LieAlgebra) -> bool:

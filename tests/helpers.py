@@ -3,12 +3,13 @@
 Everything here is deliberately naive: dense Fraction Gauss-Jordan with no
 shared code, integer tricks or sparsity, so it can arbitrate the package's
 elimination kernel, cohomology dimensions and bases; the cocycle test and
-the Jacobi check walk every index triple in Fractions, the coboundary sums
-every bracket term in Fractions, and the quaternion product is the full
-16-term formula.  `Hypercomplex` is a four-component quaternion over
-Fractions with a kind tag, once the package's entry type; the dense
-commutator of generator matrices in it arbitrates the package's single-unit
-commutator.
+the Jacobi check walk every index triple in Fractions, reading each bracket
+from `L.constants` through `bracket` and never from the solver's integer
+tables, the coboundary sums every bracket term in Fractions, and the
+quaternion product is the full 16-term formula.  `Hypercomplex` is a
+four-component quaternion over Fractions with a kind tag, once the
+package's entry type; the dense commutator of generator matrices in it
+arbitrates the package's single-unit commutator.
 
 A 2-cochain here is a plain map {(i, j): Fraction} over i < j with no zero
 value, the form `CohomologySolver.z2_basis` and `classify.removals` return;
@@ -90,6 +91,14 @@ def dense_nullspace(matrix, ncols):
     return basis
 
 
+def bracket(L, i, j):
+    """Coefficients {k: C_ij^k} of [X_i, X_j] for any index order, read from
+    `L.constants` (the row (j, i) negated when j < i), empty if zero."""
+    if i < j:
+        return L.constants.get((i, j), {})
+    return {k: -c for k, c in L.constants.get((j, i), {}).items()}
+
+
 def oracle_cocycle_system(L):
     """The cohomology equations straight from the definitions, densely.
 
@@ -113,7 +122,7 @@ def oracle_cocycle_system(L):
     for i, j, l in combinations(range(r), 3):
         row = [Fraction(0)] * m
         for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
-            for k, c in L.bracket(u, v).items():
+            for k, c in bracket(L, u, v).items():
                 hit = xi_column(k, third)
                 if hit is not None:
                     col, sign = hit
@@ -176,12 +185,12 @@ def oracle_coboundary(L, mu):
 
 def oracle_is_cocycle(L, xi):
     """xi([X_i,X_j],X_l) + xi([X_j,X_l],X_i) + xi([X_l,X_i],X_j) == 0 for
-    every index triple, evaluated from `LieAlgebra.bracket` and the entries
+    every index triple, evaluated from `bracket` and the entries
     of xi."""
     for i, j, l in combinations(range(L.dim), 3):
         total = Fraction(0)
         for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
-            for k, c in L.bracket(u, v).items():
+            for k, c in bracket(L, u, v).items():
                 total += c * cochain_value(xi, k, third)
         if total:
             return False
@@ -193,8 +202,8 @@ def oracle_jacobi(L):
     for i, j, l in combinations(range(L.dim), 3):
         acc = {}
         for (u, v), third in (((i, j), l), ((j, l), i), ((l, i), j)):
-            for k, c in L.bracket(u, v).items():
-                for m, c2 in L.bracket(k, third).items():
+            for k, c in bracket(L, u, v).items():
+                for m, c2 in bracket(L, k, third).items():
                     acc[m] = acc.get(m, Fraction(0)) + c * c2
         if any(acc.values()):
             return False
@@ -384,7 +393,7 @@ def prime_omegas(n):
 
 def bracket_of(L, u, v):
     """[u, v] for generator labels u, v, as {label: coefficient}."""
-    return {L.basis[k]: c for k, c in L.bracket(L.index(u), L.index(v)).items()}
+    return {L.basis[k]: c for k, c in bracket(L, L.index(u), L.index(v)).items()}
 
 
 def omega_signs(omega):

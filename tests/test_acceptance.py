@@ -16,7 +16,7 @@ from helpers import CRITERION_LINES, int_vector, oracle_coboundary, oracle_h2_di
 from cklie.ck_matrix import OmegaVector
 from cklie.classify import certify_rescaling, crosscheck, predict, removals
 from cklie.cohomology import CohomologySolver
-from cklie.lie_core import build_algebra, build_so, from_matrices, verify_jacobi
+from cklie.lie_core import build_algebra, from_matrices, verify_jacobi
 
 
 def announce(num: int, title: str, ok: bool, detail: str = ""):
@@ -92,7 +92,7 @@ def test_c01_whitehead_baseline():
     for n in range(2, 6):
         for signs in product((-1, 1), repeat=n):
             cases += 1
-            res = CohomologySolver(build_so(signs)).result()
+            res = CohomologySolver(build_algebra("so", signs)).result()
             if res.dim_h2 != 0:
                 bad.append((signs, res.dim_h2))
     elapsed = time.perf_counter() - t0
@@ -218,7 +218,7 @@ def test_c09_beta_constraint_equivalence():
     for n in range(3, 6):
         for signs in product((-1, 0, 1), repeat=n):
             om = OmegaVector.coerce(signs)
-            L = build_so(om)
+            L = build_algebra("so", om)
             solver = CohomologySolver(L)
             catalog = {entry.name: entry for entry in predict("so", om)}
             for b in range(n - 2):

@@ -26,8 +26,8 @@ from cklie.classify import (
     predict,
     removals,
 )
-from cklie.cohomology import CohomologySolver, h2
-from cklie.lie_core import build_algebra, build_so, build_su
+from cklie.cohomology import CohomologySolver
+from cklie.lie_core import build_algebra
 
 
 def sign_patterns(n):
@@ -142,7 +142,7 @@ class TestCoefficientCocycle:
     def test_so_alphaL_slots(self):
         om = OmegaVector([1, 1, 1])
         xi = coefficient_cocycle("so", om, "alphaL[0,1]")
-        L = build_so(om)
+        L = build_algebra("so", om)
         # slots xi(J(0,c), J(1,c)) = w_{2,c} for c = 2, 3
         expected = {
             (L.index(L.basis[1]), L.index(L.basis[3])): Fraction(1),  # (J(0,2), J(1,2))
@@ -166,13 +166,13 @@ class TestCoefficientCocycle:
     def test_su_alpha_unit_slot(self):
         om = [0]
         xi = coefficient_cocycle("su", om, "alpha[1]")
-        L = build_su(om)
+        L = build_algebra("su", om)
         assert cochain_value(xi, L.index(L.basis[0]), L.index(L.basis[1])) == 1  # (J(0,1), M(0,1))
 
     def test_su_alpha_slot_values(self):
         om = OmegaVector([2, 3])
         xi = coefficient_cocycle("su", om, "alpha[1]")
-        L = build_su(om)
+        L = build_algebra("su", om)
         iJ01, iJ02 = L.index(L.basis[0]), L.index(L.basis[1])
         iM01, iM02 = L.index(L.basis[3]), L.index(L.basis[4])
         # xi(J(0,1), M(0,1)) = w_00 * w_11 = 1; xi(J(0,2), M(0,2)) = w_00 * w_12 = 3
@@ -242,7 +242,7 @@ class TestRemovalIdentities:
     def test_pair_constraint_violation_not_a_cocycle(self):
         # alphaF alone with both constraint omegas nonzero violates the tie
         om = [1, 1, 1]
-        L = build_so(om)
+        L = build_algebra("so", om)
         solver = CohomologySolver(L)
         xi_f = coefficient_cocycle("so", om, "alphaF[1,2]")
         xi_l = coefficient_cocycle("so", om, "alphaL[1,2]")
@@ -253,7 +253,7 @@ class TestRemovalIdentities:
 
     def test_pair_members_independent_when_both_omegas_vanish(self):
         om = [0, 1, 0]
-        solver = CohomologySolver(build_so(om))
+        solver = CohomologySolver(build_algebra("so", om))
         for name in ("alphaF[1,2]", "alphaL[1,2]"):
             xi = coefficient_cocycle("so", om, name)
             assert solver.is_cocycle(int_vector(solver, xi))
@@ -465,8 +465,8 @@ class TestRescalingCovariance:
             ([-1, 1, 0], [-4, 9, 0]),
         ]
         for signs, scaled in cases:
-            a = h2(build_so(signs))
-            b = h2(build_so(scaled))
+            a = CohomologySolver(build_algebra("so", signs)).result()
+            b = CohomologySolver(build_algebra("so", scaled)).result()
             assert (a.dim_z2, a.dim_b2, a.dim_h2) == (b.dim_z2, b.dim_b2, b.dim_h2)
             assert omega_signs(signs) == omega_signs(scaled)
 

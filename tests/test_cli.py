@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import re
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -106,21 +108,37 @@ class TestStructure:
         }
         assert rows[("J(0,1)", "M(0,1)", "B(1)")] == "-2"
 
-    def test_corrupt_mode_fails(self, capsys):
-        code, out, _ = run(
-            capsys, "structure", "--family", "so", "--omega", "1,1", "--corrupt"
-        )
+    @staticmethod
+    def negate_one_constant(monkeypatch):
+        # The closed-form table with its first constant negated.
+        def corrupted(family, omega):
+            L = lie_core.build_algebra(family, omega)
+            pair = min(L.constants)
+            terms = dict(L.constants[pair])
+            k = min(terms)
+            terms[k] = -terms[k]
+            return lie_core.LieAlgebra(L.family, L.omega, L.basis, {**L.constants, pair: terms})
+
+        monkeypatch.setattr(cli, "build_algebra", corrupted)
+
+    def test_corrupt_mode_fails(self, capsys, monkeypatch):
+        self.negate_one_constant(monkeypatch)
+        code, out, _ = run(capsys, "structure", "--family", "so", "--omega", "1,1")
         assert code == 1
         assert json.loads(out)["matrix_match"] is False
 
-    def test_corrupt_breaks_jacobi(self, capsys):
+    def test_corrupt_breaks_jacobi(self, capsys, monkeypatch):
         # so N=2 has dim 3, where no sign flip can break Jacobi; N=3 is the
         # smallest case where the corrupted copy fails the Jacobi check.
-        code, out, _ = run(
-            capsys, "structure", "--family", "so", "--omega", "1,1,1", "--corrupt"
-        )
+        self.negate_one_constant(monkeypatch)
+        code, out, _ = run(capsys, "structure", "--family", "so", "--omega", "1,1,1")
         assert code == 1
         assert json.loads(out)["jacobi_ok"] is False
+
+    def test_corrupt_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["structure", "--family", "so", "--omega", "1,1", "--corrupt"])
+        assert exc.value.code == 2
 
     def test_program_fault_is_not_an_input_error(self, capsys, monkeypatch):
         # A decomposition failure is a broken invariant, not bad input: it
@@ -537,6 +555,39 @@ class TestArgumentValidation:
         assert code == 2
         assert err.startswith(f"error: cannot write --out {target}")
         assert out == ""
+
+    # B = 10**3000 parses within the interpreter's 4300-digit limit for int
+    # <-> str conversion, but each of these prints B**2, which exceeds it and
+    # once ended the command with a traceback and exit 1.
+    BIG = "1" + "0" * 3000
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "command,family,omega",
+        [
+            ("generators", "so", "B,B"),
+            ("structure", "so", "B,B,1"),
+            ("h2", "su", "0,B,B,0"),
+            ("h2", "so", "0,0,B,B,0"),
+        ],
+    )
+    def test_large_coefficients_print_exact_digits(self, capsys, command, family, omega, fmt):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        omega = omega.replace("B", self.BIG)
+        code, out, err = run(capsys, command, "--family", family, f"--omega={omega}", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert re.search(r"(?<!\d)-?1" + "0" * 6000 + r"(?!\d)", out)
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit"
+    )
+    def test_coefficient_over_the_digit_limit_is_an_input_error(self, capsys):
+        # The limit is lifted for the output only: the parser still keeps it.
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        code, out, err = run(capsys, "structure", "--family", "so", f"--omega=1,{digits}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad --omega value:")
 
 
 class TestImport:

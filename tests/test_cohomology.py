@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    bracket,
     dense_nullspace,
     dense_rank,
     dense_rref,
@@ -28,16 +29,12 @@ from helpers import (
     scaled,
 )
 
-from cklie.cohomology import CohomologySolver, h2
+from cklie.cohomology import CohomologySolver
 from cklie.ck_matrix import J, _echelon_int
 from cklie.classify import predict
 from cklie.lie_core import (
     LieAlgebra,
     build_algebra,
-    build_so,
-    build_sq,
-    build_su,
-    build_u,
     verify_jacobi,
 )
 
@@ -177,14 +174,14 @@ class TestExactRank:
 
 class TestCocycleSystem:
     def test_no_triples_means_empty_system(self):
-        L = build_so([1])  # one generator
+        L = build_algebra("so", [1])  # one generator
         sys_ = CohomologySolver(L).system()
         assert sys_.n_unknowns == 0 and sys_.n_equations == 0
 
     def test_so3_single_equation_degenerates(self):
         # the lone triple equation on so with N=2 is identically zero
         for signs in sign_patterns(2):
-            sys_ = CohomologySolver(build_so(signs)).system()
+            sys_ = CohomologySolver(build_algebra("so", signs)).system()
             assert sys_.n_unknowns == 3
             assert sys_.n_equations == 0
 
@@ -192,16 +189,16 @@ class TestCocycleSystem:
         from cklie.lie_core import LieAlgebra
         from cklie.ck_matrix import J
 
-        L = build_so([0])  # abelian, dim 1: no pairs at all
-        assert h2(L).dim_z2 == 0
-        su_flag = build_so([0, 0])  # only one nonzero bracket
-        res = h2(su_flag)
+        L = build_algebra("so", [0])  # abelian, dim 1: no pairs at all
+        assert CohomologySolver(L).result().dim_z2 == 0
+        su_flag = build_algebra("so", [0, 0])  # only one nonzero bracket
+        res = CohomologySolver(su_flag).result()
         assert res.dim_z2 == 3
         # a hand-made abelian algebra: empty system, every cochain a cocycle
         abelian = LieAlgebra(None, None, [J(0, k) for k in range(1, 5)], {})
         sys_ = CohomologySolver(abelian).system()
         assert sys_.n_equations == 0 and sys_.n_unknowns == 6
-        res = h2(abelian)
+        res = CohomologySolver(abelian).result()
         assert (res.dim_z2, res.dim_b2, res.dim_h2) == (6, 0, 6)
 
     @staticmethod
@@ -244,18 +241,17 @@ BAD_TABLES = [
     ({(0.0, 1): {2: Fraction(1)}}, "not a pair of ints"),
 ]
 
-# Every way a table is read.  Unchecked, the key (1, 0) gave bracket(0, 1)
-# == {} but xi_01 = -1 from the coboundary, and a stored zero printed "c": "0".
+# Every way a table is read.  Unchecked, the key (1, 0) gave [X_0, X_1]
+# == 0 but xi_01 = -1 from the coboundary, and a stored zero printed "c": "0".
 TABLE_READERS = {
     "constants": lambda L: L.constants,
-    "bracket": lambda L: L.bracket(0, 1),
     "structure_rows": lambda L: list(L.structure_rows()),
     "to_json_obj": lambda L: L.to_json_obj(),
     "same_constants": lambda L: L.same_constants(L),
     "integer_constants": lambda L: L.integer_constants(),
     "verify_jacobi": verify_jacobi,
     "coboundary": lambda L: CohomologySolver(L).coboundary_rows(),
-    "h2": h2,
+    "h2": lambda L: CohomologySolver(L).result(),
 }
 
 
@@ -270,7 +266,7 @@ class TestHandBuiltTable:
     def test_rejected(self, constants, message):
         L = LieAlgebra(None, None, self.BASIS, constants)
         with pytest.raises(ValueError, match=message):
-            h2(L)
+            CohomologySolver(L).result()
 
     @pytest.mark.parametrize("reader", TABLE_READERS)
     @pytest.mark.parametrize("constants,message", BAD_TABLES)
@@ -282,15 +278,15 @@ class TestHandBuiltTable:
     @pytest.mark.parametrize("reader", TABLE_READERS)
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
     def test_float_or_bool_constant_rejected(self, reader, bad):
-        # 0.5 made integer_constants raise AttributeError, bracket return 0.5
-        # and to_json_obj print "0.5"; True was taken as 1 and printed "True".
+        # 0.5 made integer_constants raise AttributeError and to_json_obj
+        # print "0.5"; True was taken as 1 and printed "True".
         L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: bad}})
         with pytest.raises(TypeError, match=type(bad).__name__):
             TABLE_READERS[reader](L)
 
     def test_int_and_fraction_constants_accepted(self):
         L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: 3}, (0, 2): {1: Fraction(-1, 2)}})
-        assert L.bracket(1, 0) == {2: -3}
+        assert bracket(L, 1, 0) == {2: -3}
         assert L.integer_constants() == {(0, 1): {2: 6}, (0, 2): {1: -1}}
         assert [c["c"] for c in L.to_json_obj()["constants"]] == ["3", "-1/2"]
 
@@ -299,17 +295,17 @@ class TestCoboundary:
     """The solver's integer coboundary rows against `oracle_coboundary`."""
 
     def test_zero_mu(self):
-        assert oracle_coboundary(build_so([1, 1]), {}) == {}
+        assert oracle_coboundary(build_algebra("so", [1, 1]), {}) == {}
 
     def test_single_slot(self):
-        L = build_so([1, 1])
+        L = build_algebra("so", [1, 1])
         solver = CohomologySolver(L)
         # [J(0,1), J(0,2)] = J(1,2), so delta(e_J(1,2)) has the one slot (0, 1)
         assert solver.coboundary_rows()[2] == {solver.pair_index[0, 1]: 1}
         assert oracle_coboundary(L, {2: 1}) == {(0, 1): Fraction(1)}
 
     def test_abelian_always_zero(self):
-        assert CohomologySolver(build_so([1])).coboundary_rows() == [{}]
+        assert CohomologySolver(build_algebra("so", [1])).coboundary_rows() == [{}]
 
     @pytest.mark.parametrize(
         "family,signs",
@@ -343,7 +339,7 @@ class TestSpacesAndDims:
         [((1, 1), (3, 3, 0)), ((0, 1), (3, 2, 1)), ((0, 0), (3, 1, 2))],
     )
     def test_so_n2_dims_frozen(self, signs, expected):
-        solver = CohomologySolver(build_so(signs))
+        solver = CohomologySolver(build_algebra("so", signs))
         res = solver.result()
         assert (res.dim_z2, res.dim_b2, res.dim_h2) == expected
         assert len(solver.z2_basis()) == expected[0]
@@ -356,7 +352,7 @@ class TestSpacesAndDims:
         for n in range(1, nmax + 1):
             for signs in sign_patterns(n):
                 L = build_algebra(family, signs)
-                res = h2(L)
+                res = CohomologySolver(L).result()
                 assert (res.dim_z2, res.dim_b2, res.dim_h2) == oracle_h2_dims(L)
 
     @pytest.mark.parametrize("family,omega", RATIONAL_CASES)
@@ -369,13 +365,13 @@ class TestSpacesAndDims:
         assert [{solver.pairs[c]: v for c, v in row.items()} for row in b2_rref] == b2
 
     def test_result_is_memoized(self):
-        solver = CohomologySolver(build_so((0, 1, 1)))
+        solver = CohomologySolver(build_algebra("so", (0, 1, 1)))
         assert solver.result() is solver.result()
         assert solver.z2_basis() is solver.z2_basis()
 
     def test_result_invariants(self):
         for signs in [(0, 1), (0, 0, 1), (1, 0, 1)]:
-            L = build_so(signs)
+            L = build_algebra("so", signs)
             solver = CohomologySolver(L)
             res = solver.result()
             assert res.dim_h2 == res.dim_z2 - res.dim_b2
@@ -389,13 +385,13 @@ class TestSpacesAndDims:
                 assert not is_trivial(solver, rep)
 
     def test_known_h2_values(self):
-        assert h2(build_so([1, 1])).dim_h2 == 0
-        assert h2(build_so([0, 1])).dim_h2 == 1
-        assert h2(build_so([0, 0, 1])).dim_h2 == 3
-        assert h2(build_sq([1, 1])).dim_h2 == 0
-        assert h2(build_sq([0, 0])).dim_h2 == 0
-        assert h2(build_su([0, 0])).dim_h2 == 3
-        assert h2(build_u([0, 0])).dim_h2 == 5
+        assert CohomologySolver(build_algebra("so", [1, 1])).result().dim_h2 == 0
+        assert CohomologySolver(build_algebra("so", [0, 1])).result().dim_h2 == 1
+        assert CohomologySolver(build_algebra("so", [0, 0, 1])).result().dim_h2 == 3
+        assert CohomologySolver(build_algebra("sq", [1, 1])).result().dim_h2 == 0
+        assert CohomologySolver(build_algebra("sq", [0, 0])).result().dim_h2 == 0
+        assert CohomologySolver(build_algebra("su", [0, 0])).result().dim_h2 == 3
+        assert CohomologySolver(build_algebra("u", [0, 0])).result().dim_h2 == 5
 
 
 class TestIsCocycle:
@@ -462,18 +458,18 @@ class TestIsCocycle:
 
 class TestIsTrivial:
     def test_coboundaries_trivial(self):
-        L = build_so([0, 1])
+        L = build_algebra("so", [0, 1])
         solver = CohomologySolver(L)
         for k in range(L.dim):
             assert is_trivial(solver, oracle_coboundary(L, {k: 1}))
 
     def test_nontrivial_representative(self):
-        L = build_so([0, 1])
+        L = build_algebra("so", [0, 1])
         rep = CohomologySolver(L).representatives()[0]
         assert not is_trivial(CohomologySolver(L), rep)
 
     def test_non_cocycle_rejected(self):
-        L = build_so([1, 1, 1])
+        L = build_algebra("so", [1, 1, 1])
         solver = CohomologySolver(L)
         xi = {(0, 1): Fraction(1)}
         assert not solver.is_cocycle(int_vector(solver, xi))
@@ -481,7 +477,7 @@ class TestIsTrivial:
             is_trivial(solver, xi)
 
     def test_gauge_invariance(self):
-        L = build_so([0, 0, 1])
+        L = build_algebra("so", [0, 0, 1])
         solver = CohomologySolver(L)
         rng = random.Random(17)
         reps = solver.representatives()
@@ -491,7 +487,7 @@ class TestIsTrivial:
                 assert is_trivial(solver, shifted) == is_trivial(solver, xi) == False
 
     def test_zero_cochain_trivial(self):
-        L = build_so([0, 1])
+        L = build_algebra("so", [0, 1])
         assert is_trivial(CohomologySolver(L), {})
 
 
@@ -526,10 +522,10 @@ class TestPermutationInvariance:
         rng = random.Random(23)
         for family, signs in [("so", (0, 1, 1)), ("su", (0, 1)), ("sq", (0,))]:
             L = build_algebra(family, signs)
-            res = h2(L)
+            res = CohomologySolver(L).result()
             perm = list(range(L.dim))
             rng.shuffle(perm)
-            res_p = h2(permute_basis(L, perm))
+            res_p = CohomologySolver(permute_basis(L, perm)).result()
             assert (res.dim_z2, res.dim_b2, res.dim_h2) == (
                 res_p.dim_z2,
                 res_p.dim_b2,
@@ -539,14 +535,14 @@ class TestPermutationInvariance:
 
 class TestRepresentatives:
     def test_representative_pivots_outside_b2(self):
-        L = build_so([0, 0, 1])
+        L = build_algebra("so", [0, 0, 1])
         solver = CohomologySolver(L)
         b_pivots = set(solver._b2_echelon())
         for rep in solver.representatives():
             assert min(int_vector(solver, rep)) not in b_pivots
 
     def test_deterministic(self):
-        a = CohomologySolver(build_so([0, 0, 1]))
-        b = CohomologySolver(build_so([0, 0, 1]))
+        a = CohomologySolver(build_algebra("so", [0, 0, 1]))
+        b = CohomologySolver(build_algebra("so", [0, 0, 1]))
         assert a.representatives() == b.representatives()
         assert list(a.z2_basis().items()) == list(b.z2_basis().items())

@@ -19,7 +19,7 @@ from helpers import (
 import cklie
 from cklie import ck_matrix, cli
 from cklie.ck_matrix import MatrixOverK, NotInSpanError, OmegaVector
-from cklie.lie_core import build_sq, from_matrices
+from cklie.lie_core import build_algebra, from_matrices
 from cklie.scalars import _UNIT_PRODUCT, Kind, parse_rational
 
 UNITS = [ONE, I1, I2, I3, -I1, -I2, -I3, -ONE]
@@ -140,9 +140,9 @@ class TestUnitTable:
         # stays in the span, so only the comparison with the closed form can
         # catch it.
         omega = "1,1"
-        assert from_matrices("sq", omega).same_constants(build_sq(omega))
+        assert from_matrices("sq", omega).same_constants(build_algebra("sq", omega))
         self.flip(monkeypatch, 1, 1)
-        assert not from_matrices("sq", omega).same_constants(build_sq(omega))
+        assert not from_matrices("sq", omega).same_constants(build_algebra("sq", omega))
         assert cli.main(["structure", "--family", "sq", "--omega", omega]) == 1
         assert json.loads(capsys.readouterr().out)["matrix_match"] is False
 
