@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Commands: generators | structure | h2 | sweep | verify.  Exit codes: 0 on
-success, 1 when a verification or predictor/solver crosscheck fails, 2 on
-input errors.  JSON output is key-sorted and rationals are serialized as
-"p/q" strings, so identical inputs produce byte-identical output.
+Commands: generators | structure | h2 | sweep | verify, one subparser each,
+built from one table.  Each ``cmd_*`` computes once and returns ``(ok, out)``:
+``out`` is the JSON payload under ``--format json`` and the finished text
+otherwise.  ``main`` alone serializes JSON, writes to ``--out`` or stdout and
+sets the exit code: 0 on success, 1 when ``ok`` is false (a verification or
+predictor/solver crosscheck failed), 2 on input errors.  JSON output is
+key-sorted and rationals are serialized as "p/q" strings, so identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -65,19 +69,8 @@ def _check_size(args: argparse.Namespace) -> None:
         raise InputError("--n must be >= 1")
 
 
-def _write_output(args: argparse.Namespace, text: str):
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args: argparse.Namespace, payload) -> None:
-    _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _heading(args: argparse.Namespace) -> str:
+    return f"family {args.family}  omega ({args.omega.text()})"
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +78,11 @@ def _emit_json(args: argparse.Namespace, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generators(args: argparse.Namespace) -> int:
+def cmd_generators(args: argparse.Namespace) -> tuple[bool, object]:
     labels = labels_for_family(args.family, args.n)
     mats = [(lab, build_generator(args.family, lab, args.omega)) for lab in labels]
     if args.format == "json":
-        payload = {
+        return True, {
             "family": args.family,
             "n": args.n,
             "omega": [str(c) for c in args.omega],
@@ -99,14 +92,10 @@ def cmd_generators(args: argparse.Namespace) -> int:
                 for lab, mat in mats
             ],
         }
-        _emit_json(args, payload)
-    else:
-        lines = [f"family {args.family}  omega ({args.omega.text()})  {len(labels)} generators"]
-        for lab, mat in mats:
-            lines.append(f"{lab}:")
-            lines.append(str(mat))
-        _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    lines = [f"{_heading(args)}  {len(labels)} generators"]
+    for lab, mat in mats:
+        lines += (f"{lab}:", str(mat))
+    return True, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +103,21 @@ def cmd_generators(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_structure(args: argparse.Namespace) -> int:
+def cmd_structure(args: argparse.Namespace) -> tuple[bool, object]:
     L = build_algebra(args.family, args.omega)
     jacobi_ok = verify_jacobi(L)
     matrix_match = from_matrices(args.family, args.omega).same_constants(L)
-    payload = L.to_json_obj()
-    payload["jacobi_ok"] = jacobi_ok
-    payload["matrix_match"] = matrix_match
+    ok = jacobi_ok and matrix_match
     if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        lines = [
-            f"family {args.family}  omega ({args.omega.text()})  dim {L.dim}",
-            f"jacobi_ok: {jacobi_ok}",
-            f"matrix_match: {matrix_match}",
-        ]
-        for i, j, k, c in L.structure_rows():
-            lines.append(f"[{L.basis[i]}, {L.basis[j]}] -> {c} * {L.basis[k]}")
-        _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK if (jacobi_ok and matrix_match) else EXIT_CHECK_FAILED
+        return ok, L.to_json_obj() | {"jacobi_ok": jacobi_ok, "matrix_match": matrix_match}
+    lines = [
+        f"{_heading(args)}  dim {L.dim}",
+        f"jacobi_ok: {jacobi_ok}",
+        f"matrix_match: {matrix_match}",
+    ]
+    for i, j, k, c in L.structure_rows():
+        lines.append(f"[{L.basis[i]}, {L.basis[j]}] -> {c} * {L.basis[k]}")
+    return ok, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -140,42 +125,34 @@ def cmd_structure(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _h2_payload(family: str, omega: OmegaVector) -> dict:
+def cmd_h2(args: argparse.Namespace) -> tuple[bool, object]:
     from .classify import crosscheck
 
-    report = crosscheck(family, omega)
+    report = crosscheck(args.family, args.omega)
     L = report.solver.algebra
-    summary = report.to_json_obj()
-    payload = {key: value for key, value in summary.items() if key != "coefficients"}
-    payload["dim"] = L.dim
-    payload["representatives"] = [
-        {"pairs": [
-            {"i": i, "j": j, "c": str(c), "label_i": str(L.basis[i]), "label_j": str(L.basis[j])}
-            for (i, j), c in sorted(xi.items())
-        ]}
-        for xi in report.solver.representatives()
-    ]
-    payload["crosscheck"] = summary
-    return payload
-
-
-def cmd_h2(args: argparse.Namespace) -> int:
-    payload = _h2_payload(args.family, args.omega)
+    representatives = [sorted(xi.items()) for xi in report.solver.representatives()]
     if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        lines = [
-            f"family {args.family}  omega ({args.omega.text()})",
-            f"dim_z2 {payload['dim_z2']}  dim_b2 {payload['dim_b2']}  dim_h2 {payload['dim_h2']}",
-            f"predicted {payload['predicted']}  match {payload['match']}",
+        summary = report.to_json_obj()
+        payload = {key: value for key, value in summary.items() if key != "coefficients"}
+        payload["dim"] = L.dim
+        payload["representatives"] = [
+            {"pairs": [
+                {"i": i, "j": j, "c": str(c), "label_i": str(L.basis[i]), "label_j": str(L.basis[j])}
+                for (i, j), c in pairs
+            ]}
+            for pairs in representatives
         ]
-        for rep in payload["representatives"]:
-            body = ", ".join(
-                f"xi({p['label_i']},{p['label_j']})={p['c']}" for p in rep["pairs"]
-            )
-            lines.append(f"representative: {body}")
-        _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK if payload["match"] else EXIT_CHECK_FAILED
+        payload["crosscheck"] = summary
+        return report.match, payload
+    lines = [
+        _heading(args),
+        f"dim_z2 {report.dim_z2}  dim_b2 {report.dim_b2}  dim_h2 {report.dim_h2}",
+        f"predicted {report.predicted}  match {report.match}",
+    ]
+    for pairs in representatives:
+        body = ", ".join(f"xi({L.basis[i]},{L.basis[j]})={c}" for (i, j), c in pairs)
+        lines.append(f"representative: {body}")
+    return report.match, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +199,18 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
     ]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[bool, object]:
     jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
         raise InputError("--jobs must be >= 1")
     rows = sweep_rows(args.family, args.n, jobs=jobs)
     mismatches = sum(1 for row in rows if not row["match"])
     if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "rows": rows,
-                "summary": {"cases": len(rows), "mismatches": mismatches},
-            },
-        )
-    elif args.format == "csv":
+        return not mismatches, {
+            "rows": rows,
+            "summary": {"cases": len(rows), "mismatches": mismatches},
+        }
+    if args.format == "csv":
         import csv
 
         buf = io.StringIO()
@@ -246,17 +220,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             *cells, match = (row[column] for column in SWEEP_COLUMNS)
             writer.writerow([*cells, "true" if match else "false"])
         buf.write(f"# summary cases={len(rows)} mismatches={mismatches}\n")
-        _write_output(args, buf.getvalue())
-    else:
-        lines = []
-        for row in rows:
-            lines.append(
-                f"{row['family']}  ({row['omega']})  z2={row['dim_z2']} b2={row['dim_b2']} "
-                f"h2={row['dim_h2']} predicted={row['predicted']} match={row['match']}"
-            )
-        lines.append(f"summary: cases={len(rows)} mismatches={mismatches}")
-        _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK if mismatches == 0 else EXIT_CHECK_FAILED
+        return not mismatches, buf.getvalue()
+    lines = [
+        f"{row['family']}  ({row['omega']})  z2={row['dim_z2']} b2={row['dim_b2']} "
+        f"h2={row['dim_h2']} predicted={row['predicted']} match={row['match']}"
+        for row in rows
+    ]
+    lines.append(f"summary: cases={len(rows)} mismatches={mismatches}")
+    return not mismatches, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +275,20 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[bool, object]:
     checks = verify_case(args.family, args.omega)
     failed = [name for name, status in checks.items() if status == "fail"]
-    payload = {
-        "family": args.family,
-        "n": args.n,
-        "omega": [str(c) for c in args.omega],
-        "checks": checks,
-        "ok": not failed,
-    }
     if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        lines = [f"family {args.family}  omega ({args.omega.text()})"]
-        for name, status in checks.items():
-            lines.append(f"{name}: {status}")
-        lines.append("ok" if not failed else f"FAILED: {', '.join(failed)}")
-        _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK if not failed else EXIT_CHECK_FAILED
+        return not failed, {
+            "family": args.family,
+            "n": args.n,
+            "omega": [str(c) for c in args.omega],
+            "checks": checks,
+            "ok": not failed,
+        }
+    lines = [_heading(args), *(f"{name}: {status}" for name, status in checks.items())]
+    lines.append("ok" if not failed else f"FAILED: {', '.join(failed)}")
+    return not failed, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -339,52 +305,35 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, need_omega: bool, formats=("json", "text")):
+    for name, run, help_text in (
+        ("generators", cmd_generators, "print the basis matrices"),
+        ("structure", cmd_structure, "structure constants + verification"),
+        ("h2", cmd_h2, "second cohomology + predictor crosscheck"),
+        ("sweep", cmd_sweep, "all 3^n sign patterns"),
+        ("verify", cmd_verify, "full invariant suite for one case"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--family", required=True, choices=FAMILIES)
-        if need_omega:
+        if name == "sweep":
+            p.add_argument("--n", type=int, required=True, help="number of coefficients")
+            p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+            formats = ("json", "csv", "text")
+        else:
             p.add_argument(
                 "--omega",
                 required=True,
                 help="comma-separated rational coefficients, e.g. 1,0,-1/2",
             )
             p.add_argument("--n", type=int, default=None, help="optional length check")
-        else:
-            p.add_argument("--n", type=int, required=True, help="number of coefficients")
+            formats = ("json", "text")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to this path")
-
-    p_gen = sub.add_parser("generators", help="print the basis matrices")
-    common(p_gen, need_omega=True)
-
-    p_struct = sub.add_parser("structure", help="structure constants + verification")
-    common(p_struct, need_omega=True)
-
-    p_h2 = sub.add_parser("h2", help="second cohomology + predictor crosscheck")
-    common(p_h2, need_omega=True)
-
-    p_sweep = sub.add_parser("sweep", help="all 3^n sign patterns")
-    common(p_sweep, need_omega=False, formats=("json", "csv", "text"))
-    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel workers")
-
-    p_verify = sub.add_parser("verify", help="full invariant suite for one case")
-    common(p_verify, need_omega=True)
-
     return parser
 
 
-_COMMANDS = {
-    "generators": cmd_generators,
-    "structure": cmd_structure,
-    "h2": cmd_h2,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_size(args)
         # The int <-> str digit limit (against quadratic-time conversion) holds
@@ -393,13 +342,24 @@ def main(argv=None) -> int:
         if limit:
             sys.set_int_max_str_digits(0)
         try:
-            return _COMMANDS[args.command](args)
+            ok, out = args.run(args)
+            if args.format == "json":
+                out = json.dumps(out, indent=2, sort_keys=True) + "\n"
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(out)
+            except OSError as exc:
+                raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+        else:
+            sys.stdout.write(out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ units is again a signed unit, read from :data:`_UNIT_PRODUCT`.
 from __future__ import annotations
 
 import re
+import sys
 from enum import IntEnum
 from fractions import Fraction
 
@@ -55,6 +56,12 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational: {text!r}")
     num, _, den = s.partition("/")
+    # Checked here so that the message names the coefficient, not the API
+    # that lifts the interpreter's limit on int <-> str conversion.
+    digits = max(len(num.lstrip("+-")), len(den))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(f"a coefficient has {digits} digits; at most {limit} are allowed")
     if den and not int(den):
         raise ValueError("rational denominator must be nonzero")
     return Fraction(int(num), int(den or 1))

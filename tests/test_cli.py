@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -583,11 +584,80 @@ class TestArgumentValidation:
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit"
     )
     def test_coefficient_over_the_digit_limit_is_an_input_error(self, capsys):
-        # The limit is lifted for the output only: the parser still keeps it.
-        digits = "7" * (sys.get_int_max_str_digits() + 1)
-        code, out, err = run(capsys, "structure", "--family", "so", f"--omega=1,{digits}")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: bad --omega value:")
+        # The limit is lifted for the output only: the parser still keeps it,
+        # and names it in the command's terms, not the interpreter's API.
+        limit = sys.get_int_max_str_digits()
+        digits = "7" * (limit + 1)
+        for omega in (f"1,{digits}", f"1,-{digits}", f"1,1/{digits}"):
+            code, out, err = run(capsys, "structure", "--family", "so", f"--omega={omega}")
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: bad --omega value: a coefficient has {limit + 1} digits; "
+                f"at most {limit} are allowed\n"
+            )
+            assert "sys." not in err
+        code, _, err = run(capsys, "structure", "--family", "so", f"--omega=1,-{digits[1:]}")
+        assert (code, err) == (0, "")
+
+    def test_parser_surface(self):
+        # Every subcommand's options and formats; --jobs is sweep's alone.
+        parser = cli.build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: (
+                {s for a in p._actions for s in a.option_strings},
+                next(a.choices for a in p._actions if "--format" in a.option_strings),
+            )
+            for name, p in sub.choices.items()
+        }
+        one_case = {"-h", "--help", "--family", "--omega", "--n", "--format", "--out"}
+        assert surface == {
+            "generators": (one_case, ("json", "text")),
+            "structure": (one_case, ("json", "text")),
+            "h2": (one_case, ("json", "text")),
+            "sweep": (
+                {"-h", "--help", "--family", "--n", "--jobs", "--format", "--out"},
+                ("json", "csv", "text"),
+            ),
+            "verify": (one_case, ("json", "text")),
+        }
+        assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help"}
+
+
+class TestOutFile:
+    """--out FILE writes exactly the bytes stdout gets, prints nothing and
+    keeps the exit code."""
+
+    @staticmethod
+    def stdout_and_file(capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv)
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "command,fmt",
+        [
+            *((c, f) for c in ("generators", "structure", "h2", "verify") for f in ("json", "text")),
+            *(("sweep", f) for f in ("json", "csv", "text")),
+        ],
+    )
+    def test_same_bytes_as_stdout(self, capsys, tmp_path, command, fmt):
+        size = ["--n", "2", "--jobs", "1"] if command == "sweep" else ["--omega=0,1"]
+        code, out, err = self.stdout_and_file(
+            capsys, tmp_path, [command, "--family", "su", *size, "--format", fmt]
+        )
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_same_bytes_on_a_failed_check(self, capsys, tmp_path, monkeypatch, fmt):
+        TestStructure.negate_one_constant(monkeypatch)
+        code, out, err = self.stdout_and_file(
+            capsys, tmp_path, ["structure", "--family", "so", "--omega", "1,1", "--format", fmt]
+        )
+        assert (code, err) == (1, "")
+        assert "matrix_match" in out
 
 
 class TestImport:
