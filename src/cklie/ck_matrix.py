@@ -79,6 +79,8 @@ class OmegaVector(tuple):
     __slots__ = ()
 
     def __new__(cls, coeffs: Iterable):
+        if isinstance(coeffs, str):
+            raise TypeError("OmegaVector takes numbers, not a string: use OmegaVector.parse")
         vals = tuple(_frac(c) for c in coeffs)
         if not vals:
             raise ValueError("omega must have at least one coefficient")
@@ -107,6 +109,11 @@ class OmegaVector(tuple):
         if not 0 <= a <= b <= self.n:
             raise ValueError(f"need 0 <= a <= b <= {self.n}, got a={a}, b={b}")
         return prod(self[a:b], start=_F1)
+
+    def evaluate(self, monomials) -> list[Fraction]:
+        """coef * omega_{k1} * omega_{k2} * ... for each (coef, ks) monomial,
+        ks a sorted tuple of indices in 1..N (one may repeat; () is 1)."""
+        return [coef * prod([self[k - 1] for k in ks], start=_F1) for coef, ks in monomials]
 
     @property
     def n_zeros(self) -> int:

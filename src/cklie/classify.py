@@ -28,15 +28,16 @@ n(n+3)/2.
 quaternionic unitary (sq): every central extension is trivial, for any N
 and any coefficients; the catalog is empty.
 
-The rules above are data: they run once per (family, N) on monomials, an
-integer times a squarefree product of omegas, and yield one entry per
-coefficient with its constraint factors, its cochain slots and, for type
-II, the generator shift (g, c) that removes it; `predict` evaluates each
-distinct monomial once per omega and returns the tuple of entries, each
-active iff every factor vanishes.  The catalog thus states one removal identity per shifted
-generator, delta(e_g) = sum of c * xi over the entries that shift g;
-`removals` builds each right-hand side as a plain {(i, j): Fraction} map,
-and `verify` compares it, scaled by the lcm d of the constants'
+The rules above are data: they run once per (family, N) on monomials
+(coef, ks), an integer times a squarefree product of omegas, and yield one
+entry per coefficient with its constraint factors, its cochain slots and,
+for type II, the generator shift (g, c) that removes it; `predict`
+evaluates each distinct monomial once per omega (`OmegaVector.evaluate`, as
+`build_algebra` does) and returns the tuple of entries, each active iff
+every factor vanishes.  The catalog thus states one removal identity per
+shifted generator, delta(e_g) = sum of c * xi over the entries that shift
+g; `removals` builds each right-hand side as a plain {(i, j): Fraction}
+map, and `verify` compares it, scaled by the lcm d of the constants'
 denominators, with the solver's integer row of delta(e_g).
 `certify_rescaling` proves, once per (family, N), that a crosscheck and
 every removal identity at omega follow from those at the 0/1 pattern with
@@ -57,7 +58,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import lcm
 
 from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
 from .cohomology import CohomologySolver
@@ -72,8 +73,6 @@ __all__ = [
     "CrosscheckReport",
     "crosscheck",
 ]
-
-_F1 = Fraction(1)
 
 # coef * omega_{k1} * omega_{k2} * ... for 1 <= k1 < k2 < ... <= N.
 Monomial = tuple[int, tuple[int, ...]]
@@ -188,48 +187,50 @@ def certify_rescaling(family: str, n: int) -> None:
     (lam_m = 1 where omega_m = 0), and let e_m(g) = 1 when a < m <= b for
     J/M/Mq(..., a, b), else 0.  Over K = Q(sqrt(omega_1), ..., sqrt(omega_N)),
     X_g -> prod lam_m**e_m(g) X_g maps the algebra at omega onto the one at z
-    when every bracket term (i, j) -> k of weight coef * w_ab has
-    e(i) + e(j) - e(k) = 2 [a < m <= b]; it carries each catalog cochain to a
-    nonzero multiple of its counterpart when e(i) + e(j) - 2 exponents(slot
-    monomial) is one vector v for all of the entry's slots; and it carries
-    each removal identity of generator g when v - 2 exponents(shift monomial)
-    = e(g) for every entry that shifts g.  Ranks do not change under a field
+    when e(i) + e(j) - 2 exponents(term monomial) = e(k) for every bracket
+    term (i, j) -> k; it carries each catalog cochain to a nonzero multiple
+    of its counterpart when e(i) + e(j) - 2 exponents(slot monomial) is one
+    vector v for all of the entry's slots; and it carries each removal
+    identity of generator g when v - 2 exponents(shift monomial) = e(g) for
+    every entry that shifts g.  Ranks do not change under a field
     extension, and the slots, factors and shift coefficients vanish on the
     zero set alone, so dims, verdicts and match at omega equal those at z.
 
     Reads only the two cached shapes and solves nothing; cached, so it runs
     once per (family, n).  Exponents are counted: omega_k**2 counts 2.
     """
-    labels, brackets = _shape(family, n)
     ms = range(1, n + 1)
 
-    def span(a: int, b: int, times: int = 1) -> tuple[int, ...]:
-        return tuple(times * (a < m <= b) for m in ms)
+    def exponents(ks) -> tuple[int, ...]:
+        return tuple(ks.count(m) for m in ms)
 
     def e(label: GeneratorLabel) -> tuple[int, ...]:
-        return span(*label.indices[-2:]) if label.variant in ("J", "M", "Mq") else (0,) * n
+        a, b = label.indices[-2:] if label.variant in ("J", "M", "Mq") else (0, 0)
+        return exponents(range(a + 1, b + 1))
 
+    def rescaled(i: int, j: int, p: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(x + y - 2 * q for x, y, q in zip(weights[i], weights[j], p))
+
+    labels, monomials, brackets = _shape(family, n)
     weights = [e(label) for label in labels]
+    powers = [exponents(ks) for _, ks in monomials]
     for (i, j), terms in brackets:
-        for k, _, a, b in terms:
-            if tuple(x + y - z for x, y, z in zip(weights[i], weights[j], weights[k])) != span(a, b, 2):
+        for k, m in terms:
+            if rescaled(i, j, powers[m]) != weights[k]:
                 raise ArithmeticError(
                     f"{family} N={n}: bracket [{labels[i]}, {labels[j]}] -> {labels[k]} "
-                    f"with weight w_{a}{b} does not rescale"
+                    f"with weight (coef, ks) = {monomials[m]} does not rescale"
                 )
     monomials, entries = _catalog_shape(family, n)
-    exponents = [tuple(ks.count(m) for m in ms) for _, ks in monomials]
+    powers = [exponents(ks) for _, ks in monomials]
     for name, _, _, slots, shift in entries:
-        vectors = {
-            tuple(x + y - 2 * p for x, y, p in zip(weights[i], weights[j], exponents[mono]))
-            for i, j, mono in slots
-        }
+        vectors = {rescaled(i, j, powers[mono]) for i, j, mono in slots}
         if len(vectors) > 1:
             raise ArithmeticError(f"{family} N={n}: the slots of {name} rescale differently")
         if shift and vectors:
             g, mono = shift
             (v,) = vectors
-            if tuple(x - 2 * p for x, p in zip(v, exponents[mono])) != e(g):
+            if tuple(x - 2 * p for x, p in zip(v, powers[mono])) != e(g):
                 raise ArithmeticError(
                     f"{family} N={n}: the removal identity of {g} through {name} does not rescale"
                 )
@@ -241,7 +242,7 @@ def predict(family: str, omega) -> tuple[CatalogEntry, ...]:
     entry active iff every factor vanishes."""
     om = OmegaVector.coerce(omega)
     monomials, rows = _catalog_shape(family, om.n)
-    v = [coef * prod([om[k - 1] for k in ks], start=_F1) for coef, ks in monomials]
+    v = om.evaluate(monomials)
     return tuple(
         CatalogEntry(
             name,

@@ -7,11 +7,12 @@ repeat for each imaginary unit of the scalar kind (none over R, one over C,
 three over H), and only the rows of the diagonal generators (the torus of
 su/u; the units E and the mixed-unit rows of sq) are family-specific.
 The rules run once per (family, N), on symbolic weights: the cached shape
-holds each constant as an integer times a range product w_ab = omega_{a+1}
-... omega_b, and each omega fills fresh constant dicts from one table of
-those products.  `from_matrices` rebuilds the same constants by commuting
-the matrix generators and decomposing in the basis, without the shape or the
-table, which cross-validates both routes constant by constant.  Jacobi
+holds each constant as a monomial (coef, ks), an integer times the range
+product w_ab = omega_{a+1} ... omega_b, and each omega fills fresh constant
+dicts from `OmegaVector.evaluate`, as the extension catalog does.
+`from_matrices` rebuilds the same constants by commuting the matrix
+generators and decomposing in the basis, with neither the shape nor the
+evaluator, which cross-validates both routes constant by constant.  Jacobi
 verification lives here too.
 
 `verify_jacobi` is exact but runs in Python integers: it clears the
@@ -53,9 +54,6 @@ __all__ = [
     "from_matrices",
     "epsilon",
 ]
-
-_F1 = Fraction(1)
-
 
 def epsilon(a: int, b: int, c: int) -> int:
     """Totally antisymmetric unit tensor on {1, 2, 3} with epsilon(1,2,3) = 1."""
@@ -190,30 +188,31 @@ class LieAlgebra:
 
 
 class _Weight:
-    """coef * w_ab for an integer coef and w_ab = omega_{a+1} ... omega_b (1
-    when a == b), with omega not yet chosen: the rules scale it by integers."""
+    """The monomial (coef, ks) with omega not yet chosen: the rules only
+    scale it by integers."""
 
-    __slots__ = ("coef", "a", "b")
+    __slots__ = ("mono",)
 
-    def __init__(self, coef: int, a: int, b: int):
-        self.coef, self.a, self.b = coef, a, b
+    def __init__(self, coef: int, ks: tuple[int, ...]):
+        self.mono = (coef, ks)
 
     def __rmul__(self, k: int) -> "_Weight":
-        return _Weight(k * self.coef, self.a, self.b)
+        return _Weight(k * self.mono[0], self.mono[1])
 
     def __neg__(self) -> "_Weight":
-        return _Weight(-self.coef, self.a, self.b)
+        return -1 * self
 
 
-_ONE = _Weight(1, 0, 0)
+_ONE = _Weight(1, ())
 
 
 class _Builder:
-    """Collects bracket rows with order normalization and collision checks."""
+    """Collects rows of (k, monomial number) terms, ordered and collision-checked."""
 
     def __init__(self, labels):
         self.index = {lab: i for i, lab in enumerate(labels)}
-        self.rows: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = {}
+        self.monomials: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def put(self, u: GeneratorLabel, v: GeneratorLabel, terms: dict[GeneratorLabel, _Weight]):
         i, j = self.index[u], self.index[v]
@@ -225,8 +224,10 @@ class _Builder:
             sign = -1
         if (i, j) in self.rows:
             raise ValueError(f"bracket ({u}, {v}) assigned twice")
+        monos = self.monomials
         self.rows[(i, j)] = tuple(
-            (self.index[lab], sign * c.coef, c.a, c.b) for lab, c in terms.items()
+            (self.index[lab], monos.setdefault(w.mono if sign == 1 else (-w).mono, len(monos)))
+            for lab, w in terms.items()
         )
 
 
@@ -273,14 +274,15 @@ def _put_quaternion_rows(bld: _Builder, n: int, w: dict[tuple[int, int], _Weight
 def _shape(family: str, n: int):
     """The bracket table of `family` with N = n for a symbolic omega.
 
-    Returns the basis labels and the rows ((i, j), ((k, coef, a, b), ...)),
-    meaning [X_i, X_j] = sum of coef * w_ab X_k, in insertion order.  Built
-    once per (family, n) and immutable, so every omega shares it.
+    Returns the basis labels, the distinct monomials (coef, ks) and the rows
+    ((i, j), ((k, m), ...)), meaning [X_i, X_j] = sum of monomial m times
+    X_k, in insertion order.  Built once per (family, n) and immutable, so
+    every omega shares it.
     """
     labels = tuple(labels_for_family(family, n))
     kind = FAMILY_KIND[family]
     bld = _Builder(labels)
-    w = {(a, b): _Weight(1, a, b) for a, b in combinations(range(n + 1), 2)}
+    w = {(a, b): _Weight(1, tuple(range(a + 1, b + 1))) for a, b in combinations(range(n + 1), 2)}
     triples = list(combinations(range(n + 1), 3))
     for a, b, c in triples:
         bld.put(J(a, b), J(a, c), {J(b, c): w[a, b]})
@@ -303,19 +305,7 @@ def _shape(family: str, n: int):
         _put_torus_rows(bld, n, w)
     elif kind == Kind.QUATERNION:
         _put_quaternion_rows(bld, n, w)
-    return labels, tuple(bld.rows.items())
-
-
-def _omega_table(om: OmegaVector) -> list[list[Fraction | None]]:
-    """w[a][b] = omega_{a+1} ... omega_b for 0 <= a <= b <= N, 1 when a == b,
-    by running products; entries with b < a are None."""
-    w = []
-    for a in range(om.n + 1):
-        row: list[Fraction | None] = [None] * a + [_F1]
-        for c in om[a:]:
-            row.append(row[-1] * c)
-        w.append(row)
-    return w
+    return labels, tuple(bld.monomials), tuple(bld.rows.items())
 
 
 def build_algebra(family: str, omega) -> LieAlgebra:
@@ -335,22 +325,17 @@ def build_algebra(family: str, omega) -> LieAlgebra:
     E(alpha, a) and the rows mixing distinct units, signed by epsilon.
 
     The rules run once per (family, N), on symbolic weights (`_shape`); each
-    omega then only evaluates coef * w_ab from one table of range products
-    and drops the zeros, into constant dicts of its own.  The rules never
-    read the matrices, and the matrix route never reads the shape or the
-    table: `from_matrices` is the route that checks them.
+    omega then evaluates each distinct monomial once and drops the zeros,
+    into constant dicts of its own.  The rules never read the matrices, and
+    the matrix route reads neither the shape nor the evaluator:
+    `from_matrices` is the route that checks them.
     """
     om = OmegaVector.coerce(omega)
-    labels, rows = _shape(family, om.n)
-    w = _omega_table(om)
+    labels, monomials, rows = _shape(family, om.n)
+    v = om.evaluate(monomials)
     constants: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pair, terms in rows:
-        out = {}
-        for k, coef, a, b in terms:
-            w_ab = w[a][b]
-            if w_ab:
-                # Fractions are immutable, so a unit coef can share the entry.
-                out[k] = w_ab if coef == 1 else coef * w_ab
+        out = {k: v[m] for k, m in terms if v[m]}
         if out:
             constants[pair] = out
     return LieAlgebra(family, om, labels, constants)
@@ -417,17 +402,10 @@ def from_matrices(family: str, omega) -> LieAlgebra:
     om = OmegaVector.coerce(omega)
     labels = labels_for_family(family, om.n)
     mats = [build_generator(family, lab, om) for lab in labels]
-    return _from_generators(family, om, labels, mats)
-
-
-def _from_generators(family: str, om: OmegaVector, labels, mats) -> LieAlgebra:
-    """`from_matrices` on the generator matrices of `labels`, already built."""
     dec = BasisDecomposer(mats)
     constants: dict[tuple[int, int], dict[int, Fraction]] = {}
-    r = len(labels)
-    for i in range(r):
-        for j in range(i + 1, r):
-            terms = dec.bracket(i, j)
-            if terms:
-                constants[(i, j)] = terms
+    for i, j in combinations(range(len(labels)), 2):
+        terms = dec.bracket(i, j)
+        if terms:
+            constants[(i, j)] = terms
     return LieAlgebra(family, om, labels, constants)

@@ -58,6 +58,12 @@ class TestOmegaVector:
         with pytest.raises(ValueError):
             om.product(0, 3)
 
+    def test_string_is_refused(self):
+        # A string would be read one character at a time.
+        with pytest.raises(TypeError, match=r"OmegaVector\.parse"):
+            OmegaVector("10")
+        assert OmegaVector.coerce("10") == (10,)
+
     def test_parse_and_text_roundtrip(self):
         om = OmegaVector.parse("1,0,-1/2")
         assert om == (Fraction(1), Fraction(0), Fraction(-1, 2))

@@ -18,7 +18,7 @@ from helpers import (
     zero_set,
 )
 from cklie import classify, cli, lie_core
-from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector
+from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector, labels_for_family
 from cklie.classify import (
     CatalogEntry,
     CoefficientVerdict,
@@ -385,21 +385,34 @@ class TestCatalogShape:
 
     @pytest.mark.parametrize("family,nmax", [("so", 8), ("su", 6), ("u", 6), ("sq", 4)])
     def test_degree_at_most_one_in_each_omega(self, family, nmax):
-        # Every catalog slot, factor and shift is an integer times a squarefree
-        # monomial, and every bracket constant an integer times a range
-        # product w_ab; so both sides of delta(e_g) = sum of c * xi have
-        # degree <= 2 in each omega_k, and agreeing on {-1, 0, 1}^N proves
-        # the identity for every omega.
+        # Every catalog slot, factor and shift and every bracket constant is
+        # an integer times a squarefree monomial; so both sides of
+        # delta(e_g) = sum of c * xi have degree <= 2 in each omega_k, and
+        # agreeing on {-1, 0, 1}^N proves the identity for every omega.
         for n in range(1, nmax + 1):
             monomials, entries = classify._catalog_shape(family, n)
-            for _, ks in monomials:
-                assert all(1 <= k <= n for k in ks), (family, n, ks)
-                assert list(ks) == sorted(set(ks)), (family, n, ks)
+            _, bracket_monomials, _ = lie_core._shape(family, n)
+            for _, ks in monomials + bracket_monomials:
+                assert list(ks) == sorted(set(ks)) and set(ks) <= set(range(1, n + 1)), (n, ks)
             assert all(i < j for *_, slots, _ in entries for i, j, _ in slots), (family, n)
-            _, rows = lie_core._shape(family, n)
-            for _, terms in rows:
-                for _, _, a, b in terms:
-                    assert 0 <= a <= b <= n, (family, n, a, b)
+
+    def test_evaluate_matches_explicit_products(self):
+        # The su alpha[s] slots are w_{a,s-1} * w_{s,b}, not a range product.
+        om = OmegaVector(SIGNED_PRIMES[:4])
+        monomials, entries = classify._catalog_shape("su", 4)
+        labels = labels_for_family("su", 4)
+        values = om.evaluate(monomials)
+        checked = 0
+        for name, _, _, slots, _ in entries:
+            if name.startswith("alpha"):
+                s = int(name[6:-1])
+                for i, _, m in slots:
+                    a, b = labels[i].indices
+                    assert values[m] == om.product(a, s - 1) * om.product(s, b), (name, a, b)
+                    checked += 1
+        assert checked == 4 + 6 + 6 + 4
+        # A repeated index counts twice, and no index is the coefficient.
+        assert om.evaluate([(3, (2, 2, 3)), (-4, ())]) == [3 * 9 * Fraction(5, 7), -4]
 
 
 class TestRecords:
@@ -575,9 +588,12 @@ class TestRescalingCertificate:
     def test_shifted_bracket_weight(self, monkeypatch, capsys, fresh_certificate):
         # One bracket term of so N=3 reads w_{a+1,b+1} in place of w_ab.
         def shift_first(shape):
-            labels, rows = shape
-            (pair, ((k, coef, a, b), *rest)), *others = rows
-            return labels, ((pair, ((k, coef, a + 1, b + 1), *rest)), *others)
+            labels, monomials, rows = shape
+            monomials = list(monomials)
+            (pair, ((k, m), *rest)), *others = rows
+            coef, ks = monomials[m]
+            shifted = numbered(monomials, (coef, tuple(x + 1 for x in ks)))
+            return labels, tuple(monomials), ((pair, ((k, shifted), *rest)), *others)
 
         patch_shape(monkeypatch, "_shape", "so", 3, shift_first)
         with pytest.raises(ArithmeticError, match="bracket"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import run_fresh
-from cklie import ck_matrix, classify, cli, cohomology, lie_core
+from cklie import classify, cli, cohomology, lie_core
 from cklie.ck_matrix import NotInSpanError, OmegaVector
 from cklie.classify import predict, removals
 from cklie.cli import main, sweep_rows
@@ -409,19 +409,20 @@ class TestVerify:
         assert code == 0
         assert "ok" in out
 
-    def test_each_generator_matrix_built_once(self, capsys, monkeypatch):
+    def test_matrix_check_is_from_matrices(self, capsys, monkeypatch):
+        # The matrix route has one entry point; verify builds the generators
+        # for its own checks and again inside it.
         calls = []
 
-        def counting(family, label, omega):
-            calls.append(label)
-            return ck_matrix.build_generator(family, label, omega)
+        def counting(family, omega):
+            calls.append((family, omega))
+            return lie_core.from_matrices(family, omega)
 
-        monkeypatch.setattr(cli, "build_generator", counting)
-        monkeypatch.setattr(lie_core, "build_generator", counting)
-        code, out, _ = run(capsys, "verify", "--family", "so", "--omega=1,1,1,1,1,1,1,1")
+        monkeypatch.setattr(cli, "from_matrices", counting)
+        code, out, _ = run(capsys, "verify", "--family", "so", "--omega=1,0,1")
         assert code == 0
         assert json.loads(out)["checks"]["closure_matrix_match"] == "pass"
-        assert len(calls) == len(set(calls)) == 36
+        assert calls == [("so", OmegaVector([1, 0, 1]))]
 
     def test_coboundary_rows_built_once(self, monkeypatch):
         # Both the coboundaries-are-cocycles check and the removal identities
@@ -547,6 +548,23 @@ class TestArgumentValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("n", [14, 30])
+    def test_oversized_sweep_is_refused_before_any_work(self, capsys, monkeypatch, n):
+        # certify_rescaling is the first thing a sweep does; refusing it keeps
+        # this test from allocating anything if the size check is missing.
+        def refuse(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(classify, "certify_rescaling", refuse)
+        code, out, err = run(capsys, "sweep", "--family", "so", "--n", str(n), "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: sweep --n must be <= 13, got {n}\n"
+
+    def test_largest_sweep_passes_the_size_check(self):
+        args = cli.build_parser().parse_args(["sweep", "--family", "so", "--n", "13"])
+        cli._check_size(args)
+        assert args.n == 13
+
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_unwritable_out(self, capsys, tmp_path, where):
         target = tmp_path / "no" / "such" / "x.json" if where == "missing_dir" else tmp_path
@@ -627,6 +645,18 @@ class TestArgumentValidation:
 class TestOutFile:
     """--out FILE writes exactly the bytes stdout gets, prints nothing and
     keeps the exit code."""
+
+    def test_input_error_leaves_out_alone(self, capsys, tmp_path):
+        # --out is opened only once the command has computed.
+        existing, missing = tmp_path / "existing", tmp_path / "missing"
+        existing.write_bytes(b"kept\n")
+        for target in (existing, missing):
+            code, out, err = run(
+                capsys, "h2", "--family", "so", "--omega", "1,x", "--out", str(target)
+            )
+            assert (code, out) == (2, "") and err.startswith("error: bad --omega value")
+        assert existing.read_bytes() == b"kept\n"
+        assert not missing.exists()
 
     @staticmethod
     def stdout_and_file(capsys, tmp_path, argv):

@@ -240,17 +240,17 @@ class TestFromMatrices:
         om = [Fraction(2, 3)]
         assert from_matrices("su", om).same_constants(build_algebra("su", om))
 
-    def test_reads_neither_shape_nor_omega_table(self, monkeypatch):
+    def test_reads_neither_shape_nor_evaluator(self, monkeypatch):
         # The matrix route is the independent check of the closed form, so it
         # must succeed with both of the closed form's inputs taken away.
         om = OmegaVector(SIGNED_PRIMES[:3])
         expected = {family: build_algebra(family, om) for family in ("so", "su", "u", "sq")}
 
         def refuse(*args):
-            raise AssertionError("the closed-form shape or omega table was read")
+            raise AssertionError("the closed-form shape or the monomial evaluator was read")
 
         monkeypatch.setattr(lie_core, "_shape", refuse)
-        monkeypatch.setattr(lie_core, "_omega_table", refuse)
+        monkeypatch.setattr(OmegaVector, "evaluate", refuse)
         for family, closed in expected.items():
             assert from_matrices(family, om).same_constants(closed), family
 
@@ -265,10 +265,12 @@ class TestShape:
             build_algebra(family, [Fraction(7, 3)] * n)
             for omega in prime_omegas(n):
                 om = OmegaVector(omega)
-                w = lie_core._omega_table(om)
-                for a in range(n + 1):
-                    for b in range(a, n + 1):
-                        assert w[a][b] == om.product(a, b), (omega, a, b)
+                # Every bracket monomial is coef * w_ab, ks = (a+1, ..., b).
+                _, monomials, _ = lie_core._shape(family, n)
+                for (coef, ks), value in zip(monomials, om.evaluate(monomials)):
+                    a, b = (ks[0] - 1, ks[-1]) if ks else (0, 0)
+                    assert ks == tuple(range(a + 1, b + 1)), (family, n, ks)
+                    assert value == coef * om.product(a, b), (omega, coef, ks)
                 closed = build_algebra(family, om)
                 assert closed.same_constants(from_matrices(family, om)), (family, omega)
 
@@ -280,12 +282,17 @@ class TestShape:
             raise AssertionError("the closed-form shape was read")
 
         monkeypatch.setattr(lie_core, "_shape", refuse)
-        monkeypatch.setattr(lie_core, "_omega_table", refuse)
         with pytest.raises(AssertionError):
             build_algebra("sq", om)
         assert from_matrices("sq", om).same_constants(expected)
         for family in ("so", "su", "u"):
             assert predict(family, om)
+
+    def test_weights_scale_by_integers_on_the_left(self):
+        assert (2 * lie_core._ONE).mono == (2, ())
+        assert (-lie_core._ONE).mono == (-1, ())
+        with pytest.raises(TypeError):
+            lie_core._ONE * 2
 
     def test_cache_hands_out_no_shared_state(self):
         om = [Fraction(2), Fraction(-3)]
