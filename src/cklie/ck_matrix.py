@@ -11,17 +11,10 @@ entries: every generator entry is a rational times one unit (1, i_1, i_2 or
 i_3), and the constructor accepts no other form.  Every generator except the
 central phase I has at most two nonzero entries, so commutators and the
 metric checks loop over those entries only; the full (N+1) x (N+1) grid is
-rendered only for output.  The matrix route to the structure constants
-scales each generator once to integers and commutes pairs with the signed
-unit table straight into integer component rows, so no Fraction is
-multiplied per pair.
-
-The exact elimination kernel lives here too: sparse integer rows reduced
-fraction-free (cross-multiplication, gcd normalization), after a pre-pass
-that takes out the columns of single-entry rows (most cocycle equations say
-xi_c = 0).  One reduction loop decomposes commutators in the generator basis
-(`BasisDecomposer`) and serves every rank and membership question of
-`cohomology`.
+rendered only for output.  Commutators multiply entries through the signed
+unit table into component rows, so integer matrices give integer rows and
+the matrix route of `lie_core.from_matrices` multiplies no Fraction per
+pair.
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
 
 from .scalars import _UNIT_PRODUCT, Kind, _frac
 
@@ -51,7 +44,6 @@ __all__ = [
     "is_metric_antihermitian",
     "is_traceless",
     "mat_commutator",
-    "BasisDecomposer",
     "NotInSpanError",
 ]
 
@@ -412,134 +404,4 @@ def mat_commutator(X: MatrixOverK, Y: MatrixOverK) -> dict[int, int | Fraction]:
 
 
 class NotInSpanError(ValueError):
-    """A matrix fell outside the span of the supplied basis."""
-
-
-# ---------------------------------------------------------------------------
-# Exact elimination kernel (sparse rows over arbitrary-precision integers)
-# ---------------------------------------------------------------------------
-
-
-def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
-    """Divide by the gcd and make the leading entry positive."""
-    if not row:
-        return row
-    g = gcd(*row.values())
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    if row[min(row)] < 0:
-        row = {c: -v for c, v in row.items()}
-    return row
-
-
-def _reduce(row: dict[int, int], pivots_by_lead: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Reduce row against the pivot rows keyed by leading column until it
-    vanishes or leads a column with no pivot: an integer multiple of the
-    pivot row is subtracted when the pivot entry divides the row's, else the
-    two are cross-multiplied and the result gcd-normalized.  Returns the
-    residue, empty exactly when row lies in the pivots' span; row itself is
-    not modified."""
-    while row:
-        lead = min(row)
-        piv = pivots_by_lead.get(lead)
-        if piv is None:
-            break
-        pv, v = piv[lead], row[lead]
-        q, rem = divmod(v, pv)
-        if rem:
-            new = {c: pv * val for c, val in row.items()}
-            q = v
-        else:
-            new = dict(row)
-        for c, val in piv.items():
-            nv = new.get(c, 0) - q * val
-            if nv:
-                new[c] = nv
-            else:
-                del new[c]
-        row = _normalize_int_row(new) if rem else new
-    return row
-
-
-def _echelon_int(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward elimination: each row's nonzero residue under :func:`_reduce`
-    is gcd-normalized and stored as the pivot row of its leading column.
-    Returns {pivot column: echelon row}; its length is the rank.  The rows
-    are sparse with no zero entries, read twice and never modified.  A
-    pre-pass makes each single-entry row the unit pivot {c: 1} of its column
-    and strips those columns from the other rows: the row space, and so the
-    RREF and the set of pivot columns, stays the same."""
-    units = {c: {c: 1} for row in rows if len(row) == 1 for c in row}
-    echelon = dict(units)
-    for row in rows:
-        if len(row) > 1:
-            if not units.keys().isdisjoint(row):
-                row = {c: v for c, v in row.items() if c not in units}
-            row = _reduce(row, echelon)
-            if row:
-                echelon[min(row)] = _normalize_int_row(row)
-    return echelon
-
-
-def _cleared(mat: MatrixOverK) -> tuple[int, MatrixOverK]:
-    """(D, D * mat) for the lcm D of the denominators of mat's values: the
-    second matrix has integer values only."""
-    d = lcm(*(v.denominator for _, v in mat.cells.values()))
-    cells = {ij: (u, v.numerator * (d // v.denominator)) for ij, (u, v) in mat.cells.items()}
-    return d, MatrixOverK(mat.dim, mat.kind, cells)
-
-
-class BasisDecomposer:
-    """Reusable exact coordinate solver over a fixed independent basis.
-
-    Each basis matrix B_k is scaled once by the lcm D_k of its denominators
-    (:func:`_cleared`) and becomes one integer row: its component row
-    (`MatrixOverK.row`) and D_k in a marker column past the 4 * dim**2
-    component columns, off + k.  The marker carries D_k, not 1, so that every
-    integer combination of rows keeps the exact coefficients of the matrices
-    it combines.  The basis rows are forward-eliminated once with the
-    solver's kernel (:func:`_echelon_int`).  A matrix X given as an integer
-    component row over a scale s takes marker off + r, r = len(basis),
-    holding s, and :func:`_reduce` leaves a residue
-    t * row(X) - sum_k a_k * row(B_k); X is in the span exactly when no
-    component column is left, and then X = sum_k c_k B_k with
-    c_k = -residue[off + k] / residue[off + r].  `bracket` commutes two
-    scaled basis matrices, in integers only, and decomposes their
-    commutator over the scale D_i * D_j.  The basis matrices share one dim
-    and kind, which sets the columns; a mixed basis raises ValueError.
-    """
-
-    def __init__(self, basis: Sequence[MatrixOverK]):
-        if not basis:
-            raise ValueError("basis must be nonempty")
-        dim, kind = basis[0].dim, basis[0].kind
-        for k, mat in enumerate(basis):
-            if mat.dim != dim or mat.kind != kind:
-                raise ValueError(f"basis element {k} is a {mat!r}, element 0 a {basis[0]!r}")
-        self._off = off = 4 * dim ** 2
-        self._scaled = [_cleared(mat) for mat in basis]
-        self._echelon = _echelon_int(
-            [{**mat.row(), off + k: d} for k, (d, mat) in enumerate(self._scaled)]
-        )
-        # A row whose residue leads a marker column has no component left:
-        # its element, the last marker it holds, depends on earlier ones.
-        dependent = [max(row) - off for lead, row in self._echelon.items() if lead >= off]
-        if dependent:
-            raise ValueError(f"basis element {min(dependent)} depends on earlier elements")
-        self._marker = off + len(basis)
-
-    def coefficients(self, row: dict[int, int], scale: int) -> dict[int, Fraction]:
-        """The nonzero coordinates {k: c_k} with row / scale == sum(c_k *
-        basis_k), for an integer component row with no zero entries and a
-        nonzero integer scale; NotInSpanError if it is outside the span."""
-        off, marker = self._off, self._marker
-        res = _reduce({**row, marker: scale}, self._echelon)
-        if min(res) < off:
-            raise NotInSpanError("matrix is not in the span of the basis")
-        scale = res[marker]
-        return {c - off: Fraction(-v, scale) for c, v in res.items() if c != marker}
-
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """The coordinates of [basis_i, basis_j]."""
-        (di, x), (dj, y) = self._scaled[i], self._scaled[j]
-        return self.coefficients(mat_commutator(x, y), di * dj)
+    """A commutator fell outside the span of the generators."""

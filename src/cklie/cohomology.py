@@ -15,12 +15,13 @@ Everything runs in Python integers: the equations and the coboundary rows
 are linear in the constants, so scaling them by the lcm of their
 denominators leaves Z2 and B2 unchanged.  A cochain is its integer column
 vector {pair_index[(i, j)]: int}, and delta(e_k) is the k-th coboundary row,
-the only coboundary built here.  The fraction-free kernel of `ck_matrix`
-first takes out the columns of single-entry rows (most equations say
-xi_c = 0); its forward elimination then gives the dims alone (dim Z2 =
-unknowns - rank of the system, dim B2 = rank of the coboundary rows), which
-`CohomologySolver(L).result()` returns, and a cochain is a coboundary
-exactly when its integer vector leaves no residue against the B2 echelon.
+the only coboundary built here.  The fraction-free kernel, defined here
+and used nowhere else, first takes out the columns of single-entry rows
+(most equations say xi_c = 0); its forward elimination then gives the dims
+alone (dim Z2 = unknowns - rank of the system, dim B2 = rank of the
+coboundary rows), which `CohomologySolver(L).result()` returns, and a
+cochain is a coboundary exactly when its integer vector leaves no residue
+against the B2 echelon.
 The cocycle test evaluates only the equations that hold a nonzero column of
 the cochain.  Only the representatives that the `h2` command prints need a
 basis: the system echelon is back-substituted, its integer nullspace
@@ -34,17 +35,81 @@ so no floating point is allowed.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
-
-from .ck_matrix import _echelon_int, _normalize_int_row, _reduce
+from math import gcd, lcm
 
 __all__ = [
     "CohomologyResult",
     "CocycleSystem",
     "CohomologySolver",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination kernel (sparse rows over arbitrary-precision integers)
+# ---------------------------------------------------------------------------
+
+
+def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
+    """Divide by the gcd and make the leading entry positive."""
+    if not row:
+        return row
+    g = gcd(*row.values())
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    if row[min(row)] < 0:
+        row = {c: -v for c, v in row.items()}
+    return row
+
+
+def _reduce(row: dict[int, int], pivots_by_lead: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Reduce row against the pivot rows keyed by leading column until it
+    vanishes or leads a column with no pivot: an integer multiple of the
+    pivot row is subtracted when the pivot entry divides the row's, else the
+    two are cross-multiplied and the result gcd-normalized.  Returns the
+    residue, empty exactly when row lies in the pivots' span; row itself is
+    not modified."""
+    while row:
+        lead = min(row)
+        piv = pivots_by_lead.get(lead)
+        if piv is None:
+            break
+        pv, v = piv[lead], row[lead]
+        q, rem = divmod(v, pv)
+        if rem:
+            new = {c: pv * val for c, val in row.items()}
+            q = v
+        else:
+            new = dict(row)
+        for c, val in piv.items():
+            nv = new.get(c, 0) - q * val
+            if nv:
+                new[c] = nv
+            else:
+                del new[c]
+        row = _normalize_int_row(new) if rem else new
+    return row
+
+
+def _echelon_int(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination: each row's nonzero residue under :func:`_reduce`
+    is gcd-normalized and stored as the pivot row of its leading column.
+    Returns {pivot column: echelon row}; its length is the rank.  The rows
+    are sparse with no zero entries, read twice and never modified.  A
+    pre-pass makes each single-entry row the unit pivot {c: 1} of its column
+    and strips those columns from the other rows: the row space, and so the
+    RREF and the set of pivot columns, stays the same."""
+    units = {c: {c: 1} for row in rows if len(row) == 1 for c in row}
+    echelon = dict(units)
+    for row in rows:
+        if len(row) > 1:
+            if not units.keys().isdisjoint(row):
+                row = {c: v for c, v in row.items() if c not in units}
+            row = _reduce(row, echelon)
+            if row:
+                echelon[min(row)] = _normalize_int_row(row)
+    return echelon
 
 
 # ---------------------------------------------------------------------------

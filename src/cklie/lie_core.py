@@ -11,8 +11,9 @@ holds each constant as a monomial (coef, ks), an integer times the range
 product w_ab = omega_{a+1} ... omega_b, and each omega fills fresh constant
 dicts from `OmegaVector.evaluate`, as the extension catalog does.
 `from_matrices` rebuilds the same constants by commuting the matrix
-generators and decomposing in the basis, with neither the shape nor the
-evaluator, which cross-validates both routes constant by constant.  Jacobi
+generators, reading each commutator's coordinates off its cells and proving
+them by an integer recomposition, with neither the shape nor the evaluator
+and no elimination, which cross-validates both routes constant by constant.  Jacobi
 verification lives here too.
 
 `verify_jacobi` is exact but runs in Python integers: it clears the
@@ -39,11 +40,13 @@ from .ck_matrix import (
     GeneratorLabel,
     J,
     M,
+    MatrixOverK,
     Mq,
+    NotInSpanError,
     OmegaVector,
     build_generator,
     labels_for_family,
-    BasisDecomposer,
+    mat_commutator,
 )
 from .scalars import Kind
 
@@ -393,19 +396,68 @@ def verify_jacobi(L: LieAlgebra) -> bool:
 def from_matrices(family: str, omega) -> LieAlgebra:
     """Rebuild the structure constants from matrix commutators.
 
-    Every pairwise commutator of the matrix generators, each scaled once to
-    integer entries, is decomposed in the generator basis
-    (`BasisDecomposer.bracket`); failure to decompose means the matrix
-    algebra did not close, which the construction rules out, so it is raised
-    as a hard error.
+    Each generator G_k is scaled once by the lcm D_k of its denominators, so
+    [G_i, G_j] comes out of `mat_commutator` as an integer component row c
+    over the scale D_i * D_j.  Its coordinates are read off its cells: every
+    J(a,b), M(a,b) and Mq(alpha,a,b) holds 1, in its own unit, at (b, a), and
+    every E(alpha,a) holds 1 at (a, a), which is in each case the largest
+    column of the generator's row.  Over C the torus B(l) takes the prefix
+    sum d_0 + ... + d_{l-1} of the imaginary diagonal d, and the phase I takes
+    nothing, as a commutator has trace zero.
+
+    Nothing read off is trusted: the recomposition sum_k c[lead_k] * D_k G_k
+    must equal D_col * c in every column, D_col being the scale of the one
+    generator whose support holds the column (1 on the torus diagonal, whose
+    generators are integer).  No other generator holds a leading cell, where
+    the two agree by the choice of coordinate, so each generator's row keeps
+    its other cells and the comparison runs over the other columns.  Any
+    difference, a column off every support or a nonzero trace included,
+    means the matrix algebra did not close, which the construction rules
+    out, so it raises NotInSpanError.
     """
     om = OmegaVector.coerce(omega)
     labels = labels_for_family(family, om.n)
-    mats = [build_generator(family, lab, om) for lab in labels]
-    dec = BasisDecomposer(mats)
+    d = om.n + 1
+    mats, rows, scales, torus = [], [], [], []
+    lead: dict[int, int] = {}  # leading column -> generator
+    col_scale: dict[int, int] = {}  # column -> scale of the generator holding it
+    for k, lab in enumerate(labels):
+        mat = build_generator(family, lab, om)
+        s = lcm(*(v.denominator for _, v in mat.cells.values()))
+        cells = {ij: (u, v.numerator * (s // v.denominator)) for ij, (u, v) in mat.cells.items()}
+        mats.append(MatrixOverK(d, mat.kind, cells))
+        scales.append(s)
+        row = mats[-1].row()
+        if lab.variant != "I":
+            col_scale.update(dict.fromkeys(row, s))
+            if lab.variant == "B":
+                torus.append(k)
+            else:
+                top = max(row)
+                lead[top] = k
+                del row[top]
+        rows.append(row)
+    diag = [(a * d + a) * 4 + 1 for a in range(d)]
     constants: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j in combinations(range(len(labels)), 2):
-        terms = dec.bracket(i, j)
-        if terms:
-            constants[(i, j)] = terms
+        c = mat_commutator(mats[i], mats[j])
+        if not c:
+            continue
+        coords = {lead[col]: v for col, v in c.items() if col in lead}
+        prefix = 0
+        for k, col in zip(torus, diag):
+            prefix += c.get(col, 0)
+            if prefix:
+                coords[k] = prefix
+        total: dict[int, int] = {}
+        for k, x in coords.items():
+            for col, v in rows[k].items():
+                total[col] = total.get(col, 0) + x * v
+        # A column off every support has scale 0, which no sum of rows holds.
+        if {col: v for col, v in total.items() if v} != {
+            col: col_scale.get(col, 0) * v for col, v in c.items() if col not in lead
+        }:
+            raise NotInSpanError(f"[{labels[i]}, {labels[j]}] is not in the span of the generators")
+        s = scales[i] * scales[j]
+        constants[(i, j)] = {k: Fraction(x, s) for k, x in coords.items()}
     return LieAlgebra(family, om, labels, constants)

@@ -20,9 +20,9 @@ permutation, a label-keyed bracket, the dimension formulas, signed-prime
 omegas, the cochain of an integer solver row, the adapters that drive the
 package's own elimination kernel and a runner for fresh interpreters.  It
 also holds the conveniences that only tests use: omega sign patterns and
-zero sets, sums and multiples of cochains, scaled matrices, a cochain's
-integer column vector, a catalog entry's cochain by name, the checked
-triviality test and the centrally extended algebra.  No oracle calls them.
+zero sets, sums and multiples of cochains, a cochain's integer column
+vector, a catalog entry's cochain by name, the checked triviality test and
+the centrally extended algebra.  No oracle calls them.
 """
 
 import os
@@ -33,9 +33,9 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from cklie.ck_matrix import GeneratorLabel, MatrixOverK, OmegaVector, _echelon_int
+from cklie.ck_matrix import GeneratorLabel, OmegaVector
 from cklie.classify import predict
-from cklie.cohomology import _nullspace, _rref
+from cklie.cohomology import _echelon_int, _nullspace, _rref
 from cklie.lie_core import LieAlgebra
 from cklie.scalars import Kind, _frac
 
@@ -431,26 +431,12 @@ def scaled(xi, scalar):
     return {pair: v * f for pair, v in xi.items() if f}
 
 
-def scaled_matrix(mat, factor):
-    """The matrix factor * mat, factor a nonzero rational."""
-    f = _frac(factor)
-    return MatrixOverK(mat.dim, mat.kind, {ij: (u, v * f) for ij, (u, v) in mat.cells.items()})
-
-
 def lcm_scaled(items):
     """The lcm m of the values' denominators and the sparse integer vector
     {key: m * value} of the (key, value) pairs."""
     items = list(items)
     m = lcm(*(v.denominator for _, v in items))
     return m, {c: v.numerator * (m // v.denominator) for c, v in items}
-
-
-def decompose(dec, mat):
-    """The coordinates of a matrix, or of a component row {column: rational},
-    under a `BasisDecomposer`."""
-    row = mat.row() if isinstance(mat, MatrixOverK) else mat
-    m, ints = lcm_scaled(row.items())
-    return dec.coefficients(ints, m)
 
 
 def int_vector(solver, xi):
@@ -541,7 +527,7 @@ def integer_rows(matrix):
 
 def kernel_rank(matrix):
     """Rank and nullspace basis of a dense rational matrix through the
-    package's kernel, `ck_matrix._echelon_int`, then `cohomology._rref` and
+    package's kernel, `cohomology._echelon_int`, then `cohomology._rref` and
     `_nullspace`.
 
     Each row goes in as sparse integers, scaled by the lcm of its

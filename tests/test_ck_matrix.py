@@ -6,16 +6,14 @@ import pytest
 
 from helpers import (
     FAMILY_DIMENSION,
-    decompose,
     omega_signs,
     oracle_commutator,
-    scaled_matrix,
     with_zeros,
     zero_set,
 )
+from cklie import lie_core
 from cklie.ck_matrix import (
     B,
-    BasisDecomposer,
     E,
     FAMILIES,
     I_LABEL,
@@ -297,11 +295,14 @@ class TestCommutatorAndDecomposition:
             assert mat_commutator(X, Y) == oracle_commutator(X, Y)
 
     def test_bracket_multiplies_no_fraction(self, monkeypatch):
-        om = ["3/4", "-2/5", "7/3"]
-        basis = [build_generator("sq", lab, om) for lab in labels_for_family("sq", 3)]
-        dec = BasisDecomposer(basis)
-        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-        expected = [dec.bracket(i, j) for i, j in pairs]
+        # The matrix route scales each generator once to integers, so its
+        # per-pair loop commutes, reads off and recomposes in ints alone: with
+        # the generators built beforehand, it runs with Fraction products
+        # refused.
+        om = OmegaVector(["3/4", "-2/5", "7/3"])
+        expected = lie_core.from_matrices("sq", om)
+        built = {lab: build_generator("sq", lab, om) for lab in labels_for_family("sq", 3)}
+        monkeypatch.setattr(lie_core, "build_generator", lambda family, lab, omega: built[lab])
 
         def no_fraction_product(*args):
             raise AssertionError("a Fraction was multiplied")
@@ -310,70 +311,70 @@ class TestCommutatorAndDecomposition:
         monkeypatch.setattr(Fraction, "__rmul__", no_fraction_product)
         with pytest.raises(AssertionError):
             Fraction(1, 2) * 3
-        assert [dec.bracket(i, j) for i, j in pairs] == expected
+        assert lie_core.from_matrices("sq", om).same_constants(expected)
 
     def test_su2_bracket_coefficient(self):
         om = [1]
         com = mat_commutator(
             build_generator("su", J(0, 1), om), build_generator("su", M(0, 1), om)
         )
-        basis = [build_generator("su", lab, om) for lab in labels_for_family("su", 1)]
-        dec = BasisDecomposer(basis)
-        assert decompose(dec, com) == {2: Fraction(-2)}
-        assert dec.bracket(0, 1) == {2: Fraction(-2)}
+        assert com == {c: -2 * v for c, v in build_generator("su", B(1), om).row().items()}
+        # Read off the torus diagonal: B(1) takes d_0 = -2.
+        assert lie_core.from_matrices("su", om).constants[(0, 1)] == {2: Fraction(-2)}
 
     def test_decompose_unit_vector(self):
-        om = [1, 1]
-        basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
-        coeffs = decompose(BasisDecomposer(basis), basis[1])
-        assert coeffs == {1: 1}
+        # The read-off of `from_matrices` rests on this: every generator but
+        # B and I holds 1, in its own unit, at (b, a) (at (a, a) for E), the
+        # largest column of its row, and no other generator holds that
+        # column; so read off its own cells, a generator is its unit vector.
+        om, dim = ["3/4", 0, "-2/5"], 4
+        for family in FAMILIES:
+            labels = labels_for_family(family, dim - 1)
+            rows = [build_generator(family, lab, om).row() for lab in labels]
+            for k, lab in enumerate(labels):
+                if lab.variant in ("B", "I"):
+                    continue
+                if lab.variant == "E":
+                    unit, a = lab.indices
+                    b = a
+                else:
+                    unit, a, b = {"J": (0,), "M": (1,)}.get(lab.variant, ()) + lab.indices
+                lead = max(rows[k])
+                assert (lead, rows[k][lead]) == ((b * dim + a) * 4 + unit, 1), (family, lab)
+                assert [h for h, row in enumerate(rows) if lead in row] == [k], (family, lab)
 
     def test_decompose_zero(self):
-        om = [1, 1]
-        basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
-        assert BasisDecomposer(basis).coefficients({}, 7) == {}
-        assert decompose(BasisDecomposer(basis), MatrixOverK(3, Kind.REAL)) == {}
+        # A zero commutator gets no entry: the phase I of u is central, and
+        # J(0,1) and J(2,3) share no index.
+        L = lie_core.from_matrices("u", [1, 1, 1])
+        phase = L.index(I_LABEL)
+        assert not any(phase in pair for pair in L.constants)
+        assert (L.index(J(0, 1)), L.index(J(2, 3))) not in L.constants
+        assert all(L.constants.values())
+        X, Y = (build_generator("so", lab, [1, 1, 1]) for lab in (J(0, 1), J(2, 3)))
+        assert mat_commutator(X, Y) == {}
 
-    def test_decompose_roundtrip_random_combination(self):
-        # Rational omegas give basis rows scaled by different lcms, so a
-        # decomposer that dropped those scales would get the coefficients wrong.
-        for family, om in (("su", [0, 1]), ("su", ["2/3", "-5/7"]), ("sq", ["3/4", "-2/5"])):
-            basis = [build_generator(family, lab, om) for lab in labels_for_family(family, 2)]
-            coeffs = {k: Fraction(k * k - 3, k + 1) for k in range(len(basis))}
-            X = {}
-            for k, mat in enumerate(basis):
-                for c, v in mat.row().items():
-                    X[c] = X.get(c, 0) + v * coeffs[k]
-            X = {c: v for c, v in X.items() if v}
-            dec = BasisDecomposer(basis)
-            assert decompose(dec, X) == coeffs, (family, om)
+    def test_not_in_span(self, monkeypatch):
+        # A real diagonal entry lies on no so generator's support, so no
+        # recomposition can hold it.
+        commutator = lie_core.mat_commutator
 
-    def test_not_in_span(self):
-        om = [1, 1]
-        basis = [build_generator("so", lab, om) for lab in labels_for_family("so", 2)]
-        outside = MatrixOverK(3, Kind.REAL, {(0, 0): (0, 1)})
-        with pytest.raises(NotInSpanError):
-            decompose(BasisDecomposer(basis), outside)
+        def with_diagonal(X, Y):
+            com = commutator(X, Y)
+            return {**com, 0: 1} if com else com
 
-    def test_dependent_basis_rejected(self):
-        om = [1, 1]
-        g = build_generator("so", J(0, 1), om)
-        for factor in (2, Fraction(2, 3)):
-            with pytest.raises(ValueError, match="basis element 1 depends"):
-                BasisDecomposer([g, scaled_matrix(g, factor)])
+        monkeypatch.setattr(lie_core, "mat_commutator", with_diagonal)
+        with pytest.raises(NotInSpanError, match="not in the span"):
+            lie_core.from_matrices("so", [1, 1])
 
     def test_mixed_dim_or_kind_rejected(self):
-        # The columns depend on the dim: unchecked, this basis was accepted
-        # and bracket(0, 1) returned {0: Fraction(-1)}.
+        # The columns depend on the dim, so matrices of different dim or kind
+        # do not commute.
         small = MatrixOverK(2, Kind.REAL, {(0, 1): (0, 1)})
         large = MatrixOverK(3, Kind.REAL, {(0, 0): (0, 1)})
-        with pytest.raises(ValueError, match="basis element 1"):
-            BasisDecomposer([small, large])
         with pytest.raises(ValueError, match="cannot commute"):
             mat_commutator(small, large)
         complex_ = MatrixOverK(2, Kind.COMPLEX, {(0, 0): (1, 1)})
-        with pytest.raises(ValueError, match="basis element 1"):
-            BasisDecomposer([small, complex_])
         with pytest.raises(ValueError, match="cannot commute"):
             mat_commutator(complex_, small)
 

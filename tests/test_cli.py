@@ -142,10 +142,10 @@ class TestStructure:
         assert exc.value.code == 2
 
     def test_program_fault_is_not_an_input_error(self, capsys, monkeypatch):
-        # A decomposition failure is a broken invariant, not bad input: it
-        # must surface as a traceback, never as exit code 2.
+        # A commutator outside the generators' span is a broken invariant,
+        # not bad input: it must surface as a traceback, never as exit code 2.
         def broken(family, omega):
-            raise NotInSpanError("matrix is not in the span of the basis")
+            raise NotInSpanError("[J(0,1), J(1,2)] is not in the span of the generators")
 
         monkeypatch.setattr("cklie.cli.from_matrices", broken)
         with pytest.raises(NotInSpanError):
@@ -699,8 +699,10 @@ class TestImport:
     def test_structure_loads_no_dataclasses_cohomology_or_classify(self):
         # Every launch compiles the package modules it imports, so a command
         # that never solves for H2 must not load the solver or the catalog;
-        # no record needs dataclasses.  h2 then loads both and gives the
-        # digest recorded before they were loaded on demand.
+        # no record needs dataclasses.  structure runs the matrix route, so
+        # this also proves that the route shares no code with the
+        # elimination kernel, which lives in cohomology.  h2 then loads both
+        # and gives the digest recorded before they were loaded on demand.
         script = """
 import contextlib, hashlib, io, json, sys
 import cklie.cli

@@ -29,8 +29,8 @@ from helpers import (
     scaled,
 )
 
-from cklie.cohomology import CohomologySolver
-from cklie.ck_matrix import J, _echelon_int
+from cklie.cohomology import CohomologySolver, _echelon_int
+from cklie.ck_matrix import J
 from cklie.classify import predict
 from cklie.lie_core import (
     LieAlgebra,

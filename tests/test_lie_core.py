@@ -19,7 +19,7 @@ from helpers import (
     with_zeros,
 )
 from cklie import lie_core
-from cklie.ck_matrix import B, E, J, M, Mq, OmegaVector
+from cklie.ck_matrix import B, E, J, M, Mq, NotInSpanError, OmegaVector
 from cklie.classify import predict
 from cklie.cohomology import CohomologySolver
 from cklie.lie_core import (
@@ -253,6 +253,33 @@ class TestFromMatrices:
         monkeypatch.setattr(OmegaVector, "evaluate", refuse)
         for family, closed in expected.items():
             assert from_matrices(family, om).same_constants(closed), family
+
+    def test_dropped_cell_of_a_j_commutator_leaves_the_span(self, monkeypatch):
+        # [J(0,1), J(1,2)] = -J(0,2) loses its (0, 2) cell.  The read-off from
+        # (2, 0) is still right, so only a comparison over the columns of the
+        # recomposition, not just those of the commutator, sees the loss.
+        commutator = lie_core.mat_commutator
+
+        def drop_cell(X, Y):
+            return {c: v for c, v in commutator(X, Y).items() if c != (0 * X.dim + 2) * 4}
+
+        monkeypatch.setattr(lie_core, "mat_commutator", drop_cell)
+        with pytest.raises(NotInSpanError, match=r"\[J\(0,1\), J\(1,2\)\]"):
+            from_matrices("so", [2, 3])
+
+    def test_nonzero_trace_leaves_the_span(self, monkeypatch):
+        # The phase I of u never gets a coordinate: a commutator given an
+        # imaginary trace (i at (0, 0)) must fail the recomposition rather
+        # than be read off as a multiple of I.
+        commutator = lie_core.mat_commutator
+
+        def with_trace(X, Y):
+            com = commutator(X, Y)
+            return {1: 1, **com} if com else com
+
+        monkeypatch.setattr(lie_core, "mat_commutator", with_trace)
+        with pytest.raises(NotInSpanError, match=r"\[J\(0,1\), J\(0,2\)\]"):
+            from_matrices("u", [2, 3])
 
 
 class TestShape:
