@@ -7,43 +7,20 @@ cohomology exactly, and cross-validates the result against a closed-form
 classification of the extension coefficients.
 """
 
-from .scalars import Kind, parse_rational
-from .ck_matrix import (
-    B,
-    E,
-    FAMILIES,
-    GeneratorLabel,
-    I_LABEL,
-    J,
-    M,
-    MatrixOverK,
-    Mq,
-    OmegaVector,
-    build_generator,
-    build_metric,
-    is_metric_antihermitian,
-    is_traceless,
-    labels_for_family,
-    mat_commutator,
-)
-from .lie_core import (
-    LieAlgebra,
-    build_algebra,
-    epsilon,
-    from_matrices,
-    verify_jacobi,
-)
-
-# Every public name bound above, then those of cohomology and classify.  The
-# commands that never solve for H2 (structure, generators) neither import nor
-# compile these two modules: their names load them on first access.
+# Every public name by its home module, each loaded on first access, so that
+# a command loads only the modules it uses: structure and generators neither
+# import nor compile cohomology and classify.
 _LAZY = {
+    "scalars": ("Kind", "parse_rational"),
+    "ck_matrix": ("B", "E", "FAMILIES", "GeneratorLabel", "I_LABEL", "J", "M", "MatrixOverK", "Mq",
+                  "OmegaVector", "build_generator", "build_metric", "is_metric_antihermitian",
+                  "is_traceless", "labels_for_family", "mat_commutator"),
+    "lie_core": ("LieAlgebra", "build_algebra", "epsilon", "from_matrices", "verify_jacobi"),
     "cohomology": ("CohomologyResult", "CohomologySolver"),
     "classify": ("CatalogEntry", "CrosscheckReport", "certify_rescaling", "crosscheck", "predict",
                  "removals"),
 }
-__all__ = [n for n in globals() if n[0] != "_" and n not in ("scalars", "ck_matrix", "lie_core")]
-__all__ += [name for names in _LAZY.values() for name in names]
+__all__ = [name for names in _LAZY.values() for name in names]
 
 
 def __getattr__(name: str):

@@ -20,7 +20,7 @@ pair.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 from math import prod
 
@@ -73,6 +73,9 @@ class OmegaVector(tuple):
     def __new__(cls, coeffs: Iterable):
         if isinstance(coeffs, str):
             raise TypeError("OmegaVector takes numbers, not a string: use OmegaVector.parse")
+        # Bytes would give character codes, and a mapping or a set has no order.
+        if isinstance(coeffs, (bytes, bytearray, memoryview, Mapping, Set)):
+            raise TypeError(f"OmegaVector takes numbers in order, not a {type(coeffs).__name__}")
         vals = tuple(_frac(c) for c in coeffs)
         if not vals:
             raise ValueError("omega must have at least one coefficient")

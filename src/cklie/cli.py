@@ -12,13 +12,9 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
-import io
-import json
-import os
-import sys
-from itertools import product
-
+# The package's own modules are imported first.  A launch that writes no
+# bytecode compiles each one from source, and compiling lie_core on top of
+# argparse and json raised the peak traced memory of `import cklie.cli` by 0.46 MB.
 from .ck_matrix import (
     FAMILIES,
     I_LABEL,
@@ -30,6 +26,13 @@ from .ck_matrix import (
     labels_for_family,
 )
 from .lie_core import build_algebra, from_matrices, verify_jacobi
+
+import argparse
+import io
+import json
+import os
+import sys
+from itertools import product
 
 # cohomology and classify are imported inside the commands that solve for H2
 # (h2, sweep, verify), so that structure and generators load neither.
@@ -70,6 +73,13 @@ def _check_size(args: argparse.Namespace) -> None:
     # A sweep holds its 3^n rows in memory: about 1.7 GB at n = 14.
     if "omega" not in args and args.n > 13:
         raise InputError(f"sweep --n must be <= 13, got {args.n}")
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; all of them where the platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _heading(args: argparse.Namespace) -> str:
@@ -179,14 +189,14 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
     `certify_rescaling` proves that a row depends only on the zero set of
     omega, so only the 2^n patterns in {0, 1}^n are solved, and each row is
     its representative's (1 wherever omega is nonzero) with its own omega.
-    At most jobs workers, and never more than the CPUs or the cases solved;
-    `Pool.starmap` keeps the order.
+    At most jobs workers, and never more than the cases solved or the CPUs
+    this process may run on; `Pool.starmap` keeps the order.
     """
     from .classify import certify_rescaling
 
     certify_rescaling(family, n)
     tasks = [(family, z) for z in product((0, 1), repeat=n)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _cpus())
     if workers > 1:
         # Imported here: only a parallel sweep pays for loading multiprocessing.
         from multiprocessing import Pool
@@ -203,7 +213,7 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[bool, object]:
-    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    jobs = _cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         raise InputError("--jobs must be >= 1")
     rows = sweep_rows(args.family, args.n, jobs=jobs)

@@ -71,60 +71,43 @@ def epsilon(a: int, b: int, c: int) -> int:
 class LieAlgebra:
     """Finite-dimensional real Lie algebra given by labeled basis + constants.
 
-    Constants are stored sparsely, keyed by index pairs (i, j) with i < j;
-    antisymmetry is implicit: [X_j, X_i] is the negated row (i, j).
-    The constants are not mutated after construction: the table check and
-    `integer_constants` run once and are kept, and a changed table is a new
-    `LieAlgebra`.
+    `constants` is the bracket table {(i, j): {k: C_ij^k}}, stored sparsely
+    and keyed by index pairs (i, j) with i < j; antisymmetry is implicit:
+    [X_j, X_i] is the negated row (i, j).  The table is checked when the
+    algebra is made: ValueError unless the labels are distinct, every key is
+    a pair of ints 0 <= i < j < dim and every term a nonzero constant at an
+    int index 0 <= k < dim, and TypeError for a constant that is not an int
+    or a Fraction (a float or a bool included).  The same loop takes `scale`,
+    the lcm d of the denominators that `integer_constants` scales by.
+    The constants are not mutated after construction: a changed table is a
+    new `LieAlgebra`.
     """
 
-    __slots__ = ("family", "omega", "basis", "_constants", "_index", "_lcm", "_integer")
+    __slots__ = ("family", "omega", "basis", "constants", "scale", "_index", "_integer")
 
     def __init__(self, family, omega, basis, constants):
         self.family = family
         self.omega = omega
         self.basis = tuple(basis)
-        self._constants = constants
-        self._lcm = None
         self._integer = None
         self._index = {lab: i for i, lab in enumerate(self.basis)}
         if len(self._index) < len(self.basis):
             raise ValueError("basis labels must be distinct")
-
-    @property
-    def constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The bracket table {(i, j): {k: C_ij^k}}, read only after the table
-        check, which runs on the first read and is kept.
-
-        The check raises ValueError unless every key is a pair of ints
-        0 <= i < j < dim and every term a nonzero constant at an int index
-        0 <= k < dim, and TypeError for a constant that is not an int or a
-        Fraction (a float or a bool included).  The same loop takes the lcm
-        of the denominators that `integer_constants` scales by.
-        """
-        if self._lcm is None:
-            r = self.dim
-            d = 1
-            for (i, j), terms in self._constants.items():
-                if type(i) is not int or type(j) is not int or not 0 <= i < j < r:
-                    raise ValueError(f"bracket key {(i, j)!r} is not a pair of ints 0 <= i < j < {r}")
-                for k, c in terms.items():
-                    if type(k) is not int or not 0 <= k < r:
-                        raise ValueError(f"bracket {(i, j)} has a term at index {k!r}, outside 0..{r - 1}")
-                    if type(c) is not Fraction and type(c) is not int:
-                        raise TypeError(f"bracket {(i, j)} has a {type(c).__name__} constant {c!r}")
-                    if not c:
-                        raise ValueError(f"bracket {(i, j)} stores a zero constant at index {k}")
-                    d = lcm(d, c.denominator)
-            self._lcm = d
-        return self._constants
-
-    @property
-    def scale(self) -> int:
-        """d, the lcm of the constants' denominators: `integer_constants`
-        is d * C."""
-        self.constants  # the table check takes d, once
-        return self._lcm
+        r = self.dim
+        d = 1
+        for (i, j), terms in constants.items():
+            if type(i) is not int or type(j) is not int or not 0 <= i < j < r:
+                raise ValueError(f"bracket key {(i, j)!r} is not a pair of ints 0 <= i < j < {r}")
+            for k, c in terms.items():
+                if type(k) is not int or not 0 <= k < r:
+                    raise ValueError(f"bracket {(i, j)} has a term at index {k!r}, outside 0..{r - 1}")
+                if type(c) is not Fraction and type(c) is not int:
+                    raise TypeError(f"bracket {(i, j)} has a {type(c).__name__} constant {c!r}")
+                if not c:
+                    raise ValueError(f"bracket {(i, j)} stores a zero constant at index {k}")
+                d = lcm(d, c.denominator)
+        self.constants: dict[tuple[int, int], dict[int, Fraction]] = constants
+        self.scale = d
 
     @property
     def dim(self) -> int:
@@ -152,11 +135,10 @@ class LieAlgebra:
         call and shared by later ones, so callers must not mutate it.
         """
         if self._integer is None:
-            constants = self.constants
-            d = self._lcm
+            d = self.scale
             self._integer = {
                 pair: {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
-                for pair, terms in constants.items()
+                for pair, terms in self.constants.items()
             }
         return self._integer
 

@@ -62,6 +62,16 @@ class TestOmegaVector:
             OmegaVector("10")
         assert OmegaVector.coerce("10") == (10,)
 
+    @pytest.mark.parametrize("coeffs", [b"10", bytearray(b"10"), {1: 2}, {1, 2}],
+                             ids=["bytes", "bytearray", "dict", "set"])
+    def test_bytes_and_unordered_input_refused(self, coeffs):
+        # Bytes were read as character codes, b"10" as (49, 48), and a dict
+        # as its keys, {1: 2} as (1); a set has no order either.
+        with pytest.raises(TypeError, match=type(coeffs).__name__):
+            OmegaVector(coeffs)
+        with pytest.raises(TypeError, match=type(coeffs).__name__):
+            OmegaVector.coerce(coeffs)
+
     def test_parse_and_text_roundtrip(self):
         om = OmegaVector.parse("1,0,-1/2")
         assert om == (Fraction(1), Fraction(0), Fraction(-1, 2))

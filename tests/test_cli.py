@@ -296,7 +296,8 @@ class TestSweep:
 
     @staticmethod
     def fake_pool(monkeypatch, cpus):
-        # A recording stand-in for Pool on a machine with `cpus` CPUs: no
+        # A recording stand-in for Pool where this process may run on `cpus`
+        # of the machine's 64 CPUs, or where neither call can say (None): no
         # process is started.
         asked = []
 
@@ -314,7 +315,12 @@ class TestSweep:
                 return [fn(*t) for t in tasks]
 
         monkeypatch.setattr("multiprocessing.Pool", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         return asked
 
     def test_workers_capped_at_cases(self, monkeypatch):
@@ -331,6 +337,21 @@ class TestSweep:
         rows = sweep_rows("so", 2, jobs=5000)
         assert asked == expected
         assert rows == sweep_rows("so", 2, jobs=1)
+
+    def test_without_affinity_call_workers_capped_at_cpu_count(self, monkeypatch):
+        asked = self.fake_pool(monkeypatch, cpus=None)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        sweep_rows("so", 2, jobs=5000)
+        assert asked == [3]
+
+    @pytest.mark.parametrize("cpus,expected", [(1, []), (3, [3])])
+    def test_default_jobs_are_the_cpus_this_process_may_use(self, monkeypatch, capsys, cpus, expected):
+        # Pinned to one CPU of many, a default sweep runs serially.
+        asked = self.fake_pool(monkeypatch, cpus=cpus)
+        _, out, _ = run(capsys, "sweep", "--family", "so", "--n", "2", "--format", "csv")
+        assert asked == expected
+        _, serial, _ = run(capsys, "sweep", "--family", "so", "--n", "2", "--format", "csv", "--jobs", "1")
+        assert out == serial
 
     @pytest.mark.parametrize(
         "family,n",
@@ -477,7 +498,14 @@ class TestVerify:
         # the same check with d = 1 fails.
         omega = OmegaVector.coerce(self.RATIONAL_SO)
         assert cli.verify_case("so", omega)["pseudoextension_removal"] == "pass"
-        monkeypatch.setattr(lie_core.LieAlgebra, "scale", property(lambda L: 1))
+
+        def unscaled(family, omega):
+            L = lie_core.build_algebra(family, omega)
+            L.integer_constants()  # the coboundary rows keep the real d
+            L.scale = 1
+            return L
+
+        monkeypatch.setattr(cli, "build_algebra", unscaled)
         assert cli.verify_case("so", omega)["pseudoextension_removal"] == "fail"
 
     def test_coboundaries_fail_on_a_broken_bracket(self, monkeypatch):

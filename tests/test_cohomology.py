@@ -258,31 +258,39 @@ TABLE_READERS = {
 class TestHandBuiltTable:
     """A stored zero would become a B2 pivot, and a key (1, 0) would be
     dropped by the assembly: each gives a wrong H2 with no error unless the
-    table is checked."""
+    table is checked.  The constructor checks it, so no reader is ever
+    handed an unchecked table."""
 
     BASIS = [J(0, 1), J(0, 2), J(1, 2)]
 
     @pytest.mark.parametrize("constants,message", BAD_TABLES)
     def test_rejected(self, constants, message):
-        L = LieAlgebra(None, None, self.BASIS, constants)
         with pytest.raises(ValueError, match=message):
-            CohomologySolver(L).result()
+            LieAlgebra(None, None, self.BASIS, constants)
 
     @pytest.mark.parametrize("reader", TABLE_READERS)
     @pytest.mark.parametrize("constants,message", BAD_TABLES)
     def test_every_reader_checks(self, reader, constants, message):
-        L = LieAlgebra(None, None, self.BASIS, constants)
+        L = None
         with pytest.raises(ValueError, match=message):
+            L = LieAlgebra(None, None, self.BASIS, constants)
             TABLE_READERS[reader](L)
+        assert L is None, f"{reader} was handed an unchecked table"
 
     @pytest.mark.parametrize("reader", TABLE_READERS)
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
     def test_float_or_bool_constant_rejected(self, reader, bad):
         # 0.5 made integer_constants raise AttributeError and to_json_obj
         # print "0.5"; True was taken as 1 and printed "True".
-        L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: bad}})
+        L = None
         with pytest.raises(TypeError, match=type(bad).__name__):
+            L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: bad}})
             TABLE_READERS[reader](L)
+        assert L is None, f"{reader} was handed an unchecked table"
+
+    def test_duplicate_label_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            LieAlgebra(None, None, [J(0, 1), J(0, 2), J(0, 1)], {})
 
     def test_int_and_fraction_constants_accepted(self):
         L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: 3}, (0, 2): {1: Fraction(-1, 2)}})
