@@ -140,10 +140,17 @@ class GeneratorLabel(namedtuple("GeneratorLabel", "variant indices")):
     variant "Mq": quaternionic partners, indices (alpha, a, b)  (sq)
     variant "E": diagonal quaternionic units, (alpha, a)        (sq)
 
-    A label is the tuple (variant, indices) and hashes like it.
+    A label is the tuple (variant, indices) and hashes like it.  Every index
+    is an int: a float or a bool raises TypeError.
     """
 
     __slots__ = ()
+
+    def __new__(cls, variant: str, indices: tuple[int, ...]):
+        for i in indices:
+            if type(i) is not int:
+                raise TypeError(f"{variant} indices must be ints, got {type(i).__name__} {i!r}")
+        return super().__new__(cls, variant, indices)
 
     def __str__(self) -> str:
         v, idx = self.variant, self.indices
@@ -254,8 +261,9 @@ class MatrixOverK:
     rational times one unit: {(row, col): (unit, value)}, with unit 0..3 for
     1, i_1, i_2, i_3 and value a nonzero int or Fraction.
 
-    The constructor rejects every other form: a value that is not an int or
-    a Fraction (TypeError), a zero value (zero entries are never stored, so
+    The constructor rejects every other form: a position that is not two
+    ints or a value that is not an int or a Fraction (TypeError; a bool or a
+    float is neither), a zero value (zero entries are never stored, so
     an empty map is the zero matrix), a unit the kind does not allow and a
     position outside the matrix (ValueError).
     """
@@ -267,6 +275,9 @@ class MatrixOverK:
         # R, C and H have real dimension 2**kind, so units 0 .. 2**kind - 1.
         top = 2**kind - 1
         for (i, j), (u, v) in cells.items():
+            for x in (i, j):
+                if type(x) is not int:
+                    raise TypeError(f"entry ({i!r}, {j!r}) has a {type(x).__name__} position, not an int")
             if type(v) is not int and type(v) is not Fraction:
                 raise TypeError(f"entry ({i}, {j}) must be an int or a Fraction, got {v!r}")
             if not v:
@@ -331,10 +342,7 @@ def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     if label.indices and label.indices[-1] > n:
         raise ValueError(f"label {label} out of range for n={n}")
     v = label.variant
-    if v == "J":
-        a, b = label.indices
-        cells = {(a, b): (0, -om.product(a, b)), (b, a): (0, 1)}
-    elif v == "B":
+    if v == "B":
         (l,) = label.indices
         cells = {(l - 1, l - 1): (1, 1), (l, l): (1, -1)}
     elif v == "I":
@@ -342,9 +350,9 @@ def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     elif v == "E":
         alpha, a = label.indices
         cells = {(a, a): (alpha, 1)}
-    else:  # M(a,b) is Mq with the complex unit i = i_1
-        alpha, a, b = (1, *label.indices) if v == "M" else label.indices
-        cells = {(a, b): (alpha, om.product(a, b)), (b, a): (alpha, 1)}
+    else:  # i_u (s_u w_ab e_ab + e_ba): J has i_0 = 1 and s_0 = -1, M the unit i = i_1
+        u, a, b = {"J": (0,), "M": (1,)}.get(v, ()) + label.indices
+        cells = {(a, b): (u, (1 if u else -1) * om.product(a, b)), (b, a): (u, 1)}
     # A contracted entry w_ab = 0 is not stored.
     return MatrixOverK(n + 1, FAMILY_KIND[family], {ij: c for ij, c in cells.items() if c[1]})
 

@@ -2,10 +2,11 @@
 
 `build_algebra` fills the sparse bracket table of every family from one
 closed-form rule set, as the families are the antihermitian matrices over
-R (so), C (su, u) and H (sq): the J rows are shared by all, nine partner rows
-repeat for each imaginary unit of the scalar kind (none over R, one over C,
-three over H), and only the rows of the diagonal generators (the torus of
-su/u; the units E and the mixed-unit rows of sq) are family-specific.
+R (so), C (su, u) and H (sq): one loop over ordered pairs of units of the
+scalar kind (1 over R; 1 and i over C; 1, i_1, i_2, i_3 over H) gives every
+row between off-diagonal generators, signed by the unit product, and only
+the rows of the diagonal generators (the torus of su/u, the units E of sq)
+are family-specific.
 The rules run once per (family, N), on symbolic weights: the cached shape
 holds each constant as a monomial (coef, ks), an integer times the range
 product w_ab = omega_{a+1} ... omega_b, and each omega fills fresh constant
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, permutations
+from itertools import combinations, product
 from math import lcm
 
 from .ck_matrix import (
@@ -61,6 +62,8 @@ __all__ = [
 def epsilon(a: int, b: int, c: int) -> int:
     """Totally antisymmetric unit tensor on {1, 2, 3} with epsilon(1,2,3) = 1."""
     for v in (a, b, c):
+        if type(v) is not int:
+            raise TypeError(f"epsilon indices must be ints, got {type(v).__name__} {v!r}")
         if v not in (1, 2, 3):
             raise ValueError(f"epsilon indices must be in 1..3, got ({a},{b},{c})")
     if a == b or b == c or a == c:
@@ -172,23 +175,16 @@ class LieAlgebra:
         return f"LieAlgebra({self.family}, omega=({om}), dim={self.dim})"
 
 
-class _Weight:
-    """The monomial (coef, ks) with omega not yet chosen: the rules only
-    scale it by integers."""
-
-    __slots__ = ("mono",)
-
-    def __init__(self, coef: int, ks: tuple[int, ...]):
-        self.mono = (coef, ks)
-
-    def __rmul__(self, k: int) -> "_Weight":
-        return _Weight(k * self.mono[0], self.mono[1])
-
-    def __neg__(self) -> "_Weight":
-        return -1 * self
-
-
-_ONE = _Weight(1, ())
+def _unit_product(u: int, v: int) -> tuple[int, int]:
+    """(t, sign) with i_u i_v = sign * i_t, on the units (1, i_1, i_2, i_3)
+    numbered 0..3: i_0 = 1 is neutral, i_u i_u = -1 and distinct imaginary
+    units multiply by epsilon."""
+    if not u or not v:
+        return u + v, 1
+    if u == v:
+        return 0, -1
+    t = 6 - u - v
+    return t, epsilon(u, v, t)
 
 
 class _Builder:
@@ -199,7 +195,8 @@ class _Builder:
         self.monomials: dict[tuple[int, tuple[int, ...]], int] = {}
         self.rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
-    def put(self, u: GeneratorLabel, v: GeneratorLabel, terms: dict[GeneratorLabel, _Weight]):
+    def put(self, u: GeneratorLabel, v: GeneratorLabel, terms: dict[GeneratorLabel, tuple]):
+        """Store [u, v] = sum of coef * w(ks) * label over terms {label: (coef, ks)}."""
         i, j = self.index[u], self.index[v]
         if i == j:
             raise ValueError(f"bracket of {u} with itself")
@@ -211,48 +208,39 @@ class _Builder:
             raise ValueError(f"bracket ({u}, {v}) assigned twice")
         monos = self.monomials
         self.rows[(i, j)] = tuple(
-            (self.index[lab], monos.setdefault(w.mono if sign == 1 else (-w).mono, len(monos)))
-            for lab, w in terms.items()
+            (self.index[lab], monos.setdefault((sign * coef, ks), len(monos)))
+            for lab, (coef, ks) in terms.items()
         )
 
 
-def _put_torus_rows(bld: _Builder, n: int, w: dict[tuple[int, int], _Weight]):
+def _put_torus_rows(bld: _Builder, n: int, w: dict[tuple[int, int], tuple[int, ...]]):
     """The su/u rows of the torus generators B(l)."""
-    for (a, b), w_ab in w.items():
+    for (a, b), ks in w.items():
         for l in range(1, n + 1):
             kappa = (a == l - 1) - (b == l - 1) + (b == l) - (a == l)
             if kappa:
-                bld.put(J(a, b), B(l), {M(a, b): kappa * _ONE})
-                bld.put(M(a, b), B(l), {J(a, b): -kappa * _ONE})
-        bld.put(J(a, b), M(a, b), {B(s): -2 * w_ab for s in range(a + 1, b + 1)})
+                bld.put(J(a, b), B(l), {M(a, b): (kappa, ())})
+                bld.put(M(a, b), B(l), {J(a, b): (-kappa, ())})
+        bld.put(J(a, b), M(a, b), {B(s): (-2, ks) for s in range(a + 1, b + 1)})
 
 
-def _put_quaternion_rows(bld: _Builder, n: int, w: dict[tuple[int, int], _Weight]):
-    """The sq rows of the diagonal units E and of partners of distinct units."""
-    for alpha in (1, 2, 3):
-        for (a, b), w_ab in w.items():
-            bld.put(J(a, b), Mq(alpha, a, b), {E(alpha, b): 2 * w_ab, E(alpha, a): -2 * w_ab})
-            bld.put(J(a, b), E(alpha, a), {Mq(alpha, a, b): _ONE})
-            bld.put(J(a, b), E(alpha, b), {Mq(alpha, a, b): -_ONE})
-            bld.put(Mq(alpha, a, b), E(alpha, a), {J(a, b): -_ONE})
-            bld.put(Mq(alpha, a, b), E(alpha, b), {J(a, b): _ONE})
-    for alpha, beta in permutations((1, 2, 3), 2):
-        gamma = 6 - alpha - beta
-        eps = epsilon(alpha, beta, gamma)
-        for a, b, c in combinations(range(n + 1), 3):
-            bld.put(Mq(alpha, a, b), Mq(beta, a, c), {Mq(gamma, b, c): eps * w[a, b]})
-            bld.put(Mq(alpha, a, b), Mq(beta, b, c), {Mq(gamma, a, c): eps * _ONE})
-            bld.put(Mq(alpha, a, c), Mq(beta, b, c), {Mq(gamma, a, b): eps * w[b, c]})
-        for a, b in w:
-            bld.put(Mq(alpha, a, b), E(beta, a), {Mq(gamma, a, b): eps * _ONE})
-            bld.put(Mq(alpha, a, b), E(beta, b), {Mq(gamma, a, b): eps * _ONE})
-        # [X, Y] and [Y, X] are one row, so the symmetric rows take alpha < beta.
-        if alpha < beta:
-            for (a, b), w_ab in w.items():
-                e_ab = 2 * eps * w_ab
-                bld.put(Mq(alpha, a, b), Mq(beta, a, b), {E(gamma, a): e_ab, E(gamma, b): e_ab})
+def _put_quaternion_rows(bld: _Builder, n: int, w: dict[tuple[int, int], tuple[int, ...]], X):
+    """The sq rows of the units E(v, a) = i_v e_aa, with i_u i_v = rho i_t and
+    i_v i_u = sigma i_t: [X(u,a,b), E(v,a)] = rho X(t,a,b) and
+    [X(u,a,b), E(v,b)] = -sigma X(t,a,b); for u < v, the same-pair row
+    [X(u,a,b), X(v,a,b)] = 2 w_ab (rho E(t,b) - sigma E(t,a)) and, for
+    imaginary u, [E(u,a), E(v,a)] = 2 rho E(t,a)."""
+    for u, v in product(range(4), (1, 2, 3)):
+        t, rho = _unit_product(u, v)
+        sigma = _unit_product(v, u)[1]
+        for (a, b), ks in w.items():
+            bld.put(X[u, a, b], E(v, a), {X[t, a, b]: (rho, ())})
+            bld.put(X[u, a, b], E(v, b), {X[t, a, b]: (-sigma, ())})
+            if u < v:
+                bld.put(X[u, a, b], X[v, a, b], {E(t, a): (-2 * sigma, ks), E(t, b): (2 * rho, ks)})
+        if 0 < u < v:
             for a in range(n + 1):
-                bld.put(E(alpha, a), E(beta, a), {E(gamma, a): 2 * eps * _ONE})
+                bld.put(E(u, a), E(v, a), {E(t, a): (2 * rho, ())})
 
 
 @cache
@@ -267,29 +255,24 @@ def _shape(family: str, n: int):
     labels = tuple(labels_for_family(family, n))
     kind = FAMILY_KIND[family]
     bld = _Builder(labels)
-    w = {(a, b): _Weight(1, tuple(range(a + 1, b + 1))) for a, b in combinations(range(n + 1), 2)}
+    w = {(a, b): tuple(range(a + 1, b + 1)) for a, b in combinations(range(n + 1), 2)}
     triples = list(combinations(range(n + 1), 3))
-    for a, b, c in triples:
-        bld.put(J(a, b), J(a, c), {J(b, c): w[a, b]})
-        bld.put(J(a, b), J(b, c), {J(a, c): -_ONE})
-        bld.put(J(a, c), J(b, c), {J(a, b): w[b, c]})
-    # R, C and H have real dimension 2**kind, so 2**kind - 1 imaginary units.
-    for alpha in range(1, 2**kind):
-        P = M if kind == Kind.COMPLEX else partial(Mq, alpha)
+    # X[u, a, b] = i_u (s_u w_ab e_ab + e_ba) over the units 0 .. 2**kind - 1 of
+    # R, C or H: J for u = 0 (s_0 = -1), M or Mq(u) for imaginary u (s_u = +1).
+    units = range(2**kind)
+    make = [J] + [M if kind == Kind.COMPLEX else partial(Mq, u) for u in units[1:]]
+    X = {(u, a, b): make[u](a, b) for u in units for a, b in w}
+    for u, v in product(units, repeat=2):
+        t, sigma = _unit_product(v, u)
+        s_u, s_v = (1 if u else -1), (1 if v else -1)
         for a, b, c in triples:
-            bld.put(P(a, b), P(a, c), {J(b, c): w[a, b]})
-            bld.put(P(a, b), P(b, c), {J(a, c): _ONE})
-            bld.put(P(a, c), P(b, c), {J(a, b): w[b, c]})
-            bld.put(J(a, b), P(a, c), {P(b, c): w[a, b]})
-            bld.put(J(a, b), P(b, c), {P(a, c): -_ONE})
-            bld.put(J(a, c), P(b, c), {P(a, b): -w[b, c]})
-            bld.put(P(a, b), J(a, c), {P(b, c): -w[a, b]})
-            bld.put(P(a, b), J(b, c), {P(a, c): -_ONE})
-            bld.put(P(a, c), J(b, c), {P(a, b): w[b, c]})
+            bld.put(X[u, a, b], X[v, a, c], {X[t, b, c]: (-s_u * sigma, w[a, b])})
+            bld.put(X[u, a, b], X[v, b, c], {X[t, a, c]: (-sigma, ())})
+            bld.put(X[u, a, c], X[v, b, c], {X[t, a, b]: (-s_v * sigma, w[b, c])})
     if kind == Kind.COMPLEX:
         _put_torus_rows(bld, n, w)
     elif kind == Kind.QUATERNION:
-        _put_quaternion_rows(bld, n, w)
+        _put_quaternion_rows(bld, n, w, X)
     return labels, tuple(bld.monomials), tuple(bld.rows.items())
 
 
@@ -297,17 +280,19 @@ def build_algebra(family: str, omega) -> LieAlgebra:
     """The closed-form bracket table of `family` at `omega`.
 
     so, su/u and sq are the metric-antihermitian matrices over R, C and H,
-    and share one rule set (a < b < c, w_ab = omega_{a+1} ... omega_b):
+    and share one rule set (a < b < c, w_ab = omega_{a+1} ... omega_b).  Each
+    off-diagonal generator is X(u,a,b) = i_u (s_u w_ab e_ab + e_ba) for a
+    unit u of the scalar kind: J(a,b) for u = 0 (i_0 = 1, s_0 = -1), and for
+    an imaginary unit (s_u = +1) M(a,b) over C or Mq(u,a,b) over H.  For
+    every ordered pair of units (u, v), with i_v i_u = sigma i_t:
 
-    * the J rows [J_ab, J_ac] = w_ab J_bc, [J_ab, J_bc] = -J_ac and
-      [J_ac, J_bc] = w_bc J_ab, in every family;
-    * for each imaginary unit of the scalar kind (none over R, i over C,
-      i_1, i_2, i_3 over H), nine rows between J and the partner P_ab of
-      J_ab, which is M(a,b) over C and Mq(alpha,a,b) over H.
+    * [X(u,a,b), X(v,a,c)] = -s_u sigma w_ab X(t,b,c);
+    * [X(u,a,b), X(v,b,c)] = -sigma X(t,a,c);
+    * [X(u,a,c), X(v,b,c)] = -s_v sigma w_bc X(t,a,b).
 
     Only the rows of the diagonal generators differ: the torus rows of
-    B(l) over C (the phase I of u is central), and over H the rows of
-    E(alpha, a) and the rows mixing distinct units, signed by epsilon.
+    B(l) over C (the phase I of u is central), and over H the rows of the
+    units E(alpha, a), from the same unit product.
 
     The rules run once per (family, N), on symbolic weights (`_shape`); each
     omega then evaluates each distinct monomial once and drops the zeros,

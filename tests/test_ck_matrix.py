@@ -16,6 +16,7 @@ from cklie.ck_matrix import (
     B,
     E,
     FAMILIES,
+    GeneratorLabel,
     I_LABEL,
     J,
     M,
@@ -157,6 +158,28 @@ class TestLabels:
         with pytest.raises(ValueError):
             B(0)
 
+    @pytest.mark.parametrize(
+        "make,args,bad",
+        [
+            (J, (Fraction(1, 2), 2), "Fraction"),
+            (J, (0.5, 2), "float"),
+            (J, (0, True), "bool"),
+            (M, (0, 2.0), "float"),
+            (B, (1.5,), "float"),
+            (B, (True,), "bool"),
+            (Mq, (True, 0, 1), "bool"),
+            (Mq, (1, 0, 1.0), "float"),
+            (E, (1, True), "bool"),
+            (E, (1.0, 0), "float"),
+            (GeneratorLabel, ("B", (1.5,)), "float"),
+        ],
+    )
+    def test_non_int_index_rejected(self, make, args, bad):
+        # A float or bool index once made a label such as B(1.5) or E1(True),
+        # whose matrix put cells at non-integer positions.
+        with pytest.raises(TypeError, match=bad):
+            make(*args)
+
 
 class TestGenerators:
     def test_so_j01(self):
@@ -179,6 +202,13 @@ class TestGenerators:
             build_generator("sq", B(1), [1])
         with pytest.raises(ValueError):
             build_generator("su", J(0, 3), [1, 1])
+
+    def test_non_int_label_index_rejected(self):
+        # A label that skips the index check (namedtuple's _make does) still
+        # cannot place cells at (0.5, 0.5) and (1.5, 1.5), which once rendered
+        # as the zero matrix.
+        with pytest.raises(TypeError, match="float"):
+            build_generator("su", GeneratorLabel._make(("B", (1.5,))), [1, 1])
 
     def test_all_generators_metric_antihermitian(self):
         # every family, every sign pattern, n <= 4: X^dag G + G X == 0
@@ -257,6 +287,14 @@ class TestMatrixOverK:
     def test_inexact_value(self, value):
         with pytest.raises(TypeError):
             MatrixOverK(2, Kind.QUATERNION, {(0, 1): (1, value)})
+
+    @pytest.mark.parametrize(
+        "ij,bad", [((0.5, 1), "float"), ((1, 1.0), "float"), ((True, 1), "bool"), ((0, False), "bool")]
+    )
+    def test_position_not_an_int(self, ij, bad):
+        # (0.5, 1) was once stored: the matrix printed as zero and row() gave column 8.0.
+        with pytest.raises(TypeError, match=bad):
+            MatrixOverK(2, Kind.REAL, {ij: (0, 1)})
 
     @pytest.mark.parametrize("ij", [(0, 2), (2, 0), (-1, 0)])
     def test_position_outside(self, ij):

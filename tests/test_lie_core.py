@@ -29,6 +29,7 @@ from cklie.lie_core import (
     from_matrices,
     verify_jacobi,
 )
+from cklie.scalars import _UNIT_PRODUCT
 
 
 def sign_patterns(n):
@@ -59,6 +60,23 @@ class TestEpsilon:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             epsilon(0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "args,bad", [((1.0, 2, 3), "float"), ((1, True, 3), "bool"), ((1, 2, Fraction(3)), "Fraction")]
+    )
+    def test_non_int_index_rejected(self, args, bad):
+        with pytest.raises(TypeError, match=bad):
+            epsilon(*args)
+
+
+class TestUnitProduct:
+    def test_matches_the_matrix_table(self):
+        # lie_core derives the product from epsilon and does not import the
+        # table the matrix route multiplies by, so a wrong entry in either
+        # shows up as a closed-form/matrix mismatch.
+        for u, v in product(range(4), repeat=2):
+            assert lie_core._unit_product(u, v) == _UNIT_PRODUCT[u][v], (u, v)
+        assert not hasattr(lie_core, "_UNIT_PRODUCT")
 
 
 class TestBuildSo:
@@ -224,7 +242,9 @@ class TestJacobi:
 
 
 class TestFromMatrices:
-    @pytest.mark.parametrize("family,nmax", [("so", 3), ("su", 2), ("u", 2), ("sq", 1)])
+    # sq needs N = 2 for an index triple a < b < c, and so for its rows
+    # between distinct units, where the order of the unit product matters.
+    @pytest.mark.parametrize("family,nmax", [("so", 3), ("su", 2), ("u", 2), ("sq", 2)])
     def test_matches_closed_form_exhaustively(self, family, nmax):
         for n in range(1, nmax + 1):
             for signs in sign_patterns(n):
@@ -233,8 +253,9 @@ class TestFromMatrices:
                 assert matrix.same_constants(closed), (family, signs)
 
     def test_sq_n2_spot_checks(self):
-        for signs in [(1, 1), (0, 0), (0, 1), (-1, 1), (1, -1)]:
-            assert from_matrices("sq", signs).same_constants(build_algebra("sq", signs))
+        # Non-unit weights, so a row that drops or misplaces w_ab shows.
+        for omega in [(2, -3), (Fraction(1, 2), 5), (0, Fraction(-7, 3))]:
+            assert from_matrices("sq", omega).same_constants(build_algebra("sq", omega))
 
     def test_su_rational_omega(self):
         om = [Fraction(2, 3)]
@@ -253,6 +274,21 @@ class TestFromMatrices:
         monkeypatch.setattr(OmegaVector, "evaluate", refuse)
         for family, closed in expected.items():
             assert from_matrices(family, om).same_constants(closed), family
+
+    def test_closed_form_reads_no_matrix(self, monkeypatch):
+        # The converse of the test above: the closed form must rebuild every
+        # family with the matrix generators and their commutator taken away.
+        om = OmegaVector(SIGNED_PRIMES[:3])
+        expected = {family: from_matrices(family, om) for family in ("so", "su", "u", "sq")}
+
+        def refuse(*args):
+            raise AssertionError("a matrix generator or commutator was read")
+
+        lie_core._shape.cache_clear()
+        monkeypatch.setattr(lie_core, "build_generator", refuse)
+        monkeypatch.setattr(lie_core, "mat_commutator", refuse)
+        for family, matrix in expected.items():
+            assert build_algebra(family, om).same_constants(matrix), family
 
     def test_dropped_cell_of_a_j_commutator_leaves_the_span(self, monkeypatch):
         # [J(0,1), J(1,2)] = -J(0,2) loses its (0, 2) cell.  The read-off from
@@ -314,12 +350,6 @@ class TestShape:
         assert from_matrices("sq", om).same_constants(expected)
         for family in ("so", "su", "u"):
             assert predict(family, om)
-
-    def test_weights_scale_by_integers_on_the_left(self):
-        assert (2 * lie_core._ONE).mono == (2, ())
-        assert (-lie_core._ONE).mono == (-1, ())
-        with pytest.raises(TypeError):
-            lie_core._ONE * 2
 
     def test_cache_hands_out_no_shared_state(self):
         om = [Fraction(2), Fraction(-3)]
