@@ -7,18 +7,19 @@ cohomology exactly, and cross-validates the result against a closed-form
 classification of the extension coefficients.
 """
 
-# Every public name by its home module, each loaded on first access, so that
-# a command loads only the modules it uses: structure and generators neither
-# import nor compile cohomology and classify.
+# The one list of public names, by home module (no submodule has an __all__),
+# each loaded on first access, so that a command loads only the modules it
+# uses: structure and generators neither import nor compile cohomology and classify.
 _LAZY = {
     "scalars": ("Kind", "parse_rational"),
-    "ck_matrix": ("B", "E", "FAMILIES", "GeneratorLabel", "I_LABEL", "J", "M", "MatrixOverK", "Mq",
-                  "OmegaVector", "build_generator", "build_metric", "is_metric_antihermitian",
-                  "is_traceless", "labels_for_family", "mat_commutator"),
+    "ck_matrix": ("B", "E", "FAMILIES", "FAMILY_KIND", "GeneratorLabel", "I_LABEL", "J", "M",
+                  "MatrixOverK", "Mq", "NotInSpanError", "OmegaVector", "build_generator",
+                  "build_metric", "is_metric_antihermitian", "is_traceless", "labels_for_family",
+                  "mat_commutator"),
     "lie_core": ("LieAlgebra", "build_algebra", "epsilon", "from_matrices", "verify_jacobi"),
-    "cohomology": ("CohomologyResult", "CohomologySolver"),
-    "classify": ("CatalogEntry", "CrosscheckReport", "certify_rescaling", "crosscheck", "predict",
-                 "removals"),
+    "cohomology": ("CocycleSystem", "CohomologyResult", "CohomologySolver"),
+    "classify": ("CatalogEntry", "CoefficientVerdict", "CrosscheckReport", "certify_rescaling",
+                 "crosscheck", "predict", "removals"),
 }
 __all__ = [name for names in _LAZY.values() for name in names]
 

@@ -22,34 +22,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import combinations
 from math import prod
 
 from .scalars import _UNIT_PRODUCT, Kind, _frac
 
-__all__ = [
-    "FAMILIES",
-    "FAMILY_KIND",
-    "OmegaVector",
-    "build_metric",
-    "GeneratorLabel",
-    "J",
-    "M",
-    "B",
-    "Mq",
-    "E",
-    "I_LABEL",
-    "labels_for_family",
-    "MatrixOverK",
-    "build_generator",
-    "is_metric_antihermitian",
-    "is_traceless",
-    "mat_commutator",
-    "NotInSpanError",
-]
-
 _F1 = Fraction(1)
-
-FAMILIES = ("so", "su", "u", "sq")
 
 FAMILY_KIND = {
     "so": Kind.REAL,
@@ -57,6 +36,8 @@ FAMILY_KIND = {
     "u": Kind.COMPLEX,
     "sq": Kind.QUATERNION,
 }
+
+FAMILIES = tuple(FAMILY_KIND)
 
 
 class OmegaVector(tuple):
@@ -100,7 +81,10 @@ class OmegaVector(tuple):
         return len(self)
 
     def product(self, a: int, b: int) -> Fraction:
-        """Two-index coefficient: product omega_{a+1} * ... * omega_b, 1 when a == b."""
+        """Two-index coefficient: product omega_{a+1} * ... * omega_b, 1 when
+        a == b; a and b are ints, and a float or a bool raises TypeError."""
+        if type(a) is not int or type(b) is not int:
+            raise TypeError(f"product indices must be ints, got a={a!r}, b={b!r}")
         if not 0 <= a <= b <= self.n:
             raise ValueError(f"need 0 <= a <= b <= {self.n}, got a={a}, b={b}")
         return prod(self[a:b], start=_F1)
@@ -204,34 +188,33 @@ def E(alpha: int, a: int) -> GeneratorLabel:
 I_LABEL = GeneratorLabel("I", ())
 
 
-def labels_for_family(family: str, n: int) -> list[GeneratorLabel]:
-    """Canonical basis order: J block (lex), then M/Mq, then B/E, then I.
+@lru_cache(maxsize=None, typed=True)
+def labels_for_family(family: str, n: int) -> tuple[GeneratorLabel, ...]:
+    """The basis of `family` with N = n: the one statement of which labels
+    are its generators, and all that `build_generator` accepts.
 
-    A fixed order makes structure constants and cochain indices reproducible
-    across runs and machines.
+    Canonical order: J, then M or Mq(1), Mq(2), Mq(3), each over the pairs
+    a < b in lex order, then B or E, then I; a fixed order makes structure
+    constants and cochain indices reproducible across runs and machines.
+    A cached tuple; n is an int >= 1, a float or a bool raises TypeError,
+    and the typed cache never serves True the entry of 1.
     """
-    if family not in FAMILIES:
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {type(n).__name__} {n!r}")
+    if family not in FAMILY_KIND:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    js = [J(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
-    if family == "so":
-        return js
-    if family in ("su", "u"):
-        ms = [M(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
-        bs = [B(l) for l in range(1, n + 1)]
-        out = js + ms + bs
-        if family == "u":
-            out.append(I_LABEL)
-        return out
-    mqs = [
-        Mq(alpha, a, b)
-        for alpha in (1, 2, 3)
-        for a in range(n + 1)
-        for b in range(a + 1, n + 1)
-    ]
-    es = [E(alpha, a) for alpha in (1, 2, 3) for a in range(n + 1)]
-    return js + mqs + es
+    kind = FAMILY_KIND[family]
+    make = [J] + [M if kind == Kind.COMPLEX else partial(Mq, u) for u in range(1, 2**kind)]
+    out = [new(a, b) for new in make for a, b in combinations(range(n + 1), 2)]
+    if kind == Kind.COMPLEX:
+        out += [B(l) for l in range(1, n + 1)]
+    elif kind == Kind.QUATERNION:
+        out += [E(alpha, a) for alpha in (1, 2, 3) for a in range(n + 1)]
+    if family == "u":
+        out.append(I_LABEL)
+    return tuple(out)
 
 
 _SYMBOL = ("", "i", "j", "k")
@@ -261,9 +244,10 @@ class MatrixOverK:
     rational times one unit: {(row, col): (unit, value)}, with unit 0..3 for
     1, i_1, i_2, i_3 and value a nonzero int or Fraction.
 
-    The constructor rejects every other form: a position that is not two
-    ints or a value that is not an int or a Fraction (TypeError; a bool or a
-    float is neither), a zero value (zero entries are never stored, so
+    The constructor rejects every other form: a dim that is not an int, a
+    kind that is not a `Kind`, a position that is not two ints or a value
+    that is not an int or a Fraction (TypeError; a bool or a float is
+    neither), a dim below 1, a zero value (zero entries are never stored, so
     an empty map is the zero matrix), a unit the kind does not allow and a
     position outside the matrix (ValueError).
     """
@@ -271,6 +255,12 @@ class MatrixOverK:
     __slots__ = ("dim", "kind", "cells")
 
     def __init__(self, dim: int, kind: Kind, cells=None):
+        if type(dim) is not int:
+            raise TypeError(f"dim must be an int, got {type(dim).__name__} {dim!r}")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        if not isinstance(kind, Kind):
+            raise TypeError(f"kind must be a Kind, got {type(kind).__name__} {kind!r}")
         cells = dict(cells) if cells else {}
         # R, C and H have real dimension 2**kind, so units 0 .. 2**kind - 1.
         top = 2**kind - 1
@@ -315,14 +305,6 @@ class MatrixOverK:
         return f"MatrixOverK(dim={self.dim}, kind={self.kind.name})"
 
 
-_FAMILY_VARIANTS = {
-    "so": {"J"},
-    "su": {"J", "M", "B"},
-    "u": {"J", "M", "B", "I"},
-    "sq": {"J", "Mq", "E"},
-}
-
-
 def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     """The matrix realization of one labeled generator.
 
@@ -332,15 +314,13 @@ def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     I           -> i * identity
     Mq(al,a,b)  -> i_al (w_ab e_ab + e_ba)
     E(al,a)     -> i_al e_aa
+
+    A label outside `labels_for_family(family, N)` raises ValueError.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     om = OmegaVector.coerce(omega)
-    if label.variant not in _FAMILY_VARIANTS[family]:
-        raise ValueError(f"label {label} is not a {family} generator")
     n = om.n
-    if label.indices and label.indices[-1] > n:
-        raise ValueError(f"label {label} out of range for n={n}")
+    if label not in labels_for_family(family, n):
+        raise ValueError(f"label {label} is not a {family} generator for N={n}")
     v = label.variant
     if v == "B":
         (l,) = label.indices

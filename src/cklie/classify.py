@@ -57,22 +57,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import lcm
 
 from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
 from .cohomology import CohomologySolver
 from .lie_core import _shape, build_algebra
-
-__all__ = [
-    "CatalogEntry",
-    "certify_rescaling",
-    "predict",
-    "removals",
-    "CoefficientVerdict",
-    "CrosscheckReport",
-    "crosscheck",
-]
 
 # coef * omega_{k1} * omega_{k2} * ... for 1 <= k1 < k2 < ... <= N.
 Monomial = tuple[int, tuple[int, ...]]
@@ -149,7 +139,7 @@ def _u_rules(n: int):
 _RULES = {"so": _so_rules, "su": _su_rules, "u": _u_rules, "sq": lambda n: ()}
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _catalog_shape(family: str, n: int):
     """The catalog of `family` with N = n for a symbolic omega.
 
@@ -178,7 +168,7 @@ def _catalog_shape(family: str, n: int):
     return tuple(monomials), rows
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def certify_rescaling(family: str, n: int) -> None:
     """Prove that every crosscheck of `family` with N = n depends only on the
     zero set of omega; raise ArithmeticError if the proof fails.

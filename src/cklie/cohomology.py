@@ -39,12 +39,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = [
-    "CohomologyResult",
-    "CocycleSystem",
-    "CohomologySolver",
-]
-
 
 # ---------------------------------------------------------------------------
 # Exact elimination kernel (sparse rows over arbitrary-precision integers)

@@ -30,7 +30,7 @@ no implied summation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 
@@ -42,7 +42,6 @@ from .ck_matrix import (
     J,
     M,
     MatrixOverK,
-    Mq,
     NotInSpanError,
     OmegaVector,
     build_generator,
@@ -51,13 +50,6 @@ from .ck_matrix import (
 )
 from .scalars import Kind
 
-__all__ = [
-    "LieAlgebra",
-    "build_algebra",
-    "verify_jacobi",
-    "from_matrices",
-    "epsilon",
-]
 
 def epsilon(a: int, b: int, c: int) -> int:
     """Totally antisymmetric unit tensor on {1, 2, 3} with epsilon(1,2,3) = 1."""
@@ -243,7 +235,7 @@ def _put_quaternion_rows(bld: _Builder, n: int, w: dict[tuple[int, int], tuple[i
                 bld.put(E(u, a), E(v, a), {E(t, a): (2 * rho, ())})
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _shape(family: str, n: int):
     """The bracket table of `family` with N = n for a symbolic omega.
 
@@ -252,16 +244,16 @@ def _shape(family: str, n: int):
     X_k, in insertion order.  Built once per (family, n) and immutable, so
     every omega shares it.
     """
-    labels = tuple(labels_for_family(family, n))
+    labels = labels_for_family(family, n)
     kind = FAMILY_KIND[family]
     bld = _Builder(labels)
     w = {(a, b): tuple(range(a + 1, b + 1)) for a, b in combinations(range(n + 1), 2)}
     triples = list(combinations(range(n + 1), 3))
     # X[u, a, b] = i_u (s_u w_ab e_ab + e_ba) over the units 0 .. 2**kind - 1 of
     # R, C or H: J for u = 0 (s_0 = -1), M or Mq(u) for imaginary u (s_u = +1).
+    # The basis opens with them, one block per unit, each over the pairs in w.
     units = range(2**kind)
-    make = [J] + [M if kind == Kind.COMPLEX else partial(Mq, u) for u in units[1:]]
-    X = {(u, a, b): make[u](a, b) for u in units for a, b in w}
+    X = dict(zip([(u, a, b) for u in units for a, b in w], labels))
     for u, v in product(units, repeat=2):
         t, sigma = _unit_product(v, u)
         s_u, s_v = (1 if u else -1), (1 if v else -1)

@@ -21,8 +21,6 @@ import sys
 from enum import IntEnum
 from fractions import Fraction
 
-__all__ = ["Kind", "parse_rational"]
-
 # Unit products on the units (0, 1, 2, 3) = (1, i, j, k):
 # _UNIT_PRODUCT[p][q] = (r, sign) means e_p * e_q = sign * e_r, e.g. i*j = k,
 # j*i = -k and i*i = -1.

@@ -11,7 +11,7 @@ from helpers import (
     with_zeros,
     zero_set,
 )
-from cklie import lie_core
+from cklie import ck_matrix, lie_core
 from cklie.ck_matrix import (
     B,
     E,
@@ -56,6 +56,12 @@ class TestOmegaVector:
             om.product(2, 1)
         with pytest.raises(ValueError):
             om.product(0, 3)
+
+    @pytest.mark.parametrize("a,b,bad", [(True, 2, "True"), (0, 1.0, "1.0"), (Fraction(0), 1, "Fraction")])
+    def test_product_non_int_index_rejected(self, a, b, bad):
+        # product(True, 2) once gave omega_2 = 1 as if a were 1.
+        with pytest.raises(TypeError, match=bad):
+            OmegaVector([1, 1]).product(a, b)
 
     def test_string_is_refused(self):
         # A string would be read one character at a time.
@@ -150,6 +156,23 @@ class TestLabels:
         assert str(B(1)) == "B(1)"
         assert str(I_LABEL) == "I"
 
+    @pytest.mark.parametrize("n", [True, 1.0, Fraction(1), "1"])
+    def test_non_int_n_rejected(self, n):
+        # labels_for_family("so", True) once gave the N = 1 basis.
+        with pytest.raises(TypeError, match="n must be an int"):
+            labels_for_family("so", n)
+
+    def test_bool_n_misses_the_cached_int_entry(self):
+        # The cache is typed: True == 1 and they hash alike, so an untyped
+        # cache would hand True the basis of N = 1 without the type check.
+        assert labels_for_family("so", 1) == (J(0, 1),)
+        with pytest.raises(TypeError, match="bool"):
+            labels_for_family("so", True)
+
+    def test_basis_is_one_cached_tuple(self):
+        basis = labels_for_family("sq", 2)
+        assert type(basis) is tuple and labels_for_family("sq", 2) is basis
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             J(1, 1)
@@ -203,12 +226,41 @@ class TestGenerators:
         with pytest.raises(ValueError):
             build_generator("su", J(0, 3), [1, 1])
 
-    def test_non_int_label_index_rejected(self):
-        # A label that skips the index check (namedtuple's _make does) still
-        # cannot place cells at (0.5, 0.5) and (1.5, 1.5), which once rendered
-        # as the zero matrix.
-        with pytest.raises(TypeError, match="float"):
+    def test_non_int_label_index_rejected(self, monkeypatch):
+        # A label that skips the index check (namedtuple's _make does) is not
+        # in the basis, so it is refused before any cell is placed: B(1.5)
+        # once put cells at (0.5, 0.5) and (1.5, 1.5) and rendered as the
+        # zero matrix.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(ck_matrix, "MatrixOverK", refuse)
+        with pytest.raises(ValueError, match="not a su generator"):
             build_generator("su", GeneratorLabel._make(("B", (1.5,))), [1, 1])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_accepts_exactly_its_basis(self, family):
+        # Every family's labels at N and N + 1, and the phase I, are offered;
+        # the family's own basis at N is what is accepted.  The expected set
+        # is also worked out apart from labels_for_family, from each family's
+        # variants and a last index of at most N.
+        variants = {"so": "J", "su": "J M B", "u": "J M B I", "sq": "J Mq E"}[family].split()
+        for n in (1, 2, 3):
+            offered = {I_LABEL}
+            offered.update(lab for f in FAMILIES for m in (n, n + 1) for lab in labels_for_family(f, m))
+            accepted = set()
+            for lab in offered:
+                try:
+                    build_generator(family, lab, [1] * n)
+                except ValueError as exc:
+                    assert f"not a {family} generator" in str(exc)
+                else:
+                    accepted.add(lab)
+            assert accepted == set(labels_for_family(family, n))
+            assert accepted == {
+                lab for lab in offered
+                if lab.variant in variants and all(i <= n for i in lab.indices[-1:])
+            }
 
     def test_all_generators_metric_antihermitian(self):
         # every family, every sign pattern, n <= 4: X^dag G + G X == 0
@@ -295,6 +347,23 @@ class TestMatrixOverK:
         # (0.5, 1) was once stored: the matrix printed as zero and row() gave column 8.0.
         with pytest.raises(TypeError, match=bad):
             MatrixOverK(2, Kind.REAL, {ij: (0, 1)})
+
+    @pytest.mark.parametrize(
+        "dim,kind,error,match",
+        [
+            (2.5, Kind.REAL, TypeError, "float"),
+            (True, Kind.REAL, TypeError, "bool"),
+            (0, Kind.REAL, ValueError, ">= 1"),
+            (2, 5, TypeError, "Kind"),
+            (2, 1, TypeError, "Kind"),
+            (2, "REAL", TypeError, "Kind"),
+        ],
+    )
+    def test_dim_and_kind_checked(self, dim, kind, error, match):
+        # A float dim once gave row() {28.0: 1}, and kind 5 allowed unit 7.
+        cells = {(0, 1): (7, 1)} if kind == 5 else {(1, 1): (0, 1)}
+        with pytest.raises(error, match=match):
+            MatrixOverK(dim, kind, cells)
 
     @pytest.mark.parametrize("ij", [(0, 2), (2, 0), (-1, 0)])
     def test_position_outside(self, ij):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -329,6 +330,13 @@ class TestSweep:
         # so N=1 has 3 sign patterns but 2 zero sets, and only those are solved.
         assert asked == [2]
         assert rows == sweep_rows("so", 1, jobs=1)
+
+    def test_bool_n_rejected_after_n_1_is_cached(self):
+        # sweep_rows("so", True) once returned the 3 rows of N = 1; every
+        # cache keyed on N is typed, so a warm N = 1 does not serve it.
+        assert len(sweep_rows("so", 1)) == 3
+        with pytest.raises(TypeError, match="n must be an int, got bool"):
+            sweep_rows("so", True)
 
     @pytest.mark.parametrize("cpus,expected", [(4, [4]), (None, []), (1, [])])
     def test_workers_capped_at_cpus(self, monkeypatch, cpus, expected):
@@ -668,6 +676,25 @@ class TestArgumentValidation:
             "verify": (one_case, ("json", "text")),
         }
         assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help"}
+
+    def test_corpus_digests_cover_every_command_and_format(self):
+        # tools/corpus_digests.py checks the output bytes of each (command,
+        # --format) pair it records; a pair the parser offers but the tool
+        # does not record would skip that check.
+        path = Path(__file__).resolve().parent.parent / "tools" / "corpus_digests.py"
+        spec = importlib.util.spec_from_file_location("corpus_digests", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        offered = {
+            (name, fmt)
+            for name, p in sub.choices.items()
+            for a in p._actions
+            if "--format" in a.option_strings
+            for fmt in a.choices
+        }
+        assert set(tool.RECORDED) == offered
+        assert len(offered) == 11
 
 
 class TestOutFile:
