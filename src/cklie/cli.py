@@ -128,8 +128,9 @@ def cmd_structure(args: argparse.Namespace) -> tuple[bool, object]:
         f"jacobi_ok: {jacobi_ok}",
         f"matrix_match: {matrix_match}",
     ]
+    names = [str(lab) for lab in L.basis]
     for i, j, k, c in L.structure_rows():
-        lines.append(f"[{L.basis[i]}, {L.basis[j]}] -> {c} * {L.basis[k]}")
+        lines.append(f"[{names[i]}, {names[j]}] -> {c} * {names[k]}")
     return ok, "\n".join(lines) + "\n"
 
 

@@ -19,8 +19,9 @@ verification lives here too.
 
 `verify_jacobi` is exact but runs in Python integers: it clears the
 denominators of all constants once (the Jacobiator is quadratic, so scaling
-by d scales it by d**2 and zero stays zero) and visits, pair by pair, only
-the index triples that a nonzero bracket composition can reach.
+by d scales it by d**2 and zero stays zero) and visits each nonzero bracket
+composition once, under its triple's smallest index, with one flat
+accumulator per index.
 
 Index conventions throughout: whenever three indices a, b, c appear they
 satisfy a < b < c; four indices a < b, d < e are pairwise distinct; there is
@@ -143,20 +144,21 @@ class LieAlgebra:
         return self.constants == other.constants
 
     def to_json_obj(self) -> dict:
+        names = [str(lab) for lab in self.basis]
         return {
             "family": self.family,
             "dim": self.dim,
             "omega": [str(c) for c in self.omega] if self.omega is not None else None,
-            "basis": [str(lab) for lab in self.basis],
+            "basis": names,
             "constants": [
                 {
                     "i": i,
                     "j": j,
                     "k": k,
                     "c": str(c),
-                    "label_i": str(self.basis[i]),
-                    "label_j": str(self.basis[j]),
-                    "label_k": str(self.basis[k]),
+                    "label_i": names[i],
+                    "label_j": names[j],
+                    "label_k": names[k],
                 }
                 for i, j, k, c in self.structure_rows()
             ],
@@ -304,51 +306,63 @@ def build_algebra(family: str, omega) -> LieAlgebra:
 
 
 def verify_jacobi(L: LieAlgebra) -> bool:
-    """Exact Jacobi check: is [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j]
-    zero for every index triple i < j < l?
+    """Exact Jacobi check: is [[X_i,X_q],X_r] + [[X_q,X_r],X_i] + [[X_r,X_i],X_q]
+    zero for every index triple i < q < r?
 
     The constants are scaled once by the lcm d of their denominators, so the
     check runs in Python integers.  The Jacobiator is quadratic in the
     constants, so scaling scales it by d**2 and a nonzero entry stays nonzero.
 
-    Each pair i < j is visited once, and its triples i < j < l are taken only
-    from the l that can give a nonzero term: those bracketing nontrivially
-    with X_j, with X_i or with some X_k in the support of [X_i, X_j].  Every
-    term of a triple's Jacobiator is summed under that triple's pair (i, j),
-    and the accumulator is dropped after each pair.
+    Each nonzero composition [[X_p, X_q], X_r] of distinct indices is visited
+    once, under the smallest index i of its triple, into one flat accumulator
+    per i keyed (q*dim + r)*dim + m for the triple i < q < r:
+
+    * (a) [[X_i, X_q], X_r], distinct q, r > i: + into (i, q, r) if q < r,
+      else - into (i, r, q), as [[X_q, X_i], X_r];
+    * (b) [[X_p, X_q], X_i] = sum_k C_pq^k [X_k, X_i], i < p < q, from the
+      rows (p, q) holding X_k, largest p first.
     """
-    # adj[i][j]: the terms of d*[X_i, X_j] for both index orders.
-    adj: list[dict[int, dict[int, int]]] = [{} for _ in range(L.dim)]
-    for (i, j), row in L.integer_constants().items():
-        adj[i][j] = row
-        adj[j][i] = {k: -v for k, v in row.items()}
-    empty: dict[int, int] = {}
+    dim = L.dim
+    constants = L.integer_constants()
+    # adj[k][r]: d*[X_k, X_r] for both orders; holds[k][p, q]: d*C_pq^k; both
+    # filled largest index first.
+    adj = [{} for _ in range(dim)]
+    holds = [{} for _ in range(dim)]
+    for pair in sorted(constants, reverse=True):
+        p, q = pair
+        row = constants[pair]
+        adj[p][q] = row
+        adj[q][p] = {k: -c for k, c in row.items()}
+        for k, c in row.items():
+            holds[k][pair] = c
     for i, adj_i in enumerate(adj):
-        for j in range(i + 1, L.dim):
-            adj_j = adj[j]
-            # acc[l][m]: coefficient of X_m in the Jacobiator of (i, j, l).
-            acc: dict[int, dict[int, int]] = {}
-            for k, c in adj_i.get(j, empty).items():  # [[X_i, X_j], X_l]
-                for l, kl in adj[k].items():
-                    if l > j:
-                        out = acc.setdefault(l, {})
-                        for m, c2 in kl.items():
-                            out[m] = out.get(m, 0) + c * c2
-            for l, jl in adj_j.items():  # [[X_j, X_l], X_i]
-                if l > j:
-                    out = acc.setdefault(l, {})
-                    for k, c in jl.items():
-                        for m, c2 in adj[k].get(i, empty).items():
-                            out[m] = out.get(m, 0) + c * c2
-            for l in adj_i:  # [[X_l, X_i], X_j]
-                if l > j:
-                    out = acc.setdefault(l, {})
-                    for k, c in adj[l][i].items():
-                        for m, c2 in adj[k].get(j, empty).items():
-                            out[m] = out.get(m, 0) + c * c2
-            for out in acc.values():
-                if any(out.values()):
-                    return False
+        acc = {}
+        for q, row in adj_i.items():  # (a)
+            if q <= i:
+                break
+            for k, c in row.items():
+                for r, kr in adj[k].items():
+                    if r <= i:
+                        break
+                    if r == q:
+                        continue
+                    if q < r:
+                        base, s = (q * dim + r) * dim, c
+                    else:
+                        base, s = (r * dim + q) * dim, -c
+                    for m, c2 in kr.items():
+                        key = base + m
+                        acc[key] = acc.get(key, 0) + s * c2
+        for k, row in adj_i.items():  # (b): [X_k, X_i] = -[X_i, X_k]
+            for (p, q), c in holds[k].items():
+                if p <= i:
+                    break
+                base = (p * dim + q) * dim
+                for m, c2 in row.items():
+                    key = base + m
+                    acc[key] = acc.get(key, 0) - c * c2
+        if any(acc.values()):
+            return False
     return True
 
 

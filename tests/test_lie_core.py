@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 import random
 
 import pytest
@@ -215,25 +215,52 @@ class TestJacobi:
     def test_jacobi_sq_contracted(self):
         assert verify_jacobi(build_algebra("sq", [0, 1]))
 
+    @pytest.mark.parametrize("family,n", [("su", 5), ("so", 8)])
+    def test_highest_pair_corrupted_above_dim_30(self, family, n):
+        # The accumulator packs a triple's two larger indices and the output
+        # index into one int over dim; corrupt the last row at a dim over 30,
+        # scaled by 2 and, separately, given the X_i term it lacks.
+        L = build_algebra(family, [1] * n)
+        assert L.dim > 30 and verify_jacobi(L)
+        pair = max(L.constants)
+        assert pair[0] not in L.constants[pair]
+        for terms in (
+            {k: 2 * c for k, c in L.constants[pair].items()},
+            {**L.constants[pair], pair[0]: Fraction(1)},
+        ):
+            V = LieAlgebra(family, L.omega, L.basis, {**L.constants, pair: terms})
+            assert not verify_jacobi(V) and not oracle_jacobi(V)
+
     @pytest.mark.parametrize("family,nmax", [("so", 4), ("su", 3), ("u", 3), ("sq", 2)])
     def test_agrees_with_oracle(self, family, nmax):
         # Every sign pattern with seeded non-unit magnitudes, each algebra also
-        # with every single constant scaled by 3/2 and, separately, negated.
+        # with every single constant scaled by 3/2 and, separately, negated;
+        # and with each of up to 3 seeded rows dropped, each of up to 3 given
+        # a term at an index it does not hold, and each of up to 3 rows it
+        # lacks given one term.
         magnitudes = [Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(5, 4), Fraction(7, 5)]
         rng = random.Random(family)
+        pick = random.Random(f"{family} inserted terms")
         verdicts = set()
         for n in range(1, nmax + 1):
             for signs in sign_patterns(n):
                 L = build_algebra(family, [s * rng.choice(magnitudes) for s in signs])
-                variants = [L]
-                for pair in sorted(L.constants):
-                    for k in sorted(L.constants[pair]):
+                C = L.constants
+                rows = sorted(C)
+                tables = []
+                for pair in rows:
+                    for k in sorted(C[pair]):
                         for factor in (Fraction(3, 2), -1):
-                            terms = dict(L.constants[pair])
-                            terms[k] *= factor
-                            variants.append(
-                                LieAlgebra(family, L.omega, L.basis, {**L.constants, pair: terms})
-                            )
+                            tables.append({**C, pair: {**C[pair], k: C[pair][k] * factor}})
+                for pair in pick.sample(rows, min(3, len(rows))):
+                    tables.append({p: terms for p, terms in C.items() if p != pair})
+                for pair in pick.sample(rows, min(3, len(rows))):
+                    k = pick.choice([k for k in range(L.dim) if k not in C[pair]])
+                    tables.append({**C, pair: {**C[pair], k: pick.choice(magnitudes)}})
+                absent = [pair for pair in combinations(range(L.dim), 2) if pair not in C]
+                for pair in pick.sample(absent, min(3, len(absent))):
+                    tables.append({**C, pair: {pick.randrange(L.dim): pick.choice(magnitudes)}})
+                variants = [L] + [LieAlgebra(family, L.omega, L.basis, t) for t in tables]
                 for V in variants:
                     verdict = verify_jacobi(V)
                     assert verdict == oracle_jacobi(V), (family, V.omega)
