@@ -7,9 +7,10 @@ equation
     sum_k ( C_ij^k xi_kl + C_jl^k xi_ki + C_li^k xi_kj ) = 0,
 
 assembled in one nested loop over i < j < l with the three bracket terms
-inline, xi_kl read as -xi_lk whenever k > l.  Z2 is its exact nullspace, B2
-is spanned by the maps mu |-> (xi_ij = sum_k C_ij^k mu_k), and dim H2 =
-dim Z2 - dim B2 counts inequivalent nontrivial central extensions.
+inline, xi_kl read as -xi_lk whenever k > l; triples with no bracket are
+skipped.  Z2 is its exact nullspace, B2 is spanned by the maps
+mu |-> (xi_ij = sum_k C_ij^k mu_k), and dim H2 = dim Z2 - dim B2 counts
+inequivalent nontrivial central extensions.
 
 Everything runs in Python integers: the equations and the coboundary rows
 are linear in the constants, so scaling them by the lcm of their
@@ -17,15 +18,15 @@ denominators leaves Z2 and B2 unchanged.  A cochain is its integer column
 vector {pair_index[(i, j)]: int}, and delta(e_k) is the k-th coboundary row,
 the only coboundary built here.  The fraction-free kernel, defined here
 and used nowhere else, first takes out the columns of single-entry rows
-(most equations say xi_c = 0); its forward elimination then gives the dims
-alone (dim Z2 = unknowns - rank of the system, dim B2 = rank of the
-coboundary rows), which `CohomologySolver(L).result()` returns, and a
-cochain is a coboundary exactly when its integer vector leaves no residue
-against the B2 echelon.
+(most equations say xi_c = 0), then keeps its echelon reduced as rows
+arrive and returns the integer RREF.  Its length gives the dims (dim Z2 =
+unknowns - rank of the system, dim B2 = rank of the coboundary rows), which
+`CohomologySolver(L).result()` returns, and a cochain is a coboundary
+exactly when its integer vector leaves no residue against the B2 RREF.
 The cocycle test evaluates only the equations that hold a nonzero column of
-the cochain.  Only the representatives that the `h2` command prints need a
-basis: the system echelon is back-substituted, its integer nullspace
-reduced in turn, and each Z2 row divided by its pivot into a plain
+the cochain.  Only the representatives that the `h2` command prints, when
+dim H2 > 0, need a basis: the integer nullspace of the system RREF is
+echeloned in turn and each Z2 row divided by its pivot into a plain
 {(i, j): Fraction} map, the only Fractions made here.  The RREF of a row
 space, and so its set of pivot columns, is unique, so nothing depends on
 row order or on the pre-pass.  A wrong rank here would be a wrong theorem,
@@ -57,98 +58,88 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _reduce(row: dict[int, int], pivots_by_lead: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Reduce row against the pivot rows keyed by leading column until it
-    vanishes or leads a column with no pivot: an integer multiple of the
-    pivot row is subtracted when the pivot entry divides the row's, else the
-    two are cross-multiplied and the result gcd-normalized.  Returns the
-    residue, empty exactly when row lies in the pivots' span; row itself is
-    not modified."""
-    while row:
-        lead = min(row)
-        piv = pivots_by_lead.get(lead)
-        if piv is None:
-            break
-        pv, v = piv[lead], row[lead]
-        q, rem = divmod(v, pv)
-        if rem:
-            new = {c: pv * val for c, val in row.items()}
-            q = v
+def _clear(row: dict[int, int], col: int, piv: dict[int, int]) -> dict[int, int]:
+    """Clear column col of row in place, and return it, by the pivot row piv
+    of that column: an integer multiple of piv is subtracted when its entry
+    divides the row's, else the two are cross-multiplied.  No gcd is taken."""
+    pv, v = piv[col], row[col]
+    q, rem = divmod(v, pv)
+    if rem:
+        for c in row:
+            row[c] *= pv
+        q = v
+    for c, val in piv.items():
+        nv = row.get(c, 0) - q * val
+        if nv:
+            row[c] = nv
         else:
-            new = dict(row)
-        for c, val in piv.items():
-            nv = new.get(c, 0) - q * val
-            if nv:
-                new[c] = nv
-            else:
-                del new[c]
-        row = _normalize_int_row(new) if rem else new
+            del row[c]
+    return row
+
+
+def _reduce(row: dict[int, int], rref: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Clear row on each pivot column it holds, in one pass, since an RREF
+    row holds no pivot column but its own.  The residue is empty exactly when
+    row lies in the RREF's span; row itself is not modified."""
+    hits = [c for c in row if c in rref]
+    if hits:
+        row = dict(row)
+        for col in hits:
+            _clear(row, col, rref[col])
     return row
 
 
 def _echelon_int(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward elimination: each row's nonzero residue under :func:`_reduce`
-    is gcd-normalized and stored as the pivot row of its leading column.
-    Returns {pivot column: echelon row}; its length is the rank.  The rows
-    are sparse with no zero entries, read twice and never modified.  A
-    pre-pass makes each single-entry row the unit pivot {c: 1} of its column
-    and strips those columns from the other rows: the row space, and so the
-    RREF and the set of pivot columns, stays the same."""
+    """The integer RREF of the rows, {pivot column: row}, each row
+    gcd-normalized with a positive lead and zero in every other pivot
+    column; its length is the rank.  Each row's nonzero residue under
+    :func:`_reduce` becomes the pivot row of its leading column, which is
+    then cleared from the pivot rows that hold it.  The rows are sparse with
+    no zero entries, read twice and never modified.  A pre-pass makes each
+    single-entry row the unit pivot {c: 1} of its column and strips those
+    columns from the other rows: the row space, and so the RREF, stays the
+    same."""
     units = {c: {c: 1} for row in rows if len(row) == 1 for c in row}
-    echelon = dict(units)
+    rref = dict(units)
+    holders: dict[int, set[int]] = {}  # column -> leads of rows that may hold it
     for row in rows:
         if len(row) > 1:
             if not units.keys().isdisjoint(row):
                 row = {c: v for c, v in row.items() if c not in units}
-            row = _reduce(row, echelon)
+            row = _reduce(row, rref)
             if row:
-                echelon[min(row)] = _normalize_int_row(row)
-    return echelon
+                row = _normalize_int_row(row)
+                p = min(row)
+                touched = [p]  # the rows that may now hold row's other columns
+                for q in holders.pop(p, ()):
+                    old = rref[q]
+                    if p in old:  # else a later clearing freed it of p
+                        rref[q] = _normalize_int_row(_clear(dict(old), p, row))
+                        touched.append(q)
+                for c in row:
+                    if c != p:
+                        holders.setdefault(c, set()).update(touched)
+                rref[p] = row
+    return rref
 
 
 # ---------------------------------------------------------------------------
-# Back-substitution and nullspace over the kernel's integer echelon
+# Nullspace of the kernel's integer RREF
 # ---------------------------------------------------------------------------
 
 
-def _rref(echelon: dict[int, dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """Integer reduced row echelon form of a forward echelon: row s leads
-    column pivots[s] and is zero in every other pivot column; dividing it by
-    its leading entry gives the rational RREF row.
-
-    Back-substitution runs from the last pivot to the first.  Each row is
-    cleared, in one fraction-free combination, against the already-reduced
-    rows of just the pivot columns it holds.
-    """
-    done: dict[int, dict[int, int]] = {}
-    for p, row in sorted(echelon.items(), reverse=True):
-        hits = [c for c in row if c in done]
-        if hits:
-            m = lcm(*(done[c][c] for c in hits))
-            new = {c: m * v for c, v in row.items()}
-            for c in hits:
-                f = row[c] * (m // done[c][c])
-                for c2, v in done[c].items():
-                    new[c2] = new.get(c2, 0) - f * v
-            row = _normalize_int_row({c: v for c, v in new.items() if v})
-        done[p] = row
-    pivots = sorted(done)
-    return pivots, [done[p] for p in pivots]
-
-
-def _nullspace(pivots: list[int], rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+def _nullspace(rref: dict[int, dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """Integer nullspace basis of an integer RREF, one vector per free column
     f in column order, scaled by the lcm of the pivot entries that meet f."""
     meets: dict[int, list[tuple[int, int, int]]] = {}
-    for p, row in zip(pivots, rows):
+    for p, row in rref.items():
         a = row[p]
         for c, v in row.items():
             if c != p:
                 meets.setdefault(c, []).append((p, v, a))
-    piv_set = set(pivots)
     basis = []
     for free in range(ncols):
-        if free in piv_set:
+        if free in rref:
             continue
         hits = meets.get(free, ())
         m = lcm(*(a for _, _, a in hits))
@@ -182,8 +173,8 @@ CohomologyResult = namedtuple("CohomologyResult", "dim_z2 dim_b2 dim_h2")
 
 
 class CohomologySolver:
-    """Caches, for one algebra, the assembled system and its echelon, the B2
-    echelon, the dims, the Z2 basis and the column index of the cocycle
+    """Caches, for one algebra, the assembled system and its RREF, the B2
+    RREF, the dims, the Z2 basis and the column index of the cocycle
     test, so repeated cochain queries stay cheap.  Only the Z2 basis holds
     Fractions.
 
@@ -219,13 +210,17 @@ class CohomologySolver:
             col = [[0] * r for _ in range(r)]
             for x, (i, j) in enumerate(self.pairs):
                 col[i][j] = col[j][i] = x
+            # reach[i]: the l > i with [X_i, X_l] != 0.
+            reach = [{l for l in range(i + 1, r) if brk[i][l]} for i in range(r)]
             rows = []
             # xi([X_i, X_j], X_l) + xi([X_j, X_l], X_i) - xi([X_i, X_l], X_j), xi_kt = -xi_tk
             for i in range(r):
-                bi, col_i = brk[i], col[i]
+                bi, col_i, tail = brk[i], col[i], set(reach[i])
                 for j in range(i + 1, r):
                     bij, bj, col_j = bi[j], brk[j], col[j]
-                    for l in range(j + 1, r):
+                    # With [X_i, X_j] = 0, only the l > j that X_i or X_j reaches.
+                    tail.discard(j)
+                    for l in range(j + 1, r) if bij else sorted(tail.union(reach[j])):
                         acc: dict[int, int] = {}
                         if bij:
                             col_l = col[l]
@@ -244,9 +239,10 @@ class CohomologySolver:
                                 if k != j:
                                     x = col_j[k]
                                     acc[x] = acc.get(x, 0) + (-c if k < j else c)
-                        row = {x: c for x, c in acc.items() if c}
-                        if row:
-                            rows.append(row)
+                        if 0 in acc.values():
+                            acc = {x: c for x, c in acc.items() if c}
+                        if acc:
+                            rows.append(acc)
             self._system = CocycleSystem(self.n_unknowns, tuple(rows))
         return self._system
 
@@ -266,7 +262,7 @@ class CohomologySolver:
         return rows
 
     def _b2_echelon(self) -> dict[int, dict[int, int]]:
-        """Forward echelon of the coboundary rows."""
+        """Integer RREF of the coboundary rows."""
         if self._b2 is None:
             self._b2 = _echelon_int([row for row in self.coboundary_rows() if row])
         return self._b2
@@ -274,8 +270,8 @@ class CohomologySolver:
     # -- spaces ----------------------------------------------------------------
 
     def result(self) -> CohomologyResult:
-        """dim Z2 = unknowns - rank of the system echelon, dim B2 = rank of
-        the B2 echelon; memoized.  No back-substitution, no Fraction."""
+        """dim Z2 = unknowns - rank of the system RREF, dim B2 = rank of the
+        B2 RREF; memoized.  No nullspace, no Fraction."""
         if self._result is None:
             dim_z2 = self.n_unknowns - len(self._system_echelon())
             dim_b2 = len(self._b2_echelon())
@@ -285,21 +281,23 @@ class CohomologySolver:
     def z2_basis(self) -> dict[int, dict[tuple[int, int], Fraction]]:
         """The reduced row echelon basis of Z2, {pivot column: cochain} in
         column order, each cochain {(i, j): xi_ij} over i < j with no zero
-        value; memoized.  The cached system echelon is back-substituted, its
-        integer nullspace echeloned and reduced, and each row divided by its
-        leading entry: the only Fractions the solver makes."""
+        value; memoized.  The kernel's RREF of the system RREF's nullspace,
+        each row divided by its leading entry: the only Fractions made here."""
         if self._z2 is None:
-            null = _nullspace(*_rref(self._system_echelon()), self.n_unknowns)
+            null = _nullspace(self._system_echelon(), self.n_unknowns)
             pairs = self.pairs
             self._z2 = {
                 p: {pairs[c]: Fraction(v, row[p]) for c, v in row.items()}
-                for p, row in zip(*_rref(_echelon_int(null)))
+                for p, row in sorted(_echelon_int(null).items())
             }
         return self._z2
 
     def representatives(self) -> tuple[dict[tuple[int, int], Fraction], ...]:
-        """The Z2 basis rows whose pivots B2 lacks: dim H2 nontrivial
-        cocycles, canonical because the RREF of a row space is unique."""
+        """The Z2 basis rows whose pivots B2 lacks: dim H2 nontrivial cocycles,
+        canonical because an RREF is unique.  B2 lies in Z2, so its pivots are
+        among Z2's and no Z2 basis is built when dim H2 = 0."""
+        if not self.result().dim_h2:
+            return ()
         return tuple(xi for p, xi in self.z2_basis().items() if p not in self._b2_echelon())
 
     # -- cochain queries ---------------------------------------------------------
@@ -323,12 +321,12 @@ class CohomologySolver:
 
     def is_coboundary(self, vec: dict[int, int]) -> bool:
         """True iff vec lies in the span of B2: it reduces to nothing against
-        the B2 echelon.  Does not test the cocycle equations."""
+        the B2 RREF.  Does not test the cocycle equations."""
         return not _reduce(vec, self._b2_echelon())
 
     def rank_mod_b2(self, vectors: Iterable[dict[int, int]]) -> int:
         """The number of the vectors independent modulo B2: the pivots they
-        add to the B2 echelon rows."""
+        add to the B2 RREF rows."""
         b2 = self._b2_echelon()
         return len(_echelon_int([*b2.values(), *vectors])) - len(b2)
 

@@ -35,7 +35,7 @@ from pathlib import Path
 
 from cklie.ck_matrix import GeneratorLabel, OmegaVector
 from cklie.classify import predict
-from cklie.cohomology import _echelon_int, _nullspace, _rref
+from cklie.cohomology import _echelon_int, _nullspace
 from cklie.lie_core import LieAlgebra
 from cklie.scalars import Kind, _frac
 
@@ -506,11 +506,10 @@ def permute_basis(L, perm):
     return LieAlgebra(L.family, L.omega, basis, constants)
 
 
-def kernel_rref(echelon):
-    """The rational RREF rows, {column: Fraction}, of an integer forward
-    echelon through the package's back-substitution `cohomology._rref`."""
-    pivots, red = _rref(echelon)
-    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, red)]
+def kernel_rref(rref):
+    """The rational RREF rows, {column: Fraction}, in pivot order, of the
+    package kernel's integer RREF {pivot column: row}."""
+    return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in sorted(rref.items())]
 
 
 def integer_rows(matrix):
@@ -527,8 +526,8 @@ def integer_rows(matrix):
 
 def kernel_rank(matrix):
     """Rank and nullspace basis of a dense rational matrix through the
-    package's kernel, `cohomology._echelon_int`, then `cohomology._rref` and
-    `_nullspace`.
+    package's kernel: the integer RREF from `cohomology._echelon_int`, then
+    its `_nullspace`.
 
     Each row goes in as sparse integers, scaled by the lcm of its
     denominators; each basis vector comes out dense in Fractions, 1 at its
@@ -537,11 +536,10 @@ def kernel_rank(matrix):
     if not matrix:
         return 0, []
     ncols = len(matrix[0])
-    pivots, red = _rref(_echelon_int(integer_rows(matrix)))
-    piv_set = set(pivots)
-    free = [c for c in range(ncols) if c not in piv_set]
-    null = _nullspace(pivots, red, ncols)
-    return len(pivots), [
+    rref = _echelon_int(integer_rows(matrix))
+    free = [c for c in range(ncols) if c not in rref]
+    null = _nullspace(rref, ncols)
+    return len(rref), [
         [Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] for f, vec in zip(free, null)
     ]
 

@@ -387,15 +387,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("family,signs", [("so", (0, 0, 1, 0)), ("su", (0, 1, 0))])
     def test_rows_need_no_basis_and_no_fraction(self, monkeypatch, family, signs):
-        # A sweep row reads only dims and catalog verdicts: forward elimination
-        # and integer reduction give them, with no back-substitution, no
-        # nullspace and no Fraction made in the solver.
+        # A sweep row reads only dims and catalog verdicts: the kernel's RREF
+        # and integer reduction give them, with no nullspace and no Fraction
+        # made in the solver.
         expected = cli.run_case(family, signs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a sweep row must not build a basis or a Fraction")
 
-        for name in ("_rref", "_nullspace", "Fraction"):
+        for name in ("_nullspace", "Fraction"):
             monkeypatch.setattr(cohomology, name, forbidden)
         assert cli.run_case(family, signs) == expected
         assert expected["match"] and expected["dim_h2"] > 0

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +29,7 @@ from helpers import (
     scaled,
 )
 
-from cklie.cohomology import CohomologySolver, _echelon_int
+from cklie.cohomology import CohomologySolver, _echelon_int, _reduce
 from cklie.ck_matrix import J
 from cklie.classify import predict
 from cklie.lie_core import (
@@ -150,9 +150,29 @@ class TestExactRank:
         shuffled = list(matrix)
         rnd.shuffle(shuffled)
         assert kernel_rank(matrix[::-1]) == kernel_rank(shuffled) == (rank, null)
-        # The echelon's keys are the pivot columns of the RREF, whatever the
-        # pre-pass took out: `representatives` reads B2's pivots off them.
-        assert sorted(_echelon_int(integer_rows(matrix))) == dense_rref(matrix)[0]
+        # The echelon is the RREF itself, whatever the pre-pass took out:
+        # each row is the dense RREF row scaled to a gcd-normalized integer
+        # row with a positive lead.  `representatives` reads B2's pivots off
+        # its keys.
+        rref = _echelon_int(integer_rows(matrix))
+        pivots, dense = dense_rref(matrix)
+        assert sorted(rref) == pivots
+        for p, row in zip(pivots, dense):
+            d = lcm(*(v.denominator for v in row))
+            ints = [int(v * d) for v in row]
+            g = gcd(*ints)
+            assert ints[p] > 0 and rref[p] == {c: v // g for c, v in enumerate(ints) if v}
+        # One pass of `_reduce` leaves no residue exactly on the row span.
+        ncols = len(matrix[0])
+        probes = [list(row) for row in matrix] + [[0] * ncols]
+        probes += [[int(c == k) for c in range(ncols)] for k in range(ncols)]
+        for _ in range(4):
+            coefs = [rnd.choice((-2, -1, 0, 1, 3)) for _ in matrix]
+            probes.append([sum(k * Fraction(row[c]) for k, row in zip(coefs, matrix)) for c in range(ncols)])
+            probes.append([rnd.choice((-1, 0, 0, 2)) for _ in range(ncols)])
+        for vec in probes:
+            in_span = dense_rank(matrix + [vec]) == rank
+            assert (not _reduce(integer_rows([vec])[0], rref)) == in_span
 
     @given(rational_matrices(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
@@ -217,9 +237,9 @@ class TestCocycleSystem:
 
     @pytest.mark.parametrize(
         "family,n",
-        [("so", n) for n in range(1, 5)]
+        [("so", n) for n in range(1, 6)]
         + [(f, n) for f in ("su", "u") for n in range(1, 4)]
-        + [("sq", 1), ("sq", 2)],
+        + [("su", 4), ("sq", 1), ("sq", 2)],
     )
     def test_rows_equal_oracle_equations(self, family, n):
         for signs in sign_patterns(n):
@@ -231,6 +251,35 @@ class TestCocycleSystem:
     )
     def test_rows_equal_oracle_equations_on_rationals(self, family, omega):
         self.assert_rows_match_oracle(build_algebra(family, omega))
+
+    def test_rows_equal_oracle_equations_on_random_tables(self):
+        # Hand-built sparse tables, not Lie algebras: the assembly must not
+        # lean on Jacobi.  Across the tables the oracle meets multi-term
+        # brackets, terms that cancel (some rows to nothing), terms with
+        # k equal to the third index, and triples with a bracketless pair.
+        rng = random.Random(3131)
+        seen = dict.fromkeys(("multi-term", "cancel", "cancel to zero", "k == l", "no bracket"), 0)
+        for _ in range(150):
+            dim = rng.randint(3, 7)
+            constants = {}
+            for pair in combinations(range(dim), 2):
+                if rng.random() < 0.45:
+                    ks = rng.sample(range(dim), rng.choice((1, 1, 2, 3)))
+                    constants[pair] = {k: rng.choice((-2, -1, 1, 1, Fraction(1, 2))) for k in ks}
+            L = LieAlgebra(None, None, [J(0, k) for k in range(1, dim + 1)], constants)
+            self.assert_rows_match_oracle(L)
+            seen["multi-term"] += sum(len(terms) > 1 for terms in constants.values())
+            _, equations, _ = oracle_cocycle_system(L)
+            for (i, j, l), eq in zip(combinations(range(dim), 3), equations):
+                triple = (((i, j), l), ((j, l), i), ((i, l), j))
+                seen["no bracket"] += sum(pair not in constants for pair, _ in triple) > 0
+                hit = [(min(k, t), max(k, t)) for pair, t in triple for k in constants.get(pair, ())]
+                seen["k == l"] += sum(k == t for k, t in hit)
+                cols = {k_t for k_t in hit if k_t[0] != k_t[1]}
+                nonzero = sum(1 for v in eq if v)
+                seen["cancel"] += nonzero < len(cols)
+                seen["cancel to zero"] += nonzero == 0 < len(cols)
+        assert all(seen.values()), seen
 
 
 BAD_TABLES = [
@@ -554,3 +603,25 @@ class TestRepresentatives:
         b = CohomologySolver(build_algebra("so", [0, 0, 1]))
         assert a.representatives() == b.representatives()
         assert list(a.z2_basis().items()) == list(b.z2_basis().items())
+
+    @pytest.mark.parametrize(
+        "family,signs", [("so", (1, 1, 1)), ("so", (1, -1, 1, 1)), ("su", (1, 1)), ("sq", (1, 0))]
+    )
+    def test_no_z2_basis_when_h2_vanishes(self, family, signs):
+        solver = CohomologySolver(build_algebra(family, signs))
+        res = solver.result()
+        assert res.dim_h2 == 0 < res.dim_b2
+        assert solver.representatives() == ()
+        assert solver._z2 is None
+
+    @pytest.mark.parametrize(
+        "family,signs",
+        [("su", (0, 0)), ("su", (0, 1, 0)), ("su", (1, 0, -1)), ("u", (0,)), ("u", (0, 0)), ("u", (1, 0, 1))],
+    )
+    def test_z2_rows_outside_b2_pivots(self, family, signs):
+        # Type III cases with H2 > 0: the Z2 rows whose pivots B2 lacks.
+        solver = CohomologySolver(build_algebra(family, signs))
+        reps = solver.representatives()
+        b2 = solver._b2_echelon()
+        assert reps == tuple(xi for p, xi in solver.z2_basis().items() if p not in b2)
+        assert len(reps) == solver.result().dim_h2 > 0

@@ -137,10 +137,11 @@ def test_bare_import_loads_neither_cohomology_nor_classify():
 
 
 def test_one_elimination_kernel():
-    # The integer reduction loop is defined once, in cohomology, its one
-    # user; the matrix route reads coordinates off cells instead, so
-    # ck_matrix and lie_core import nothing from cohomology.
-    kernel = ("_normalize_int_row", "_reduce", "_echelon_int")
+    # The integer elimination kernel, from row clearing to the nullspace of
+    # its RREF, is defined once, in cohomology, its one user; the matrix
+    # route reads coordinates off cells instead, so ck_matrix and lie_core
+    # import nothing from cohomology.
+    kernel = ("_normalize_int_row", "_clear", "_reduce", "_echelon_int", "_nullspace")
     defined = sorted(
         (path.name, node.name)
         for path in Path(cklie.__file__).parent.glob("*.py")
