@@ -15,11 +15,11 @@ _LAZY = {
     "ck_matrix": ("B", "E", "FAMILIES", "FAMILY_KIND", "GeneratorLabel", "I_LABEL", "J", "M",
                   "MatrixOverK", "Mq", "NotInSpanError", "OmegaVector", "build_generator",
                   "build_metric", "is_metric_antihermitian", "is_traceless", "labels_for_family",
-                  "mat_commutator"),
+                  "mat_commutator", "reversal"),
     "lie_core": ("LieAlgebra", "build_algebra", "epsilon", "from_matrices", "verify_jacobi"),
     "cohomology": ("CocycleSystem", "CohomologyResult", "CohomologySolver"),
     "classify": ("CatalogEntry", "CoefficientVerdict", "CrosscheckReport", "certify_rescaling",
-                 "crosscheck", "predict", "removals"),
+                 "certify_reversal", "crosscheck", "predict", "removals"),
 }
 __all__ = [name for names in _LAZY.values() for name in names]
 

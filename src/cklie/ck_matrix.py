@@ -150,6 +150,19 @@ class GeneratorLabel(namedtuple("GeneratorLabel", "variant indices")):
 
     __repr__ = __str__
 
+    def cells(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """(unit indices, cells) of the label, the one place its points are
+        read: the upper-triangle cells (p, q), p <= q, its matrix holds,
+        (a, b) for J, M and Mq(..., a, b), (a, a) for E(alpha, a), (l-1, l-1)
+        and (l, l) for B(l), and none for I; the unit indices are the alpha
+        of Mq and E."""
+        v, idx = self
+        if v == "B":
+            return (), ((idx[0] - 1,) * 2, idx * 2)
+        if v == "E":
+            return idx[:1], (idx[1:] * 2,)
+        return idx[:-2], (idx[-2:],) if idx else ()
+
 
 def J(a: int, b: int) -> GeneratorLabel:
     if not 0 <= a < b:
@@ -215,6 +228,22 @@ def labels_for_family(family: str, n: int) -> tuple[GeneratorLabel, ...]:
     if family == "u":
         out.append(I_LABEL)
     return tuple(out)
+
+
+# -1 where X -> -P X^H P flips the label's sign, as for J and B; +1 otherwise.
+_REVERSAL_SIGN = {"J": -1, "B": -1}
+
+
+def reversal(basis, n: int) -> tuple[list[int], list[int]]:
+    """(sigma, sign): the map X -> -P X^H P, P the exchange matrix (p -> n-p),
+    which sends the generators at omega to the generators at reversed omega
+    (omega_k -> omega_{n+1-k}) as X_i -> sign[i] * X_sigma[i].  basis[sigma[i]]
+    holds the cells of basis[i] reflected, (p, q) -> (n-q, n-p): X(u,a,b) ->
+    s_u X(u,n-b,n-a) with s_u = -1 for J and +1 for M and Mq, B(l) ->
+    -B(n+1-l), E(alpha,a) -> E(alpha,n-a) and I -> I."""
+    where = {(lab.variant, *lab.cells()): i for i, lab in enumerate(basis)}
+    sigma = [where[v, u, tuple(sorted((n - q, n - p) for p, q in c))] for v, u, c in where]
+    return sigma, [_REVERSAL_SIGN.get(v, 1) for v, _, _ in where]
 
 
 _SYMBOL = ("", "i", "j", "k")

@@ -43,7 +43,10 @@ denominators, with the solver's integer row of delta(e_g).
 every removal identity at omega follow from those at the 0/1 pattern with
 the same zeros, so solving the 2^N representatives proves them for every
 rational omega: the acceptance suite does so for so N <= 7, su/u N <= 5 and
-sq N <= 4.
+sq N <= 4.  `certify_reversal` proves, once per (family, N), that the
+relabelling `reversal` maps the bracket table at omega onto the one at
+reversed omega and the catalog onto itself, so a sweep row at a zero set
+equals the one at the reversed set: `sweep` solves one set per orbit.
 `crosscheck` confronts the whole catalog with the exact solver, each entry
 as the integer column vector of its slots: counts must agree, the active
 coefficients must be nontrivial cocycles that form a basis of H2, every
@@ -60,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family
+from .ck_matrix import B, I_LABEL, J, M, GeneratorLabel, OmegaVector, labels_for_family, reversal
 from .cohomology import CohomologySolver
 from .lie_core import _shape, build_algebra
 
@@ -191,14 +194,13 @@ def certify_rescaling(family: str, n: int) -> None:
     """
     ms = range(1, n + 1)
 
-    def exponents(ks) -> tuple[int, ...]:
+    def exponents(ks):
         return tuple(ks.count(m) for m in ms)
 
-    def e(label: GeneratorLabel) -> tuple[int, ...]:
-        a, b = label.indices[-2:] if label.variant in ("J", "M", "Mq") else (0, 0)
-        return exponents(range(a + 1, b + 1))
+    def e(label):
+        return exponents([m for p, q in label.cells()[1] for m in range(p + 1, q + 1)])
 
-    def rescaled(i: int, j: int, p: tuple[int, ...]) -> tuple[int, ...]:
+    def rescaled(i, j, p):
         return tuple(x + y - 2 * q for x, y, q in zip(weights[i], weights[j], p))
 
     labels, monomials, brackets = _shape(family, n)
@@ -224,6 +226,46 @@ def certify_rescaling(family: str, n: int) -> None:
                 raise ArithmeticError(
                     f"{family} N={n}: the removal identity of {g} through {name} does not rescale"
                 )
+
+
+@lru_cache(maxsize=None, typed=True)
+def certify_reversal(family: str, n: int) -> None:
+    """Prove that the sweep row of `family` with N = n at omega equals the
+    one at reversed omega; raise ArithmeticError if the proof fails.
+
+    With (sigma, s) = `reversal`, the bracket terms (i, j) -> k of weight
+    (coef, ks) must map one to one onto the terms (sigma i, sigma j) ->
+    sigma k of weight (coef * s_i s_j s_k * order sign, N+1-ks): then sigma
+    is an isomorphism onto the algebra at reversed omega.  The catalog
+    entries must map one to one onto entries of the same ext_type with the
+    reversed factors, the slots mapped by sigma up to one overall sign.  An
+    isomorphism keeps dim Z2/B2/H2, each entry's activity, its cocycle and
+    coboundary verdicts and the rank modulo B2 of the active entries, so
+    n_zeros, the dims, predicted and match agree.  A sweep row holds nothing
+    else, so the type II shifts are left out.  Reads only the two cached
+    shapes and their labels; cached, so it runs once per (family, n).
+    """
+    labels, monomials, brackets = _shape(family, n)
+    sigma, sign = reversal(labels, n)
+
+    def mirror(i, j, coef, ks):  # a term or slot; at i = j, [2:] is a factor's mirror
+        p, q = sigma[i], sigma[j]
+        s = sign[i] * sign[j] * (-1 if p > q else 1)
+        return min(p, q), max(p, q), s * coef, tuple(sorted(n + 1 - m for m in ks))
+
+    terms = {(i, j, *monomials[m], k) for (i, j), row in brackets for k, m in row}
+    ok = terms == {(*mirror(i, j, c * sign[k], ks), sigma[k]) for i, j, c, ks, k in terms}
+    monomials, entries = _catalog_shape(family, n)
+    forms = set(), set()
+    for _, t, fs, sl, _ in entries:
+        for form, image in zip(forms, (lambda *x: x, mirror)):  # the entry as it is, mirrored
+            slots = [image(i, j, *monomials[m]) for i, j, m in sl]
+            s = -1 if min(slots)[2] < 0 else 1
+            factors = frozenset(image(0, 0, *monomials[f])[2:] for f in fs)
+            form.add((t, factors, frozenset((i, j, s * c, ks) for i, j, c, ks in slots)))
+    if not ok or forms[0] != forms[1] or len(forms[0]) < len(entries):
+        shape = "catalog" if ok else "bracket table"
+        raise ArithmeticError(f"{family} N={n}: the {shape} does not map onto its reversal")
 
 
 def predict(family: str, omega) -> tuple[CatalogEntry, ...]:
@@ -258,7 +300,7 @@ def removals(
     coefficient wherever c != 0, and the tied so pair (alphaF, alphaL) =
     (w_{a+1}, w_{a+3}) always.
     """
-    sums: dict[GeneratorLabel, dict[tuple[int, int], Fraction]] = {}
+    sums = {}
     for entry in catalog:
         if entry.shift:
             g, c = entry.shift
@@ -285,18 +327,10 @@ class CrosscheckReport(
     __slots__ = ()
 
     def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "omega": [str(c) for c in self.omega],
-            "n": self.omega.n,
-            "n_zeros": self.n_zeros,
-            "predicted": self.predicted,
-            "dim_z2": self.dim_z2,
-            "dim_b2": self.dim_b2,
-            "dim_h2": self.dim_h2,
-            "match": self.match,
-            "coefficients": [v._asdict() for v in self.verdicts],
-        }
+        out = self._asdict()
+        del out["solver"]
+        out["coefficients"] = [v._asdict() for v in out.pop("verdicts")]
+        return out | {"omega": [str(c) for c in self.omega], "n": self.omega.n}
 
 
 def crosscheck(family: str, omega) -> CrosscheckReport:
@@ -328,12 +362,10 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
         elif entry.ext_type == "III":
             ok = not cocycle_ok
             note = "forced zero" if ok else "constraint violated but cochain survives"
+        elif cocycle_ok:
+            ok = trivial
         else:
-            if cocycle_ok:
-                ok = bool(trivial)
-            else:
-                ok = True
-                note = "forced zero"
+            ok, note = True, "forced zero"
         all_ok = all_ok and ok
         verdicts.append(
             CoefficientVerdict(

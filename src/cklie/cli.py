@@ -15,6 +15,8 @@ from __future__ import annotations
 # The package's own modules are imported first.  A launch that writes no
 # bytecode compiles each one from source, and compiling lie_core on top of
 # argparse and json raised the peak traced memory of `import cklie.cli` by 0.46 MB.
+# json is imported only where JSON is written, in `main`: csv and text
+# commands, and `import cklie.cli`, never load it.
 from .ck_matrix import (
     FAMILIES,
     I_LABEL,
@@ -29,7 +31,6 @@ from .lie_core import build_algebra, from_matrices, verify_jacobi
 
 import argparse
 import io
-import json
 import os
 import sys
 from itertools import product
@@ -188,15 +189,19 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
     """All 3^n sign patterns, rows in lexicographic omega order.
 
     `certify_rescaling` proves that a row depends only on the zero set of
-    omega, so only the 2^n patterns in {0, 1}^n are solved, and each row is
-    its representative's (1 wherever omega is nonzero) with its own omega.
-    At most jobs workers, and never more than the cases solved or the CPUs
-    this process may run on; `Pool.starmap` keeps the order.
+    omega, and `certify_reversal` that the row at a zero set z equals the
+    one at reversed z.  So only the patterns z in {0, 1}^n with z <= reversed
+    z are solved, one per reversal orbit, and each row is its orbit
+    representative's (1 wherever omega is nonzero, the lesser of z and
+    reversed z) with its own omega.  At most jobs workers, and never more
+    than the cases solved or the CPUs this process may run on;
+    `Pool.starmap` keeps the order.
     """
-    from .classify import certify_rescaling
+    from .classify import certify_rescaling, certify_reversal
 
     certify_rescaling(family, n)
-    tasks = [(family, z) for z in product((0, 1), repeat=n)]
+    certify_reversal(family, n)
+    tasks = [(family, z) for z in product((0, 1), repeat=n) if z <= z[::-1]]
     workers = min(jobs, len(tasks), _cpus())
     if workers > 1:
         # Imported here: only a parallel sweep pays for loading multiprocessing.
@@ -206,10 +211,11 @@ def sweep_rows(family: str, n: int, jobs: int = 1) -> list[dict]:
             solved = pool.starmap(run_case, tasks)
     else:
         solved = [run_case(*t) for t in tasks]
-    by_zero_set = {z: row for (_, z), row in zip(tasks, solved)}
+    by_orbit = {z: row for (_, z), row in zip(tasks, solved)}
     return [
-        {**by_zero_set[tuple(s * s for s in signs)], "omega": ",".join(map(str, signs))}
+        {**by_orbit[min(z, z[::-1])], "omega": ",".join(map(str, signs))}
         for signs in product((-1, 0, 1), repeat=n)
+        for z in [tuple(s * s for s in signs)]
     ]
 
 
@@ -357,6 +363,8 @@ def main(argv=None) -> int:
         try:
             ok, out = args.run(args)
             if args.format == "json":
+                import json
+
                 out = json.dumps(out, indent=2, sort_keys=True) + "\n"
         finally:
             if limit:

@@ -296,15 +296,23 @@ def test_c12_every_rational_omega():
     exactly, for every rational omega when so N <= 7, su/u N <= 5 or sq
     N <= 4: the rescaling certificate passes, so each crosscheck and each
     identity at omega follows from the 0/1 pattern with the same zeros, and
-    every one of those representatives is solved and checked here."""
+    every one of those representatives is solved and checked here.  The
+    sweep row (n_zeros, dims, predicted, match) at z must also equal the one
+    at reversed z, which checks the reversal certificate from the solves
+    alone."""
     cases = identities = 0
     bad = []
     for family, nmax in (("so", 7), ("su", 5), ("u", 5), ("sq", 4)):
         for n in range(1, nmax + 1):
             certify_rescaling(family, n)
+            by_zero_set = {}
             for z in product((0, 1), repeat=n):
                 cases += 1
                 report = crosscheck(family, z)
+                by_zero_set[z] = (
+                    report.n_zeros, report.dim_z2, report.dim_b2, report.dim_h2,
+                    report.predicted, report.match,
+                )
                 if not report.match:
                     bad.append((family, z))
                 # At a 0/1 omega the constants are integers, so the solver's
@@ -316,9 +324,14 @@ def test_c12_every_rational_omega():
                     delta = rows[solver.algebra.index(g)]
                     if delta != {solver.pair_index[p]: v for p, v in rhs.items()}:
                         bad.append((family, z, g))
+            bad += [
+                (family, z, "reversal")
+                for z, row in by_zero_set.items()
+                if row != by_zero_set[z[::-1]]
+            ]
     announce(
         12,
-        "every rational omega: catalog basis of H2, removal identities",
+        "every rational omega: catalog basis of H2, removal identities, reversal",
         not bad,
         f"{cases} zero sets, {identities} identities",
     )

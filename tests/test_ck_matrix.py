@@ -312,6 +312,21 @@ class TestGenerators:
     def test_zero_matrix_antihermitian(self):
         assert is_metric_antihermitian(MatrixOverK(3, Kind.REAL), build_metric([1, 1]))
 
+    @pytest.mark.parametrize("family,n", [("so", 4), ("su", 3), ("u", 3), ("sq", 3)])
+    def test_reversal_is_the_exchanged_negated_adjoint(self, family, n):
+        # X -> -P X^H P sends each generator at omega to sign * X_sigma at
+        # reversed omega: the conjugate of i_u is -i_u for u != 0, and the
+        # exchange matrix P moves cell (r, c) to (n - r, n - c).
+        omega = [Fraction(k + 2, 3 - k % 2) * (-1) ** k for k in range(n)]
+        labels = labels_for_family(family, n)
+        sigma, sign = ck_matrix.reversal(labels, n)
+        assert sorted(sigma) == list(range(len(labels)))
+        for i, lab in enumerate(labels):
+            cells = build_generator(family, lab, omega).cells
+            image = {(n - c, n - r): (u, v if u else -v) for (r, c), (u, v) in cells.items()}
+            mirror = build_generator(family, labels[sigma[i]], omega[::-1]).cells
+            assert image == {rc: (u, sign[i] * v) for rc, (u, v) in mirror.items()}, lab
+
 
 class TestMatrixOverK:
     def test_accepts_single_unit_entries(self):

@@ -17,7 +17,7 @@ from helpers import (
     prime_omegas,
     zero_set,
 )
-from cklie import classify, cli, lie_core
+from cklie import ck_matrix, classify, cli, lie_core
 from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector, labels_for_family
 from cklie.classify import (
     CatalogEntry,
@@ -501,11 +501,13 @@ def rational_cases(draw):
 
 @pytest.fixture
 def fresh_certificate():
-    # The certificate is cached per (family, N); a test that patches a shape
-    # must not read, nor leave behind, a verdict on another shape.
-    classify.certify_rescaling.cache_clear()
+    # The certificates are cached per (family, N); a test that patches a
+    # shape must not read, nor leave behind, a verdict on another shape.
+    for certify in (classify.certify_rescaling, classify.certify_reversal):
+        certify.cache_clear()
     yield
-    classify.certify_rescaling.cache_clear()
+    for certify in (classify.certify_rescaling, classify.certify_reversal):
+        certify.cache_clear()
 
 
 def patch_shape(monkeypatch, name, family, n, mutate):
@@ -555,7 +557,7 @@ def su_alpha_with_omega_s(name, slots, shift, monomials):
 
 class TestRescalingCertificate:
     """`certify_rescaling` proves that a crosscheck depends on the zero set
-    of omega alone; the sweep solves one 0/1 representative per zero set on
+    of omega alone; the sweep carries each row from a 0/1 representative on
     its strength."""
 
     @pytest.mark.parametrize("family,nmax", [("so", 12), ("su", 8), ("u", 8), ("sq", 6)])
@@ -640,3 +642,92 @@ class TestRescalingCertificate:
             rep.n_zeros, rep.dim_z2, rep.dim_b2, rep.dim_h2, rep.predicted
         )
         assert got.verdicts == rep.verdicts and got.match == rep.match
+
+
+def sweep_fails_closed(capsys, family, n):
+    # The certificate raises before the sweep solves or prints anything.
+    with pytest.raises(ArithmeticError):
+        cli.main(["sweep", "--family", family, "--n", str(n), "--format", "csv", "--jobs", "1"])
+    assert capsys.readouterr().out == ""
+
+
+class TestReversalCertificate:
+    """`certify_reversal` proves that a sweep row at a zero set equals the
+    row at the reversed zero set; the sweep solves one pattern per reversal
+    orbit on its strength."""
+
+    @pytest.mark.parametrize("family,nmax", [("so", 12), ("su", 8), ("u", 8), ("sq", 6)])
+    def test_passes_on_every_shape(self, family, nmax, fresh_certificate):
+        for n in range(1, nmax + 1):
+            assert classify.certify_reversal(family, n) is None
+
+    def test_fixture_clears_both_caches(self, request):
+        classify.certify_rescaling("su", 2)
+        classify.certify_reversal("su", 2)
+        request.getfixturevalue("fresh_certificate")
+        assert classify.certify_rescaling.cache_info().currsize == 0
+        assert classify.certify_reversal.cache_info().currsize == 0
+
+    def test_torus_sign_is_needed(self, monkeypatch, capsys, fresh_certificate):
+        # B(l) -> +B(N+1-l) in place of -B(N+1-l).
+        monkeypatch.setattr(ck_matrix, "_REVERSAL_SIGN", {"J": -1})
+        with pytest.raises(ArithmeticError, match="bracket table does not map"):
+            classify.certify_reversal("su", 3)
+        sweep_fails_closed(capsys, "su", 3)
+
+    def test_weight_without_reversed_term(self, monkeypatch, capsys, fresh_certificate):
+        # [J(0,1), J(0,2)] = 2 omega_1 J(1,2) in place of omega_1 J(1,2) in so
+        # N=3; its mirror [J(2,3), J(1,3)] keeps omega_3 J(1,2).  The
+        # coefficient is invisible to the rescaling certificate.
+        def double_first(shape):
+            labels, monomials, rows = shape
+            monomials = list(monomials)
+            (pair, ((k, m), *rest)), *others = rows
+            coef, ks = monomials[m]
+            doubled = numbered(monomials, (2 * coef, ks))
+            return labels, tuple(monomials), ((pair, ((k, doubled), *rest)), *others)
+
+        patch_shape(monkeypatch, "_shape", "so", 3, double_first)
+        assert classify.certify_rescaling("so", 3) is None
+        with pytest.raises(ArithmeticError, match="so N=3: the bracket table does not map"):
+            classify.certify_reversal("so", 3)
+        sweep_fails_closed(capsys, "so", 3)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # alphaL[0,1] is the mirror of alphaF[3,4].
+            lambda rows: tuple(r for r in rows if r[0] != "alphaL[0,1]"),
+            # beta[1,3] is the mirror of beta[2,4]; retyped II, it has none.
+            lambda rows: tuple(
+                (name, "II" if name == "beta[1,3]" else t, *rest) for name, t, *rest in rows
+            ),
+            # A second beta[1,3] maps onto beta[2,4] too, which has one mirror.
+            lambda rows: rows
+            + tuple(("beta[9,9]", *rest) for name, *rest in rows if name == "beta[1,3]"),
+        ],
+        ids=["removed", "retyped", "duplicated"],
+    )
+    def test_catalog_entry_without_mirror(self, monkeypatch, capsys, edit, fresh_certificate):
+        patch_shape(monkeypatch, "_catalog_shape", "so", 4, lambda s: (s[0], edit(s[1])))
+        assert classify.certify_rescaling("so", 4) is None
+        with pytest.raises(ArithmeticError, match="so N=4: the catalog does not map"):
+            classify.certify_reversal("so", 4)
+        sweep_fails_closed(capsys, "so", 4)
+
+    @pytest.mark.parametrize(
+        "family,n,solves", [("so", 5, 20), ("su", 3, 6), ("u", 3, 6), ("sq", 2, 3)]
+    )
+    def test_one_solve_per_orbit(self, monkeypatch, family, n, solves):
+        solved = []
+        real = classify.crosscheck
+
+        def counting(family, omega):
+            solved.append(tuple(omega))
+            return real(family, omega)
+
+        monkeypatch.setattr(classify, "crosscheck", counting)
+        rows = cli.sweep_rows(family, n, jobs=1)
+        assert len(rows) == 3**n
+        assert len(solved) == solves
+        assert {min(z, z[::-1]) for z in product((0, 1), repeat=n)} == set(solved)

@@ -341,24 +341,25 @@ class TestSweep:
     @pytest.mark.parametrize("cpus,expected", [(4, [4]), (None, []), (1, [])])
     def test_workers_capped_at_cpus(self, monkeypatch, cpus, expected):
         # An unknown CPU count counts as one, and one worker runs serially.
+        # so N=3 solves 6 reversal orbits, more than the 4 CPUs.
         asked = self.fake_pool(monkeypatch, cpus=cpus)
-        rows = sweep_rows("so", 2, jobs=5000)
+        rows = sweep_rows("so", 3, jobs=5000)
         assert asked == expected
-        assert rows == sweep_rows("so", 2, jobs=1)
+        assert rows == sweep_rows("so", 3, jobs=1)
 
     def test_without_affinity_call_workers_capped_at_cpu_count(self, monkeypatch):
         asked = self.fake_pool(monkeypatch, cpus=None)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        sweep_rows("so", 2, jobs=5000)
+        sweep_rows("so", 3, jobs=5000)
         assert asked == [3]
 
     @pytest.mark.parametrize("cpus,expected", [(1, []), (3, [3])])
     def test_default_jobs_are_the_cpus_this_process_may_use(self, monkeypatch, capsys, cpus, expected):
         # Pinned to one CPU of many, a default sweep runs serially.
         asked = self.fake_pool(monkeypatch, cpus=cpus)
-        _, out, _ = run(capsys, "sweep", "--family", "so", "--n", "2", "--format", "csv")
+        _, out, _ = run(capsys, "sweep", "--family", "so", "--n", "3", "--format", "csv")
         assert asked == expected
-        _, serial, _ = run(capsys, "sweep", "--family", "so", "--n", "2", "--format", "csv", "--jobs", "1")
+        _, serial, _ = run(capsys, "sweep", "--family", "so", "--n", "3", "--format", "csv", "--jobs", "1")
         assert out == serial
 
     @pytest.mark.parametrize(
@@ -366,8 +367,8 @@ class TestSweep:
         [*(("so", n) for n in range(1, 6)), *((f, n) for f in ("su", "u", "sq") for n in (1, 2, 3))],
     )
     def test_rows_equal_per_pattern_solves(self, family, n):
-        # The sweep solves one pattern per zero set; solving every pattern
-        # must give the same rows, in the same order.
+        # The sweep solves one pattern per reversal orbit of zero sets;
+        # solving every pattern must give the same rows, in the same order.
         expected = [cli.run_case(family, signs) for signs in product((-1, 0, 1), repeat=n)]
         assert sweep_rows(family, n) == expected
 
