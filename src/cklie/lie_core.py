@@ -17,11 +17,11 @@ them by an integer recomposition, with neither the shape nor the evaluator
 and no elimination, which cross-validates both routes constant by constant.  Jacobi
 verification lives here too.
 
-`verify_jacobi` is exact but runs in Python integers: it clears the
-denominators of all constants once (the Jacobiator is quadratic, so scaling
-by d scales it by d**2 and zero stays zero) and visits each nonzero bracket
-composition once, under its triple's smallest index, with one flat
-accumulator per index.
+`verify_jacobi` is exact but runs in Python integers, on the constants with
+their denominators cleared once.  It checks only the triples that hold one
+of a greedy set of generators, which suffices for any antisymmetric table,
+and visits each nonzero bracket composition of those once, under its
+triple's smallest index, with one flat accumulator per index.
 
 Index conventions throughout: whenever three indices a, b, c appear they
 satisfy a < b < c; four indices a < b, d < e are pairwise distinct; there is
@@ -117,9 +117,7 @@ class LieAlgebra:
 
     def structure_rows(self):
         """Yield (i, j, k, c) with i < j, sorted, over nonzero constants."""
-        constants = self.constants
-        for (i, j) in sorted(constants):
-            terms = constants[(i, j)]
+        for (i, j), terms in sorted(self.constants.items()):
             for k in sorted(terms):
                 yield i, j, k, terms[k]
 
@@ -139,9 +137,7 @@ class LieAlgebra:
         return self._integer
 
     def same_constants(self, other: "LieAlgebra") -> bool:
-        if self.dim != other.dim:
-            return False
-        return self.constants == other.constants
+        return self.dim == other.dim and self.constants == other.constants
 
     def to_json_obj(self) -> dict:
         names = [str(lab) for lab in self.basis]
@@ -194,10 +190,7 @@ class _Builder:
         i, j = self.index[u], self.index[v]
         if i == j:
             raise ValueError(f"bracket of {u} with itself")
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
+        i, j, sign = (i, j, 1) if i < j else (j, i, -1)
         if (i, j) in self.rows:
             raise ValueError(f"bracket ({u}, {v}) assigned twice")
         monos = self.monomials
@@ -305,17 +298,60 @@ def build_algebra(family: str, omega) -> LieAlgebra:
     return LieAlgebra(family, om, labels, constants)
 
 
+def _generators(dim: int, constants) -> list[int]:
+    """Indices of basis elements that generate the table's algebra, greedily
+    in basis order: an index joins unless the closure of the earlier ones
+    holds it, where a row [X_p, X_q] of two members whose terms are all
+    members but one makes that one a member.  Each new member visits once
+    the rows it brackets into and the rows of several terms that hold it
+    (a one-term row whose term is a member adds nothing)."""
+    touch = [[] for _ in range(dim)]
+    for (p, q), row in constants.items():
+        item = (p, q, row)
+        touch[p].append(item)
+        touch[q].append(item)
+        if len(row) > 1:
+            for k in row:
+                touch[k].append(item)
+    member = [False] * dim
+    gens = []
+    for g in range(dim):
+        if member[g]:
+            continue
+        gens.append(g)
+        member[g] = True
+        stack = [g]
+        while stack:
+            for p, q, row in touch[stack.pop()]:
+                if member[p] and member[q]:
+                    out = [k for k in row if not member[k]]
+                    if len(out) == 1:
+                        member[out[0]] = True
+                        stack += out
+    return gens
+
+
 def verify_jacobi(L: LieAlgebra) -> bool:
     """Exact Jacobi check: is [[X_i,X_q],X_r] + [[X_q,X_r],X_i] + [[X_r,X_i],X_q]
     zero for every index triple i < q < r?
 
-    The constants are scaled once by the lcm d of their denominators, so the
-    check runs in Python integers.  The Jacobiator is quadratic in the
-    constants, so scaling scales it by d**2 and a nonzero entry stays nonzero.
+    Only the triples that hold a generator (`_generators`) are checked,
+    which is exact for every antisymmetric table, Lie or not.  The Jacobiator
+    J is trilinear and alternating, and J(x, ., .) = 0 says that ad_x is a
+    derivation, so the set D of such x is a subspace.  D is closed under the
+    bracket: for x1, x2 in D, ad_[x1,x2] = [ad_x1, ad_x2], a commutator of
+    two derivations.  So if D holds the generators, D is the whole algebra.
+    Each member that the closure adds is its bracket minus the other terms,
+    divided by a nonzero constant, so it lies in the generated subalgebra.
+    The table is relabelled with the generators first, so a triple holds a
+    generator exactly when its smallest index is below their number g.
 
-    Each nonzero composition [[X_p, X_q], X_r] of distinct indices is visited
-    once, under the smallest index i of its triple, into one flat accumulator
-    per i keyed (q*dim + r)*dim + m for the triple i < q < r:
+    The check runs in Python integers, on the constants scaled by the lcm d
+    of their denominators: J is quadratic, so it scales by d**2 and a nonzero
+    entry stays nonzero.  Each nonzero composition [[X_p, X_q], X_r] of
+    distinct indices is visited once, under the smallest index i < g of its
+    triple, into one flat accumulator per i keyed (q*dim + r)*dim + m for the
+    triple i < q < r:
 
     * (a) [[X_i, X_q], X_r], distinct q, r > i: + into (i, q, r) if q < r,
       else - into (i, r, q), as [[X_q, X_i], X_r];
@@ -324,18 +360,28 @@ def verify_jacobi(L: LieAlgebra) -> bool:
     """
     dim = L.dim
     constants = L.integer_constants()
+    gens = _generators(dim, constants)
+    pos = [0] * dim  # old index -> new index
+    for new, old in enumerate(gens + sorted(set(range(dim)).difference(gens))):
+        pos[old] = new
+    rows = []
+    for (p, q), row in constants.items():
+        p, q = pos[p], pos[q]
+        if p < q:
+            rows.append((p, q, {pos[k]: c for k, c in row.items()}))
+        else:
+            rows.append((q, p, {pos[k]: -c for k, c in row.items()}))
+    rows.sort(reverse=True)
     # adj[k][r]: d*[X_k, X_r] for both orders; holds[k][p, q]: d*C_pq^k; both
-    # filled largest index first.
+    # in the new labels, filled largest index first.
     adj = [{} for _ in range(dim)]
     holds = [{} for _ in range(dim)]
-    for pair in sorted(constants, reverse=True):
-        p, q = pair
-        row = constants[pair]
+    for p, q, row in rows:
         adj[p][q] = row
         adj[q][p] = {k: -c for k, c in row.items()}
         for k, c in row.items():
-            holds[k][pair] = c
-    for i, adj_i in enumerate(adj):
+            holds[k][p, q] = c
+    for i, adj_i in enumerate(adj[: len(gens)]):
         acc = {}
         for q, row in adj_i.items():  # (a)
             if q <= i:

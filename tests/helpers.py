@@ -5,8 +5,9 @@ shared code, integer tricks or sparsity, so it can arbitrate the package's
 elimination kernel, cohomology dimensions and bases; the cocycle test and
 the Jacobi check walk every index triple in Fractions, reading each bracket
 from `L.constants` through `bracket` and never from the solver's integer
-tables, the coboundary sums every bracket term in Fractions, and the
-quaternion product is the full 16-term formula.  `Hypercomplex` is a
+tables, the generation oracle grows a span by the brackets of its vectors,
+the coboundary sums every bracket term in Fractions, and the quaternion
+product is the full 16-term formula.  `Hypercomplex` is a
 four-component quaternion over Fractions with a kind tag, once the
 package's entry type; the dense commutator of generator matrices in it
 arbitrates the package's single-unit commutator.
@@ -208,6 +209,43 @@ def oracle_jacobi(L):
         if any(acc.values()):
             return False
     return True
+
+
+def oracle_generated_dim(L, gens):
+    """Dimension of the subalgebra that the basis elements at `gens` generate:
+    their span, grown by the bracket of each pair of its vectors, read from
+    `bracket`, until every pair is bracketed and the span stops growing, or
+    it holds every basis element.  Dense exact vectors whose zeros are plain
+    ints; each new vector is reduced against the earlier ones in the order
+    they came, so they stay independent."""
+    r = L.dim
+    span = []  # (pivot, nonzero entries of a vector 1 at the pivot, 0 at earlier pivots)
+
+    def grow(vec):
+        for p, row in span:
+            f = vec[p]
+            if f:
+                for c, b in row:
+                    vec[c] -= f * b
+        lead = next((c for c, a in enumerate(vec) if a), None)
+        if lead is not None:
+            span.append((lead, [(c, Fraction(a, vec[lead])) for c, a in enumerate(vec) if a]))
+
+    for g in gens:
+        grow([int(k == g) for k in range(r)])
+    new = 0
+    while new < len(span) < r:
+        for _, u in span[:new]:
+            vec = [0] * r
+            for i, a in u:
+                for j, b in span[new][1]:
+                    for k, c in bracket(L, i, j).items():
+                        vec[k] += a * b * c
+            grow(vec)
+            if len(span) == r:
+                break
+        new += 1
+    return len(span)
 
 
 def oracle_quaternion_product(a, b):

@@ -13,6 +13,7 @@ from helpers import (
     build_extended,
     coefficient_cocycle,
     int_vector,
+    oracle_generated_dim,
     oracle_jacobi,
     permute_basis,
     prime_omegas,
@@ -24,6 +25,7 @@ from cklie.classify import predict
 from cklie.cohomology import CohomologySolver
 from cklie.lie_core import (
     LieAlgebra,
+    _generators,
     build_algebra,
     epsilon,
     from_matrices,
@@ -43,6 +45,38 @@ def brackets_by_label(L):
             str(L.basis[k]): c for k, c in terms.items()
         }
     return out
+
+
+def oracle_corpus(family, nmax):
+    """Every sign pattern of `family` up to N = nmax with seeded non-unit
+    magnitudes, each algebra also with every single constant scaled by 3/2
+    and, separately, negated; and with each of up to 3 seeded rows dropped,
+    each of up to 3 given a term at an index it does not hold, and each of
+    up to 3 rows it lacks given one term."""
+    magnitudes = [Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(5, 4), Fraction(7, 5)]
+    rng = random.Random(family)
+    pick = random.Random(f"{family} inserted terms")
+    for n in range(1, nmax + 1):
+        for signs in sign_patterns(n):
+            L = build_algebra(family, [s * rng.choice(magnitudes) for s in signs])
+            C = L.constants
+            rows = sorted(C)
+            tables = []
+            for pair in rows:
+                for k in sorted(C[pair]):
+                    for factor in (Fraction(3, 2), -1):
+                        tables.append({**C, pair: {**C[pair], k: C[pair][k] * factor}})
+            for pair in pick.sample(rows, min(3, len(rows))):
+                tables.append({p: terms for p, terms in C.items() if p != pair})
+            for pair in pick.sample(rows, min(3, len(rows))):
+                k = pick.choice([k for k in range(L.dim) if k not in C[pair]])
+                tables.append({**C, pair: {**C[pair], k: pick.choice(magnitudes)}})
+            absent = [pair for pair in combinations(range(L.dim), 2) if pair not in C]
+            for pair in pick.sample(absent, min(3, len(absent))):
+                tables.append({**C, pair: {pick.randrange(L.dim): pick.choice(magnitudes)}})
+            yield L
+            for t in tables:
+                yield LieAlgebra(family, L.omega, L.basis, t)
 
 
 class TestEpsilon:
@@ -233,39 +267,60 @@ class TestJacobi:
 
     @pytest.mark.parametrize("family,nmax", [("so", 4), ("su", 3), ("u", 3), ("sq", 2)])
     def test_agrees_with_oracle(self, family, nmax):
-        # Every sign pattern with seeded non-unit magnitudes, each algebra also
-        # with every single constant scaled by 3/2 and, separately, negated;
-        # and with each of up to 3 seeded rows dropped, each of up to 3 given
-        # a term at an index it does not hold, and each of up to 3 rows it
-        # lacks given one term.
-        magnitudes = [Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(5, 4), Fraction(7, 5)]
-        rng = random.Random(family)
-        pick = random.Random(f"{family} inserted terms")
+        # The corpus must hold non-Lie tables that some basis elements do not
+        # generate, or the loop restricted to the generators' triples is
+        # never tried on a table it can get wrong.
         verdicts = set()
+        restricted = 0
+        for V in oracle_corpus(family, nmax):
+            verdict = verify_jacobi(V)
+            assert verdict == oracle_jacobi(V), (family, V.omega)
+            verdicts.add(verdict)
+            restricted += not verdict and len(_generators(V.dim, V.constants)) < V.dim
+        assert verdicts == {True, False}
+        assert restricted
+
+
+class TestGenerators:
+    # `_generators` must generate, by the span closure of
+    # `oracle_generated_dim`, which shares no code with it.
+    @pytest.mark.parametrize("family,nmax", [("so", 4), ("su", 3), ("u", 3), ("sq", 2)])
+    def test_generate_every_sign_pattern(self, family, nmax):
         for n in range(1, nmax + 1):
             for signs in sign_patterns(n):
-                L = build_algebra(family, [s * rng.choice(magnitudes) for s in signs])
-                C = L.constants
-                rows = sorted(C)
-                tables = []
-                for pair in rows:
-                    for k in sorted(C[pair]):
-                        for factor in (Fraction(3, 2), -1):
-                            tables.append({**C, pair: {**C[pair], k: C[pair][k] * factor}})
-                for pair in pick.sample(rows, min(3, len(rows))):
-                    tables.append({p: terms for p, terms in C.items() if p != pair})
-                for pair in pick.sample(rows, min(3, len(rows))):
-                    k = pick.choice([k for k in range(L.dim) if k not in C[pair]])
-                    tables.append({**C, pair: {**C[pair], k: pick.choice(magnitudes)}})
-                absent = [pair for pair in combinations(range(L.dim), 2) if pair not in C]
-                for pair in pick.sample(absent, min(3, len(absent))):
-                    tables.append({**C, pair: {pick.randrange(L.dim): pick.choice(magnitudes)}})
-                variants = [L] + [LieAlgebra(family, L.omega, L.basis, t) for t in tables]
-                for V in variants:
-                    verdict = verify_jacobi(V)
-                    assert verdict == oracle_jacobi(V), (family, V.omega)
-                    verdicts.add(verdict)
-        assert verdicts == {True, False}
+                L = build_algebra(family, signs)
+                assert oracle_generated_dim(L, _generators(L.dim, L.constants)) == L.dim, signs
+
+    @pytest.mark.parametrize("family,nmax", [("so", 4), ("su", 3), ("u", 3), ("sq", 2)])
+    def test_generate_the_oracle_corpus(self, family, nmax):
+        for V in oracle_corpus(family, nmax):
+            assert oracle_generated_dim(V, _generators(V.dim, V.constants)) == V.dim, V.omega
+
+    @pytest.mark.parametrize("family,extra", [("so", 0), ("su", 1), ("u", 2), ("sq", 4)])
+    def test_count_at_nonzero_omega(self, family, extra):
+        # Making every element a generator keeps the check exact but gives up
+        # its speed; the closure must find N, N+1, N+2 and N+4 (sq from N=2).
+        for n in range(2 if family == "sq" else 1, 7):
+            L = build_algebra(family, SIGNED_PRIMES[:n])
+            assert len(_generators(L.dim, L.constants)) == n + extra, n
+
+    def test_generators_past_the_first_indices(self):
+        # The filiform [X_0, X_k] = X_(k+1) on 0..4 is Lie and has generators
+        # 0 and 1; beside it, commuting with it, [X_5, X_6] = X_7 and
+        # [X_6, X_7] = X_6 break Jacobi on the triple (5, 6, 7) alone.  The
+        # generators are 0, 1, 5 and 6, so a check of the triples whose
+        # smallest index is below 4, in the basis order, would miss it.
+        table = {(0, k): {k + 1: 1} for k in range(1, 4)}
+        table.update({(5, 6): {7: 1}, (6, 7): {6: 1}})
+        V = LieAlgebra("x", None, [J(0, k) for k in range(1, 9)], table)
+        assert _generators(V.dim, V.constants) == [0, 1, 5, 6]
+        assert not verify_jacobi(V) and not oracle_jacobi(V)
+
+    def test_proper_subset_fails_the_oracle(self):
+        # The oracle can say no: without J(0,2), so N=2 gets no further.
+        L = build_algebra("so", [1, 1])
+        assert oracle_generated_dim(L, [0, 1]) == 3
+        assert oracle_generated_dim(L, [0]) == 1
 
 
 class TestFromMatrices:
