@@ -7,8 +7,12 @@ equation
     sum_k ( C_ij^k xi_kl + C_jl^k xi_ki + C_li^k xi_kj ) = 0,
 
 assembled in one nested loop over i < j < l with the three bracket terms
-inline, xi_kl read as -xi_lk whenever k > l; triples with no bracket are
-skipped.  Z2 is its exact nullspace, B2 is spanned by the maps
+inline, xi_kl read as -xi_lk whenever k > l.  Only the triples that hold a
+member of `lie_core._generators` are assembled, and of those the ones with
+no bracket are skipped: on a Lie algebra these equations alone cut out Z2
+(`CohomologySolver.system`), and the solver proves the table Lie from the
+RREF of those rows before it answers, raising ArithmeticError otherwise.
+Z2 is the exact nullspace, B2 is spanned by the maps
 mu |-> (xi_ij = sum_k C_ij^k mu_k), and dim H2 = dim Z2 - dim B2 counts
 inequivalent nontrivial central extensions.
 
@@ -95,11 +99,11 @@ def _echelon_int(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
     column; its length is the rank.  Each row's nonzero residue under
     :func:`_reduce` becomes the pivot row of its leading column, which is
     then cleared from the pivot rows that hold it.  The rows are sparse with
-    no zero entries, read twice and never modified.  A pre-pass makes each
-    single-entry row the unit pivot {c: 1} of its column and strips those
-    columns from the other rows: the row space, and so the RREF, stays the
-    same."""
-    units = {c: {c: 1} for row in rows if len(row) == 1 for c in row}
+    no zero entries, read twice and never modified.  A pre-pass makes one
+    unit pivot {c: 1} for each column that a single-entry row holds and
+    strips those columns from the other rows: the row space, and so the
+    RREF, stays the same."""
+    units = {c: {c: 1} for c in dict.fromkeys(c for row in rows if len(row) == 1 for c in row)}
     rref = dict(units)
     holders: dict[int, set[int]] = {}  # column -> leads of rows that may hold it
     for row in rows:
@@ -157,7 +161,8 @@ def _nullspace(rref: dict[int, dict[int, int]], ncols: int) -> list[dict[int, in
 
 class CocycleSystem(namedtuple("CocycleSystem", "n_unknowns rows")):
     """The assembled linear system: sparse integer rows over pair-indexed
-    unknowns, one per index triple whose equation is not identically zero.
+    unknowns, one per index triple that holds a generator and whose
+    equation is not identically zero.
     The rows are those of the constants scaled by the lcm of their
     denominators; the equations are linear in the constants, so the scaling
     leaves the solution space unchanged."""
@@ -176,7 +181,9 @@ class CohomologySolver:
     """Caches, for one algebra, the assembled system and its RREF, the B2
     RREF, the dims, the Z2 basis and the column index of the cocycle
     test, so repeated cochain queries stay cheap.  Only the Z2 basis holds
-    Fractions.
+    Fractions.  It answers only for a Lie table: the dims, the
+    representatives, `is_cocycle` and `rank_mod_b2` first prove Jacobi from
+    the system RREF and raise ArithmeticError if it fails.
 
     The cochain queries take a cochain as its integer column vector
     {pair_index[(i, j)]: int}, with no zero values.  Each query is
@@ -200,7 +207,25 @@ class CohomologySolver:
     # -- assembly -----------------------------------------------------------
 
     def system(self) -> CocycleSystem:
+        """The equations of the triples i < j < l that hold a generator
+        (`lie_core._generators`), in triple order; the assembly never leans
+        on Jacobi.  On a Lie algebra they cut out Z2: by the Cartan identities
+        i_[x,y] = [L_x, i_y] and L_x = d i_x + i_x d with d^2 = 0
+        (Chevalley-Eilenberg 1948), the x with i_x d xi = 0 form a subalgebra
+        for a fixed 2-cochain xi, as i_[x,y] d xi = L_x i_y d xi -
+        i_y (d i_x + i_x d) d xi = 0 for two of them.
+
+        `_system_echelon` proves that Jacobi from these rows.  A triple's
+        equation sends delta(e_m) = ((p, q) |-> C_pq^m) to e_m of the triple's
+        Jacobiator, which is so sum_c row[c] * (C at pair c), and zero for a
+        triple left out for want of a bracket.  So Jacobi holds on the triples
+        that hold a generator exactly when every row of the system RREF sends
+        the bracket table to zero (a unit row {c: 1}: pair c has no bracket),
+        and then on all triples, by the derivation argument of
+        `lie_core.verify_jacobi`."""
         if self._system is None:
+            from .lie_core import _generators  # loaded with the algebra's class
+
             r = self.algebra.dim
             # brk[i][j]: the terms of d*[X_i, X_j] for i < j, else None;
             # col[t][k]: the column of xi_kt, whichever of k, t is smaller.
@@ -210,17 +235,26 @@ class CohomologySolver:
             col = [[0] * r for _ in range(r)]
             for x, (i, j) in enumerate(self.pairs):
                 col[i][j] = col[j][i] = x
-            # reach[i]: the l > i with [X_i, X_l] != 0.
+            # reach[i]: the l > i with [X_i, X_l] != 0; later[j]: the generators l > j.
             reach = [{l for l in range(i + 1, r) if brk[i][l]} for i in range(r)]
+            gens = set(_generators(r, self.algebra.integer_constants()))
+            later = [sorted(g for g in gens if g > j) for j in range(r)]
             rows = []
             # xi([X_i, X_j], X_l) + xi([X_j, X_l], X_i) - xi([X_i, X_l], X_j), xi_kt = -xi_tk
             for i in range(r):
-                bi, col_i, tail = brk[i], col[i], set(reach[i])
+                bi, col_i, tail, i_gen = brk[i], col[i], set(reach[i]), i in gens
                 for j in range(i + 1, r):
                     bij, bj, col_j = bi[j], brk[j], col[j]
-                    # With [X_i, X_j] = 0, only the l > j that X_i or X_j reaches.
+                    # With [X_i, X_j] = 0, only the l > j that X_i or X_j reaches;
+                    # with neither i nor j a generator, only the generators l > j.
                     tail.discard(j)
-                    for l in range(j + 1, r) if bij else sorted(tail.union(reach[j])):
+                    if i_gen or j in gens:
+                        ls = range(j + 1, r) if bij else sorted(tail.union(reach[j]))
+                    elif bij:
+                        ls = later[j]
+                    else:
+                        ls = [l for l in later[j] if l in tail or l in reach[j]]
+                    for l in ls:
                         acc: dict[int, int] = {}
                         if bij:
                             col_l = col[l]
@@ -247,8 +281,20 @@ class CohomologySolver:
         return self._system
 
     def _system_echelon(self) -> dict[int, dict[int, int]]:
+        """The system RREF, once it proves the table Lie, else
+        ArithmeticError: every RREF row must send the bracket table to zero,
+        sum_c row[c] * (d*C at pair c) = 0 (see `system`)."""
         if self._echelon is None:
-            self._echelon = _echelon_int(self.system().rows)
+            rref = _echelon_int(self.system().rows)
+            brk = {self.pair_index[p]: t for p, t in self.algebra.integer_constants().items()}
+            for row in rref.values():
+                jac: dict[int, int] = {}
+                for c, v in row.items():
+                    for k, t in brk.get(c, {}).items():
+                        jac[k] = jac.get(k, 0) + v * t
+                if any(jac.values()):
+                    raise ArithmeticError(f"{self.algebra!r} fails the Jacobi identity")
+            self._echelon = rref
         return self._echelon
 
     def coboundary_rows(self) -> list[dict[int, int]]:
@@ -303,8 +349,11 @@ class CohomologySolver:
     # -- cochain queries ---------------------------------------------------------
 
     def is_cocycle(self, vec: dict[int, int]) -> bool:
-        """Exact: only the equations that hold a nonzero column of vec are
-        evaluated, and every other equation sums to zero on it."""
+        """Exact once the system RREF proves the table Lie, which runs
+        first: the rows of the triples that hold a generator cut out Z2.
+        Only the equations that hold a nonzero column of vec are evaluated,
+        and every other equation sums to zero on it."""
+        self._system_echelon()
         rows = self.system().rows
         if self._by_column is None:
             self._by_column = [[] for _ in range(self.n_unknowns)]
@@ -327,6 +376,7 @@ class CohomologySolver:
     def rank_mod_b2(self, vectors: Iterable[dict[int, int]]) -> int:
         """The number of the vectors independent modulo B2: the pivots they
         add to the B2 RREF rows."""
+        self._system_echelon()
         b2 = self._b2_echelon()
         return len(_echelon_int([*b2.values(), *vectors])) - len(b2)
 

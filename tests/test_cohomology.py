@@ -24,6 +24,7 @@ from helpers import (
     int_vector,
     is_trivial,
     oracle_is_cocycle,
+    oracle_jacobi,
     permute_basis,
     row_cochain,
     scaled,
@@ -34,6 +35,7 @@ from cklie.ck_matrix import J
 from cklie.classify import predict
 from cklie.lie_core import (
     LieAlgebra,
+    _generators,
     build_algebra,
     verify_jacobi,
 )
@@ -110,6 +112,49 @@ RATIONAL_CASES = [
 
 def random_mu(rng, dim, span=6):
     return {k: Fraction(rng.randint(-span, span), rng.randint(1, 4)) for k in range(dim)}
+
+
+def random_tables(count, seed=3131):
+    """(constants, algebra) of hand-built sparse tables on 3 to 7 basis
+    elements, multi-term and with a denominator 2 now and then; most of them
+    fail the Jacobi identity."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(3, 7)
+        constants = {}
+        for pair in combinations(range(dim), 2):
+            if rng.random() < 0.45:
+                ks = rng.sample(range(dim), rng.choice((1, 1, 2, 3)))
+                constants[pair] = {k: rng.choice((-2, -1, 1, 1, Fraction(1, 2))) for k in ks}
+        yield constants, LieAlgebra(None, None, [J(0, k) for k in range(1, dim + 1)], constants)
+
+
+# The range of the assembly oracle, and two cases with zeros and non-unit rationals.
+ASSEMBLY_RANGE = (
+    [("so", n) for n in range(1, 6)]
+    + [(f, n) for f in ("su", "u") for n in range(1, 4)]
+    + [("su", 4), ("sq", 1), ("sq", 2)]
+)
+ASSEMBLY_RATIONALS = [
+    ("so", rational_omega(0, "-3/4", 0, "5/2")),
+    ("su", rational_omega(0, "2/3", 0)),
+]
+
+
+def oracle_rows(L):
+    """The oracle's nonzero cocycle equations, all C(dim, 3) of them, as the
+    kernel's integer rows, each scaled by the lcm of its denominators.  Only
+    the nonzero entries of a dense row are read, as in
+    `TestCocycleSystem.assert_rows_match_oracle`."""
+    _, equations, _ = oracle_cocycle_system(L)
+    rows = []
+    for eq in equations:
+        zero = eq[-1] if eq[-1] == 0 else Fraction(0)
+        if eq.count(zero) < len(eq):
+            row = {c: eq[c] for c in [c for c, v in enumerate(eq) if v is not zero] if eq[c]}
+            m = lcm(*(v.denominator for v in row.values()))
+            rows.append({c: v.numerator * (m // v.denominator) for c, v in row.items()})
+    return rows
 
 
 class TestExactRank:
@@ -223,17 +268,22 @@ class TestCocycleSystem:
 
     @staticmethod
     def assert_rows_match_oracle(L):
-        # The rows are the oracle's nonzero equations scaled by d, the lcm
-        # of the constants' denominators, in triple order.  Each dense
-        # oracle row is read whole, but only its nonzero entries one by one:
+        # The rows are the oracle's nonzero equations on the triples that
+        # hold a member of `_generators` (which `TestGenerators` checks
+        # against `oracle_generated_dim`), scaled by d, the lcm of the
+        # constants' denominators, in triple order.  Each dense oracle row
+        # is read whole, but only its nonzero entries one by one:
         # list.count counts its zeros (by identity, so cheaply, for the
         # zero the oracle fills it with), the package row must hold exactly
         # as many entries as the rest, and each must be d times the oracle's
         # entry in its column.
         d = lcm(*(c.denominator for terms in L.constants.values() for c in terms.values()))
+        gens = set(_generators(L.dim, L.integer_constants()))
         _, equations, _ = oracle_cocycle_system(L)
         rows = iter(CohomologySolver(L).system().rows)
-        for eq in equations:
+        for triple, eq in zip(combinations(range(L.dim), 3), equations):
+            if gens.isdisjoint(triple):
+                continue
             zeros = eq.count(eq[-1] if eq[-1] == 0 else Fraction(0))
             if zeros < len(eq):
                 row = next(rows)
@@ -241,20 +291,12 @@ class TestCocycleSystem:
                 assert [eq[c] * d for c in row] == list(row.values())
         assert next(rows, None) is None
 
-    @pytest.mark.parametrize(
-        "family,n",
-        [("so", n) for n in range(1, 6)]
-        + [(f, n) for f in ("su", "u") for n in range(1, 4)]
-        + [("su", 4), ("sq", 1), ("sq", 2)],
-    )
+    @pytest.mark.parametrize("family,n", ASSEMBLY_RANGE)
     def test_rows_equal_oracle_equations(self, family, n):
         for signs in sign_patterns(n):
             self.assert_rows_match_oracle(build_algebra(family, signs))
 
-    @pytest.mark.parametrize(
-        "family,omega",
-        [("so", rational_omega(0, "-3/4", 0, "5/2")), ("su", rational_omega(0, "2/3", 0))],
-    )
+    @pytest.mark.parametrize("family,omega", ASSEMBLY_RATIONALS)
     def test_rows_equal_oracle_equations_on_rationals(self, family, omega):
         self.assert_rows_match_oracle(build_algebra(family, omega))
 
@@ -263,20 +305,12 @@ class TestCocycleSystem:
         # lean on Jacobi.  Across the tables the oracle meets multi-term
         # brackets, terms that cancel (some rows to nothing), terms with
         # k equal to the third index, and triples with a bracketless pair.
-        rng = random.Random(3131)
         seen = dict.fromkeys(("multi-term", "cancel", "cancel to zero", "k == l", "no bracket"), 0)
-        for _ in range(150):
-            dim = rng.randint(3, 7)
-            constants = {}
-            for pair in combinations(range(dim), 2):
-                if rng.random() < 0.45:
-                    ks = rng.sample(range(dim), rng.choice((1, 1, 2, 3)))
-                    constants[pair] = {k: rng.choice((-2, -1, 1, 1, Fraction(1, 2))) for k in ks}
-            L = LieAlgebra(None, None, [J(0, k) for k in range(1, dim + 1)], constants)
+        for constants, L in random_tables(150):
             self.assert_rows_match_oracle(L)
             seen["multi-term"] += sum(len(terms) > 1 for terms in constants.values())
             _, equations, _ = oracle_cocycle_system(L)
-            for (i, j, l), eq in zip(combinations(range(dim), 3), equations):
+            for (i, j, l), eq in zip(combinations(range(L.dim), 3), equations):
                 triple = (((i, j), l), ((j, l), i), ((i, l), j))
                 seen["no bracket"] += sum(pair not in constants for pair, _ in triple) > 0
                 hit = [(min(k, t), max(k, t)) for pair, t in triple for k in constants.get(pair, ())]
@@ -286,6 +320,67 @@ class TestCocycleSystem:
                 seen["cancel"] += nonzero < len(cols)
                 seen["cancel to zero"] += nonzero == 0 < len(cols)
         assert all(seen.values()), seen
+
+
+class TestExactness:
+    """The equations of the triples that hold a generator have the RREF of
+    all C(dim, 3) equations on a Lie table, and the solver answers for no
+    other table."""
+
+    @staticmethod
+    def assert_rref_is_full_rref(L, dense=False):
+        rref = CohomologySolver(L)._system_echelon()
+        rows = oracle_rows(L)
+        assert rref == _echelon_int(rows)
+        if dense:
+            ncols = L.dim * (L.dim - 1) // 2
+            matrix = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+            assert kernel_rref(rref) == [
+                {c: v for c, v in enumerate(row) if v} for row in dense_rref(matrix)[1]
+            ]
+
+    # The solver's RREF against the kernel's RREF of every oracle equation,
+    # on the whole range of the assembly oracle; `TestExactRank` arbitrates
+    # the kernel against `dense_rref`.
+    @pytest.mark.parametrize("family,n", ASSEMBLY_RANGE)
+    def test_rref_equals_rref_of_all_equations(self, family, n):
+        for signs in sign_patterns(n):
+            self.assert_rref_is_full_rref(build_algebra(family, signs))
+
+    # Against `dense_rref` itself where a dense Fraction elimination of every
+    # equation is affordable: about 1 s a sign pattern on su N=4.
+    @pytest.mark.parametrize(
+        "family,n",
+        [("so", n) for n in range(1, 5)] + [(f, n) for f in ("su", "u") for n in (1, 2)] + [("sq", 1)],
+    )
+    def test_rref_equals_dense_rref_of_all_equations(self, family, n):
+        for signs in sign_patterns(n):
+            self.assert_rref_is_full_rref(build_algebra(family, signs), dense=True)
+
+    @pytest.mark.parametrize("family,omega", ASSEMBLY_RATIONALS)
+    def test_rref_equals_dense_rref_of_all_equations_on_rationals(self, family, omega):
+        self.assert_rref_is_full_rref(build_algebra(family, omega), dense=True)
+
+    def test_answers_exactly_on_lie_tables(self):
+        # The certificate reads only the solver's own RREF, yet it raises
+        # exactly where the oracle finds a triple that fails Jacobi; on the
+        # Lie tables the dims are the dense oracle's, over every triple.
+        lie = 0
+        for _, L in random_tables(400):
+            solver = CohomologySolver(L)
+            if oracle_jacobi(L):
+                lie += 1
+                assert solver.result() == oracle_h2_dims(L)
+                continue
+            for query in (
+                solver.result,
+                solver.representatives,
+                lambda: solver.is_cocycle({0: 1}),
+                lambda: solver.rank_mod_b2([]),
+            ):
+                with pytest.raises(ArithmeticError, match="fails the Jacobi identity"):
+                    query()
+        assert lie == 86  # so 314 of the 400 fail Jacobi
 
 
 BAD_TABLES = [
