@@ -374,9 +374,11 @@ class CohomologySolver:
         return not _reduce(vec, self._b2_echelon())
 
     def rank_mod_b2(self, vectors: Iterable[dict[int, int]]) -> int:
-        """The number of the vectors independent modulo B2: the pivots they
-        add to the B2 RREF rows."""
+        """The number of the vectors independent modulo B2: the rank of their
+        residues against the B2 RREF.  The residues are zero on every B2
+        pivot column, where each nonzero element of the B2 span is not, so
+        their span meets B2 only in zero."""
         self._system_echelon()
         b2 = self._b2_echelon()
-        return len(_echelon_int([*b2.values(), *vectors])) - len(b2)
+        return len(_echelon_int([res for res in (_reduce(vec, b2) for vec in vectors) if res]))
 

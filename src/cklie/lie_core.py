@@ -14,8 +14,10 @@ dicts from `OmegaVector.evaluate`, as the extension catalog does.
 `from_matrices` rebuilds the same constants by commuting the matrix
 generators, reading each commutator's coordinates off its cells and proving
 them by an integer recomposition, with neither the shape nor the evaluator
-and no elimination, which cross-validates both routes constant by constant.  Jacobi
-verification lives here too.
+and no elimination.  `matrix_match`, which the commands call, commutes only
+the pairs that hold a generator and compares those rows; with Jacobi, that
+equals the comparison of the whole tables.  Jacobi verification lives here
+too.
 
 `verify_jacobi` is exact but runs in Python integers, on the constants with
 their denominators cleared once.  It checks only the triples that hold one
@@ -412,8 +414,10 @@ def verify_jacobi(L: LieAlgebra) -> bool:
     return True
 
 
-def from_matrices(family: str, omega) -> LieAlgebra:
-    """Rebuild the structure constants from matrix commutators.
+def from_matrices(family: str, omega, pairs=None) -> LieAlgebra:
+    """Rebuild the structure constants from matrix commutators, of the index
+    pairs i < j in `pairs`, all C(dim, 2) by default: the table holds the
+    rows of those pairs alone.
 
     Each generator G_k is scaled once by the lcm D_k of its denominators, so
     [G_i, G_j] comes out of `mat_commutator` as an integer component row c
@@ -458,7 +462,7 @@ def from_matrices(family: str, omega) -> LieAlgebra:
         rows.append(row)
     diag = [(a * d + a) * 4 + 1 for a in range(d)]
     constants: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j in combinations(range(len(labels)), 2):
+    for i, j in combinations(range(len(labels)), 2) if pairs is None else pairs:
         c = mat_commutator(mats[i], mats[j])
         if not c:
             continue
@@ -480,3 +484,24 @@ def from_matrices(family: str, omega) -> LieAlgebra:
         s = scales[i] * scales[j]
         constants[(i, j)] = {k: Fraction(x, s) for k, x in coords.items()}
     return LieAlgebra(family, om, labels, constants)
+
+
+def matrix_match(L: LieAlgebra, jacobi_ok: bool) -> bool:
+    """Does the closed-form table L, Lie by `jacobi_ok`, equal the matrix
+    commutator table?  Only the g(dim-1) - C(g, 2) index pairs that hold one
+    of its g generators (`_generators`) are commuted and compared.
+
+    That is the whole comparison on a Lie table.  Let phi send X_k to its
+    matrix G_k; the x with phi[x, y] = [phi x, phi y] for every y form a
+    subspace D.  If L satisfies Jacobi, D is closed under the bracket, as
+    commutators satisfy Jacobi: for x1, x2 in D,
+    phi[[x1, x2], y] = [[phi x1, phi x2], phi y].  So once D holds the
+    generators it is all of L.  A table that fails Jacobi never equals a
+    commutator table, hence `jacobi_ok and`.  Every other commutator is then
+    phi of a bracket, so only a generator row can raise NotInSpanError.
+    """
+    gens = _generators(L.dim, L.integer_constants())
+    member = set(gens)
+    pairs = [(min(g, x), max(g, x)) for g in gens for x in range(L.dim) if x > g or x not in member]
+    M = from_matrices(L.family, L.omega, pairs)
+    return jacobi_ok and all(L.constants.get(p) == M.constants.get(p) for p in pairs)

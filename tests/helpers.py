@@ -45,8 +45,12 @@ CRITERION_LINES: list[str] = []
 
 
 def dense_rref(matrix):
-    """Gauss-Jordan over Fractions; returns (pivot columns, rref rows)."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
+    """Gauss-Jordan over Fractions; returns (pivot columns, rref rows).
+
+    Rows stay dense lists, but a row operation touches only the nonzero
+    entries of the pivot row, and only nonzero entries become Fractions."""
+    zero = Fraction(0)
+    rows = [[Fraction(v) if v else zero for v in row] for row in matrix]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -61,12 +65,16 @@ def dense_rref(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for t in range(len(rows)):
-            if t != r and rows[t][c]:
-                f = rows[t][c]
-                rows[t] = [a - f * b for a, b in zip(rows[t], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        nonzero = [k for k in range(c, ncols) if prow[k]]
+        for k in nonzero:
+            prow[k] /= pv
+        for t, row in enumerate(rows):
+            f = row[c]
+            if t != r and f:
+                for k in nonzero:
+                    row[k] -= f * prow[k]
         pivots.append(c)
         r += 1
     return pivots, rows[: len(pivots)]

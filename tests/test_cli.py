@@ -142,13 +142,26 @@ class TestStructure:
             main(["structure", "--family", "so", "--omega", "1,1", "--corrupt"])
         assert exc.value.code == 2
 
+    def test_doubled_constant_without_a_generator_fails_both(self, capsys, monkeypatch):
+        # so N=3 has generators J(0,1), J(0,2), J(0,3); the row
+        # [J(1,2), J(1,3)] = J(2,3) holds none of them, so the matrix rows
+        # never compare it and only Jacobi sees it doubled.
+        def doubled(family, omega):
+            L = lie_core.build_algebra(family, omega)
+            return lie_core.LieAlgebra(L.family, L.omega, L.basis, {**L.constants, (3, 4): {5: 2}})
+
+        monkeypatch.setattr(cli, "build_algebra", doubled)
+        code, out, _ = run(capsys, "structure", "--family", "so", "--omega", "1,1,1", "--format", "text")
+        assert code == 1
+        assert "jacobi_ok: False\nmatrix_match: False\n" in out
+
     def test_program_fault_is_not_an_input_error(self, capsys, monkeypatch):
         # A commutator outside the generators' span is a broken invariant,
         # not bad input: it must surface as a traceback, never as exit code 2.
-        def broken(family, omega):
+        def broken(family, omega, pairs=None):
             raise NotInSpanError("[J(0,1), J(1,2)] is not in the span of the generators")
 
-        monkeypatch.setattr("cklie.cli.from_matrices", broken)
+        monkeypatch.setattr(lie_core, "from_matrices", broken)
         with pytest.raises(NotInSpanError):
             main(["structure", "--family", "so", "--omega", "1,1"])
 
@@ -441,14 +454,15 @@ class TestVerify:
 
     def test_matrix_check_is_from_matrices(self, capsys, monkeypatch):
         # The matrix route has one entry point; verify builds the generators
-        # for its own checks and again inside it.
+        # for its own checks and again inside it, once.
         calls = []
+        route = lie_core.from_matrices
 
-        def counting(family, omega):
+        def counting(family, omega, pairs=None):
             calls.append((family, omega))
-            return lie_core.from_matrices(family, omega)
+            return route(family, omega, pairs)
 
-        monkeypatch.setattr(cli, "from_matrices", counting)
+        monkeypatch.setattr(lie_core, "from_matrices", counting)
         code, out, _ = run(capsys, "verify", "--family", "so", "--omega=1,0,1")
         assert code == 0
         assert json.loads(out)["checks"]["closure_matrix_match"] == "pass"

@@ -675,6 +675,37 @@ class TestIsCoboundary:
         assert True in expected and False in expected
 
 
+class TestRankModB2:
+    """`rank_mod_b2` counts the pivots that the residues of the vectors
+    against the B2 RREF add; the oracle compares dense ranks of the
+    coboundary rows with and without the vectors."""
+
+    @pytest.mark.parametrize("family,omega", RATIONAL_CASES)
+    def test_agrees_with_dense_rank(self, family, omega):
+        L = build_algebra(family, omega)
+        solver = CohomologySolver(L)
+        pairs, _, cob = oracle_cocycle_system(L)
+        rng = random.Random(f"rank mod b2:{family}:{omega}")
+        reps = list(solver.representatives())
+        coboundaries = [oracle_coboundary(L, random_mu(rng, L.dim)) for _ in range(3)]
+        rank = dense_rank(cob)
+        seen = set()
+        for _ in range(12):
+            picked = rng.sample(reps + coboundaries, rng.randint(0, min(4, len(reps) + 3)))
+            if reps and rng.random() < 0.5:
+                # One more vector: a representative shifted by a coboundary,
+                # dependent on the others modulo B2 when that one is picked.
+                picked.append(cochain_sum(rng.choice(reps), rng.choice(coboundaries)))
+            if rng.random() < 0.3:
+                picked.append(random_cochain(rng, L.dim, 0.2))
+            dense = [[cochain_value(xi, i, j) for i, j in pairs] for xi in picked]
+            expected = dense_rank(cob + dense) - rank
+            vectors = [int_vector(solver, xi) for xi in picked if xi]
+            assert solver.rank_mod_b2(vectors) == expected
+            seen.add((expected, len(vectors)))
+        assert len(seen) > 2
+
+
 class TestPermutationInvariance:
     def test_dims_stable_under_basis_shuffle(self):
         rng = random.Random(23)

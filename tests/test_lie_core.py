@@ -29,6 +29,7 @@ from cklie.lie_core import (
     build_algebra,
     epsilon,
     from_matrices,
+    matrix_match,
     verify_jacobi,
 )
 from cklie.scalars import _UNIT_PRODUCT
@@ -398,6 +399,115 @@ class TestFromMatrices:
         monkeypatch.setattr(lie_core, "mat_commutator", with_trace)
         with pytest.raises(NotInSpanError, match=r"\[J\(0,1\), J\(0,2\)\]"):
             from_matrices("u", [2, 3])
+
+
+def with_row(L, pair, terms):
+    """L with the row at `pair` replaced by `terms`, dropped when empty."""
+    constants = {p: t for p, t in L.constants.items() if p != pair}
+    if terms:
+        constants[pair] = terms
+    return LieAlgebra(L.family, L.omega, L.basis, constants)
+
+
+def generator_split(L):
+    """The index pairs that hold a generator, and the nonzero rows of the others."""
+    member = set(_generators(L.dim, L.integer_constants()))
+    held = [p for p in combinations(range(L.dim), 2) if member.intersection(p)]
+    free = [p for p in L.constants if not member.intersection(p)]
+    return held, free
+
+
+def row_mutants(L, rng):
+    """L with one seeded constant doubled in a generator row, with a term
+    added to a zero generator row, and with one constant doubled in a row
+    that holds no generator, where L has such rows."""
+    held, free = generator_split(L)
+    out = []
+    for pairs in ([p for p in held if p in L.constants], free):
+        if pairs:
+            pair = rng.choice(pairs)
+            k = rng.choice(sorted(L.constants[pair]))
+            out.append(with_row(L, pair, {**L.constants[pair], k: 2 * L.constants[pair][k]}))
+    empty = [p for p in held if p not in L.constants]
+    if empty:
+        out.append(with_row(L, rng.choice(empty), {rng.randrange(L.dim): Fraction(1)}))
+    return out
+
+
+class TestMatrixMatch:
+    """`matrix_match` commutes only the pairs that hold a generator, and
+    with Jacobi gives the verdict of the whole-table comparison."""
+
+    @staticmethod
+    def assert_verdict_is_full_comparison(family, omega, rng):
+        for L in [build_algebra(family, omega), *row_mutants(build_algebra(family, omega), rng)]:
+            full = from_matrices(family, omega).same_constants(L)
+            assert matrix_match(L, verify_jacobi(L)) is full, (family, omega)
+
+    # The range of acceptance criterion 8: every sign pattern of so N <= 5,
+    # su/u N <= 3 and sq N <= 2, each with its seeded row mutants.
+    @pytest.mark.parametrize("family,nmax", [("so", 5), ("su", 3), ("u", 3), ("sq", 2)])
+    def test_equals_full_comparison_on_sign_patterns(self, family, nmax):
+        rng = random.Random(f"matrix rows {family}")
+        for n in range(1, nmax + 1):
+            for signs in sign_patterns(n):
+                self.assert_verdict_is_full_comparison(family, signs, rng)
+
+    @pytest.mark.parametrize("family,n", [("so", 6), ("su", 4), ("u", 4), ("sq", 3), ("sq", 5)])
+    def test_equals_full_comparison_on_rationals(self, family, n):
+        rng = random.Random(f"matrix rationals {family} {n}")
+        omegas = list(prime_omegas(n))
+        for omega in omegas if n < 5 else omegas[:2]:
+            self.assert_verdict_is_full_comparison(family, omega, rng)
+
+    @pytest.mark.parametrize(
+        "family,n,pairs",
+        [("so", 10, 495), ("su", 7, 468), ("sq", 5, 657), ("so", 3, 12), ("u", 2, 26)],
+    )
+    def test_commutes_the_pairs_that_hold_a_generator(self, monkeypatch, family, n, pairs):
+        # g(dim - 1) - C(g, 2) pairs, each once and i < j: 495 + 468 + 657
+        # of the 1485 + 1953 + 3003 on so N=10, su N=7 and sq N=5.
+        L = build_algebra(family, [1] * n)
+        gens = _generators(L.dim, L.integer_constants())
+        g = len(gens)
+        seen = []
+
+        def recording(family, omega, pairs=None):
+            seen.append(list(pairs))
+            return from_matrices(family, omega, pairs)
+
+        monkeypatch.setattr(lie_core, "from_matrices", recording)
+        assert matrix_match(L, True)
+        (commuted,) = seen
+        assert len(commuted) == g * (L.dim - 1) - g * (g - 1) // 2 == pairs
+        assert sorted(commuted) == generator_split(L)[0]
+
+    @pytest.mark.parametrize("family,n", [("so", 3), ("su", 2), ("u", 2), ("sq", 2)])
+    def test_every_changed_generator_row_fails_the_rows(self, family, n):
+        # Each generator row in turn: every constant doubled, and a term added
+        # where the bracket is zero.  The rows alone must see each, Jacobi aside.
+        L = build_algebra(family, SIGNED_PRIMES[:n])
+        for pair in generator_split(L)[0]:
+            terms = L.constants.get(pair)
+            changed = {k: 2 * c for k, c in terms.items()} if terms else {0: Fraction(1)}
+            assert not matrix_match(with_row(L, pair, changed), True), pair
+
+    def test_a_changed_row_without_a_generator_needs_jacobi(self):
+        # The rows that hold no generator are never compared: doubling a
+        # constant in one leaves every compared row equal, and only Jacobi
+        # tells the table from the commutators.
+        mutants = 0
+        for family, n in (("so", 3), ("so", 4), ("su", 2), ("u", 2), ("sq", 2)):
+            for signs in sign_patterns(n):
+                L = build_algebra(family, signs)
+                for pair in generator_split(L)[1]:
+                    k = min(L.constants[pair])
+                    bad = with_row(L, pair, {**L.constants[pair], k: 2 * L.constants[pair][k]})
+                    assert not from_matrices(family, signs).same_constants(bad)
+                    assert matrix_match(bad, True)
+                    assert not verify_jacobi(bad) and not matrix_match(bad, verify_jacobi(bad))
+                    mutants += 1
+        assert mutants == 870
 
 
 class TestShape:
