@@ -8,7 +8,7 @@ equation
 
 assembled in one nested loop over i < j < l with the three bracket terms
 inline, xi_kl read as -xi_lk whenever k > l.  Only the triples that hold a
-member of `lie_core._generators` are assembled, and of those the ones with
+member of `LieAlgebra.generators()` are assembled, and of those the ones with
 no bracket are skipped: on a Lie algebra these equations alone cut out Z2
 (`CohomologySolver.system`), and the solver proves the table Lie from the
 RREF of those rows before it answers, raising ArithmeticError otherwise.
@@ -208,7 +208,7 @@ class CohomologySolver:
 
     def system(self) -> CocycleSystem:
         """The equations of the triples i < j < l that hold a generator
-        (`lie_core._generators`), in triple order; the assembly never leans
+        (`LieAlgebra.generators()`), in triple order; the assembly never leans
         on Jacobi.  On a Lie algebra they cut out Z2: by the Cartan identities
         i_[x,y] = [L_x, i_y] and L_x = d i_x + i_x d with d^2 = 0
         (Chevalley-Eilenberg 1948), the x with i_x d xi = 0 form a subalgebra
@@ -224,8 +224,6 @@ class CohomologySolver:
         and then on all triples, by the derivation argument of
         `lie_core.verify_jacobi`."""
         if self._system is None:
-            from .lie_core import _generators  # loaded with the algebra's class
-
             r = self.algebra.dim
             # brk[i][j]: the terms of d*[X_i, X_j] for i < j, else None;
             # col[t][k]: the column of xi_kt, whichever of k, t is smaller.
@@ -237,7 +235,7 @@ class CohomologySolver:
                 col[i][j] = col[j][i] = x
             # reach[i]: the l > i with [X_i, X_l] != 0; later[j]: the generators l > j.
             reach = [{l for l in range(i + 1, r) if brk[i][l]} for i in range(r)]
-            gens = set(_generators(r, self.algebra.integer_constants()))
+            gens = set(self.algebra.generators())
             later = [sorted(g for g in gens if g > j) for j in range(r)]
             rows = []
             # xi([X_i, X_j], X_l) + xi([X_j, X_l], X_i) - xi([X_i, X_l], X_j), xi_kt = -xi_tk

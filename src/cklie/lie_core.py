@@ -81,13 +81,13 @@ class LieAlgebra:
     new `LieAlgebra`.
     """
 
-    __slots__ = ("family", "omega", "basis", "constants", "scale", "_index", "_integer")
+    __slots__ = ("family", "omega", "basis", "constants", "scale", "_index", "_integer", "_generators")
 
     def __init__(self, family, omega, basis, constants):
         self.family = family
         self.omega = omega
         self.basis = tuple(basis)
-        self._integer = None
+        self._integer = self._generators = None
         self._index = {lab: i for i, lab in enumerate(self.basis)}
         if len(self._index) < len(self.basis):
             raise ValueError("basis labels must be distinct")
@@ -137,6 +137,42 @@ class LieAlgebra:
                 for pair, terms in self.constants.items()
             }
         return self._integer
+
+    def generators(self) -> list[int]:
+        """Indices of basis elements that generate the algebra, greedily in
+        basis order: an index joins unless the closure of the earlier ones
+        holds it, where a row [X_p, X_q] of two members whose terms are all
+        members but one makes that one a member.  Each new member visits once
+        the rows it brackets into and the rows of several terms that hold it
+        (a one-term row whose term is a member adds nothing).  Computed on the
+        first call and shared by later ones, so callers must not mutate it."""
+        if self._generators is None:
+            dim = self.dim
+            touch = [[] for _ in range(dim)]
+            for (p, q), row in self.constants.items():
+                item = (p, q, row)
+                touch[p].append(item)
+                touch[q].append(item)
+                if len(row) > 1:
+                    for k in row:
+                        touch[k].append(item)
+            member = [False] * dim
+            gens = []
+            for g in range(dim):
+                if member[g]:
+                    continue
+                gens.append(g)
+                member[g] = True
+                stack = [g]
+                while stack:
+                    for p, q, row in touch[stack.pop()]:
+                        if member[p] and member[q]:
+                            out = [k for k in row if not member[k]]
+                            if len(out) == 1:
+                                member[out[0]] = True
+                                stack += out
+            self._generators = gens
+        return self._generators
 
     def same_constants(self, other: "LieAlgebra") -> bool:
         return self.dim == other.dim and self.constants == other.constants
@@ -300,53 +336,20 @@ def build_algebra(family: str, omega) -> LieAlgebra:
     return LieAlgebra(family, om, labels, constants)
 
 
-def _generators(dim: int, constants) -> list[int]:
-    """Indices of basis elements that generate the table's algebra, greedily
-    in basis order: an index joins unless the closure of the earlier ones
-    holds it, where a row [X_p, X_q] of two members whose terms are all
-    members but one makes that one a member.  Each new member visits once
-    the rows it brackets into and the rows of several terms that hold it
-    (a one-term row whose term is a member adds nothing)."""
-    touch = [[] for _ in range(dim)]
-    for (p, q), row in constants.items():
-        item = (p, q, row)
-        touch[p].append(item)
-        touch[q].append(item)
-        if len(row) > 1:
-            for k in row:
-                touch[k].append(item)
-    member = [False] * dim
-    gens = []
-    for g in range(dim):
-        if member[g]:
-            continue
-        gens.append(g)
-        member[g] = True
-        stack = [g]
-        while stack:
-            for p, q, row in touch[stack.pop()]:
-                if member[p] and member[q]:
-                    out = [k for k in row if not member[k]]
-                    if len(out) == 1:
-                        member[out[0]] = True
-                        stack += out
-    return gens
-
-
 def verify_jacobi(L: LieAlgebra) -> bool:
     """Exact Jacobi check: is [[X_i,X_q],X_r] + [[X_q,X_r],X_i] + [[X_r,X_i],X_q]
     zero for every index triple i < q < r?
 
-    Only the triples that hold a generator (`_generators`) are checked,
-    which is exact for every antisymmetric table, Lie or not.  The Jacobiator
-    J is trilinear and alternating, and J(x, ., .) = 0 says that ad_x is a
-    derivation, so the set D of such x is a subspace.  D is closed under the
-    bracket: for x1, x2 in D, ad_[x1,x2] = [ad_x1, ad_x2], a commutator of
-    two derivations.  So if D holds the generators, D is the whole algebra.
-    Each member that the closure adds is its bracket minus the other terms,
-    divided by a nonzero constant, so it lies in the generated subalgebra.
-    The table is relabelled with the generators first, so a triple holds a
-    generator exactly when its smallest index is below their number g.
+    Only the triples that hold a generator (`LieAlgebra.generators()`) are
+    checked, which is exact for every antisymmetric table, Lie or not.  The
+    Jacobiator J is trilinear and alternating, and J(x, ., .) = 0 says that
+    ad_x is a derivation, so the set D of such x is a subspace.  D is closed
+    under the bracket: for x1, x2 in D, ad_[x1,x2] = [ad_x1, ad_x2], a
+    commutator of two derivations.  So if D holds the generators, D is the
+    whole algebra.  Each member that the closure adds is its bracket minus
+    the other terms, divided by a nonzero constant, so it lies in the
+    generated subalgebra.  With the table relabelled, its g generators first,
+    a triple holds a generator exactly when its smallest index is below g.
 
     The check runs in Python integers, on the constants scaled by the lcm d
     of their denominators: J is quadratic, so it scales by d**2 and a nonzero
@@ -361,13 +364,12 @@ def verify_jacobi(L: LieAlgebra) -> bool:
       rows (p, q) holding X_k, largest p first.
     """
     dim = L.dim
-    constants = L.integer_constants()
-    gens = _generators(dim, constants)
+    gens = L.generators()
     pos = [0] * dim  # old index -> new index
     for new, old in enumerate(gens + sorted(set(range(dim)).difference(gens))):
         pos[old] = new
     rows = []
-    for (p, q), row in constants.items():
+    for (p, q), row in L.integer_constants().items():
         p, q = pos[p], pos[q]
         if p < q:
             rows.append((p, q, {pos[k]: c for k, c in row.items()}))
@@ -489,7 +491,8 @@ def from_matrices(family: str, omega, pairs=None) -> LieAlgebra:
 def matrix_match(L: LieAlgebra, jacobi_ok: bool) -> bool:
     """Does the closed-form table L, Lie by `jacobi_ok`, equal the matrix
     commutator table?  Only the g(dim-1) - C(g, 2) index pairs that hold one
-    of its g generators (`_generators`) are commuted and compared.
+    of its g generators (`LieAlgebra.generators()`) are commuted and
+    compared.
 
     That is the whole comparison on a Lie table.  Let phi send X_k to its
     matrix G_k; the x with phi[x, y] = [phi x, phi y] for every y form a
@@ -500,7 +503,7 @@ def matrix_match(L: LieAlgebra, jacobi_ok: bool) -> bool:
     commutator table, hence `jacobi_ok and`.  Every other commutator is then
     phi of a bracket, so only a generator row can raise NotInSpanError.
     """
-    gens = _generators(L.dim, L.integer_constants())
+    gens = L.generators()
     member = set(gens)
     pairs = [(min(g, x), max(g, x)) for g in gens for x in range(L.dim) if x > g or x not in member]
     M = from_matrices(L.family, L.omega, pairs)

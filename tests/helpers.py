@@ -17,16 +17,18 @@ value, the form `CohomologySolver.z2_basis` and `classify.removals` return;
 a 1-cochain mu is a map {k: rational}, a missing k meaning 0.
 
 The last section holds test-side tools that are not oracles: a basis
-permutation, a label-keyed bracket, the dimension formulas, signed-prime
-omegas, the cochain of an integer solver row, the adapters that drive the
-package's own elimination kernel and a runner for fresh interpreters.  It
-also holds the conveniences that only tests use: omega sign patterns and
-zero sets, sums and multiples of cochains, a cochain's integer column
-vector, a catalog entry's cochain by name, the checked triviality test and
-the centrally extended algebra.  No oracle calls them.
+permutation, seeded random bracket tables, a label-keyed bracket, the
+dimension formulas, signed-prime omegas, the cochain of an integer solver
+row, the adapters that drive the package's own elimination kernel and a
+runner for fresh interpreters.  It also holds the conveniences that only
+tests use: omega sign patterns and zero sets, sums and multiples of
+cochains, a cochain's integer column vector, a catalog entry's cochain by
+name, the checked triviality test and the centrally extended algebra.  No
+oracle calls them.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,7 +36,7 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from cklie.ck_matrix import GeneratorLabel, OmegaVector
+from cklie.ck_matrix import GeneratorLabel, J, OmegaVector
 from cklie.classify import predict
 from cklie.cohomology import _echelon_int, _nullspace
 from cklie.lie_core import LieAlgebra
@@ -550,6 +552,21 @@ def permute_basis(L, perm):
             sign = -1
         constants[(p, q)] = {inv[k]: Fraction(sign) * c for k, c in terms.items()}
     return LieAlgebra(L.family, L.omega, basis, constants)
+
+
+def random_tables(count, seed=3131):
+    """(constants, algebra) of hand-built sparse tables on 3 to 7 basis
+    elements, multi-term and with a denominator 2 now and then; most of them
+    fail the Jacobi identity."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(3, 7)
+        constants = {}
+        for pair in combinations(range(dim), 2):
+            if rng.random() < 0.45:
+                ks = rng.sample(range(dim), rng.choice((1, 1, 2, 3)))
+                constants[pair] = {k: rng.choice((-2, -1, 1, 1, Fraction(1, 2))) for k in ks}
+        yield constants, LieAlgebra(None, None, [J(0, k) for k in range(1, dim + 1)], constants)
 
 
 def kernel_rref(rref):

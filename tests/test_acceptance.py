@@ -291,6 +291,17 @@ def test_c11_property_suite(so_sweep, su_sweep, u_sweep, sq_sweep):
     announce(11, "exact property suite across the sweep", not bad, str(bad[:5]) if bad else "")
 
 
+def closed_form_h1(family: str, z: tuple[int, ...]) -> int:
+    """dim H1 = dim g - dim [g, g] at the 0/1 pattern z.  For so it counts
+    the J(k-1,k) that no bracket reaches: the k in 1..N with (k = 1 or
+    omega_{k-1} = 0) and (k = N or omega_{k+1} = 0).  For su it is the number
+    of zeros of omega, for u that number plus 1 (the phase I), and for sq 0."""
+    n = len(z)
+    if family == "so":
+        return sum((k == 1 or not z[k - 2]) and (k == n or not z[k]) for k in range(1, n + 1))
+    return {"su": z.count(0), "u": z.count(0) + 1, "sq": 0}[family]
+
+
 def test_c12_every_rational_omega():
     """The catalog is a basis of H2, and every type II removal identity holds
     exactly, for every rational omega when so N <= 7, su/u N <= 5 or sq
@@ -299,7 +310,9 @@ def test_c12_every_rational_omega():
     every one of those representatives is solved and checked here.  The
     sweep row (n_zeros, dims, predicted, match) at z must also equal the one
     at reversed z, which checks the reversal certificate from the solves
-    alone."""
+    alone.  dim B2 = dim [g, g] = dim g - dim H1 and dim Z2 = dim B2 +
+    predicted must hold in closed form (`closed_form_h1`), so every column
+    of a sweep row follows from the zero set."""
     cases = identities = 0
     bad = []
     for family, nmax in (("so", 7), ("su", 5), ("u", 5), ("sq", 4)):
@@ -315,6 +328,9 @@ def test_c12_every_rational_omega():
                 )
                 if not report.match:
                     bad.append((family, z))
+                dim_b2 = report.solver.algebra.dim - closed_form_h1(family, z)
+                if (report.dim_b2, report.dim_z2) != (dim_b2, dim_b2 + report.predicted):
+                    bad.append((family, z, "closed forms"))
                 # At a 0/1 omega the constants are integers, so the solver's
                 # row of delta(e_g) is delta(e_g) itself.
                 solver = report.solver
@@ -331,7 +347,7 @@ def test_c12_every_rational_omega():
             ]
     announce(
         12,
-        "every rational omega: catalog basis of H2, removal identities, reversal",
+        "every rational omega: catalog basis of H2, removal identities, reversal, B2/Z2 closed forms",
         not bad,
         f"{cases} zero sets, {identities} identities",
     )

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import run_fresh
+from helpers import oracle_jacobi, random_tables, run_fresh
 from cklie import classify, cli, cohomology, lie_core
-from cklie.ck_matrix import NotInSpanError, OmegaVector
+from cklie.ck_matrix import NotInSpanError, OmegaVector, labels_for_family
 from cklie.classify import predict, removals
 from cklie.cli import main, sweep_rows
 
@@ -469,9 +469,10 @@ class TestVerify:
         assert calls == [("so", OmegaVector([1, 0, 1]))]
 
     def test_coboundary_rows_built_once(self, monkeypatch):
-        # Both the coboundaries-are-cocycles check and the removal identities
-        # read the solver's integer delta(e_k) rows, built once; neither
-        # builds the Z2 basis, the only place the solver makes Fractions.
+        # The removal identities read the solver's integer delta(e_k) rows,
+        # built once; the coboundaries-are-cocycles verdict is the solver's
+        # Lie certificate and reads none.  Neither builds the Z2 basis, the
+        # only place the solver makes Fractions.
         calls = []
         real = cohomology.CohomologySolver.coboundary_rows
 
@@ -544,6 +545,23 @@ class TestVerify:
         checks = cli.verify_case("so", OmegaVector.coerce([1, 1, 1]))
         assert checks["jacobi"] == checks["coboundaries_are_cocycles"] == "fail"
 
+    def test_coboundaries_fail_exactly_on_non_lie_tables(self, monkeypatch):
+        # The seeded random tables of dims 3 and 6, on the so bases of N = 2
+        # and 3: the verdict, the solver's Lie certificate, must be "fail"
+        # exactly where the all-triples Jacobi oracle fails.
+        omegas = {3: OmegaVector.coerce([1, 1]), 6: OmegaVector.coerce([1, 1, 1])}
+        verdicts = {True: 0, False: 0}
+        for constants, T in random_tables(400):
+            if T.dim in omegas:
+                omega = omegas[T.dim]
+                L = lie_core.LieAlgebra("so", omega, labels_for_family("so", omega.n), constants)
+                monkeypatch.setattr(cli, "build_algebra", lambda family, omega: L)
+                lie = oracle_jacobi(L)
+                checks = cli.verify_case("so", omega)
+                assert checks["coboundaries_are_cocycles"] == ("pass" if lie else "fail"), constants
+                verdicts[lie] += 1
+        assert verdicts == {True: 60, False: 104}
+
     # sha256 of the output recorded before the catalog entries carried their
     # own slots and removal shifts; pins every check's verdict.
     @pytest.mark.parametrize(
@@ -571,6 +589,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", family, f"--omega={omega}", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestOneGeneratorSet:
+    # `verify_jacobi`, `matrix_match` and the cocycle system each read
+    # `LieAlgebra.generators()`: structure reads it twice, h2 once and verify
+    # three times, all on one algebra, and every read returns the one list
+    # that algebra computed.
+    @pytest.mark.parametrize("command,reads", [("structure", 2), ("h2", 1), ("verify", 3)])
+    def test_computed_once_per_algebra(self, monkeypatch, capsys, command, reads):
+        real = lie_core.LieAlgebra.generators
+        read = []
+
+        def recording(L):
+            gens = real(L)
+            read.append((L, gens))
+            return gens
+
+        monkeypatch.setattr(lie_core.LieAlgebra, "generators", recording)
+        code, _, _ = run(capsys, command, "--family", "su", "--omega=1,0,1")
+        assert code == 0 and len(read) == reads
+        (L, gens), *rest = read
+        assert all(M is L and other is gens for M, other in rest)
 
 
 class TestArgumentValidation:

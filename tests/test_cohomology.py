@@ -26,6 +26,7 @@ from helpers import (
     oracle_is_cocycle,
     oracle_jacobi,
     permute_basis,
+    random_tables,
     row_cochain,
     scaled,
 )
@@ -35,7 +36,6 @@ from cklie.ck_matrix import J
 from cklie.classify import predict
 from cklie.lie_core import (
     LieAlgebra,
-    _generators,
     build_algebra,
     verify_jacobi,
 )
@@ -112,21 +112,6 @@ RATIONAL_CASES = [
 
 def random_mu(rng, dim, span=6):
     return {k: Fraction(rng.randint(-span, span), rng.randint(1, 4)) for k in range(dim)}
-
-
-def random_tables(count, seed=3131):
-    """(constants, algebra) of hand-built sparse tables on 3 to 7 basis
-    elements, multi-term and with a denominator 2 now and then; most of them
-    fail the Jacobi identity."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        dim = rng.randint(3, 7)
-        constants = {}
-        for pair in combinations(range(dim), 2):
-            if rng.random() < 0.45:
-                ks = rng.sample(range(dim), rng.choice((1, 1, 2, 3)))
-                constants[pair] = {k: rng.choice((-2, -1, 1, 1, Fraction(1, 2))) for k in ks}
-        yield constants, LieAlgebra(None, None, [J(0, k) for k in range(1, dim + 1)], constants)
 
 
 # The range of the assembly oracle, and two cases with zeros and non-unit rationals.
@@ -269,7 +254,7 @@ class TestCocycleSystem:
     @staticmethod
     def assert_rows_match_oracle(L):
         # The rows are the oracle's nonzero equations on the triples that
-        # hold a member of `_generators` (which `TestGenerators` checks
+        # hold a member of `L.generators()` (which `TestGenerators` checks
         # against `oracle_generated_dim`), scaled by d, the lcm of the
         # constants' denominators, in triple order.  Each dense oracle row
         # is read whole, but only its nonzero entries one by one:
@@ -278,7 +263,7 @@ class TestCocycleSystem:
         # as many entries as the rest, and each must be d times the oracle's
         # entry in its column.
         d = lcm(*(c.denominator for terms in L.constants.values() for c in terms.values()))
-        gens = set(_generators(L.dim, L.integer_constants()))
+        gens = set(L.generators())
         _, equations, _ = oracle_cocycle_system(L)
         rows = iter(CohomologySolver(L).system().rows)
         for triple, eq in zip(combinations(range(L.dim), 3), equations):

@@ -25,7 +25,6 @@ from cklie.classify import predict
 from cklie.cohomology import CohomologySolver
 from cklie.lie_core import (
     LieAlgebra,
-    _generators,
     build_algebra,
     epsilon,
     from_matrices,
@@ -277,25 +276,25 @@ class TestJacobi:
             verdict = verify_jacobi(V)
             assert verdict == oracle_jacobi(V), (family, V.omega)
             verdicts.add(verdict)
-            restricted += not verdict and len(_generators(V.dim, V.constants)) < V.dim
+            restricted += not verdict and len(V.generators()) < V.dim
         assert verdicts == {True, False}
         assert restricted
 
 
 class TestGenerators:
-    # `_generators` must generate, by the span closure of
+    # `LieAlgebra.generators()` must generate, by the span closure of
     # `oracle_generated_dim`, which shares no code with it.
     @pytest.mark.parametrize("family,nmax", [("so", 4), ("su", 3), ("u", 3), ("sq", 2)])
     def test_generate_every_sign_pattern(self, family, nmax):
         for n in range(1, nmax + 1):
             for signs in sign_patterns(n):
                 L = build_algebra(family, signs)
-                assert oracle_generated_dim(L, _generators(L.dim, L.constants)) == L.dim, signs
+                assert oracle_generated_dim(L, L.generators()) == L.dim, signs
 
     @pytest.mark.parametrize("family,nmax", [("so", 4), ("su", 3), ("u", 3), ("sq", 2)])
     def test_generate_the_oracle_corpus(self, family, nmax):
         for V in oracle_corpus(family, nmax):
-            assert oracle_generated_dim(V, _generators(V.dim, V.constants)) == V.dim, V.omega
+            assert oracle_generated_dim(V, V.generators()) == V.dim, V.omega
 
     @pytest.mark.parametrize("family,extra", [("so", 0), ("su", 1), ("u", 2), ("sq", 4)])
     def test_count_at_nonzero_omega(self, family, extra):
@@ -303,7 +302,7 @@ class TestGenerators:
         # its speed; the closure must find N, N+1, N+2 and N+4 (sq from N=2).
         for n in range(2 if family == "sq" else 1, 7):
             L = build_algebra(family, SIGNED_PRIMES[:n])
-            assert len(_generators(L.dim, L.constants)) == n + extra, n
+            assert len(L.generators()) == n + extra, n
 
     def test_generators_past_the_first_indices(self):
         # The filiform [X_0, X_k] = X_(k+1) on 0..4 is Lie and has generators
@@ -314,8 +313,17 @@ class TestGenerators:
         table = {(0, k): {k + 1: 1} for k in range(1, 4)}
         table.update({(5, 6): {7: 1}, (6, 7): {6: 1}})
         V = LieAlgebra("x", None, [J(0, k) for k in range(1, 9)], table)
-        assert _generators(V.dim, V.constants) == [0, 1, 5, 6]
+        assert V.generators() == [0, 1, 5, 6]
         assert not verify_jacobi(V) and not oracle_jacobi(V)
+
+    def test_memoized_on_the_algebra(self):
+        # Every reader shares one list: later calls return the same object,
+        # and an algebra built again computes its own, equal list.
+        L = build_algebra("sq", [1, 0])
+        gens = L.generators()
+        assert L.generators() is gens and verify_jacobi(L) and L.generators() is gens
+        again = build_algebra("sq", [1, 0]).generators()
+        assert again == gens and again is not gens
 
     def test_proper_subset_fails_the_oracle(self):
         # The oracle can say no: without J(0,2), so N=2 gets no further.
@@ -411,7 +419,7 @@ def with_row(L, pair, terms):
 
 def generator_split(L):
     """The index pairs that hold a generator, and the nonzero rows of the others."""
-    member = set(_generators(L.dim, L.integer_constants()))
+    member = set(L.generators())
     held = [p for p in combinations(range(L.dim), 2) if member.intersection(p)]
     free = [p for p in L.constants if not member.intersection(p)]
     return held, free
@@ -468,7 +476,7 @@ class TestMatrixMatch:
         # g(dim - 1) - C(g, 2) pairs, each once and i < j: 495 + 468 + 657
         # of the 1485 + 1953 + 3003 on so N=10, su N=7 and sq N=5.
         L = build_algebra(family, [1] * n)
-        gens = _generators(L.dim, L.integer_constants())
+        gens = L.generators()
         g = len(gens)
         seen = []
 
