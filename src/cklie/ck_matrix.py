@@ -137,31 +137,27 @@ class GeneratorLabel(namedtuple("GeneratorLabel", "variant indices")):
         return super().__new__(cls, variant, indices)
 
     def __str__(self) -> str:
-        v, idx = self.variant, self.indices
-        if v == "J" or v == "M":
-            return f"{v}({idx[0]},{idx[1]})"
-        if v == "B":
-            return f"B({idx[0]})"
-        if v == "Mq":
-            return f"M{idx[0]}({idx[1]},{idx[2]})"
-        if v == "E":
-            return f"E{idx[0]}({idx[1]})"
-        return v
+        # Mq and E write their alpha after the letter: J(0,1), M2(0,1), E1(0), B(1), I.
+        v, idx = self
+        q = v in ("Mq", "E")
+        rest = ",".join(map(str, idx[q:]))
+        return (v[0] + str(idx[0]) if q else v) + (f"({rest})" if rest else "")
 
     __repr__ = __str__
 
-    def cells(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """(unit indices, cells) of the label, the one place its points are
-        read: the upper-triangle cells (p, q), p <= q, its matrix holds,
-        (a, b) for J, M and Mq(..., a, b), (a, a) for E(alpha, a), (l-1, l-1)
-        and (l, l) for B(l), and none for I; the unit indices are the alpha
-        of Mq and E."""
+    def cells(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(unit, cells), the one reading of the label's geometry: the unit
+        0..3 (1, i_1, i_2, i_3) of every entry of its matrix, 0 for J, 1 for
+        M, B and I and alpha for Mq and E, and the upper-triangle cells (p, q),
+        p <= q, it holds, (a, b) for J, M and Mq(alpha, a, b), (a, a) for
+        E(alpha, a), (l-1, l-1) and (l, l) for B(l), and none for I."""
         v, idx = self
+        unit = idx[0] if v in ("Mq", "E") else int(v != "J")
         if v == "B":
-            return (), ((idx[0] - 1,) * 2, idx * 2)
+            return unit, ((idx[0] - 1,) * 2, idx * 2)
         if v == "E":
-            return idx[:1], (idx[1:] * 2,)
-        return idx[:-2], (idx[-2:],) if idx else ()
+            return unit, (idx[1:] * 2,)
+        return unit, (idx[-2:],) if idx else ()
 
 
 def J(a: int, b: int) -> GeneratorLabel:
@@ -230,20 +226,18 @@ def labels_for_family(family: str, n: int) -> tuple[GeneratorLabel, ...]:
     return tuple(out)
 
 
-# -1 where X -> -P X^H P flips the label's sign, as for J and B; +1 otherwise.
-_REVERSAL_SIGN = {"J": -1, "B": -1}
-
-
 def reversal(basis, n: int) -> tuple[list[int], list[int]]:
     """(sigma, sign): the map X -> -P X^H P, P the exchange matrix (p -> n-p),
     which sends the generators at omega to the generators at reversed omega
     (omega_k -> omega_{n+1-k}) as X_i -> sign[i] * X_sigma[i].  basis[sigma[i]]
-    holds the cells of basis[i] reflected, (p, q) -> (n-q, n-p): X(u,a,b) ->
-    s_u X(u,n-b,n-a) with s_u = -1 for J and +1 for M and Mq, B(l) ->
-    -B(n+1-l), E(alpha,a) -> E(alpha,n-a) and I -> I."""
-    where = {(lab.variant, *lab.cells()): i for i, lab in enumerate(basis)}
-    sigma = [where[v, u, tuple(sorted((n - q, n - p) for p, q in c))] for v, u, c in where]
-    return sigma, [_REVERSAL_SIGN.get(v, 1) for v, _, _ in where]
+    has the unit of basis[i] and its cells reflected, (p, q) -> (n-q, n-p):
+    X(u,a,b) -> s_u X(u,n-b,n-a) with s_u = -1 for J and +1 for M and Mq,
+    B(l) -> -B(n+1-l), E(alpha,a) -> E(alpha,n-a) and I -> I."""
+    where = {lab.cells(): i for i, lab in enumerate(basis)}
+    images = [(u, [(n - q, n - p) for p, q in c]) for u, c in where]
+    sigma = [where[u, tuple(sorted(c))] for u, c in images]
+    # -X^H negates the real unit alone, and B's cells, signed (+1, -1), swap.
+    return sigma, [(1 if u else -1) * (1 if c == sorted(c) else -1) for u, c in images]
 
 
 _SYMBOL = ("", "i", "j", "k")
@@ -350,18 +344,14 @@ def build_generator(family: str, label: GeneratorLabel, omega) -> MatrixOverK:
     n = om.n
     if label not in labels_for_family(family, n):
         raise ValueError(f"label {label} is not a {family} generator for N={n}")
-    v = label.variant
-    if v == "B":
-        (l,) = label.indices
-        cells = {(l - 1, l - 1): (1, 1), (l, l): (1, -1)}
-    elif v == "I":
-        cells = {(a, a): (1, 1) for a in range(n + 1)}
-    elif v == "E":
-        alpha, a = label.indices
-        cells = {(a, a): (alpha, 1)}
-    else:  # i_u (s_u w_ab e_ab + e_ba): J has i_0 = 1 and s_0 = -1, M the unit i = i_1
-        u, a, b = {"J": (0,), "M": (1,)}.get(v, ()) + label.indices
+    u, where = label.cells()
+    if not where:  # no cells: I
+        cells = {(a, a): (u, 1) for a in range(n + 1)}
+    elif where[0][0] < where[0][1]:  # one cell off the diagonal: s_u = -1 for u = 0, else +1
+        ((a, b),) = where
         cells = {(a, b): (u, (1 if u else -1) * om.product(a, b)), (b, a): (u, 1)}
+    else:  # diagonal cells: E, or B with the signs (+1, -1)
+        cells = {pq: (u, s) for pq, s in zip(where, (1, -1))}
     # A contracted entry w_ab = 0 is not stored.
     return MatrixOverK(n + 1, FAMILY_KIND[family], {ij: c for ij, c in cells.items() if c[1]})
 

@@ -42,8 +42,8 @@ denominators, with the solver's integer row of delta(e_g).
 `certify_rescaling` proves, once per (family, N), that a crosscheck and
 every removal identity at omega follow from those at the 0/1 pattern with
 the same zeros, so solving the 2^N representatives proves them for every
-rational omega: the acceptance suite does so for so N <= 7, su/u N <= 5 and
-sq N <= 4.  `certify_reversal` proves, once per (family, N), that the
+rational omega: the acceptance suite does so for so N <= 8, su/u N <= 6 and
+sq N <= 5.  `certify_reversal` proves, once per (family, N), that the
 relabelling `reversal` maps the bracket table at omega onto the one at
 reversed omega and the catalog onto itself, so a sweep row at a zero set
 equals the one at the reversed set: `sweep` solves one set per orbit.

@@ -423,12 +423,11 @@ def from_matrices(family: str, omega, pairs=None) -> LieAlgebra:
 
     Each generator G_k is scaled once by the lcm D_k of its denominators, so
     [G_i, G_j] comes out of `mat_commutator` as an integer component row c
-    over the scale D_i * D_j.  Its coordinates are read off its cells: every
-    J(a,b), M(a,b) and Mq(alpha,a,b) holds 1, in its own unit, at (b, a), and
-    every E(alpha,a) holds 1 at (a, a), which is in each case the largest
-    column of the generator's row.  Over C the torus B(l) takes the prefix
-    sum d_0 + ... + d_{l-1} of the imaginary diagonal d, and the phase I takes
-    nothing, as a commutator has trace zero.
+    over the scale D_i * D_j.  Its coordinates are read off the generators'
+    cells (`GeneratorLabel.cells()`): a generator of one cell holds 1, in its
+    unit, at the largest column of its row.  Over C the torus B(l), two
+    cells, takes the prefix sum d_0 + ... + d_{l-1} of the imaginary diagonal
+    d, and the phase I, no cells, takes nothing: a commutator has trace zero.
 
     Nothing read off is trusted: the recomposition sum_k c[lead_k] * D_k G_k
     must equal D_col * c in every column, D_col being the scale of the one
@@ -453,9 +452,10 @@ def from_matrices(family: str, omega, pairs=None) -> LieAlgebra:
         mats.append(MatrixOverK(d, mat.kind, cells))
         scales.append(s)
         row = mats[-1].row()
-        if lab.variant != "I":
+        where = lab.cells()[1]
+        if where:  # I holds no cells
             col_scale.update(dict.fromkeys(row, s))
-            if lab.variant == "B":
+            if len(where) == 2:  # the torus B(l)
                 torus.append(k)
             else:
                 top = max(row)

@@ -304,8 +304,8 @@ def closed_form_h1(family: str, z: tuple[int, ...]) -> int:
 
 def test_c12_every_rational_omega():
     """The catalog is a basis of H2, and every type II removal identity holds
-    exactly, for every rational omega when so N <= 7, su/u N <= 5 or sq
-    N <= 4: the rescaling certificate passes, so each crosscheck and each
+    exactly, for every rational omega when so N <= 8, su/u N <= 6 or sq
+    N <= 5: the rescaling certificate passes, so each crosscheck and each
     identity at omega follows from the 0/1 pattern with the same zeros, and
     every one of those representatives is solved and checked here.  The
     sweep row (n_zeros, dims, predicted, match) at z must also equal the one
@@ -315,7 +315,7 @@ def test_c12_every_rational_omega():
     of a sweep row follows from the zero set."""
     cases = identities = 0
     bad = []
-    for family, nmax in (("so", 7), ("su", 5), ("u", 5), ("sq", 4)):
+    for family, nmax in (("so", 8), ("su", 6), ("u", 6), ("sq", 5)):
         for n in range(1, nmax + 1):
             certify_rescaling(family, n)
             by_zero_set = {}

@@ -155,6 +155,27 @@ class TestLabels:
         assert str(E(1, 0)) == "E1(0)"
         assert str(B(1)) == "B(1)"
         assert str(I_LABEL) == "I"
+        assert str(M(0, 2)) == "M(0,2)"
+        assert str(J(3, 10)) == "J(3,10)"
+        assert str(E(3, 12)) == "E3(12)"
+        assert str(GeneratorLabel("Xi", ())) == "Xi"
+
+    @pytest.mark.parametrize("family,nmax", [("so", 8), ("su", 6), ("u", 6), ("sq", 5)])
+    def test_cells_tell_labels_apart_and_read_the_matrix(self, family, nmax):
+        # `reversal` keys its relabelling on cells(), so it is one-to-one on
+        # every basis; and at a signed rational omega every entry of the
+        # generator has the unit of cells(), whose cells are the matrix's
+        # upper-triangle support (every diagonal cell for I, which has none).
+        for n in range(1, nmax + 1):
+            omega = [Fraction(k + 2, 3 - k % 2) * (-1) ** k for k in range(n)]
+            labels = labels_for_family(family, n)
+            assert len({lab.cells() for lab in labels}) == len(labels), (family, n)
+            for lab in labels:
+                unit, cells = lab.cells()
+                mat = build_generator(family, lab, omega).cells
+                assert {u for u, _ in mat.values()} == {unit}, (family, n, lab)
+                support = sorted((p, q) for p, q in mat if p <= q)
+                assert support == list(cells or ((a, a) for a in range(n + 1))), (family, n, lab)
 
     @pytest.mark.parametrize("n", [True, 1.0, Fraction(1), "1"])
     def test_non_int_n_rejected(self, n):

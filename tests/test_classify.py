@@ -17,7 +17,7 @@ from helpers import (
     prime_omegas,
     zero_set,
 )
-from cklie import ck_matrix, classify, cli, lie_core
+from cklie import classify, cli, lie_core
 from cklie.ck_matrix import B, GeneratorLabel, J, M, OmegaVector, labels_for_family
 from cklie.classify import (
     CatalogEntry,
@@ -668,12 +668,30 @@ class TestReversalCertificate:
         assert classify.certify_rescaling.cache_info().currsize == 0
         assert classify.certify_reversal.cache_info().currsize == 0
 
+    @staticmethod
+    def flip_signs(monkeypatch, variant):
+        # The relabelling of `reversal` with the sign of every `variant` label negated.
+        real = classify.reversal
+
+        def flipped(basis, n):
+            sigma, sign = real(basis, n)
+            return sigma, [-s if lab.variant == variant else s for lab, s in zip(basis, sign)]
+
+        monkeypatch.setattr(classify, "reversal", flipped)
+
     def test_torus_sign_is_needed(self, monkeypatch, capsys, fresh_certificate):
         # B(l) -> +B(N+1-l) in place of -B(N+1-l).
-        monkeypatch.setattr(ck_matrix, "_REVERSAL_SIGN", {"J": -1})
+        self.flip_signs(monkeypatch, "B")
         with pytest.raises(ArithmeticError, match="bracket table does not map"):
             classify.certify_reversal("su", 3)
         sweep_fails_closed(capsys, "su", 3)
+
+    def test_rotation_sign_is_needed(self, monkeypatch, capsys, fresh_certificate):
+        # J(a,b) -> +J(N-b,N-a) in place of -J(N-b,N-a).
+        self.flip_signs(monkeypatch, "J")
+        with pytest.raises(ArithmeticError, match="bracket table does not map"):
+            classify.certify_reversal("so", 3)
+        sweep_fails_closed(capsys, "so", 3)
 
     def test_weight_without_reversed_term(self, monkeypatch, capsys, fresh_certificate):
         # [J(0,1), J(0,2)] = 2 omega_1 J(1,2) in place of omega_1 J(1,2) in so

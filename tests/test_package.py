@@ -157,6 +157,47 @@ def test_one_elimination_kernel():
                 assert not any("cohomology" in name for name in names), (module.__name__, names)
 
 
+def test_one_label_geometry():
+    # A label's unit and cells are read in one place, GeneratorLabel.cells():
+    # outside GeneratorLabel and the label constructors no code reads
+    # `.variant` or compares with, keys a table on or matches a variant name.
+    variants = {"J", "M", "B", "I", "Mq", "E"}
+    readers = {"GeneratorLabel", "J", "M", "B", "Mq", "E"}
+    found = []
+    for path in sorted(Path(cklie.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for top in tree.body
+            if path.name == "ck_matrix.py"
+            and isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and top.name in readers
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "variant":
+                found.append((path.name, node.lineno, ".variant"))
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Dict):
+                operands = [key for key in node.keys if key]
+            elif isinstance(node, ast.Subscript):
+                operands = [node.slice]
+            elif isinstance(node, ast.MatchValue):
+                operands = [node.value]
+            else:
+                continue
+            found += [
+                (path.name, c.lineno, c.value)
+                for operand in operands
+                for c in ast.walk(operand)
+                if isinstance(c, ast.Constant) and c.value in variants
+            ]
+    assert found == []
+
+
 def test_one_coboundary_builder_and_fractions_only_in_z2_basis():
     # delta(e_k) is built once, as the solver's integer rows: no other
     # function or class in the package names a coboundary or a cochain,
