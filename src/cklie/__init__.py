@@ -11,11 +11,10 @@ classification of the extension coefficients.
 # each loaded on first access, so that a command loads only the modules it
 # uses: structure and generators neither import nor compile cohomology and classify.
 _LAZY = {
-    "scalars": ("Kind", "parse_rational"),
-    "ck_matrix": ("B", "E", "FAMILIES", "FAMILY_KIND", "GeneratorLabel", "I_LABEL", "J", "M",
-                  "MatrixOverK", "Mq", "NotInSpanError", "OmegaVector", "build_generator",
+    "ck_matrix": ("B", "E", "FAMILIES", "FAMILY_KIND", "GeneratorLabel", "I_LABEL", "J", "Kind",
+                  "M", "MatrixOverK", "Mq", "NotInSpanError", "OmegaVector", "build_generator",
                   "build_metric", "is_metric_antihermitian", "is_traceless", "labels_for_family",
-                  "mat_commutator", "reversal"),
+                  "mat_commutator", "parse_rational", "reversal"),
     "lie_core": ("LieAlgebra", "build_algebra", "epsilon", "from_matrices", "verify_jacobi"),
     "cohomology": ("CocycleSystem", "CohomologyResult", "CohomologySolver"),
     "classify": ("CatalogEntry", "CoefficientVerdict", "CrosscheckReport", "certify_rescaling",

@@ -1,34 +1,55 @@
-"""Contraction coefficients, the diagonal metric, and matrix generators.
+"""Exact entries, contraction coefficients, the diagonal metric and the
+matrix generators.
+
+Everything downstream (generator matrices, structure constants, cohomology
+ranks) requires arithmetic to be exact, so entries are built on
+:class:`fractions.Fraction` and Python integers; nothing in this package
+ever touches a float.
 
 Each family of algebras is parametrized by N rational contraction
 coefficients omega = (omega_1, ..., omega_N).  Two-index products of
 consecutive coefficients build the diagonal metric, and the generators are
 the metric-antihermitian elementary combinations over the matching scalar
-kind (real, complex or quaternionic).
+kind.  The reals, the complexes and the quaternions differ only in which
+units they allow (1; 1 and i_1; all four), which the `Kind` tag records,
+mirroring the chain of subalgebra embeddings R < C < H.
 
-Matrices are stored sparsely as {(row, col): (unit, value)} with no zero
-entries: every generator entry is a rational times one unit (1, i_1, i_2 or
-i_3), and the constructor accepts no other form.  Every generator except the
-central phase I has at most two nonzero entries, so commutators and the
-metric checks loop over those entries only; the full (N+1) x (N+1) grid is
-rendered only for output.  Commutators multiply entries through the signed
-unit table into component rows, so integer matrices give integer rows and
-the matrix route of `lie_core.from_matrices` multiplies no Fraction per
-pair.
+Every entry of a generator matrix is a rational times one unit (1, i_1,
+i_2 or i_3), so an entry is the pair (unit, rational), with no
+four-component carrier, and a matrix is stored sparsely as
+{(row, col): (unit, value)} with no zero entries; the constructor accepts
+no other form.  Every generator except the central phase I has at most two
+nonzero entries, so commutators and the metric checks loop over those
+entries only; the full (N+1) x (N+1) grid is rendered only for output.  A
+product of two units is again a signed unit, read from `_UNIT_PRODUCT`, so
+commutators multiply entries into component rows, integer matrices give
+integer rows and the matrix route of `lie_core.from_matrices` multiplies no
+Fraction per pair.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence, Set
+from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 from math import prod
 
-from .scalars import _UNIT_PRODUCT, Kind, _frac
-
 _F1 = Fraction(1)
+
+
+class Kind(IntEnum):
+    """Scalar subalgebra tag; ordering matches the embedding chain.  REAL
+    allows the unit 1, COMPLEX also i_1, QUATERNION all four units."""
+
+    REAL = 0
+    COMPLEX = 1
+    QUATERNION = 2
+
 
 FAMILY_KIND = {
     "so": Kind.REAL,
@@ -38,6 +59,45 @@ FAMILY_KIND = {
 }
 
 FAMILIES = tuple(FAMILY_KIND)
+
+# "p", "-p" or "p/q" in ASCII digits (int() would also read other scripts' digits).
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the textual rational format "p", "-p" or "p/q" (q > 0).
+
+    A zero denominator is rejected here as a ValueError instead of surfacing
+    as a ZeroDivisionError deep inside a computation.
+    """
+    s = text.strip()
+    if not _RATIONAL_RE.match(s):
+        raise ValueError(f"not a rational: {text!r}")
+    num, _, den = s.partition("/")
+    # Checked here so that the message names the coefficient, not the API
+    # that lifts the interpreter's limit on int <-> str conversion.
+    digits = max(len(num.lstrip("+-")), len(den))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(f"a coefficient has {digits} digits; at most {limit} are allowed")
+    if den and not int(den):
+        raise ValueError("rational denominator must be nonzero")
+    return Fraction(int(num), int(den or 1))
+
+
+def _frac(value) -> Fraction:
+    """Exact rational from a Fraction, an int or a rational string.
+
+    Floats are rejected because their binary value is rarely the rational the
+    caller meant (0.1 is not 1/10), and bools because they are not numbers.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
+    return Fraction(value)
 
 
 class OmegaVector(tuple):
@@ -387,6 +447,17 @@ def is_traceless(X: MatrixOverK) -> bool:
         if i == j:
             trace[u] = trace.get(u, 0) + v
     return not any(trace.values())
+
+
+# Unit products on the units (0, 1, 2, 3) = (1, i, j, k):
+# _UNIT_PRODUCT[p][q] = (r, sign) means e_p * e_q = sign * e_r, e.g. i*j = k,
+# j*i = -k and i*i = -1.
+_UNIT_PRODUCT = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
 
 
 def mat_commutator(X: MatrixOverK, Y: MatrixOverK) -> dict[int, int | Fraction]:

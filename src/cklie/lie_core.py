@@ -43,6 +43,7 @@ from .ck_matrix import (
     E,
     GeneratorLabel,
     J,
+    Kind,
     M,
     MatrixOverK,
     NotInSpanError,
@@ -51,7 +52,6 @@ from .ck_matrix import (
     labels_for_family,
     mat_commutator,
 )
-from .scalars import Kind
 
 
 def epsilon(a: int, b: int, c: int) -> int:

@@ -23,7 +23,8 @@ row, the adapters that drive the package's own elimination kernel and a
 runner for fresh interpreters.  It also holds the conveniences that only
 tests use: omega sign patterns and zero sets, sums and multiples of
 cochains, a cochain's integer column vector, a catalog entry's cochain by
-name, the checked triviality test and the centrally extended algebra.  No
+name, the checked triviality test, the centrally extended algebra and the
+elimination-free bounds on dim B2 from the closed-form H1 characters.  No
 oracle calls them.
 """
 
@@ -36,11 +37,10 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from cklie.ck_matrix import GeneratorLabel, J, OmegaVector
+from cklie.ck_matrix import I_LABEL, B, GeneratorLabel, J, Kind, OmegaVector, _frac
 from cklie.classify import predict
 from cklie.cohomology import _echelon_int, _nullspace
 from cklie.lie_core import LieAlgebra
-from cklie.scalars import Kind, _frac
 
 # Filled by the acceptance tests, echoed by the conftest terminal summary.
 CRITERION_LINES: list[str] = []
@@ -512,20 +512,58 @@ def is_trivial(solver, xi):
     return solver.is_coboundary(vec)
 
 
-XI_LABEL = GeneratorLabel("Xi", ())
+def xi_label(t):
+    """The label of the t-th central generator that `build_extended` adjoins."""
+    return GeneratorLabel("Xi", (t,))
 
 
-def build_extended(L, xi):
-    """L with a central generator XI_LABEL adjoined at the last index and
-    extension coefficients xi: it satisfies the Jacobi identity exactly when
-    xi solves the cocycle equations of L."""
+def build_extended(L, cochains):
+    """L with one central generator xi_label(t) adjoined at index L.dim + t
+    for the t-th cochain, whose values are its extension coefficients: it
+    satisfies the Jacobi identity exactly when every cochain solves the
+    cocycle equations of L."""
     r = L.dim
-    if not all(0 <= i < j < r for i, j in xi):
-        raise ValueError(f"cochain pair outside 0 <= i < j < {r}")
     constants = {pair: dict(terms) for pair, terms in L.constants.items()}
-    for (i, j), value in xi.items():
-        constants.setdefault((i, j), {})[r] = value
-    return LieAlgebra(L.family, L.omega, [*L.basis, XI_LABEL], constants)
+    for t, xi in enumerate(cochains):
+        if not all(0 <= i < j < r for i, j in xi):
+            raise ValueError(f"cochain pair outside 0 <= i < j < {r}")
+        for (i, j), value in xi.items():
+            constants.setdefault((i, j), {})[r + t] = value
+    basis = [*L.basis, *map(xi_label, range(len(cochains)))]
+    return LieAlgebra(L.family, L.omega, basis, constants)
+
+
+def h1_characters(L):
+    """The closed-form H1 characters of a Cayley-Klein algebra at its omega,
+    dim H1 = dim g - dim [g, g] of them, each the dual of one basis element,
+    given by its label: for so the J(k-1,k), k in 1..N, with (k = 1 or
+    omega_{k-1} = 0) and (k = N or omega_{k+1} = 0), which no bracket
+    reaches; for su the torus duals B(k) with omega_k = 0, since
+    [J(a,b), M(a,b)] = -2 w_ab (B(a+1) + ... + B(b)); for u those and the
+    phase I; for sq none."""
+    om, n = L.omega, L.omega.n
+    if L.family == "so":
+        ks = range(1, n + 1)
+        return [J(k - 1, k) for k in ks if (k == 1 or not om[k - 2]) and (k == n or not om[k])]
+    if L.family == "sq":
+        return []
+    torus = [B(k) for k in range(1, n + 1) if not om[k - 1]]
+    return torus + [I_LABEL] if L.family == "u" else torus
+
+
+def b2_certificate(L):
+    """Bounds on dim B2 = dim [g, g] with no elimination, as (lower bound in
+    basis order, lower bound in reversed order, upper bound).
+
+    Nonzero vectors with distinct leading entries are independent, so the
+    number of distinct leading labels of the bracket values, the smallest
+    index of each in basis order and the largest in reversed order, is at
+    most dim [g, g].  The characters of `h1_characters` that kill every
+    bracket value kill [g, g], and as duals of distinct basis elements they
+    are independent: dim [g, g] <= dim g - their number."""
+    values = list(L.constants.values())
+    killers = [lab for lab in h1_characters(L) if all(L.index(lab) not in t for t in values)]
+    return len({min(t) for t in values}), len({max(t) for t in values}), L.dim - len(killers)
 
 
 def row_cochain(solver, row):

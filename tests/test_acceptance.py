@@ -11,7 +11,17 @@ from itertools import product
 
 import pytest
 
-from helpers import CRITERION_LINES, int_vector, oracle_coboundary, oracle_h2_dims, permute_basis
+from helpers import (
+    CRITERION_LINES,
+    b2_certificate,
+    build_extended,
+    dense_rank,
+    h1_characters,
+    int_vector,
+    oracle_coboundary,
+    oracle_h2_dims,
+    permute_basis,
+)
 
 from cklie.ck_matrix import OmegaVector
 from cklie.classify import certify_rescaling, crosscheck, predict, removals
@@ -291,18 +301,54 @@ def test_c11_property_suite(so_sweep, su_sweep, u_sweep, sq_sweep):
     announce(11, "exact property suite across the sweep", not bad, str(bad[:5]) if bad else "")
 
 
-def closed_form_h1(family: str, z: tuple[int, ...]) -> int:
-    """dim H1 = dim g - dim [g, g] at the 0/1 pattern z.  For so it counts
-    the J(k-1,k) that no bracket reaches: the k in 1..N with (k = 1 or
-    omega_{k-1} = 0) and (k = N or omega_{k+1} = 0).  For su it is the number
-    of zeros of omega, for u that number plus 1 (the phase I), and for sq 0."""
-    n = len(z)
-    if family == "so":
-        return sum((k == 1 or not z[k - 2]) and (k == n or not z[k]) for k in range(1, n + 1))
-    return {"su": z.count(0), "u": z.count(0) + 1, "sq": 0}[family]
+def range_case(family: str, z: tuple[int, ...]) -> dict:
+    """One crosscheck at the 0/1 pattern z, and what criteria 12, 13 and 14
+    read of it; the report itself is not kept."""
+    report = crosscheck(family, z)
+    solver = report.solver
+    L = solver.algebra
+    # At a 0/1 omega the constants are integers, so the solver's row of
+    # delta(e_g) is delta(e_g) itself.
+    rows = solver.coboundary_rows()
+    identities = [
+        rows[L.index(g)] == {solver.pair_index[p]: v for p, v in rhs.items()}
+        for g, rhs in removals(predict(family, z)).items()
+    ]
+    derived = L.dim - len(h1_characters(L))  # dim [g, g]
+    reps = solver.representatives()
+    ext = build_extended(L, reps)
+    values = [[terms.get(k, 0) for k in range(ext.dim)] for terms in ext.constants.values()]
+    return {
+        "row": (
+            report.n_zeros, report.dim_z2, report.dim_b2, report.dim_h2,
+            report.predicted, report.match,
+        ),
+        "closed_forms": (report.dim_b2, report.dim_z2) == (derived, derived + report.predicted),
+        "identities": identities,
+        "extension": (
+            len(reps) == report.dim_h2,
+            verify_jacobi(ext),
+            dense_rank(values) == derived + report.dim_h2,
+        ),
+        "b2_bounds": b2_certificate(L),
+    }
 
 
-def test_c12_every_rational_omega():
+@pytest.fixture(scope="module")
+def c12_range():
+    """{(family, z): range_case} over every 0/1 pattern of criterion 12's
+    range, so N <= 8, su/u N <= 6 and sq N <= 5 (824 zero sets), each N
+    after its rescaling certificate passes."""
+    records = {}
+    for family, nmax in (("so", 8), ("su", 6), ("u", 6), ("sq", 5)):
+        for n in range(1, nmax + 1):
+            certify_rescaling(family, n)
+            for z in product((0, 1), repeat=n):
+                records[family, z] = range_case(family, z)
+    return records
+
+
+def test_c12_every_rational_omega(c12_range):
     """The catalog is a basis of H2, and every type II removal identity holds
     exactly, for every rational omega when so N <= 8, su/u N <= 6 or sq
     N <= 5: the rescaling certificate passes, so each crosscheck and each
@@ -311,45 +357,67 @@ def test_c12_every_rational_omega():
     sweep row (n_zeros, dims, predicted, match) at z must also equal the one
     at reversed z, which checks the reversal certificate from the solves
     alone.  dim B2 = dim [g, g] = dim g - dim H1 and dim Z2 = dim B2 +
-    predicted must hold in closed form (`closed_form_h1`), so every column
-    of a sweep row follows from the zero set."""
-    cases = identities = 0
+    predicted must hold in closed form, dim H1 counting the characters of
+    `helpers.h1_characters`, so every column of a sweep row follows from the
+    zero set."""
+    identities = 0
     bad = []
-    for family, nmax in (("so", 8), ("su", 6), ("u", 6), ("sq", 5)):
-        for n in range(1, nmax + 1):
-            certify_rescaling(family, n)
-            by_zero_set = {}
-            for z in product((0, 1), repeat=n):
-                cases += 1
-                report = crosscheck(family, z)
-                by_zero_set[z] = (
-                    report.n_zeros, report.dim_z2, report.dim_b2, report.dim_h2,
-                    report.predicted, report.match,
-                )
-                if not report.match:
-                    bad.append((family, z))
-                dim_b2 = report.solver.algebra.dim - closed_form_h1(family, z)
-                if (report.dim_b2, report.dim_z2) != (dim_b2, dim_b2 + report.predicted):
-                    bad.append((family, z, "closed forms"))
-                # At a 0/1 omega the constants are integers, so the solver's
-                # row of delta(e_g) is delta(e_g) itself.
-                solver = report.solver
-                rows = solver.coboundary_rows()
-                for g, rhs in removals(predict(family, z)).items():
-                    identities += 1
-                    delta = rows[solver.algebra.index(g)]
-                    if delta != {solver.pair_index[p]: v for p, v in rhs.items()}:
-                        bad.append((family, z, g))
-            bad += [
-                (family, z, "reversal")
-                for z, row in by_zero_set.items()
-                if row != by_zero_set[z[::-1]]
-            ]
+    for (family, z), rec in c12_range.items():
+        if not rec["row"][-1]:
+            bad.append((family, z))
+        if not rec["closed_forms"]:
+            bad.append((family, z, "closed forms"))
+        identities += len(rec["identities"])
+        bad += [(family, z, "identity") for ok in rec["identities"] if not ok]
+        if rec["row"] != c12_range[family, z[::-1]]["row"]:
+            bad.append((family, z, "reversal"))
     announce(
         12,
         "every rational omega: catalog basis of H2, removal identities, reversal, B2/Z2 closed forms",
         not bad,
-        f"{cases} zero sets, {identities} identities",
+        f"{len(c12_range)} zero sets, {identities} identities",
+    )
+
+
+def test_c13_representatives_extend_the_algebra(c12_range):
+    """dim H2 >= the printed count, from the printed representatives alone,
+    on criterion 12's range.  There are dim H2 of them, and adjoining each as
+    its own central generator gives a Lie algebra (`verify_jacobi`), so each
+    is a cocycle.  The bracket values of that algebra span dim g - dim H1 +
+    dim H2 = dim [g, g] + dim H2 dimensions (`helpers.h1_characters`, dense
+    Fraction rank), so no nonzero combination of the representatives is a
+    coboundary: delta(mu) vanishes on every combination of brackets that
+    vanishes in g."""
+    bad = [
+        (family, z, rec["extension"])
+        for (family, z), rec in c12_range.items()
+        if not all(rec["extension"])
+    ]
+    announce(
+        13,
+        "the printed representatives extend g centrally and are independent modulo B2",
+        not bad,
+        f"{len(c12_range)} zero sets" + (f", failed {bad[:5]}" if bad else ""),
+    )
+
+
+def test_c14_b2_certificate_without_elimination(c12_range):
+    """dim B2 = dim [g, g] is bounded on both sides with no elimination on
+    criterion 12's range (`helpers.b2_certificate`): below by the distinct
+    leading labels of the bracket values in basis order and in reversed
+    order, above by dim g less the closed-form H1 characters that kill every
+    bracket value.  All three bounds equal the printed dim B2, and with
+    criterion 12 every character kills every bracket value."""
+    bad = [
+        (family, z, rec["b2_bounds"], rec["row"][2])
+        for (family, z), rec in c12_range.items()
+        if rec["b2_bounds"] != (rec["row"][2],) * 3
+    ]
+    announce(
+        14,
+        "dim B2 certified by leading labels and H1 characters, with no elimination",
+        not bad,
+        f"{len(c12_range)} zero sets" + (f", failed {bad[:5]}" if bad else ""),
     )
 
 

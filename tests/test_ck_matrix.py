@@ -19,6 +19,7 @@ from cklie.ck_matrix import (
     GeneratorLabel,
     I_LABEL,
     J,
+    Kind,
     M,
     MatrixOverK,
     Mq,
@@ -31,7 +32,6 @@ from cklie.ck_matrix import (
     labels_for_family,
     mat_commutator,
 )
-from cklie.scalars import Kind
 
 
 def sign_patterns(n):

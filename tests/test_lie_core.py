@@ -7,7 +7,6 @@ import pytest
 from helpers import (
     FAMILY_DIMENSION,
     SIGNED_PRIMES,
-    XI_LABEL,
     bracket,
     bracket_of,
     build_extended,
@@ -18,9 +17,10 @@ from helpers import (
     permute_basis,
     prime_omegas,
     with_zeros,
+    xi_label,
 )
 from cklie import lie_core
-from cklie.ck_matrix import B, E, J, M, Mq, NotInSpanError, OmegaVector
+from cklie.ck_matrix import _UNIT_PRODUCT, B, E, J, M, Mq, NotInSpanError, OmegaVector
 from cklie.classify import predict
 from cklie.cohomology import CohomologySolver
 from cklie.lie_core import (
@@ -31,7 +31,6 @@ from cklie.lie_core import (
     matrix_match,
     verify_jacobi,
 )
-from cklie.scalars import _UNIT_PRODUCT
 
 
 def sign_patterns(n):
@@ -603,21 +602,21 @@ class TestPermuteBasis:
 class TestExtendedAlgebra:
     def test_zero_cochain_direct_sum(self):
         L = build_algebra("so", [1, 1])
-        ext = build_extended(L, {})
+        ext = build_extended(L, [{}])
         assert ext.dim == L.dim + 1
-        assert ext.basis[-1] == XI_LABEL
+        assert ext.basis[-1] == xi_label(0)
         assert verify_jacobi(ext)
 
     def test_double_extension_rejected(self):
-        # a second central generator would repeat XI_LABEL in the basis
-        ext = build_extended(build_algebra("so", [1, 1]), {})
+        # a second extension would repeat xi_label(0) in the basis
+        ext = build_extended(build_algebra("so", [1, 1]), [{}])
         with pytest.raises(ValueError, match="distinct"):
-            build_extended(ext, {})
+            build_extended(ext, [{}])
 
     def test_central_generator_commutes(self):
         L = build_algebra("so", [0, 1])
         xi = {(0, 1): Fraction(1)}
-        ext = build_extended(L, xi)
+        ext = build_extended(L, [xi])
         last = ext.dim - 1
         for i in range(ext.dim):
             assert bracket(ext, i, last) == {}
@@ -625,7 +624,7 @@ class TestExtendedAlgebra:
     def test_nontrivial_coefficient_appears_in_bracket(self):
         L = build_algebra("so", [0, 1])
         xi = {(0, 1): Fraction(5)}
-        ext = build_extended(L, xi)
+        ext = build_extended(L, [xi])
         assert bracket(ext, 0, 1).get(3) == 5
 
     def test_jacobi_iff_cocycle(self):
@@ -633,7 +632,7 @@ class TestExtendedAlgebra:
         for family, signs in [("so", (0, 1)), ("so", (1, 1, 1)), ("su", (0,))]:
             L = build_algebra(family, signs)
             for xi in CohomologySolver(L).z2_basis().values():
-                assert verify_jacobi(build_extended(L, xi))
+                assert verify_jacobi(build_extended(L, [xi]))
         L = build_algebra("so", [1, 1, 1])
         solver = CohomologySolver(L)
         rng = random.Random(11)
@@ -647,7 +646,7 @@ class TestExtendedAlgebra:
             xi = {pair: v for pair, v in entries.items() if v}
             if not solver.is_cocycle(int_vector(solver, xi)):
                 found_non_cocycle += 1
-                assert not verify_jacobi(build_extended(L, xi))
+                assert not verify_jacobi(build_extended(L, [xi]))
         assert found_non_cocycle > 0
 
     def test_agrees_with_oracle_on_non_cocycle(self):
@@ -655,19 +654,19 @@ class TestExtendedAlgebra:
         xi = {(0, 1): Fraction(1, 3), (1, 2): Fraction(-7, 4)}
         solver = CohomologySolver(L)
         assert not solver.is_cocycle(int_vector(solver, xi))
-        ext = build_extended(L, xi)
+        ext = build_extended(L, [xi])
         assert verify_jacobi(ext) is oracle_jacobi(ext) is False
 
     def test_galilei_beta_extension_satisfies_jacobi(self):
         om = [0, 0, 1]
         L = build_algebra("so", om)
         xi = coefficient_cocycle("so", om, "beta[1,3]")
-        assert verify_jacobi(build_extended(L, xi))
+        assert verify_jacobi(build_extended(L, [xi]))
 
     def test_dimension_mismatch_rejected(self):
         # (0, 3) would pair X_0 with the new central generator itself
         with pytest.raises(ValueError):
-            build_extended(build_algebra("so", [1, 1]), {(0, 3): Fraction(1)})
+            build_extended(build_algebra("so", [1, 1]), [{(0, 3): Fraction(1)}])
 
 
 class TestSerialization:

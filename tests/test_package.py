@@ -10,9 +10,9 @@ import pytest
 
 from helpers import run_fresh
 import cklie
-from cklie import ck_matrix, classify, cohomology, lie_core, scalars
+from cklie import ck_matrix, classify, cohomology, lie_core
 
-SUBMODULES = (scalars, ck_matrix, lie_core, cohomology, classify)
+SUBMODULES = (ck_matrix, lie_core, cohomology, classify)
 
 
 def test_every_name_is_its_home_modules_object():

@@ -18,9 +18,8 @@ from helpers import (
 )
 import cklie
 from cklie import ck_matrix, cli
-from cklie.ck_matrix import MatrixOverK, NotInSpanError, OmegaVector
+from cklie.ck_matrix import _UNIT_PRODUCT, Kind, MatrixOverK, NotInSpanError, OmegaVector, parse_rational
 from cklie.lie_core import build_algebra, from_matrices
-from cklie.scalars import _UNIT_PRODUCT, Kind, parse_rational
 
 UNITS = [ONE, I1, I2, I3, -I1, -I2, -I3, -ONE]
 
@@ -94,12 +93,12 @@ class TestRational:
 class TestNoFloats:
     def test_package_source_has_no_float(self):
         """The package never touches a float: no float literal anywhere, and
-        the name `float` appears only in `scalars._frac`, which rejects it."""
+        the name `float` appears only in `ck_matrix._frac`, which rejects it."""
         found = []
         for path in sorted(Path(cklie.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             exempt = set()
-            if path.name == "scalars.py":
+            if path.name == "ck_matrix.py":
                 frac = next(
                     f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_frac"
                 )
