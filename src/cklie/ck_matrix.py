@@ -20,11 +20,10 @@ four-component carrier, and a matrix is stored sparsely as
 {(row, col): (unit, value)} with no zero entries; the constructor accepts
 no other form.  Every generator except the central phase I has at most two
 nonzero entries, so commutators and the metric checks loop over those
-entries only; the full (N+1) x (N+1) grid is rendered only for output.  A
-product of two units is again a signed unit, read from `_UNIT_PRODUCT`, so
-commutators multiply entries into component rows, integer matrices give
-integer rows and the matrix route of `lie_core.from_matrices` multiplies no
-Fraction per pair.
+entries only.  A product of two units is again a signed unit, read from
+`_UNIT_PRODUCT`, so commutators multiply entries into component rows,
+integer matrices give integer rows and the matrix route of
+`lie_core.from_matrices` multiplies no Fraction per pair.
 """
 
 from __future__ import annotations
@@ -300,28 +299,6 @@ def reversal(basis, n: int) -> tuple[list[int], list[int]]:
     return sigma, [(1 if u else -1) * (1 if c == sorted(c) else -1) for u, c in images]
 
 
-_SYMBOL = ("", "i", "j", "k")
-
-
-def _components(cell) -> list[str]:
-    """A cell (or None) as its (w, x, y, z) components in text."""
-    comps = ["0"] * 4
-    if cell:
-        comps[cell[0]] = str(cell[1])
-    return comps
-
-
-def _text(cell) -> str:
-    """A cell (or None) as text: "0", "2", "-1/2j", or a bare "i" or "-k"
-    for a unit times +-1."""
-    if not cell:
-        return "0"
-    u, v = cell
-    if u and abs(v) == 1:
-        return ("-" if v < 0 else "") + _SYMBOL[u]
-    return f"{v}{_SYMBOL[u]}"
-
-
 class MatrixOverK:
     """Sparse (dim x dim) matrix over one scalar kind whose every entry is a
     rational times one unit: {(row, col): (unit, value)}, with unit 0..3 for
@@ -368,21 +345,6 @@ class MatrixOverK:
         per real component of each entry, row-major."""
         d = self.dim
         return {(i * d + j) * 4 + u: v for (i, j), (u, v) in self.cells.items()}
-
-    def _grid(self, render) -> list[list]:
-        cells = self.cells
-        return [[render(cells.get((i, j))) for j in range(self.dim)] for i in range(self.dim)]
-
-    def to_component_lists(self) -> list[list[list[str]]]:
-        """JSON form: nested arrays of (w, x, y, z) component quadruples."""
-        return self._grid(_components)
-
-    def __str__(self) -> str:
-        text = self._grid(_text)
-        width = max((len(c) for line in text for c in line), default=1)
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(width) for c in line) + " ]" for line in text
-        )
 
     def __repr__(self) -> str:
         return f"MatrixOverK(dim={self.dim}, kind={self.kind.name})"

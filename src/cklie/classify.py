@@ -43,17 +43,18 @@ denominators, with the solver's integer row of delta(e_g).
 every removal identity at omega follow from those at the 0/1 pattern with
 the same zeros, so solving the 2^N representatives proves them for every
 rational omega: the acceptance suite does so for so N <= 8, su/u N <= 6 and
-sq N <= 5.  `certify_reversal` proves, once per (family, N), that the
-relabelling `reversal` maps the bracket table at omega onto the one at
-reversed omega and the catalog onto itself, so a sweep row at a zero set
-equals the one at the reversed set: `sweep` solves one set per orbit.
+sq N <= 5, and `tools/proven_range.py` for so N <= 10 and su/u N <= 7.
+`certify_reversal` proves, once per (family, N), that the relabelling
+`reversal` maps the bracket table at omega onto the one at reversed omega
+and the catalog onto itself, so a sweep row at a zero set equals the one at
+the reversed set: `sweep` solves one set per orbit.
 `crosscheck` confronts the whole catalog with the exact solver, each entry
 as the integer column vector of its slots: counts must agree, the active
 coefficients must be nontrivial cocycles that form a basis of H2, every
 inactive type II must be trivial or forced to zero, every inactive type III
-must fail the cocycle equations.  Its report serializes once
-(`to_json_obj`), each verdict as its own fields; `h2` and `sweep` print
-from that report.
+must fail the cocycle equations.  Its report holds values only, each
+verdict a record of its own fields, and keeps the solver; `cli` builds
+every output of `h2` and `sweep` from those fields.
 """
 
 from __future__ import annotations
@@ -310,27 +311,15 @@ def removals(
     return {g: {pair: v for pair, v in acc.items() if v} for g, acc in sums.items()}
 
 
-# The fields are the JSON keys; trivial is None when the cochain is not a
-# cocycle.
+# trivial is None when the cochain is not a cocycle.
 CoefficientVerdict = namedtuple(
     "CoefficientVerdict", "name type active cocycle trivial ok note", defaults=("",)
 )
 
-
-class CrosscheckReport(
-    namedtuple(
-        "CrosscheckReport",
-        "family omega n_zeros predicted dim_z2 dim_b2 dim_h2 verdicts match solver",
-    )
-):
-    # The solver, last, is kept for callers but left out of serialization.
-    __slots__ = ()
-
-    def to_json_obj(self) -> dict:
-        out = self._asdict()
-        del out["solver"]
-        out["coefficients"] = [v._asdict() for v in out.pop("verdicts")]
-        return out | {"omega": [str(c) for c in self.omega], "n": self.omega.n}
+CrosscheckReport = namedtuple(
+    "CrosscheckReport",
+    "family omega n_zeros predicted dim_z2 dim_b2 dim_h2 verdicts match solver",
+)
 
 
 def crosscheck(family: str, omega) -> CrosscheckReport:

@@ -3,7 +3,9 @@
 Commands: generators | structure | h2 | sweep | verify, one subparser each,
 built from one table.  Each ``cmd_*`` computes once and returns ``(ok, out)``:
 ``out`` is the JSON payload under ``--format json`` and the finished text
-otherwise.  ``main`` alone serializes JSON, writes to ``--out`` or stdout and
+otherwise.  Every payload and text layout is built in this module, from the
+values that the library's records hold (`matrix_json`, `matrix_text`,
+`structure_json`, `crosscheck_json` and the commands).  ``main`` alone serializes JSON, writes to ``--out`` or stdout and
 sets the exit code: 0 on success, 1 when ``ok`` is false (a verification or
 predictor/solver crosscheck failed), 2 on input errors.  JSON output is
 key-sorted and rationals are serialized as "p/q" strings, so identical inputs
@@ -20,6 +22,7 @@ from __future__ import annotations
 from .ck_matrix import (
     FAMILIES,
     I_LABEL,
+    MatrixOverK,
     OmegaVector,
     build_generator,
     build_metric,
@@ -27,7 +30,7 @@ from .ck_matrix import (
     is_traceless,
     labels_for_family,
 )
-from .lie_core import build_algebra, matrix_match, verify_jacobi
+from .lie_core import LieAlgebra, build_algebra, matrix_match, verify_jacobi
 
 import argparse
 import io
@@ -91,6 +94,32 @@ def _heading(args: argparse.Namespace) -> str:
 # generators
 # ---------------------------------------------------------------------------
 
+# The units 1, i_1, i_2, i_3 of a matrix entry, as printed.
+_UNIT_SYMBOL = ("", "i", "j", "k")
+
+
+def matrix_json(mat: MatrixOverK) -> list[list[list[str]]]:
+    """A matrix as `generators` prints it in JSON: rows of (w, x, y, z)
+    component quadruples."""
+    grid = [[["0"] * 4 for _ in range(mat.dim)] for _ in range(mat.dim)]
+    for (i, j), (u, v) in mat.cells.items():
+        grid[i][j][u] = str(v)
+    return grid
+
+
+def matrix_text(mat: MatrixOverK) -> str:
+    """A matrix as `generators` prints it in text: one bracketed line per
+    row, every entry right-aligned to the widest, each "0", "2", "-1/2j", or
+    a bare "i" or "-k" for a unit times +-1."""
+    grid = [["0"] * mat.dim for _ in range(mat.dim)]
+    for (i, j), (u, v) in mat.cells.items():
+        if u and abs(v) == 1:
+            grid[i][j] = ("-" if v < 0 else "") + _UNIT_SYMBOL[u]
+        else:
+            grid[i][j] = f"{v}{_UNIT_SYMBOL[u]}"
+    width = max(len(c) for line in grid for c in line)
+    return "\n".join("[ " + "  ".join(c.rjust(width) for c in line) + " ]" for line in grid)
+
 
 def cmd_generators(args: argparse.Namespace) -> tuple[bool, object]:
     labels = labels_for_family(args.family, args.n)
@@ -101,14 +130,11 @@ def cmd_generators(args: argparse.Namespace) -> tuple[bool, object]:
             "n": args.n,
             "omega": [str(c) for c in args.omega],
             "dim": len(labels),
-            "generators": [
-                {"label": str(lab), "matrix": mat.to_component_lists()}
-                for lab, mat in mats
-            ],
+            "generators": [{"label": str(lab), "matrix": matrix_json(mat)} for lab, mat in mats],
         }
     lines = [f"{_heading(args)}  {len(labels)} generators"]
     for lab, mat in mats:
-        lines += (f"{lab}:", str(mat))
+        lines += (f"{lab}:", matrix_text(mat))
     return True, "\n".join(lines) + "\n"
 
 
@@ -117,13 +143,39 @@ def cmd_generators(args: argparse.Namespace) -> tuple[bool, object]:
 # ---------------------------------------------------------------------------
 
 
+def structure_json(L: LieAlgebra, jacobi_ok: bool, matrix_ok: bool) -> dict:
+    """The `structure` JSON payload: the algebra, each nonzero constant with
+    its labels and its value as a "p/q" string, and the two verdicts."""
+    names = [str(lab) for lab in L.basis]
+    return {
+        "family": L.family,
+        "dim": L.dim,
+        "omega": [str(c) for c in L.omega],
+        "basis": names,
+        "constants": [
+            {
+                "i": i,
+                "j": j,
+                "k": k,
+                "c": str(c),
+                "label_i": names[i],
+                "label_j": names[j],
+                "label_k": names[k],
+            }
+            for i, j, k, c in L.structure_rows()
+        ],
+        "jacobi_ok": jacobi_ok,
+        "matrix_match": matrix_ok,
+    }
+
+
 def cmd_structure(args: argparse.Namespace) -> tuple[bool, object]:
     L = build_algebra(args.family, args.omega)
     jacobi_ok = verify_jacobi(L)
     matrix_ok = matrix_match(L, jacobi_ok)
     ok = jacobi_ok and matrix_ok
     if args.format == "json":
-        return ok, L.to_json_obj() | {"jacobi_ok": jacobi_ok, "matrix_match": matrix_ok}
+        return ok, structure_json(L, jacobi_ok, matrix_ok)
     lines = [
         f"{_heading(args)}  dim {L.dim}",
         f"jacobi_ok: {jacobi_ok}",
@@ -140,6 +192,17 @@ def cmd_structure(args: argparse.Namespace) -> tuple[bool, object]:
 # ---------------------------------------------------------------------------
 
 
+def crosscheck_json(report) -> dict:
+    """The crosscheck summary that `h2` prints under "crosscheck": every
+    field of the `classify.CrosscheckReport` but the solver, omega as "p/q"
+    strings and its length n, and each verdict as a dict of its fields under
+    "coefficients"."""
+    out = report._asdict()
+    del out["solver"]
+    out["coefficients"] = [v._asdict() for v in out.pop("verdicts")]
+    return out | {"omega": [str(c) for c in report.omega], "n": report.omega.n}
+
+
 def cmd_h2(args: argparse.Namespace) -> tuple[bool, object]:
     from .classify import crosscheck
 
@@ -147,7 +210,7 @@ def cmd_h2(args: argparse.Namespace) -> tuple[bool, object]:
     L = report.solver.algebra
     representatives = [sorted(xi.items()) for xi in report.solver.representatives()]
     if args.format == "json":
-        summary = report.to_json_obj()
+        summary = crosscheck_json(report)
         payload = {key: value for key, value in summary.items() if key != "coefficients"}
         payload["dim"] = L.dim
         payload["representatives"] = [

@@ -177,27 +177,6 @@ class LieAlgebra:
     def same_constants(self, other: "LieAlgebra") -> bool:
         return self.dim == other.dim and self.constants == other.constants
 
-    def to_json_obj(self) -> dict:
-        names = [str(lab) for lab in self.basis]
-        return {
-            "family": self.family,
-            "dim": self.dim,
-            "omega": [str(c) for c in self.omega] if self.omega is not None else None,
-            "basis": names,
-            "constants": [
-                {
-                    "i": i,
-                    "j": j,
-                    "k": k,
-                    "c": str(c),
-                    "label_i": names[i],
-                    "label_j": names[j],
-                    "label_k": names[k],
-                }
-                for i, j, k, c in self.structure_rows()
-            ],
-        }
-
     def __repr__(self) -> str:
         om = self.omega.text() if self.omega is not None else "?"
         return f"LieAlgebra({self.family}, omega=({om}), dim={self.dim})"

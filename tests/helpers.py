@@ -6,11 +6,13 @@ elimination kernel, cohomology dimensions and bases; the cocycle test and
 the Jacobi check walk every index triple in Fractions, reading each bracket
 from `L.constants` through `bracket` and never from the solver's integer
 tables, the generation oracle grows a span by the brackets of its vectors,
-the coboundary sums every bracket term in Fractions, and the quaternion
-product is the full 16-term formula.  `Hypercomplex` is a
-four-component quaternion over Fractions with a kind tag, once the
-package's entry type; the dense commutator of generator matrices in it
-arbitrates the package's single-unit commutator.
+the coboundary sums every bracket term in Fractions, the Killing Gram
+pairs the bracket terms of `integer_constants` and its signature is
+Lagrange's reduction in Fractions, neither with anything from
+`cklie.cohomology`, and the quaternion product is the full 16-term
+formula.  `Hypercomplex` is a four-component quaternion over Fractions
+with a kind tag, once the package's entry type; the dense commutator of
+generator matrices in it arbitrates the package's single-unit commutator.
 
 A 2-cochain here is a plain map {(i, j): Fraction} over i < j with no zero
 value, the form `CohomologySolver.z2_basis` and `classify.removals` return;
@@ -23,9 +25,10 @@ row, the adapters that drive the package's own elimination kernel and a
 runner for fresh interpreters.  It also holds the conveniences that only
 tests use: omega sign patterns and zero sets, sums and multiples of
 cochains, a cochain's integer column vector, a catalog entry's cochain by
-name, the checked triviality test, the centrally extended algebra and the
-elimination-free bounds on dim B2 from the closed-form H1 characters.  No
-oracle calls them.
+name, the checked triviality test, the centrally extended algebra, the
+elimination-free bounds on dim B2 from the closed-form H1 characters and
+`range_case`, what acceptance criteria 12-14 and `tools/proven_range.py`
+read of one zero set.  No oracle calls them.
 """
 
 import os
@@ -38,9 +41,9 @@ from math import lcm
 from pathlib import Path
 
 from cklie.ck_matrix import I_LABEL, B, GeneratorLabel, J, Kind, OmegaVector, _frac
-from cklie.classify import predict
+from cklie.classify import crosscheck, predict, removals
 from cklie.cohomology import _echelon_int, _nullspace
-from cklie.lie_core import LieAlgebra
+from cklie.lie_core import LieAlgebra, verify_jacobi
 
 # Filled by the acceptance tests, echoed by the conftest terminal summary.
 CRITERION_LINES: list[str] = []
@@ -256,6 +259,64 @@ def oracle_generated_dim(L, gens):
                 break
         new += 1
     return len(span)
+
+
+def killing_gram(L):
+    """The Killing form K(X_i, X_j) = tr(ad X_i ad X_j) on the basis, times
+    d**2, as integers {(i, j): value} with no zero value, both orders
+    stored: it reads the constants scaled by d, the lcm of their
+    denominators (`LieAlgebra.integer_constants`), each row in both orders,
+    and d**2 > 0 keeps the signature.  (ad X_i) has entry C_ik^m at row m,
+    column k, so K_ij = sum over k, m of C_ik^m C_jm^k: each term
+    [X_i, X_k] = c X_m meets each term [X_j, X_m] = c' X_k."""
+    terms = [
+        term
+        for (i, k), row in L.integer_constants().items()
+        for m, c in row.items()
+        for term in ((i, k, m, c), (k, i, m, -c))
+    ]
+    into = {}  # into[m, k]: the (j, c') with [X_j, X_m] = c' X_k + ...
+    for j, m, k, c in terms:
+        into.setdefault((m, k), []).append((j, c))
+    gram = {}
+    for i, k, m, c in terms:
+        for j, c2 in into.get((m, k), ()):
+            gram[i, j] = gram.get((i, j), 0) + c * c2
+    return {ij: v for ij, v in gram.items() if v}
+
+
+def signature(gram):
+    """(positive, negative) squares of the symmetric form {(i, j): value},
+    by Lagrange's reduction in Fractions: each nonzero diagonal entry in
+    turn is a pivot whose square is split off and whose row and column are
+    cleared from the rest.  The rank is their sum.  A nonzero form whose
+    diagonal has become zero would need a change of basis that the Killing
+    forms of the acceptance criteria never call for, so it raises
+    ArithmeticError."""
+    rows = {}
+    for (i, j), v in gram.items():
+        rows.setdefault(i, {})[j] = Fraction(v)
+    pos = neg = 0
+    while True:
+        rows = {i: row for i, row in rows.items() if row}
+        if not rows:
+            return pos, neg
+        piv = next((i for i, row in rows.items() if i in row), None)
+        if piv is None:
+            raise ArithmeticError("no nonzero diagonal entry is left to pivot on")
+        prow = rows.pop(piv)
+        d = prow.pop(piv)
+        pos, neg = pos + (d > 0), neg + (d < 0)
+        for r, v in prow.items():
+            f = v / d
+            row = rows[r]
+            del row[piv]
+            for c, w in prow.items():
+                x = row.get(c, 0) - f * w
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
 
 
 def oracle_quaternion_product(a, b):
@@ -643,6 +704,39 @@ def kernel_rank(matrix):
     return len(rref), [
         [Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] for f, vec in zip(free, null)
     ]
+
+
+def range_case(family: str, z: tuple[int, ...]) -> dict:
+    """One crosscheck at the 0/1 pattern z, and what criteria 12, 13 and 14
+    read of it; the report itself is not kept."""
+    report = crosscheck(family, z)
+    solver = report.solver
+    L = solver.algebra
+    # At a 0/1 omega the constants are integers, so the solver's row of
+    # delta(e_g) is delta(e_g) itself.
+    rows = solver.coboundary_rows()
+    identities = [
+        rows[L.index(g)] == {solver.pair_index[p]: v for p, v in rhs.items()}
+        for g, rhs in removals(predict(family, z)).items()
+    ]
+    derived = L.dim - len(h1_characters(L))  # dim [g, g]
+    reps = solver.representatives()
+    ext = build_extended(L, reps)
+    values = [[terms.get(k, 0) for k in range(ext.dim)] for terms in ext.constants.values()]
+    return {
+        "row": (
+            report.n_zeros, report.dim_z2, report.dim_b2, report.dim_h2,
+            report.predicted, report.match,
+        ),
+        "closed_forms": (report.dim_b2, report.dim_z2) == (derived, derived + report.predicted),
+        "identities": identities,
+        "extension": (
+            len(reps) == report.dim_h2,
+            verify_jacobi(ext),
+            dense_rank(values) == derived + report.dim_h2,
+        ),
+        "b2_bounds": b2_certificate(L),
+    }
 
 
 def run_fresh(*argv: str) -> str:

@@ -13,14 +13,13 @@ import pytest
 
 from helpers import (
     CRITERION_LINES,
-    b2_certificate,
-    build_extended,
-    dense_rank,
-    h1_characters,
     int_vector,
+    killing_gram,
     oracle_coboundary,
     oracle_h2_dims,
     permute_basis,
+    range_case,
+    signature,
 )
 
 from cklie.ck_matrix import OmegaVector
@@ -301,39 +300,6 @@ def test_c11_property_suite(so_sweep, su_sweep, u_sweep, sq_sweep):
     announce(11, "exact property suite across the sweep", not bad, str(bad[:5]) if bad else "")
 
 
-def range_case(family: str, z: tuple[int, ...]) -> dict:
-    """One crosscheck at the 0/1 pattern z, and what criteria 12, 13 and 14
-    read of it; the report itself is not kept."""
-    report = crosscheck(family, z)
-    solver = report.solver
-    L = solver.algebra
-    # At a 0/1 omega the constants are integers, so the solver's row of
-    # delta(e_g) is delta(e_g) itself.
-    rows = solver.coboundary_rows()
-    identities = [
-        rows[L.index(g)] == {solver.pair_index[p]: v for p, v in rhs.items()}
-        for g, rhs in removals(predict(family, z)).items()
-    ]
-    derived = L.dim - len(h1_characters(L))  # dim [g, g]
-    reps = solver.representatives()
-    ext = build_extended(L, reps)
-    values = [[terms.get(k, 0) for k in range(ext.dim)] for terms in ext.constants.values()]
-    return {
-        "row": (
-            report.n_zeros, report.dim_z2, report.dim_b2, report.dim_h2,
-            report.predicted, report.match,
-        ),
-        "closed_forms": (report.dim_b2, report.dim_z2) == (derived, derived + report.predicted),
-        "identities": identities,
-        "extension": (
-            len(reps) == report.dim_h2,
-            verify_jacobi(ext),
-            dense_rank(values) == derived + report.dim_h2,
-        ),
-        "b2_bounds": b2_certificate(L),
-    }
-
-
 @pytest.fixture(scope="module")
 def c12_range():
     """{(family, z): range_case} over every 0/1 pattern of criterion 12's
@@ -418,6 +384,91 @@ def test_c14_b2_certificate_without_elimination(c12_range):
         "dim B2 certified by leading labels and H1 characters, with no elimination",
         not bad,
         f"{len(c12_range)} zero sets" + (f", failed {bad[:5]}" if bad else ""),
+    )
+
+
+def real_form(family: str, signs: tuple[int, ...]) -> tuple[int, int]:
+    """The Killing signature of the real form at a +-1 pattern, read off the
+    metric signs diag(1, omega_1, omega_1 omega_2, ...) with p plus and q
+    minus signs: so(p, q), su(p, q) (and u(p, q), whose center adds a null
+    direction) and sq(p, q)."""
+    metric = [1]
+    for s in signs:
+        metric.append(metric[-1] * s)
+    p, q = metric.count(1), metric.count(-1)
+    if family == "so":
+        return p * q, p * (p - 1) // 2 + q * (q - 1) // 2
+    if family == "sq":
+        return 4 * p * q, p * (2 * p + 1) + q * (2 * q + 1)
+    return 2 * p * q, p * p + q * q - 1
+
+
+def killing_rank(family: str, z: tuple[int, ...]) -> int:
+    """The Killing rank at a 0/1 pattern, from the run sizes m_i of the
+    points 0..N between zeros (omega_k = 0 cuts points k-1 and k apart)."""
+    runs = [1]
+    for s in z:
+        if s:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    if family == "so":
+        return sum(m * (m - 1) // 2 for m in runs)
+    if family == "sq":
+        return sum(m * (2 * m + 1) for m in runs)
+    return sum(m * m for m in runs) - 1
+
+
+def test_c15_killing_form():
+    """The Killing form K(x, y) = tr(ad x ad y) (`helpers.killing_gram`,
+    exact signature by `helpers.signature`, neither of them touching the
+    cohomology kernel) names the real form at every sign pattern and certifies
+    the all-ones row with no cohomology kernel.
+
+    * At every +-1 pattern of criterion 12's range, so 2 <= N <= 8, su/u
+      N <= 6 and sq N <= 5, the signature is that of so(p, q), su(p, q) or
+      sq(p, q) (`real_form`); so N = 1 is so(2) or so(1, 1), abelian, and
+      its form is zero.
+    * At every 0/1 pattern of that range the rank follows the runs of points
+      between zeros (`killing_rank`).
+    * At all ones, so 2 <= N <= 13, su/u N <= 9 and sq N <= 7, K is negative
+      definite, on the complement of the center for u.  So the algebra is
+      semisimple (Cartan's criterion), or u = su + R, and Whitehead's lemmas
+      give H1 = H2 = 0: the solver's row (dim Z2, dim B2, dim H2) must be
+      (dim, dim, 0), or (dim - 1, dim - 1, 0) for u by Kunneth."""
+    t0 = time.perf_counter()
+    bad = []
+    checked = 0
+    for family, nmax in (("so", 8), ("su", 6), ("u", 6), ("sq", 5)):
+        for n in range(1, nmax + 1):
+            for signs in product((-1, 1), repeat=n):
+                form = signature(killing_gram(build_algebra(family, signs)))
+                want = (0, 0) if family == "so" and n == 1 else real_form(family, signs)
+                checked += 1
+                if form != want:
+                    bad.append((family, signs, form, want))
+            for z in product((0, 1), repeat=n):
+                rank = sum(signature(killing_gram(build_algebra(family, z))))
+                want = 0 if family == "so" and n == 1 else killing_rank(family, z)
+                checked += 1
+                if rank != want:
+                    bad.append((family, z, rank, want))
+    for family, nmin, nmax in (("so", 2, 13), ("su", 1, 9), ("u", 1, 9), ("sq", 1, 7)):
+        for n in range(nmin, nmax + 1):
+            L = build_algebra(family, (1,) * n)
+            whitehead = L.dim - (family == "u")
+            res = CohomologySolver(L).result()
+            checked += 1
+            if signature(killing_gram(L)) != (0, whitehead):
+                bad.append((family, n, "not negative definite"))
+            if (res.dim_z2, res.dim_b2, res.dim_h2) != (whitehead, whitehead, 0):
+                bad.append((family, n, tuple(res)))
+    elapsed = time.perf_counter() - t0
+    announce(
+        15,
+        "Killing form: real form at every sign pattern, rank by runs, Whitehead row at all ones",
+        not bad,
+        f"{checked} forms in {elapsed:.1f}s" + (f", failed {bad[:5]}" if bad else ""),
     )
 
 

@@ -12,6 +12,7 @@ from helpers import (
     zero_set,
 )
 from cklie import ck_matrix, lie_core
+from cklie.cli import matrix_json
 from cklie.ck_matrix import (
     B,
     E,
@@ -533,6 +534,6 @@ class TestCommutatorAndDecomposition:
 
     def test_matrix_json_component_quadruples(self):
         g = build_generator("sq", E(2, 1), [1])
-        comps = g.to_component_lists()
+        comps = matrix_json(g)
         assert comps[1][1] == ["0", "0", "1", "0"]
         assert comps[0][0] == ["0", "0", "0", "0"]

@@ -273,7 +273,7 @@ class TestCrosscheck:
         rep = crosscheck("so", [0, 0, 1])
         assert rep.predicted == rep.dim_h2 == 3
         assert rep.n_zeros == 2
-        obj = rep.to_json_obj()
+        obj = cli.crosscheck_json(rep)
         assert obj["match"] is True
         assert len(obj["coefficients"]) == len(rep.verdicts)
 
@@ -298,14 +298,14 @@ class TestCrosscheck:
             for family, n in (("so", 5), ("su", 3), ("u", 3), ("sq", 2))
             for signs in sign_patterns(n)
         ]
-        expected = [crosscheck(family, signs).to_json_obj() for family, signs in grid]
+        expected = [cli.crosscheck_json(crosscheck(family, signs)) for family, signs in grid]
         assert all(obj["match"] for obj in expected)
 
         def refuse(*args, **kwargs):
             raise AssertionError("crosscheck built the Z2 basis")
 
         monkeypatch.setattr(CohomologySolver, "z2_basis", refuse)
-        assert [crosscheck(family, signs).to_json_obj() for family, signs in grid] == expected
+        assert [cli.crosscheck_json(crosscheck(family, signs)) for family, signs in grid] == expected
 
     @pytest.mark.parametrize(
         "family,signs",
@@ -462,11 +462,12 @@ class TestRecords:
     def test_report_serialization_leaves_out_the_solver(self):
         a, b = crosscheck("so", [0, 0, 1]), crosscheck("so", [0, 0, 1])
         assert a.solver is not b.solver
-        assert a.to_json_obj() == b.to_json_obj()
-        text = json.dumps(a.to_json_obj(), sort_keys=True)
+        summary = cli.crosscheck_json
+        assert summary(a) == summary(b)
+        text = json.dumps(summary(a), sort_keys=True)
         assert "solver" not in text and "Cohomology" not in text
-        assert a[:-1] == b[:-1] and a.to_json_obj() != crosscheck("so", [0, 1, 1]).to_json_obj()
-        assert list(a.to_json_obj()["coefficients"][0]) == list(CoefficientVerdict._fields)
+        assert a[:-1] == b[:-1] and summary(a) != summary(crosscheck("so", [0, 1, 1]))
+        assert list(summary(a)["coefficients"][0]) == list(CoefficientVerdict._fields)
 
 
 class TestRescalingCovariance:

@@ -32,8 +32,9 @@ from helpers import (
 )
 
 from cklie.cohomology import CohomologySolver, _echelon_int, _reduce
-from cklie.ck_matrix import J
+from cklie.ck_matrix import J, OmegaVector
 from cklie.classify import predict
+from cklie.cli import structure_json
 from cklie.lie_core import (
     LieAlgebra,
     build_algebra,
@@ -381,7 +382,9 @@ BAD_TABLES = [
 TABLE_READERS = {
     "constants": lambda L: L.constants,
     "structure_rows": lambda L: list(L.structure_rows()),
-    "to_json_obj": lambda L: L.to_json_obj(),
+    # The structure payload, keyed by the name of the method it replaced so
+    # that these test ids stay the same.
+    "to_json_obj": lambda L: structure_json(L, True, True),
     "same_constants": lambda L: L.same_constants(L),
     "integer_constants": lambda L: L.integer_constants(),
     "verify_jacobi": verify_jacobi,
@@ -415,8 +418,8 @@ class TestHandBuiltTable:
     @pytest.mark.parametrize("reader", TABLE_READERS)
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
     def test_float_or_bool_constant_rejected(self, reader, bad):
-        # 0.5 made integer_constants raise AttributeError and to_json_obj
-        # print "0.5"; True was taken as 1 and printed "True".
+        # 0.5 made integer_constants raise AttributeError and the structure
+        # payload print "0.5"; True was taken as 1 and printed "True".
         L = None
         with pytest.raises(TypeError, match=type(bad).__name__):
             L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: bad}})
@@ -428,10 +431,12 @@ class TestHandBuiltTable:
             LieAlgebra(None, None, [J(0, 1), J(0, 2), J(0, 1)], {})
 
     def test_int_and_fraction_constants_accepted(self):
-        L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: 3}, (0, 2): {1: Fraction(-1, 2)}})
+        # The structure payload prints omega, so this table has one.
+        om = OmegaVector((1, 1))
+        L = LieAlgebra("so", om, self.BASIS, {(0, 1): {2: 3}, (0, 2): {1: Fraction(-1, 2)}})
         assert bracket(L, 1, 0) == {2: -3}
         assert L.integer_constants() == {(0, 1): {2: 6}, (0, 2): {1: -1}}
-        assert [c["c"] for c in L.to_json_obj()["constants"]] == ["3", "-1/2"]
+        assert [c["c"] for c in structure_json(L, True, True)["constants"]] == ["3", "-1/2"]
 
 
 class TestCoboundary:

@@ -22,6 +22,7 @@ from helpers import (
 from cklie import lie_core
 from cklie.ck_matrix import _UNIT_PRODUCT, B, E, J, M, Mq, NotInSpanError, OmegaVector
 from cklie.classify import predict
+from cklie.cli import structure_json
 from cklie.cohomology import CohomologySolver
 from cklie.lie_core import (
     LieAlgebra,
@@ -674,7 +675,7 @@ class TestSerialization:
         L = build_algebra("su", [0])
         rows = list(L.structure_rows())
         assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
-        obj = L.to_json_obj()
+        obj = structure_json(L, True, True)
         assert obj["constants"][0]["c"] == "2"
         assert obj["basis"] == ["J(0,1)", "M(0,1)", "B(1)"]
 
