@@ -15,7 +15,7 @@ _LAZY = {
                   "M", "MatrixOverK", "Mq", "NotInSpanError", "OmegaVector", "build_generator",
                   "build_metric", "is_metric_antihermitian", "is_traceless", "labels_for_family",
                   "mat_commutator", "parse_rational", "reversal"),
-    "lie_core": ("LieAlgebra", "build_algebra", "epsilon", "from_matrices", "verify_jacobi"),
+    "lie_core": ("LieAlgebra", "build_algebra", "from_matrices", "verify_jacobi"),
     "cohomology": ("CocycleSystem", "CohomologyResult", "CohomologySolver"),
     "classify": ("CatalogEntry", "CoefficientVerdict", "CrosscheckReport", "certify_rescaling",
                  "certify_reversal", "crosscheck", "predict", "removals"),

@@ -163,9 +163,6 @@ class OmegaVector(tuple):
     def __repr__(self) -> str:
         return f"OmegaVector(({self.text()}))"
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self) + ")"
-
 
 def build_metric(omega) -> tuple[Fraction, ...]:
     """Diagonal of the hermitian metric: (1, w_01, w_02, ..., w_0N)."""

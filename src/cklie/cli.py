@@ -354,7 +354,7 @@ def verify_case(family: str, omega: OmegaVector) -> dict:
     identities = removals(predict(family, omega))
     rows, d, pair_index = solver.coboundary_rows(), L.scale, solver.pair_index
     ok = all(
-        rows[L.index(g)] == {pair_index[p]: d * c for p, c in rhs.items()}
+        rows[L.basis.index(g)] == {pair_index[p]: d * c for p, c in rhs.items()}
         for g, rhs in identities.items()
     )
     checks["pseudoextension_removal"] = ("pass" if ok else "fail") if identities else "skipped"

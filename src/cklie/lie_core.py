@@ -54,18 +54,6 @@ from .ck_matrix import (
 )
 
 
-def epsilon(a: int, b: int, c: int) -> int:
-    """Totally antisymmetric unit tensor on {1, 2, 3} with epsilon(1,2,3) = 1."""
-    for v in (a, b, c):
-        if type(v) is not int:
-            raise TypeError(f"epsilon indices must be ints, got {type(v).__name__} {v!r}")
-        if v not in (1, 2, 3):
-            raise ValueError(f"epsilon indices must be in 1..3, got ({a},{b},{c})")
-    if a == b or b == c or a == c:
-        return 0
-    return 1 if (b - a) % 3 == 1 else -1
-
-
 class LieAlgebra:
     """Finite-dimensional real Lie algebra given by labeled basis + constants.
 
@@ -81,15 +69,14 @@ class LieAlgebra:
     new `LieAlgebra`.
     """
 
-    __slots__ = ("family", "omega", "basis", "constants", "scale", "_index", "_integer", "_generators")
+    __slots__ = ("family", "omega", "basis", "constants", "scale", "_integer", "_generators")
 
     def __init__(self, family, omega, basis, constants):
         self.family = family
         self.omega = omega
         self.basis = tuple(basis)
         self._integer = self._generators = None
-        self._index = {lab: i for i, lab in enumerate(self.basis)}
-        if len(self._index) < len(self.basis):
+        if len(set(self.basis)) < len(self.basis):
             raise ValueError("basis labels must be distinct")
         r = self.dim
         d = 1
@@ -110,12 +97,6 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index(self, label: GeneratorLabel) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"label {label} is not in the basis") from None
 
     def structure_rows(self):
         """Yield (i, j, k, c) with i < j, sorted, over nonzero constants."""
@@ -174,9 +155,6 @@ class LieAlgebra:
             self._generators = gens
         return self._generators
 
-    def same_constants(self, other: "LieAlgebra") -> bool:
-        return self.dim == other.dim and self.constants == other.constants
-
     def __repr__(self) -> str:
         om = self.omega.text() if self.omega is not None else "?"
         return f"LieAlgebra({self.family}, omega=({om}), dim={self.dim})"
@@ -184,14 +162,14 @@ class LieAlgebra:
 
 def _unit_product(u: int, v: int) -> tuple[int, int]:
     """(t, sign) with i_u i_v = sign * i_t, on the units (1, i_1, i_2, i_3)
-    numbered 0..3: i_0 = 1 is neutral, i_u i_u = -1 and distinct imaginary
-    units multiply by epsilon."""
+    numbered 0..3: i_0 = 1 is neutral, i_u i_u = -1, and distinct imaginary
+    units give i_t, t = 6 - u - v, with sign +1 exactly when v follows u in
+    the cycle 1 -> 2 -> 3 -> 1 (i_1 i_2 = i_3)."""
     if not u or not v:
         return u + v, 1
     if u == v:
         return 0, -1
-    t = 6 - u - v
-    return t, epsilon(u, v, t)
+    return 6 - u - v, 1 if (v - u) % 3 == 1 else -1
 
 
 class _Builder:

@@ -502,7 +502,7 @@ def prime_omegas(n):
 
 def bracket_of(L, u, v):
     """[u, v] for generator labels u, v, as {label: coefficient}."""
-    return {L.basis[k]: c for k, c in bracket(L, L.index(u), L.index(v)).items()}
+    return {L.basis[k]: c for k, c in bracket(L, L.basis.index(u), L.basis.index(v)).items()}
 
 
 def omega_signs(omega):
@@ -623,7 +623,7 @@ def b2_certificate(L):
     bracket value kill [g, g], and as duals of distinct basis elements they
     are independent: dim [g, g] <= dim g - their number."""
     values = list(L.constants.values())
-    killers = [lab for lab in h1_characters(L) if all(L.index(lab) not in t for t in values)]
+    killers = [k for k in map(L.basis.index, h1_characters(L)) if all(k not in t for t in values)]
     return len({min(t) for t in values}), len({max(t) for t in values}), L.dim - len(killers)
 
 
@@ -716,7 +716,7 @@ def range_case(family: str, z: tuple[int, ...]) -> dict:
     # delta(e_g) is delta(e_g) itself.
     rows = solver.coboundary_rows()
     identities = [
-        rows[L.index(g)] == {solver.pair_index[p]: v for p, v in rhs.items()}
+        rows[L.basis.index(g)] == {solver.pair_index[p]: v for p, v in rhs.items()}
         for g, rhs in removals(predict(family, z)).items()
     ]
     derived = L.dim - len(h1_characters(L))  # dim [g, g]

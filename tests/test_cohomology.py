@@ -385,7 +385,6 @@ TABLE_READERS = {
     # The structure payload, keyed by the name of the method it replaced so
     # that these test ids stay the same.
     "to_json_obj": lambda L: structure_json(L, True, True),
-    "same_constants": lambda L: L.same_constants(L),
     "integer_constants": lambda L: L.integer_constants(),
     "verify_jacobi": verify_jacobi,
     "coboundary": lambda L: CohomologySolver(L).coboundary_rows(),

@@ -20,14 +20,13 @@ from helpers import (
     xi_label,
 )
 from cklie import lie_core
-from cklie.ck_matrix import _UNIT_PRODUCT, B, E, J, M, Mq, NotInSpanError, OmegaVector
+from cklie.ck_matrix import _UNIT_PRODUCT, I_LABEL, B, E, J, M, Mq, NotInSpanError, OmegaVector
 from cklie.classify import predict
 from cklie.cli import structure_json
 from cklie.cohomology import CohomologySolver
 from cklie.lie_core import (
     LieAlgebra,
     build_algebra,
-    epsilon,
     from_matrices,
     matrix_match,
     verify_jacobi,
@@ -79,34 +78,10 @@ def oracle_corpus(family, nmax):
                 yield LieAlgebra(family, L.omega, L.basis, t)
 
 
-class TestEpsilon:
-    def test_normalization(self):
-        assert epsilon(1, 2, 3) == 1
-
-    def test_total_antisymmetry(self):
-        for a, b, c in product((1, 2, 3), repeat=3):
-            assert epsilon(a, b, c) == -epsilon(b, a, c)
-            assert epsilon(a, b, c) == -epsilon(a, c, b)
-
-    def test_zero_on_repeats(self):
-        assert epsilon(1, 1, 2) == 0
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            epsilon(0, 1, 2)
-
-    @pytest.mark.parametrize(
-        "args,bad", [((1.0, 2, 3), "float"), ((1, True, 3), "bool"), ((1, 2, Fraction(3)), "Fraction")]
-    )
-    def test_non_int_index_rejected(self, args, bad):
-        with pytest.raises(TypeError, match=bad):
-            epsilon(*args)
-
-
 class TestUnitProduct:
     def test_matches_the_matrix_table(self):
-        # lie_core derives the product from epsilon and does not import the
-        # table the matrix route multiplies by, so a wrong entry in either
+        # lie_core derives the product by its cyclic rule and does not import
+        # the table the matrix route multiplies by, so a wrong entry in either
         # shows up as a closed-form/matrix mismatch.
         for u, v in product(range(4), repeat=2):
             assert lie_core._unit_product(u, v) == _UNIT_PRODUCT[u][v], (u, v)
@@ -182,7 +157,7 @@ class TestBuildSu:
 class TestBuildU:
     def test_phase_is_central(self):
         L = build_algebra("u", [0, 1])
-        i_idx = L.index(L.basis[-1])
+        i_idx = L.basis.index(I_LABEL)
         for other in range(L.dim):
             assert bracket(L, other, i_idx) == {}
 
@@ -341,16 +316,16 @@ class TestFromMatrices:
             for signs in sign_patterns(n):
                 closed = build_algebra(family, signs)
                 matrix = from_matrices(family, signs)
-                assert matrix.same_constants(closed), (family, signs)
+                assert matrix.constants == closed.constants, (family, signs)
 
     def test_sq_n2_spot_checks(self):
         # Non-unit weights, so a row that drops or misplaces w_ab shows.
         for omega in [(2, -3), (Fraction(1, 2), 5), (0, Fraction(-7, 3))]:
-            assert from_matrices("sq", omega).same_constants(build_algebra("sq", omega))
+            assert from_matrices("sq", omega).constants == build_algebra("sq", omega).constants
 
     def test_su_rational_omega(self):
         om = [Fraction(2, 3)]
-        assert from_matrices("su", om).same_constants(build_algebra("su", om))
+        assert from_matrices("su", om).constants == build_algebra("su", om).constants
 
     def test_reads_neither_shape_nor_evaluator(self, monkeypatch):
         # The matrix route is the independent check of the closed form, so it
@@ -364,7 +339,7 @@ class TestFromMatrices:
         monkeypatch.setattr(lie_core, "_shape", refuse)
         monkeypatch.setattr(OmegaVector, "evaluate", refuse)
         for family, closed in expected.items():
-            assert from_matrices(family, om).same_constants(closed), family
+            assert from_matrices(family, om).constants == closed.constants, family
 
     def test_closed_form_reads_no_matrix(self, monkeypatch):
         # The converse of the test above: the closed form must rebuild every
@@ -379,7 +354,7 @@ class TestFromMatrices:
         monkeypatch.setattr(lie_core, "build_generator", refuse)
         monkeypatch.setattr(lie_core, "mat_commutator", refuse)
         for family, matrix in expected.items():
-            assert build_algebra(family, om).same_constants(matrix), family
+            assert build_algebra(family, om).constants == matrix.constants, family
 
     def test_dropped_cell_of_a_j_commutator_leaves_the_span(self, monkeypatch):
         # [J(0,1), J(1,2)] = -J(0,2) loses its (0, 2) cell.  The read-off from
@@ -449,7 +424,7 @@ class TestMatrixMatch:
     @staticmethod
     def assert_verdict_is_full_comparison(family, omega, rng):
         for L in [build_algebra(family, omega), *row_mutants(build_algebra(family, omega), rng)]:
-            full = from_matrices(family, omega).same_constants(L)
+            full = from_matrices(family, omega).constants == L.constants
             assert matrix_match(L, verify_jacobi(L)) is full, (family, omega)
 
     # The range of acceptance criterion 8: every sign pattern of so N <= 5,
@@ -511,7 +486,7 @@ class TestMatrixMatch:
                 for pair in generator_split(L)[1]:
                     k = min(L.constants[pair])
                     bad = with_row(L, pair, {**L.constants[pair], k: 2 * L.constants[pair][k]})
-                    assert not from_matrices(family, signs).same_constants(bad)
+                    assert from_matrices(family, signs).constants != bad.constants
                     assert matrix_match(bad, True)
                     assert not verify_jacobi(bad) and not matrix_match(bad, verify_jacobi(bad))
                     mutants += 1
@@ -535,7 +510,7 @@ class TestShape:
                     assert ks == tuple(range(a + 1, b + 1)), (family, n, ks)
                     assert value == coef * om.product(a, b), (omega, coef, ks)
                 closed = build_algebra(family, om)
-                assert closed.same_constants(from_matrices(family, om)), (family, omega)
+                assert closed.constants == from_matrices(family, om).constants, (family, omega)
 
     def test_matrix_route_and_predictor_read_no_shape(self, monkeypatch):
         om = OmegaVector(SIGNED_PRIMES[:3])
@@ -547,7 +522,7 @@ class TestShape:
         monkeypatch.setattr(lie_core, "_shape", refuse)
         with pytest.raises(AssertionError):
             build_algebra("sq", om)
-        assert from_matrices("sq", om).same_constants(expected)
+        assert from_matrices("sq", om).constants == expected.constants
         for family in ("so", "su", "u"):
             assert predict(family, om)
 
@@ -581,7 +556,7 @@ class TestContract:
 
     def test_contract_builds_contracted_algebra(self):
         contracted = with_zeros(OmegaVector([1, 1]), {1})
-        assert build_algebra("so", contracted).same_constants(build_algebra("so", [0, 1]))
+        assert build_algebra("so", contracted).constants == build_algebra("so", [0, 1]).constants
 
 
 class TestPermuteBasis:

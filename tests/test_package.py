@@ -2,6 +2,7 @@
 catalog modules loaded only on first access."""
 
 import ast
+import importlib.util
 import json
 from collections import namedtuple
 from importlib import import_module
@@ -71,6 +72,7 @@ REMOVED = (
     "build_so", "build_su", "build_u", "build_sq", "h2", "LieAlgebra.bracket",
     "LieAlgebra.to_json_obj", "CrosscheckReport.to_json_obj", "MatrixOverK.to_component_lists",
     "MatrixOverK._grid", "MatrixOverK.__str__", "_SYMBOL", "_components", "_text",
+    "epsilon", "LieAlgebra.index", "LieAlgebra.same_constants", "OmegaVector.__str__",
 )
 
 
@@ -237,3 +239,19 @@ def test_one_coboundary_builder_and_fractions_only_in_z2_basis():
     assert fraction_calls(tree) == fraction_calls(z2_basis) == 1
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert all(alias.asname is None for n in imports for alias in n.names)
+
+
+def test_mutant_corpus_is_current():
+    # tools/mutants.py replays the recorded mutation checks outside Tier-1;
+    # an entry whose old text no longer occurs exactly once would stop
+    # testing anything, so it fails here first.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert len({m.name for m in tool.MUTANTS}) == len(tool.MUTANTS)
+    for m in tool.MUTANTS:
+        assert m.file.partition("/")[0] in tool.COPIED, m.name
+        assert (root / m.file).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new, m.name
+        assert m.tests and all((root / t.partition("::")[0]).is_file() for t in m.tests), m.name
