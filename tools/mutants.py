@@ -1,11 +1,11 @@
 """Replay the recorded mutation checks: every mutant must fail its tests.
 
-    python3 tools/mutants.py [name ...]
+    python3 tools/mutants.py
 
 ``MUTANTS`` lists each mutant as (name, file, old, new, tests): ``old`` is
 exact text that occurs once in ``file`` (a path in this checkout), ``new``
 replaces it, and ``tests`` is the narrow pytest selection that must fail on
-the mutated copy.  For each mutant in turn, or only for the named ones, the
+the mutated copy.  For each mutant in turn, the
 script copies ``src/``, ``tests/``, ``tools/``, ``perfbench/`` and
 ``README.md`` to a fresh temporary directory, applies the substitution there
 and runs ``pytest -x`` on the selection with that copy's ``src/`` on the
@@ -288,16 +288,10 @@ def run_one(m: Mutant) -> tuple[bool, str]:
     return False, f"ERROR: pytest exit {proc.returncode}: " + " | ".join(tail)
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     failures = 0
     t_all = time.perf_counter()
     for m in MUTANTS:
-        if names and m.name not in names:
-            continue
         reason = stale(m)
         if reason:
             failures += 1
@@ -312,4 +306,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
