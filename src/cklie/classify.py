@@ -52,9 +52,11 @@ the reversed set: `sweep` solves one set per orbit.
 as the integer column vector of its slots: counts must agree, the active
 coefficients must be nontrivial cocycles that form a basis of H2, every
 inactive type II must be trivial or forced to zero, every inactive type III
-must fail the cocycle equations.  Its report holds values only, each
-verdict a record of its own fields, and keeps the solver; `cli` builds
-every output of `h2` and `sweep` from those fields.
+must fail the cocycle equations.  The solver gives the dims and the cocycle
+test; certificates that run no elimination give every other verdict, and a
+missing one is a mismatch.  Its report holds values only, each verdict a
+record of its own fields, and keeps the solver; `cli` builds every output
+of `h2` and `sweep` from those fields.
 """
 
 from __future__ import annotations
@@ -311,7 +313,7 @@ def removals(
     return {g: {pair: v for pair, v in acc.items() if v} for g, acc in sums.items()}
 
 
-# trivial is None when the cochain is not a cocycle.
+# trivial is None when the cochain is not a cocycle or no certificate decides it.
 CoefficientVerdict = namedtuple(
     "CoefficientVerdict", "name type active cocycle trivial ok note", defaults=("",)
 )
@@ -322,37 +324,51 @@ CrosscheckReport = namedtuple(
 )
 
 
+def _multiple(vec: dict[int, int], solver: CohomologySolver, g: GeneratorLabel) -> bool:
+    """True when vec is zero or a nonzero multiple of the coboundary row of g."""
+    row = solver.coboundary_rows()[solver.algebra.basis.index(g)]
+    ratios = {Fraction(v, row[c]) for c, v in vec.items() if c in row}
+    return not vec or vec.keys() == row.keys() and len(ratios) == 1
+
+
 def crosscheck(family: str, omega) -> CrosscheckReport:
     """Confront the catalog with the exact solver for one algebra.
 
     Match requires: predicted count == dim H2; the active coefficients are
-    nontrivial cocycles independent modulo B2, a basis of H2; every inactive
-    type II is trivial or fails the cocycle equations (forced to zero by its
-    constraint); every inactive type III fails the cocycle equations.  The
-    report keeps the solver, so callers read the algebra, the dims and the
-    representatives from the same run.
+    cocycles with distinct leading witness columns, a basis of H2; every
+    inactive type II is zero or a multiple of its generator's coboundary
+    row, or fails the cocycle equations (forced to zero); every inactive
+    type III fails them.  A witness column is a pair with no bracket, where
+    every coboundary vanishes, so those cocycles are independent modulo B2.
+    The report keeps the solver, so callers read the algebra, the dims and
+    the representatives from the same run.
     """
     om = OmegaVector.coerce(omega)
     solver = CohomologySolver(build_algebra(family, om))
     res = solver.result()
-    pair_index = solver.pair_index
+    pair_index, pairs, constants = solver.pair_index, solver.pairs, solver.algebra.constants
     verdicts: list[CoefficientVerdict] = []
-    active: list[dict[int, int]] = []
+    leads: list[int | None] = []  # the active entries' leading witness columns
     all_ok = True
     for entry in predict(family, om):
         m = lcm(*(c.denominator for _, _, c in entry.slots))
         vec = {pair_index[i, j]: c.numerator * (m // c.denominator) for i, j, c in entry.slots}
         cocycle_ok = solver.is_cocycle(vec)
-        trivial = solver.is_coboundary(vec) if cocycle_ok else None
+        lead = min((c for c in vec if pairs[c] not in constants), default=None)
+        trivial = None
+        if cocycle_ok and lead is not None:
+            trivial = False
+        elif cocycle_ok and entry.shift and _multiple(vec, solver, entry.shift[0]):
+            trivial = True
         note = ""
         if entry.active:
-            active.append(vec)
-            ok = cocycle_ok and trivial is False
+            leads.append(lead)
+            ok = trivial is False
         elif entry.ext_type == "III":
             ok = not cocycle_ok
             note = "forced zero" if ok else "constraint violated but cochain survives"
         elif cocycle_ok:
-            ok = trivial
+            ok = trivial is True
         else:
             ok, note = True, "forced zero"
         all_ok = all_ok and ok
@@ -361,8 +377,8 @@ def crosscheck(family: str, omega) -> CrosscheckReport:
                 entry.name, entry.ext_type, entry.active, cocycle_ok, trivial, ok, note
             )
         )
-    predicted = len(active)
-    match = all_ok and predicted == res.dim_h2 == solver.rank_mod_b2(active)
+    predicted = len(leads)
+    match = all_ok and predicted == res.dim_h2 == len(set(leads))
     return CrosscheckReport(
         family=family,
         omega=om,

@@ -25,22 +25,21 @@ and used nowhere else, first takes out the columns of single-entry rows
 (most equations say xi_c = 0), then keeps its echelon reduced as rows
 arrive and returns the integer RREF.  Its length gives the dims (dim Z2 =
 unknowns - rank of the system, dim B2 = rank of the coboundary rows), which
-`CohomologySolver(L).result()` returns, and a cochain is a coboundary
-exactly when its integer vector leaves no residue against the B2 RREF.
-The cocycle test evaluates only the equations that hold a nonzero column of
-the cochain.  Only the representatives that the `h2` command prints, when
-dim H2 > 0, need a basis: the integer nullspace of the system RREF is
-echeloned in turn and each Z2 row divided by its pivot into a plain
-{(i, j): Fraction} map, the only Fractions made here.  The RREF of a row
-space, and so its set of pivot columns, is unique, so nothing depends on
-row order or on the pre-pass.  A wrong rank here would be a wrong theorem,
-so no floating point is allowed.
+`CohomologySolver(L).result()` returns.  The cocycle test evaluates only
+the equations that hold a nonzero column of the cochain.  Only the
+representatives that the `h2` command prints, when dim H2 > 0, need a
+basis: the integer nullspace of the system RREF is echeloned in turn and
+each Z2 row divided by its pivot into a plain {(i, j): Fraction} map, the
+only Fractions made here.  The RREF of a row space, and so its set of
+pivot columns, is unique, so nothing depends on row order or on the
+pre-pass.  A wrong rank here would be a wrong theorem, so no floating
+point is allowed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -182,13 +181,12 @@ class CohomologySolver:
     RREF, the dims, the Z2 basis and the column index of the cocycle
     test, so repeated cochain queries stay cheap.  Only the Z2 basis holds
     Fractions.  It answers only for a Lie table: the dims, the
-    representatives, `is_cocycle` and `rank_mod_b2` first prove Jacobi from
-    the system RREF and raise ArithmeticError if it fails.
+    representatives and `is_cocycle` first prove Jacobi from the system
+    RREF and raise ArithmeticError if it fails.
 
-    The cochain queries take a cochain as its integer column vector
-    {pair_index[(i, j)]: int}, with no zero values.  Each query is
-    homogeneous, so every nonzero multiple of a cochain gets the same
-    answer.
+    `is_cocycle` takes a cochain as its integer column vector
+    {pair_index[(i, j)]: int}, with no zero values; it is homogeneous, so
+    every nonzero multiple of a cochain gets the same answer.
     """
 
     def __init__(self, algebra):
@@ -365,18 +363,3 @@ class CohomologySolver:
             if sum(v * vec.get(c, 0) for c, v in rows[t].items()):
                 return False
         return True
-
-    def is_coboundary(self, vec: dict[int, int]) -> bool:
-        """True iff vec lies in the span of B2: it reduces to nothing against
-        the B2 RREF.  Does not test the cocycle equations."""
-        return not _reduce(vec, self._b2_echelon())
-
-    def rank_mod_b2(self, vectors: Iterable[dict[int, int]]) -> int:
-        """The number of the vectors independent modulo B2: the rank of their
-        residues against the B2 RREF.  The residues are zero on every B2
-        pivot column, where each nonzero element of the B2 span is not, so
-        their span meets B2 only in zero."""
-        self._system_echelon()
-        b2 = self._b2_echelon()
-        return len(_echelon_int([res for res in (_reduce(vec, b2) for vec in vectors) if res]))
-

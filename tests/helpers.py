@@ -25,7 +25,7 @@ row, the adapters that drive the package's own elimination kernel and a
 runner for fresh interpreters.  It also holds the conveniences that only
 tests use: omega sign patterns and zero sets, sums and multiples of
 cochains, a cochain's integer column vector, a catalog entry's cochain by
-name, the checked triviality test, the centrally extended algebra, the
+name, the dense triviality test, the centrally extended algebra, the
 elimination-free bounds on dim B2 from the closed-form H1 characters and
 `range_case`, what acceptance criteria 12-14 and `tools/proven_range.py`
 read of one zero set.  No oracle calls them.
@@ -564,13 +564,16 @@ def coefficient_cocycle(family, omega, name, value=1):
     raise ValueError(f"coefficient {name!r} is not in the {family} catalog for n={om.n}")
 
 
-def is_trivial(solver, xi):
-    """True iff the cochain xi is a coboundary; ValueError if it is not a
-    cocycle, since such a cochain is not an extension at all."""
-    vec = int_vector(solver, xi)
-    if not solver.is_cocycle(vec):
+def is_trivial(L, xi):
+    """True iff the cochain xi is a coboundary: adding it to the oracle's
+    coboundary rows leaves their dense rank unchanged.  ValueError if it
+    fails an oracle equation, since such a cochain is not an extension at
+    all."""
+    pairs, equations, cob = oracle_cocycle_system(L)
+    vec = [cochain_value(xi, i, j) for i, j in pairs]
+    if any(sum(a * b for a, b in zip(eq, vec)) for eq in equations):
         raise ValueError("cochain is not a cocycle")
-    return solver.is_coboundary(vec)
+    return dense_rank(cob + [vec]) == dense_rank(cob)
 
 
 def xi_label(t):

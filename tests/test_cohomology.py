@@ -33,7 +33,8 @@ from helpers import (
 
 from cklie.cohomology import CohomologySolver, _echelon_int, _reduce
 from cklie.ck_matrix import J, OmegaVector
-from cklie.classify import predict
+from cklie import classify
+from cklie.classify import CatalogEntry, crosscheck, predict
 from cklie.cli import structure_json
 from cklie.lie_core import (
     LieAlgebra,
@@ -362,7 +363,6 @@ class TestExactness:
                 solver.result,
                 solver.representatives,
                 lambda: solver.is_cocycle({0: 1}),
-                lambda: solver.rank_mod_b2([]),
             ):
                 with pytest.raises(ArithmeticError, match="fails the Jacobi identity"):
                     query()
@@ -529,7 +529,7 @@ class TestSpacesAndDims:
                 assert solver.is_cocycle(row)
             for rep in solver.representatives():
                 assert solver.is_cocycle(int_vector(solver, rep))
-                assert not is_trivial(solver, rep)
+                assert not is_trivial(L, rep)
 
     def test_known_h2_values(self):
         assert CohomologySolver(build_algebra("so", [1, 1])).result().dim_h2 == 0
@@ -606,14 +606,13 @@ class TestIsCocycle:
 class TestIsTrivial:
     def test_coboundaries_trivial(self):
         L = build_algebra("so", [0, 1])
-        solver = CohomologySolver(L)
         for k in range(L.dim):
-            assert is_trivial(solver, oracle_coboundary(L, {k: 1}))
+            assert is_trivial(L, oracle_coboundary(L, {k: 1}))
 
     def test_nontrivial_representative(self):
         L = build_algebra("so", [0, 1])
         rep = CohomologySolver(L).representatives()[0]
-        assert not is_trivial(CohomologySolver(L), rep)
+        assert not is_trivial(L, rep)
 
     def test_non_cocycle_rejected(self):
         L = build_algebra("so", [1, 1, 1])
@@ -621,78 +620,90 @@ class TestIsTrivial:
         xi = {(0, 1): Fraction(1)}
         assert not solver.is_cocycle(int_vector(solver, xi))
         with pytest.raises(ValueError):
-            is_trivial(solver, xi)
+            is_trivial(L, xi)
 
     def test_gauge_invariance(self):
         L = build_algebra("so", [0, 0, 1])
-        solver = CohomologySolver(L)
         rng = random.Random(17)
-        reps = solver.representatives()
+        reps = CohomologySolver(L).representatives()
         for xi in reps:
             for _ in range(10):
                 shifted = cochain_sum(xi, oracle_coboundary(L, random_mu(rng, L.dim)))
-                assert is_trivial(solver, shifted) == is_trivial(solver, xi) == False
+                assert is_trivial(L, shifted) == is_trivial(L, xi) == False
 
     def test_zero_cochain_trivial(self):
         L = build_algebra("so", [0, 1])
-        assert is_trivial(CohomologySolver(L), {})
+        assert is_trivial(L, {})
+
+
+def active_cochains(family, omega):
+    """The cochains of the catalog's active entries at omega."""
+    return [{(i, j): c for i, j, c in e.slots} for e in predict(family, omega) if e.active]
+
+
+def crosscheck_of(monkeypatch, family, omega, cochains):
+    """crosscheck with the catalog replaced by one active type III entry per
+    cochain, so that its verdicts and match read the certificates on them."""
+    entries = tuple(
+        CatalogEntry(f"xi{t}", "III", True, tuple((i, j, c) for (i, j), c in xi.items()))
+        for t, xi in enumerate(cochains)
+    )
+    monkeypatch.setattr(classify, "predict", lambda family, omega: entries)
+    return crosscheck(family, omega)
 
 
 class TestIsCoboundary:
-    """`is_coboundary` reduces an integer vector against the B2 echelon; the
-    oracle compares dense ranks of the coboundary rows with and without xi."""
+    """crosscheck calls an active cocycle nontrivial only when it holds a
+    witness, a pair with no bracket, where every coboundary vanishes; the
+    oracle compares dense ranks of the coboundary rows with and without the
+    cochain.  No coboundary holds a witness, and every active catalog entry,
+    shifted by a coboundary or not, does."""
 
     @pytest.mark.parametrize("family,omega", RATIONAL_CASES)
-    def test_agrees_with_dense_rank(self, family, omega):
+    def test_agrees_with_dense_rank(self, family, omega, monkeypatch):
         L = build_algebra(family, omega)
-        solver = CohomologySolver(L)
         pairs, _, cob = oracle_cocycle_system(L)
         rng = random.Random(f"coboundary:{family}:{omega}")
-        cochains = []
-        for density in (0.05, 0.2, 0.5):
-            cochains += [scaled(random_cochain(rng, L.dim, density), Fraction(7, 3)) for _ in range(4)]
-        for _ in range(6):
-            xi = oracle_coboundary(L, random_mu(rng, L.dim))
-            bump = {rng.choice(pairs): Fraction(rng.choice((1, -2, 3)), 5)}
-            cochains += [xi, cochain_sum(xi, bump)]
-        cochains += solver.representatives()
+        coboundaries = [oracle_coboundary(L, {k: 1}) for k in range(L.dim)]
+        coboundaries += [oracle_coboundary(L, random_mu(rng, L.dim)) for _ in range(4)]
+        active = active_cochains(family, omega)
+        shifted = [cochain_sum(xi, rng.choice(coboundaries)) for xi in active]
+        cochains = coboundaries + active + shifted
+        report = crosscheck_of(monkeypatch, family, omega, cochains)
         rank = dense_rank(cob)
-        expected = [
+        in_b2 = [
             dense_rank(cob + [[cochain_value(xi, i, j) for i, j in pairs]]) == rank for xi in cochains
         ]
-        assert [solver.is_coboundary(int_vector(solver, xi)) for xi in cochains] == expected
-        assert True in expected and False in expected
+        witnessed = [v.cocycle and v.trivial is False for v in report.verdicts]
+        assert all(v.cocycle for v in report.verdicts)
+        assert in_b2 == [True] * len(coboundaries) + [False] * (len(cochains) - len(coboundaries))
+        assert witnessed == [False] * len(coboundaries) + [True] * (len(cochains) - len(coboundaries))
+        assert not report.match  # an active coboundary has no certificate
 
 
 class TestRankModB2:
-    """`rank_mod_b2` counts the pivots that the residues of the vectors
-    against the B2 RREF add; the oracle compares dense ranks of the
-    coboundary rows with and without the vectors."""
+    """crosscheck's match needs distinct leading witnesses of the active
+    entries.  On catalogs of dim H2 cocycles drawn from the active entries,
+    their shifts by coboundaries and the coboundaries themselves, match
+    agrees with the dense rank modulo B2: the rank of the coboundary rows
+    with the cochains, less their rank alone."""
 
     @pytest.mark.parametrize("family,omega", RATIONAL_CASES)
-    def test_agrees_with_dense_rank(self, family, omega):
+    def test_agrees_with_dense_rank(self, family, omega, monkeypatch):
         L = build_algebra(family, omega)
-        solver = CohomologySolver(L)
         pairs, _, cob = oracle_cocycle_system(L)
         rng = random.Random(f"rank mod b2:{family}:{omega}")
-        reps = list(solver.representatives())
+        active = active_cochains(family, omega)
         coboundaries = [oracle_coboundary(L, random_mu(rng, L.dim)) for _ in range(3)]
+        pool = active + [cochain_sum(xi, c) for xi in active for c in coboundaries] + coboundaries
         rank = dense_rank(cob)
         seen = set()
-        for _ in range(12):
-            picked = rng.sample(reps + coboundaries, rng.randint(0, min(4, len(reps) + 3)))
-            if reps and rng.random() < 0.5:
-                # One more vector: a representative shifted by a coboundary,
-                # dependent on the others modulo B2 when that one is picked.
-                picked.append(cochain_sum(rng.choice(reps), rng.choice(coboundaries)))
-            if rng.random() < 0.3:
-                picked.append(random_cochain(rng, L.dim, 0.2))
+        for picked in [active] + [rng.choices(pool, k=len(active)) for _ in range(12)]:
             dense = [[cochain_value(xi, i, j) for i, j in pairs] for xi in picked]
-            expected = dense_rank(cob + dense) - rank
-            vectors = [int_vector(solver, xi) for xi in picked if xi]
-            assert solver.rank_mod_b2(vectors) == expected
-            seen.add((expected, len(vectors)))
-        assert len(seen) > 2
+            expected = dense_rank(cob + dense) - rank == len(active)
+            assert crosscheck_of(monkeypatch, family, omega, picked).match == expected
+            seen.add(expected)
+        assert seen == ({True, False} if active else {True})
 
 
 class TestPermutationInvariance:

@@ -73,6 +73,7 @@ REMOVED = (
     "LieAlgebra.to_json_obj", "CrosscheckReport.to_json_obj", "MatrixOverK.to_component_lists",
     "MatrixOverK._grid", "MatrixOverK.__str__", "_SYMBOL", "_components", "_text",
     "epsilon", "LieAlgebra.index", "LieAlgebra.same_constants", "OmegaVector.__str__",
+    "CohomologySolver.is_coboundary", "CohomologySolver.rank_mod_b2",
 )
 
 
@@ -210,10 +211,9 @@ def test_one_label_geometry():
 
 def test_one_coboundary_builder_and_fractions_only_in_z2_basis():
     # delta(e_k) is built once, as the solver's integer rows: no other
-    # function or class in the package names a coboundary or a cochain,
-    # apart from the `is_coboundary` query.  And cohomology makes a Fraction
-    # only where its docstring says, dividing the Z2 basis rows by their
-    # pivots.
+    # function or class in the package names a coboundary or a cochain.
+    # And cohomology makes a Fraction only where its docstring says,
+    # dividing the Z2 basis rows by their pivots.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(cklie.__file__).parent.glob("*.py"))
@@ -224,7 +224,6 @@ def test_one_coboundary_builder_and_fractions_only_in_z2_basis():
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and ("coboundary" in node.name.lower() or "cochain" in node.name.lower())
-        and node.name != "is_coboundary"
     )
     assert builders == [("cohomology.py", "coboundary_rows")]
 
@@ -239,6 +238,24 @@ def test_one_coboundary_builder_and_fractions_only_in_z2_basis():
     assert fraction_calls(tree) == fraction_calls(z2_basis) == 1
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert all(alias.asname is None for n in imports for alias in n.names)
+
+
+def test_crosscheck_runs_no_elimination():
+    # crosscheck proves its predictor-side verdicts by certificates, so one
+    # kernel fault cannot move both sides: the classify module, crosscheck
+    # included, names neither the elimination kernel nor the B2 echelon.
+    tree = ast.parse(Path(classify.__file__).read_text(encoding="utf-8"))
+    assert any(isinstance(n, ast.FunctionDef) and n.name == "crosscheck" for n in tree.body)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    kernel = {"_reduce", "_echelon_int", "_b2_echelon", "is_coboundary", "rank_mod_b2"}
+    assert names.isdisjoint(kernel)
 
 
 def test_mutant_corpus_is_current():

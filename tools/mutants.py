@@ -39,6 +39,7 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 LIE = "src/cklie/lie_core.py"
 COH = "src/cklie/cohomology.py"
 CKM = "src/cklie/ck_matrix.py"
+CLS = "src/cklie/classify.py"
 CLI = "src/cklie/cli.py"
 HELPERS = "tests/helpers.py"
 
@@ -148,18 +149,6 @@ MUTANTS = (
         " if p not in self._b2_echelon())",
         ("tests/test_acceptance.py::test_c13_representatives_extend_the_algebra",),
     ),
-    Mutant(
-        "rank_mod_b2 echeloning the vectors unreduced", COH,
-        "(_reduce(vec, b2) for vec in vectors)",
-        "(vec for vec in vectors)",
-        ("tests/test_cohomology.py::TestRankModB2",),
-    ),
-    Mutant(
-        "rank_mod_b2 reducing against the B2 RREF minus one pivot", COH,
-        "b2 = self._b2_echelon()",
-        "b2 = dict(list(self._b2_echelon().items())[1:])",
-        ("tests/test_cohomology.py::TestRankModB2",),
-    ),
     # ck_matrix: label geometry, reversal, omega.
     Mutant(
         "cells() giving M the unit 0", CKM,
@@ -191,7 +180,25 @@ MUTANTS = (
     ),
     # classify and cli.
     Mutant(
-        "removals doubling each term", "src/cklie/classify.py",
+        "crosscheck's witnesses admitting the first pair with a bracket", CLS,
+        "pairs[c] not in constants",
+        "pairs[c] not in list(constants)[1:]",
+        ("tests/test_cohomology.py::TestIsCoboundary",),
+    ),
+    Mutant(
+        "crosscheck's trivial proof reading the wrong generator's coboundary row", CLS,
+        "solver.coboundary_rows()[solver.algebra.basis.index(g)]",
+        "solver.coboundary_rows()[solver.algebra.basis.index(g) - 1]",
+        ("tests/test_classify.py::TestCrosscheck::test_small_sweeps_all_match",),
+    ),
+    Mutant(
+        "crosscheck's match without distinct leading witnesses", CLS,
+        "predicted == res.dim_h2 == len(set(leads))",
+        "predicted == res.dim_h2",
+        ("tests/test_cohomology.py::TestRankModB2",),
+    ),
+    Mutant(
+        "removals doubling each term", CLS,
         "acc.get((i, j), 0) + c * v",
         "acc.get((i, j), 0) + 2 * c * v",
         ("tests/test_classify.py::TestRemovalIdentities",),
