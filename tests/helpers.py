@@ -10,9 +10,9 @@ the coboundary sums every bracket term in Fractions, the Killing Gram
 pairs the bracket terms of `integer_constants` and its signature is
 Lagrange's reduction in Fractions, neither with anything from
 `cklie.cohomology`, and the quaternion product is the full 16-term
-formula.  `Hypercomplex` is a four-component quaternion over Fractions
-with a kind tag, once the package's entry type; the dense commutator of
-generator matrices in it arbitrates the package's single-unit commutator.
+formula.  The dense commutator of two matrices, each entry a
+(w, x, y, z) quadruple of Fractions and each product of nonzero entries
+that formula, arbitrates the package's single-unit commutator.
 
 A 2-cochain here is a plain map {(i, j): Fraction} over i < j with no zero
 value, the form `CohomologySolver.z2_basis` and `classify.removals` return;
@@ -40,7 +40,7 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from cklie.ck_matrix import I_LABEL, B, GeneratorLabel, J, Kind, OmegaVector, _frac
+from cklie.ck_matrix import I_LABEL, B, GeneratorLabel, J, OmegaVector, _frac
 from cklie.classify import crosscheck, predict, removals
 from cklie.cohomology import _echelon_int, _nullspace
 from cklie.lie_core import LieAlgebra, verify_jacobi
@@ -331,141 +331,30 @@ def oracle_quaternion_product(a, b):
     )
 
 
-_F0 = Fraction(0)
-
-# Unit products on the components (0, 1, 2, 3) = (1, i, j, k):
-# _UNIT_PRODUCT[p][q] = (r, positive) means e_p * e_q = +-e_r, e.g. i*j = k,
-# j*i = -k and i*i = -1.
-_UNIT_PRODUCT = (
-    ((0, True), (1, True), (2, True), (3, True)),
-    ((1, True), (0, False), (3, True), (2, False)),
-    ((2, True), (3, False), (0, False), (1, True)),
-    ((3, True), (2, True), (1, False), (0, False)),
-)
-
-
-class Hypercomplex:
-    """Quaternion w + x*i + y*j + z*k over exact rationals, with a kind tag.
-
-    Values are immutable.  The tag never lies: a value tagged REAL has
-    x = y = z = 0 and a value tagged COMPLEX has y = z = 0.  Arithmetic
-    between different kinds promotes the result to the larger kind.
-    """
-
-    __slots__ = ("w", "x", "y", "z", "kind")
-
-    def __init__(self, w=0, x=0, y=0, z=0, kind=None):
-        w, x, y, z = _frac(w), _frac(x), _frac(y), _frac(z)
-        if y or z:
-            needed = Kind.QUATERNION
-        elif x:
-            needed = Kind.COMPLEX
-        else:
-            needed = Kind.REAL
-        if kind is None:
-            kind = needed
-        elif kind < needed:
-            raise ValueError(f"components do not fit in kind {kind.name}")
-        for name, value in zip(self.__slots__, (w, x, y, z, Kind(kind))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypercomplex values are immutable")
-
-    def components(self):
-        return (self.w, self.x, self.y, self.z)
-
-    def __bool__(self):
-        return any(self.components())
-
-    def __eq__(self, other):
-        if isinstance(other, Hypercomplex):
-            return self.components() == other.components()
-        if isinstance(other, (int, Fraction)):
-            return self.w == other and not (self.x or self.y or self.z)
-        return NotImplemented
-
-    def __neg__(self):
-        return Hypercomplex(-self.w, -self.x, -self.y, -self.z, self.kind)
-
-    def __add__(self, other):
-        comps = (a + b for a, b in zip(self.components(), other.components()))
-        return Hypercomplex(*comps, max(self.kind, other.kind))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return Hypercomplex(*(c * f for c in self.components()), self.kind)
-        if not isinstance(other, Hypercomplex):
-            return NotImplemented
-        # Only the products of nonzero components are formed.
-        out = [_F0, _F0, _F0, _F0]
-        b_terms = [(q, v) for q, v in enumerate(other.components()) if v]
-        for p, u in enumerate(self.components()):
-            if u:
-                for q, v in b_terms:
-                    r, positive = _UNIT_PRODUCT[p][q]
-                    out[r] += u * v if positive else -u * v
-        return Hypercomplex(*out, max(self.kind, other.kind))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def conjugate(self):
-        """Scalar conjugation: fixes the real part, negates i, j, k parts."""
-        return Hypercomplex(self.w, -self.x, -self.y, -self.z, self.kind)
-
-    def __str__(self):
-        parts = []
-        for value, sym in zip(self.components(), ("", "i", "j", "k")):
-            if not value:
-                continue
-            if sym and value == 1:
-                body = sym
-            elif sym and value == -1:
-                body = f"-{sym}"
-            else:
-                body = f"{value}{sym}"
-            parts.append(body if not parts or body.startswith("-") else "+" + body)
-        return "".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"Hypercomplex({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r}, kind={self.kind.name})"
-
-
-ONE = Hypercomplex(1)
-I1 = Hypercomplex(0, 1, kind=Kind.QUATERNION)
-I2 = Hypercomplex(0, 0, 1)
-I3 = Hypercomplex(0, 0, 0, 1)
-
-
-def dense_grid(mat):
-    """The matrix as a dense grid of `Hypercomplex` entries."""
-    grid = [[Hypercomplex() for _ in range(mat.dim)] for _ in range(mat.dim)]
-    for (i, j), (u, v) in mat.cells.items():
-        comps = [0, 0, 0, 0]
-        comps[u] = v
-        grid[i][j] = Hypercomplex(*comps)
-    return grid
-
-
 def oracle_commutator(X, Y):
-    """XY - YX over dense `Hypercomplex` grids, every entry of every product
+    """XY - YX over dense grids of (w, x, y, z) Fraction quadruples, every
+    product of two nonzero entries formed by `oracle_quaternion_product` and
     summed, as the component row {(i * dim + j) * 4 + t: Fraction}."""
     d = X.dim
-    x, y = dense_grid(X), dense_grid(Y)
+    zero = (Fraction(0),) * 4
+
+    def grid(mat):
+        rows = [[zero] * d for _ in range(d)]
+        for (i, j), (u, v) in mat.cells.items():
+            rows[i][j] = tuple(Fraction(v) if t == u else Fraction(0) for t in range(4))
+        return rows
+
+    x, y = grid(X), grid(Y)
     row = {}
     for i in range(d):
         for j in range(d):
-            total = Hypercomplex()
+            total = list(zero)
             for k in range(d):
-                total = total + x[i][k] * y[k][j] - y[i][k] * x[k][j]
-            for t, c in enumerate(total.components()):
+                for a, b, sign in ((x[i][k], y[k][j], 1), (y[i][k], x[k][j], -1)):
+                    if a != zero and b != zero:
+                        for t, c in enumerate(oracle_quaternion_product(a, b)):
+                            total[t] += sign * c
+            for t, c in enumerate(total):
                 if c:
                     row[(i * d + j) * 4 + t] = c
     return row

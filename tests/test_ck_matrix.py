@@ -1,19 +1,24 @@
 from fractions import Fraction
 from itertools import product
+import json
 import random
 
 import pytest
 
 from helpers import (
     FAMILY_DIMENSION,
+    coefficient_cocycle,
     omega_signs,
     oracle_commutator,
+    oracle_quaternion_product,
+    scaled,
     with_zeros,
     zero_set,
 )
-from cklie import ck_matrix, lie_core
+from cklie import ck_matrix, cli, lie_core
 from cklie.cli import matrix_json
 from cklie.ck_matrix import (
+    _UNIT_PRODUCT,
     B,
     E,
     FAMILIES,
@@ -32,7 +37,9 @@ from cklie.ck_matrix import (
     is_traceless,
     labels_for_family,
     mat_commutator,
+    parse_rational,
 )
+from cklie.lie_core import build_algebra, from_matrices
 
 
 def sign_patterns(n):
@@ -537,3 +544,108 @@ class TestCommutatorAndDecomposition:
         comps = matrix_json(g)
         assert comps[1][1] == ["0", "0", "1", "0"]
         assert comps[0][0] == ["0", "0", "0", "0"]
+
+
+class TestRational:
+    def test_normalize_reduces(self):
+        assert parse_rational("2/4") == Fraction(1, 2)
+
+    def test_normalize_zero(self):
+        q = parse_rational("0/5")
+        assert q == 0 and q.denominator == 1
+
+    def test_normalize_sign_in_numerator(self):
+        q = parse_rational("-3/6")
+        assert q == Fraction(-1, 2) and q.denominator == 2
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="denominator"):
+            parse_rational("1/0")
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("3", Fraction(3)), ("-3", Fraction(-3)), ("3/6", Fraction(1, 2)), ("-1/2", Fraction(-1, 2))],
+    )
+    def test_parse(self, text, expected):
+        assert parse_rational(text) == expected
+
+    @pytest.mark.parametrize("text", ["x", "1/-2", "1.5", "", "1/0"])
+    def test_parse_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    # int() reads any Unicode decimal digit: Arabic-Indic one and two,
+    # full-width one.
+    @pytest.mark.parametrize("text", ["\u0661", "\uff11", "-\u0661/2", "1/\u0662"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda v: OmegaVector([1, v]),
+            lambda v: scaled({(0, 1): Fraction(1)}, v),
+            lambda v: coefficient_cocycle("so", [0, 1], "alphaF[1,2]", v),
+            lambda v: MatrixOverK(2, Kind.REAL, {(0, 1): (0, v)}),
+        ],
+        ids=["OmegaVector", "scaled", "coefficient_cocycle", "MatrixOverK"],
+    )
+    def test_floats_and_bools_rejected(self, entry, bad):
+        # 0.1 would silently become 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            entry(bad)
+
+
+class TestUnitTable:
+    # The 16 Hamilton products of the units 1, i, j, k, written out:
+    # e_p * e_q = sign * e_r.
+    HAMILTON = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+    }
+
+    def test_hamilton_products(self):
+        units = "1ijk"
+        for (a, b), (sign, c) in self.HAMILTON.items():
+            assert _UNIT_PRODUCT[units.index(a)][units.index(b)] == (units.index(c), sign), (a, b)
+        assert len(_UNIT_PRODUCT) == 4 and all(len(row) == 4 for row in _UNIT_PRODUCT)
+
+    def test_oracle_product_on_units(self):
+        # The oracle product is bilinear by its form, so its 16 unit
+        # products fix it.
+        units = "1ijk"
+
+        def quad(a):
+            return tuple(int(t == units.index(a)) for t in range(4))
+
+        for (a, b), (sign, c) in self.HAMILTON.items():
+            assert oracle_quaternion_product(quad(a), quad(b)) == tuple(sign * v for v in quad(c)), (a, b)
+
+    @staticmethod
+    def flip(monkeypatch, p, q):
+        table = [list(row) for row in _UNIT_PRODUCT]
+        r, sign = table[p][q]
+        table[p][q] = (r, -sign)
+        monkeypatch.setattr(ck_matrix, "_UNIT_PRODUCT", tuple(map(tuple, table)))
+
+    def test_flipped_square_breaks_the_matrix_route(self, monkeypatch, capsys):
+        # i*i = +1: every commutator of two i_1 generators changes sign and
+        # stays in the span, so only the comparison with the closed form can
+        # catch it.
+        omega = "1,1"
+        assert from_matrices("sq", omega).constants == build_algebra("sq", omega).constants
+        self.flip(monkeypatch, 1, 1)
+        assert from_matrices("sq", omega).constants != build_algebra("sq", omega).constants
+        assert cli.main(["structure", "--family", "sq", "--omega", omega]) == 1
+        assert json.loads(capsys.readouterr().out)["matrix_match"] is False
+
+    def test_flipped_mixed_product_leaves_the_span(self, monkeypatch):
+        # i*j = -k, with j*i = -k still: [E1(0), E2(0)] vanishes, and the
+        # commutator of M1(0,1) and M2(1,2) is no longer antihermitian.
+        self.flip(monkeypatch, 1, 2)
+        with pytest.raises(NotInSpanError):
+            from_matrices("sq", "1,1")

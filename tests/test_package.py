@@ -62,6 +62,27 @@ def test_names_are_listed_and_star_imported():
     assert all(namespace[name] is getattr(cklie, name) for name in cklie.__all__)
 
 
+class TestNoFloats:
+    def test_package_source_has_no_float(self):
+        """The package never touches a float: no float literal anywhere, and
+        the name `float` appears only in `ck_matrix._frac`, which rejects it."""
+        found = []
+        for path in sorted(Path(cklie.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = set()
+            if path.name == "ck_matrix.py":
+                frac = next(
+                    f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_frac"
+                )
+                exempt = {id(node) for node in ast.walk(frac)}
+            for node in ast.walk(tree):
+                literal = isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                named = isinstance(node, ast.Name) and node.id == "float" and id(node) not in exempt
+                if literal or named:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert not found
+
+
 # Names that no command reaches; the tests that use them import them from
 # tests/helpers.py.
 REMOVED = (
@@ -271,3 +292,12 @@ def test_mutant_corpus_is_current():
         assert m.file.partition("/")[0] in tool.COPIED, m.name
         assert tool.stale(m) is None, m.name
         assert m.tests and all((root / t.partition("::")[0]).is_file() for t in m.tests), m.name
+
+
+def test_every_test_module_is_named_after_a_package_module():
+    # A test module is named after the module of src/cklie it tests, or is
+    # one of the three that test the package as a whole, so a module named
+    # after a deleted one cannot outlive it.
+    modules = {path.stem for path in Path(cklie.__file__).parent.glob("*.py")}
+    tests = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
+    assert sorted(tests - modules - {"acceptance", "package", "readme"}) == []

@@ -183,7 +183,7 @@ MUTANTS = (
         "crosscheck's witnesses admitting the first pair with a bracket", CLS,
         "pairs[c] not in constants",
         "pairs[c] not in list(constants)[1:]",
-        ("tests/test_cohomology.py::TestIsCoboundary",),
+        ("tests/test_cohomology.py::TestWitnessCertificate",),
     ),
     Mutant(
         "crosscheck's trivial proof reading the wrong generator's coboundary row", CLS,
@@ -195,7 +195,7 @@ MUTANTS = (
         "crosscheck's match without distinct leading witnesses", CLS,
         "predicted == res.dim_h2 == len(set(leads))",
         "predicted == res.dim_h2",
-        ("tests/test_cohomology.py::TestRankModB2",),
+        ("tests/test_cohomology.py::TestDistinctLeads",),
     ),
     Mutant(
         "removals doubling each term", CLS,
@@ -250,13 +250,25 @@ MUTANTS = (
         "dense_rank dropping a row", HELPERS,
         "return len(dense_rref(matrix)[0])",
         "return len(dense_rref(matrix[1:])[0])",
-        ("tests/test_cohomology.py::TestIsCoboundary",),
+        ("tests/test_cohomology.py::TestWitnessCertificate",),
     ),
     Mutant(
         "killing_gram reading ad x transposed", HELPERS,
         "into.get((m, k), ())",
         "into.get((k, m), ())",
         ("tests/test_acceptance.py::test_c15_killing_form",),
+    ),
+    Mutant(
+        "oracle_quaternion_product with the sign of j*k flipped", HELPERS,
+        "+ ay * bz",
+        "- ay * bz",
+        ("tests/test_ck_matrix.py::TestUnitTable::test_oracle_product_on_units",),
+    ),
+    Mutant(
+        "oracle_commutator dropping the YX product", HELPERS,
+        "((x[i][k], y[k][j], 1), (y[i][k], x[k][j], -1))",
+        "((x[i][k], y[k][j], 1),)",
+        ("tests/test_ck_matrix.py::TestCommutatorAndDecomposition::test_generator_commutators_match_dense_oracle",),
     ),
 )
 
