@@ -36,7 +36,11 @@ from cklie.ck_matrix import J, OmegaVector
 from cklie import classify
 from cklie.classify import CatalogEntry, crosscheck, predict
 from cklie.cli import structure_json
-from cklie.lie_core import LieAlgebra, build_algebra
+from cklie.lie_core import (
+    LieAlgebra,
+    build_algebra,
+    verify_jacobi,
+)
 
 
 def sign_patterns(n):
@@ -373,14 +377,26 @@ BAD_TABLES = [
     ({(0.0, 1): {2: Fraction(1)}}, "not a pair of ints"),
 ]
 
+# Every way a table is read.  Unchecked, the key (1, 0) gave [X_0, X_1]
+# == 0 but xi_01 = -1 from the coboundary, and a stored zero printed "c": "0".
+TABLE_READERS = {
+    "constants": lambda L: L.constants,
+    "structure_rows": lambda L: list(L.structure_rows()),
+    # The structure payload, keyed by the name of the method it replaced so
+    # that these test ids stay the same.
+    "to_json_obj": lambda L: structure_json(L, True, True),
+    "integer_constants": lambda L: L.integer_constants(),
+    "verify_jacobi": verify_jacobi,
+    "coboundary": lambda L: CohomologySolver(L).coboundary_rows(),
+    "h2": lambda L: CohomologySolver(L).result(),
+}
+
+
 class TestHandBuiltTable:
     """A stored zero would become a B2 pivot, and a key (1, 0) would be
     dropped by the assembly: each gives a wrong H2 with no error unless the
-    table is checked.  Unchecked, the key (1, 0) gave [X_0, X_1] == 0 but
-    xi_01 = -1 from the coboundary, and a stored zero printed "c": "0".
-    The constructor is the one gate: it checks the table, so no reader
-    (the structure rows and payload, `integer_constants`, `verify_jacobi`,
-    the solver) is ever handed an unchecked table."""
+    table is checked.  The constructor checks it, so no reader is ever
+    handed an unchecked table."""
 
     BASIS = [J(0, 1), J(0, 2), J(1, 2)]
 
@@ -389,12 +405,25 @@ class TestHandBuiltTable:
         with pytest.raises(ValueError, match=message):
             LieAlgebra(None, None, self.BASIS, constants)
 
+    @pytest.mark.parametrize("reader", TABLE_READERS)
+    @pytest.mark.parametrize("constants,message", BAD_TABLES)
+    def test_every_reader_checks(self, reader, constants, message):
+        L = None
+        with pytest.raises(ValueError, match=message):
+            L = LieAlgebra(None, None, self.BASIS, constants)
+            TABLE_READERS[reader](L)
+        assert L is None, f"{reader} was handed an unchecked table"
+
+    @pytest.mark.parametrize("reader", TABLE_READERS)
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
-    def test_float_or_bool_constant_rejected(self, bad):
+    def test_float_or_bool_constant_rejected(self, reader, bad):
         # 0.5 made integer_constants raise AttributeError and the structure
         # payload print "0.5"; True was taken as 1 and printed "True".
+        L = None
         with pytest.raises(TypeError, match=type(bad).__name__):
-            LieAlgebra(None, None, self.BASIS, {(0, 1): {2: bad}})
+            L = LieAlgebra(None, None, self.BASIS, {(0, 1): {2: bad}})
+            TABLE_READERS[reader](L)
+        assert L is None, f"{reader} was handed an unchecked table"
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -623,7 +652,7 @@ def crosscheck_of(monkeypatch, family, omega, cochains):
     return crosscheck(family, omega)
 
 
-class TestWitnessCertificate:
+class TestIsCoboundary:
     """crosscheck calls an active cocycle nontrivial only when it holds a
     witness, a pair with no bracket, where every coboundary vanishes; the
     oracle compares dense ranks of the coboundary rows with and without the
@@ -652,7 +681,7 @@ class TestWitnessCertificate:
         assert not report.match  # an active coboundary has no certificate
 
 
-class TestDistinctLeads:
+class TestRankModB2:
     """crosscheck's match needs distinct leading witnesses of the active
     entries.  On catalogs of dim H2 cocycles drawn from the active entries,
     their shifts by coboundaries and the coboundaries themselves, match

@@ -183,7 +183,7 @@ MUTANTS = (
         "crosscheck's witnesses admitting the first pair with a bracket", CLS,
         "pairs[c] not in constants",
         "pairs[c] not in list(constants)[1:]",
-        ("tests/test_cohomology.py::TestWitnessCertificate",),
+        ("tests/test_cohomology.py::TestIsCoboundary",),
     ),
     Mutant(
         "crosscheck's trivial proof reading the wrong generator's coboundary row", CLS,
@@ -195,7 +195,7 @@ MUTANTS = (
         "crosscheck's match without distinct leading witnesses", CLS,
         "predicted == res.dim_h2 == len(set(leads))",
         "predicted == res.dim_h2",
-        ("tests/test_cohomology.py::TestDistinctLeads",),
+        ("tests/test_cohomology.py::TestRankModB2",),
     ),
     Mutant(
         "removals doubling each term", CLS,
@@ -250,7 +250,7 @@ MUTANTS = (
         "dense_rank dropping a row", HELPERS,
         "return len(dense_rref(matrix)[0])",
         "return len(dense_rref(matrix[1:])[0])",
-        ("tests/test_cohomology.py::TestWitnessCertificate",),
+        ("tests/test_cohomology.py::TestIsCoboundary",),
     ),
     Mutant(
         "killing_gram reading ad x transposed", HELPERS,
